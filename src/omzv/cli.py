@@ -9,7 +9,8 @@ on) and a --config file of flat key=value lines; command line flags
 win over both.
 
 Exit codes: 0 success, 1 failed check, 2 parse or usage error,
-3 non-admissible argument (bad index, pole, deformation out of range).
+3 non-admissible argument (bad index, pole, deformation out of range)
+or a quadrature that cannot be carried out as configured (QuadError).
 """
 
 import cmath
@@ -143,7 +144,7 @@ def cmd_eval(kind, expr, omega, tol, out, cache_path):
             raise click.UsageError(str(exc))
         try:
             res = zeta_omega(k, p, cfg)
-        except ValueError as exc:
+        except (ValueError, QuadError) as exc:
             raise AdmissibilityError(str(exc))
         parsed = ",".join(str(e) for e in k)
     else:
@@ -153,7 +154,7 @@ def cmd_eval(kind, expr, omega, tol, out, cache_path):
             raise click.UsageError(str(exc))
         try:
             res = Z_omega(poly, p, cfg)
-        except ValueError as exc:
+        except (ValueError, QuadError) as exc:
             raise AdmissibilityError(str(exc))
         parsed = str(poly)
     report = _base_report(
@@ -287,7 +288,7 @@ def cmd_ohno(index, omega, order, tol, out, cache_path):
         raise click.UsageError(str(exc))
     try:
         table = ohno_table(k, order, p, cfg)
-    except ValueError as exc:
+    except (ValueError, QuadError) as exc:
         raise AdmissibilityError(str(exc))
     cells = [{"m": m, "n": n, "value": table.coeffs[(m, n)],
               "err": table.errs[(m, n)]} for m, n in table.cells()]

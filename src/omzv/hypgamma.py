@@ -6,6 +6,18 @@ the integral representation
     log G(z) = i * int_0^inf dt/t ( sin(2 omega t z)
                                     / (2 sinh(omega t) sinh t) - z/t ).
 
+The integrand is even in t and analytic in a band around the real
+axis (the nearest poles of 1/sinh sit at i pi / max(1, omega)), so the
+trapezoid rule on R converges geometrically in the step (Trefethen and
+Weideman, SIAM Rev. 56, 2014).  Its algebraic part z/t^2 is summed in
+closed form over the nodes, sum_{n>=1} 1/n^2 = pi^2/6, so only the
+exponentially decaying sine part is truncated.  Each node contributes
+one exponential e^{a_n + i b_n z} with b_n proportional to n; on a
+uniform horizontal line z = z0 + h j the node sum is therefore a
+chirp-z transform (Bluestein; Rabiner, Schafer and Rader, 1969), done
+by FFT in O((N + M) log(N + M)) for N nodes and M points.  Other point
+sets are summed densely.
+
 Outside the strip, values are assembled from the two functional
 equations
 
@@ -26,11 +38,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .omega import cexpm1 as _cexpm1_arr
-from .quad import QuadConfig, QuadError, _gl_nodes, _log_target
+from .quad import QuadConfig, QuadError, _log_target
 
 __all__ = [
     "GammaContext",
-    "log_G_strip",
     "log_G_line",
     "log_G",
     "G",
@@ -41,15 +52,14 @@ __all__ = [
 @dataclass
 class GammaContext:
     """Evaluation context: deformation parameter, quadrature settings,
-    relative margin kept to the strip boundary, and per-context caches
-    (grid cache and line-value cache; read-only after warmup)."""
+    relative margin kept to the strip boundary, and the line-value cache
+    that the connector fills (read-only after warmup)."""
 
     p: object
     cfg: QuadConfig = field(default_factory=QuadConfig)
     margin: float = 0.05
 
     def __post_init__(self):
-        self._grids = {}
         self.line_cache = {}
 
     @property
@@ -63,117 +73,119 @@ class GammaContext:
         return 0.5 * min(1.0, 1.0 / self.p.omega)
 
 
-def _sin_minus_w(w):
-    """sin(w) - w without cancellation for small |w|."""
-    out = np.sin(w) - w
-    small = np.abs(w) < 0.5
-    if np.any(small):
-        ws = np.where(small, w, 0.0)
-        w2 = ws * ws
-        series = (-ws * w2 / 6.0
-                  * (1.0 - w2 / 20.0 * (1.0 - w2 / 42.0 * (1.0 - w2 / 72.0))))
-        out = np.where(small, series, out)
-    return out
+# Smallest line for the chirp-z sum: below it the dense sum is as fast.
+_CHIRP_MIN = 24
+# Trapezoid nodes per half-line beyond which the strip sum is refused.
+_MAX_NODES = 100_000
 
 
-def _sinhc_minus_1(x):
-    """sinh(x)/x - 1 without cancellation for small |x| (x real > 0)."""
-    out = np.sinh(x) / x - 1.0
-    small = np.abs(x) < 0.5
-    if np.any(small):
-        xs = np.where(small, x, 1.0)
-        x2 = xs * xs
-        series = (x2 / 6.0
-                  * (1.0 + x2 / 20.0 * (1.0 + x2 / 42.0 * (1.0 + x2 / 72.0))))
-        out = np.where(small, series, out)
-    return out
+def _trapezoid_nodes(ctx, xmax, immax):
+    """Trapezoid step and nodes for the strip integral on arguments with
+    |Re z| <= xmax, |Im z| <= immax.
 
-
-def _strip_integrand(t, z, w_om):
-    """Integrand of the strip representation at nodes t (1-d, > 0)
-    against arguments z (1-d), as a (t, z) matrix.
-
-    For t < 2 uses the combined form
-        [ (sin w - w) - w (S(wt)S(t) - 1) ] / (2 omega t^3 S(wt)S(t)),
-    w = 2 omega t z, S(x) = sinh(x)/x, which is exact and stable at
-    t -> 0.  For t >= 2 uses exponentials with all real exponents
-    <= -kappa t, avoiding overflow for large cutoffs."""
-    t = t[:, None]
-    z = z[None, :]
-    w = 2.0 * w_om * t * z
-    lo = (t < 2.0)
-    out = np.empty(np.broadcast_shapes(w.shape), dtype=complex)
-
-    if np.any(lo):
-        tl = np.where(lo, t, 1.0)
-        wl = np.where(lo, w, 0.0)
-        sa = _sinhc_minus_1(w_om * tl)
-        sb = _sinhc_minus_1(tl)
-        ssm1 = sa + sb + sa * sb
-        numer = _sin_minus_w(wl) - wl * ssm1
-        val = numer / (2.0 * w_om * tl ** 3 * (1.0 + ssm1))
-        out = np.where(lo, val, out)
-
-    hi = ~lo
-    if np.any(hi):
-        th = np.where(hi, t, 2.0)
-        wh = np.where(hi, w, 0.0)
-        rate = (w_om + 1.0) * th
-        sin_part = (np.exp(1j * wh - rate) - np.exp(-1j * wh - rate)) / 2j
-        denom = (1.0 - np.exp(-2.0 * w_om * th)) * (1.0 - np.exp(-2.0 * th))
-        val = 2.0 * sin_part / denom / th - z / th ** 2
-        out = np.where(hi, val, out)
-    return out
-
-
-def _strip_grid(ctx, xmax, immax):
-    """Half-line quadrature nodes/weights/cutoff for the strip formula,
-    cached per (bucketed xmax, bucketed immax)."""
+    The step balances the pole distance d of the integrand (poles of
+    1/sinh at i pi / max(1, w)) against the growth of sin(2 w t z) along
+    Im t = d; the cutoff is where the integrand has decayed like
+    e^{-kappa t} below the target.  Returns (step, b, expo) for the
+    nodes t_n = n*step (n = 1..N): frequencies b_n = 2 w t_n and real
+    exponents -log(2 t_n sinh(w t_n) sinh t_n)."""
     w = ctx.p.omega
     kappa = 1.0 + w - 2.0 * w * immax
     if kappa < 0.04 * (1.0 + w):
         raise QuadError("strip violated: argument too close to the "
                         "boundary Im z = omega_bar", immax=immax)
-    key = (round(math.log(max(xmax, 1.0)) * 8),
-           round(immax * 256), ctx.cfg.rel_tol)
-    hit = ctx._grids.get(key)
-    if hit is not None:
-        return hit
-    U = (_log_target(ctx.cfg) + 4.0) / kappa
-    h = min(0.5, 0.4 * min(1.0, 1.0 / w),
-            3.0 / (2.0 * w * xmax + 1e-9))
-    n_panels = int(math.ceil(U / h))
-    if n_panels * 16 > 600_000:
-        raise QuadError("strip grid too large", panels=n_panels)
-    gx, gw = _gl_nodes(16)
-    edges = np.linspace(0.0, U, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    weights = (half[:, None] * gw[None, :]).ravel()
-    out = (nodes, weights, U)
-    ctx._grids[key] = out
-    return out
+    ltot = _log_target(ctx.cfg) + 4.0
+    d = 0.8 * math.pi * min(1.0, 1.0 / w)
+    step = 2.0 * math.pi * d / (ltot + 2.0 * w * d * (xmax + immax))
+    n = int(math.ceil(ltot / kappa / step))
+    if n > _MAX_NODES:
+        raise QuadError("strip grid above node budget", nodes=n)
+    t = step * np.arange(1, n + 1)
+    # log sinh x = x - log 2 + log(1 - e^{-2x}), finite for every t > 0
+    expo = (np.log(2.0 / t) - (1.0 + w) * t
+            - np.log(-np.expm1(-2.0 * w * t)) - np.log(-np.expm1(-2.0 * t)))
+    return step, 2.0 * w * t, expo
 
 
-def log_G_strip(z, ctx):
-    """log G on arguments inside the strip, via the half-line integral.
-    Accepts a scalar or an array; vectorized with z-chunking."""
-    scalar = np.isscalar(z) or np.asarray(z).ndim == 0
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    immax = float(np.max(np.abs(zs.imag))) if zs.size else 0.0
-    if immax >= (1.0 - ctx.margin) * ctx.omega_bar:
-        raise QuadError("strip violated", immax=immax,
-                        bound=(1.0 - ctx.margin) * ctx.omega_bar)
-    xmax = float(np.max(np.abs(zs.real))) if zs.size else 0.0
-    nodes, weights, U = _strip_grid(ctx, xmax, immax)
-    out = np.empty(zs.shape, dtype=complex)
-    for a in range(0, zs.size, 256):
-        blk = zs[a:a + 256]
-        vals = _strip_integrand(nodes, blk, ctx.p.omega)
-        out[a:a + 256] = weights @ vals - blk / U
-    out = 1j * out
-    return complex(out[0]) if scalar else out
+def _dense_sum(z, b, expo):
+    """sum_n sin(b_n z) e^{expo_n} at arbitrary points z, with each
+    term one exponential e^{expo_n +- i b_n z} (no factor overflows)."""
+    ibz = 1j * b[:, None] * z[None, :]
+    e = expo[:, None]
+    return (np.exp(e + ibz).sum(axis=0) - np.exp(e - ibz).sum(axis=0)) / 2j
+
+
+def _uniform_step(re):
+    """Spacing of `re` if it is a uniform grid of at least _CHIRP_MIN
+    points, else None."""
+    m = re.size
+    if m < _CHIRP_MIN:
+        return None
+    h = (re[-1] - re[0]) / (m - 1)
+    dev = np.max(np.abs(re - (re[0] + h * np.arange(m))))
+    if h == 0.0 or dev > 4.0 * np.finfo(float).eps * np.max(np.abs(re)):
+        return None
+    return h
+
+
+def _chirp_sum(z0, h, m, b, expo):
+    """_dense_sum on the m points z0 + h*j by one chirp-z transform.
+
+    With n running over -N..N the sum is sum_n c_n W^{n j}, where
+    c_n = sgn(n) e^{expo_|n| + i b_n z0} / 2i and W = e^{i b_1 h}
+    (b_n = n b_1).  Bluestein's identity n j = (n^2 + j^2 - (j-n)^2)/2
+    turns it into one convolution with the unit-modulus chirp
+    e^{-i phi k^2}, phi = b_1 h / 2, evaluated by FFT."""
+    n_nodes = b.size
+    width = 2 * n_nodes + 1
+    coef = np.zeros(width, dtype=complex)
+    coef[n_nodes + 1:] = np.exp(expo + 1j * b * z0) / 2j
+    coef[n_nodes - 1::-1] = -np.exp(expo - 1j * b * z0) / 2j
+    phi = 0.5 * b[0] * h
+    size = 1 << (width + m - 2).bit_length()
+    ks = np.arange(width)
+    js = np.arange(m)
+    # chirp at lags -(width-1)..m-1, negative lags wrapped to the end
+    lags = np.concatenate([js, np.arange(1 - width, 0)])
+    chirp = np.zeros(size, dtype=complex)
+    chirp[lags] = _cis(-phi, lags * lags)
+    conv = np.fft.ifft(np.fft.fft(coef * _cis(phi, ks * ks), size)
+                       * np.fft.fft(chirp))[:m]
+    # array index k holds node n = k - N, hence the extra W^{-N j}
+    return conv * _cis(phi, js * (js - 2 * n_nodes))
+
+
+def _cis(phi, j):
+    """e^{i phi j} for integer arrays j, exact to rounding also when
+    |phi j| is large: phi is split so that its head times j is exact."""
+    head = float(np.float32(phi))
+    return np.exp(1j * (head * j)) * np.exp(1j * ((phi - head) * j))
+
+
+def _log_G_strip(re, im, ctx):
+    """log G(re + i*im) inside the strip, by the trapezoid rule on the
+    strip integral.
+
+    The integrand f(t) = sin(2 w t z)/(2 t sinh(w t) sinh t) - z/t^2 is
+    even and analytic near R, so int_0^inf f = step (f(0)/2 + sum_{n>=1}
+    f(n step)) up to geometrically small terms.  The algebraic part
+    sums exactly, sum_{n>=1} z/(n step)^2 = z pi^2 / (6 step^2), and
+    f(0) = -z (4 w^2 z^2 + 1 + w^2) / 6.  A uniform line sums by
+    chirp-z, anything else densely."""
+    bound = (1.0 - ctx.margin) * ctx.omega_bar
+    if abs(im) >= bound:
+        raise QuadError("strip violated", immax=abs(im), bound=bound)
+    w = ctx.p.omega
+    step, b, expo = _trapezoid_nodes(ctx, float(np.max(np.abs(re))),
+                                     abs(im))
+    z = re + 1j * im
+    h = _uniform_step(re)
+    if h is None:
+        s = _dense_sum(z, b, expo)
+    else:
+        s = _chirp_sum(z[0], h, re.size, b, expo)
+    f0 = -z * (4.0 * w * w * z * z + 1.0 + w * w) / 6.0
+    return 1j * (step * (0.5 * f0 + s) - z * (math.pi ** 2 / (6.0 * step)))
 
 
 def _log_m2i_sinh(v):
@@ -232,14 +244,13 @@ def log_G_line(re, im, ctx):
         zeta = re + 1j * (im_next + ctx.omega_bar)
         scale = math.pi * w if step == 1.0 else math.pi
         acc = acc + _log_m2i_sinh(scale * zeta)
-    z0 = re + 1j * im_cur
     far = np.abs(re) >= _far_threshold(w)
     base = np.empty(re.shape, dtype=complex)
     if far.any():
-        base[far] = _log_G_far(z0[far], w)
+        base[far] = _log_G_far(re[far] + 1j * im_cur, w)
     near = ~far
     if near.any():
-        base[near] = log_G_strip(z0[near], ctx)
+        base[near] = _log_G_strip(re[near], im_cur, ctx)
     return acc + base
 
 
@@ -250,9 +261,8 @@ def log_G(z, ctx):
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     flat = zs.ravel()
     res = np.empty(flat.shape, dtype=complex)
-    ims = np.round(flat.imag, 12)
-    for im in np.unique(ims):
-        sel = ims == im
+    for im in np.unique(flat.imag):
+        sel = flat.imag == im
         res[sel] = log_G_line(flat[sel].real, float(im), ctx)
     out = res.reshape(zs.shape)
     return complex(out.flat[0]) if scalar else out

@@ -63,6 +63,19 @@ def test_non_admissible_is_exit_3(runner):
     assert res.exit_code == 3
 
 
+def test_eval_quad_error_is_exit_3(runner):
+    # at this omega the chain grid for zeta(2) exceeds its node budget
+    res = runner.invoke(cli, ["eval", "zeta", "2", "--omega", "0.0005"])
+    assert res.exit_code == 3
+    assert "node budget" in res.output
+
+
+def test_ohno_quad_error_is_exit_3(runner):
+    res = runner.invoke(cli, ["ohno", "2", "--omega", "0.0005"])
+    assert res.exit_code == 3
+    assert "node budget" in res.output
+
+
 def test_unknown_suite_is_exit_2(runner):
     res = runner.invoke(cli, ["verify", "no-such-suite"])
     assert res.exit_code == 2
