@@ -192,8 +192,11 @@ def cmd_verify(ctx, suite, omega, tol, max_weight, order, seed, out,
     except ValueError as exc:
         raise click.UsageError(str(exc))
     t0 = time.perf_counter()
-    records = run_suite(suite, omega=omega, max_weight=max_weight,
-                        order=order, seed=seed, tol=tol)
+    try:
+        records = run_suite(suite, omega=omega, max_weight=max_weight,
+                            order=order, seed=seed, tol=tol)
+    except QuadError as exc:
+        raise AdmissibilityError(str(exc))
     checks = [{
         "name": r.name,
         "anchor": r.anchor,

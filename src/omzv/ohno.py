@@ -17,7 +17,7 @@ The Theta stage couples the two chain lines only through the sum
 T + U and the cross phase e^{-pi i w T U}.  On a shared uniform grid
 the sum part is a discrete convolution, and the cross phase splits
 into per-line chirps times a chirp on the sum grid, so the double sum
-costs one convolution instead of a dense double loop.
+costs one tilted FFT convolution instead of a dense double loop.
 """
 
 import math
@@ -32,7 +32,7 @@ from .ncseries import z_decompose
 from .omega import cexpm1, inverse_x_variable, zeta_omega
 from .quad import (ChainStage, EvalResult, QuadConfig, QuadError,
                    chain_line_integral, chain_pass, integrate_real_line,
-                   _log_target)
+                   _require_finite, _log_target, _tilted_convolve)
 
 __all__ = [
     "OhnoParams",
@@ -385,7 +385,7 @@ def _theta_value(ctx, cfg, p, r, s, lam, mu, eps, h, ys, chi_t, chi_u, dp):
 
     a_vec = chi_t * np.exp(log_a) * f_t
     b_vec = chi_u * np.exp(log_b) * f_u
-    conv = np.convolve(a_vec, b_vec)
+    conv = _tilted_convolve(a_vec, b_vec, 0, 2 * n - 1)
     summand = conv * np.exp(log_c) * f_sum
     value = const * (1j ** (r + s)) * h * h * summand.sum()
 
@@ -460,12 +460,14 @@ def connected_integral(k, l, op, ctx, cfg=None, eps=None):
     pref = p.hbar_value ** (sum(k) + sum(l))
     fine, tail = _theta_value(ctx, cfg, p, r, s, lam, mu, eps,
                               h, ys, chi_t, chi_u, dp)
+    value = pref * fine
+    _require_finite(value, abs(pref) * tail, nodes=len(ys), stage="fine")
     chi_t_c = chain_pass(stages_t, eps, 2 * h, ys[::2])
     chi_u_c = chain_pass(stages_u, eps, 2 * h, ys[::2])
     coarse, _ = _theta_value(ctx, cfg, p, r, s, lam, mu, eps,
                              2 * h, ys[::2], chi_t_c, chi_u_c, dp)
-    value = pref * fine
     err = abs(pref) * (abs(fine - coarse) + tail) + cfg.abs_tol
+    _require_finite(pref * coarse, err, nodes=len(ys), stage="coarse")
     res = EvalResult(value, err,
                      {"k": k, "l": l, "eps": eps, "h": h,
                       "nodes": len(ys), "lam": lam, "mu": mu})

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import cache as _cache
 from .quad import (ChainStage, EvalResult, QuadConfig, QuadError,
-                   chain_line_integral)
+                   chain_line_integral, measure_kernel)
 from .words import ALetter, AMonomial, APoly, HPoly
 
 __all__ = [
@@ -112,24 +112,37 @@ def kernel_I(letter, t, p):
     t = np.asarray(t, dtype=complex)
     if letter.is_e:
         return np.full(t.shape, p.hbar_value)
-    den = cexpm1(-p.hbar_value * t)
+    # hbar/(e^{-x} - 1) with x = 2 pi i omega t, as hbar e^x/(1 - e^x)
+    # where Re x < 0, so that no exponential overflows
+    x = p.hbar_value * t
+    neg = x.real < 0.0
+    s = np.where(neg, x, -x)
+    den = cexpm1(s)
     bad = np.abs(den) < 1e-12
     if np.any(bad):
         raise QuadError("kernel pole: omega*t at an integer",
                         t=complex(t.flat[int(np.argmax(bad))]))
-    return (p.hbar_value / den) ** letter.k
+    return (p.hbar_value * np.where(neg, -np.exp(s), 1.0) / den) ** letter.k
 
 
 def kernel_e(k, t, p):
     """Kernel of the letter combination e_k = g_k + h g_{k-1}:
     (2 pi i omega)^k e^{2 pi i omega (k-1) t} / (1 - e^{2 pi i omega t})^k."""
     t = np.asarray(t, dtype=complex)
-    den = -cexpm1(p.hbar_value * t)
+    # with x = 2 pi i omega t the kernel is e^{(k-1)x}/(1 - e^x)^k for
+    # Re x <= 0 and e^{-x}/(e^{-x} - 1)^k for Re x > 0: both exponentials
+    # have Re <= 0, and the reciprocal is taken before the power
+    x = p.hbar_value * t
+    pos = x.real > 0.0
+    s = np.where(pos, -x, x)
+    den = cexpm1(s)
     bad = np.abs(den) < 1e-12
     if np.any(bad):
         raise QuadError("kernel pole: omega*t at an integer",
                         t=complex(t.flat[int(np.argmax(bad))]))
-    return p.hbar_value ** k * np.exp(p.hbar_value * (k - 1) * t) / den ** k
+    num = np.exp(np.where(pos, s, (k - 1) * s))
+    sign = np.where(pos, 1.0, (-1.0) ** k)
+    return p.hbar_value ** k * sign * num * (1.0 / den) ** k
 
 
 def _binom_poly(delta, alpha):
@@ -240,7 +253,7 @@ def Z_omega_reduced(alphas, betas, p, cfg=None):
 
             def diff(delta, alpha=alpha, scale=scale):
                 return (scale * _binom_poly(delta, alpha)
-                        / cexpm1(TWO_PI * 1j * delta))
+                        * measure_kernel(delta))
         else:
             diff = None
         letter = ALetter(beta + 1)

@@ -2,17 +2,18 @@
 
 Every integral in this package runs along contours Re t = -epsilon (or a
 product of such lines), with integrands analytic in a strip around the
-contour and exponentially decaying along it.  Three evaluators:
+contour and exponentially decaying along it.  Two evaluators:
 
-  integrate_line      adaptive Gauss-Legendre panels on one line
-  integrate_halfline  adaptive GL panels on [0, infinity)
-  integrate_multi     tensor trapezoid grid over a few lines
+  integrate_line       adaptive Gauss-Legendre panels on one line
+  integrate_real_line  the same on the real axis
 
 plus a chain evaluator for iterated integrals whose stage-a integrand
 couples T_a to T_{a-1} only through the difference T_a - T_{a-1} (the
 cumulative-variable form of all the nested sums here).  On a shared
 uniform imaginary grid each stage is one discrete convolution, so depth
-r costs r convolutions instead of an r-dimensional tensor.
+r costs r convolutions instead of an r-dimensional tensor.  Each
+convolution is an FFT under an exponential tilt (`_tilted_convolve`),
+O(n log n) per stage.
 
 Uniform (trapezoid) steps are spectrally accurate for these integrands:
 the error decays like exp(-2*pi*d/h) where d is the width of the
@@ -33,9 +34,7 @@ __all__ = [
     "EvalResult",
     "QuadError",
     "integrate_line",
-    "integrate_halfline",
     "integrate_real_line",
-    "integrate_multi",
     "ChainStage",
     "measure_kernel",
     "chain_grid",
@@ -65,7 +64,6 @@ class QuadConfig:
     margin: float = 6.0          # additive truncation margin
     strip_safety: float = 0.8    # usable fraction of the pole distance
     sharpness: float = 2.2       # grid-step log factor (step doubling headroom)
-    max_nodes: int = 40_000_000  # tensor-grid point budget
     max_chain_nodes: int = 200_000
 
     def fingerprint(self):
@@ -87,6 +85,14 @@ class EvalResult:
 
     def __complex__(self):
         return complex(self.value)
+
+
+def _require_finite(value, err, **detail):
+    """Raise QuadError unless both the value and its error estimate are
+    finite; an integral never returns NaN or inf."""
+    if not (math.isfinite(abs(complex(value))) and math.isfinite(err)):
+        raise QuadError("non-finite integral or error estimate",
+                        value=complex(value), err=float(err), **detail)
 
 
 def _decay_pair(decay):
@@ -234,100 +240,6 @@ def integrate_real_line(f, cfg=None, decay=None, osc=0.0):
     return EvalResult(total, err + tail, {"U": (um, up), "nodes": nodes})
 
 
-def integrate_halfline(f, cfg=None, decay=None, osc=0.0):
-    """Integral of f over [0, infinity) for exponentially decaying f."""
-    cfg = cfg or DEFAULT_CONFIG
-    _, dp = _decay_pair(decay)
-    up = cfg.half_width if cfg.half_width > 0.0 else _log_target(cfg) / dp + cfg.margin
-
-    def g(u):
-        return f(np.asarray(u))
-
-    total, err, nodes = _adaptive_segments(g, 0.0, up, cfg, osc)
-    tail = abs(complex(g(np.array([up]))[0])) / dp
-    return EvalResult(total, err + tail, {"U": up, "nodes": nodes})
-
-
-# ---------------------------------------------------------------------------
-# Tensor trapezoid grid over several lines
-
-def _axis_grid(eps, cfg, dm, dp, pole_dist):
-    d = (pole_dist if pole_dist else eps) * cfg.strip_safety
-    if d <= 0.0:
-        raise QuadError("pole distance must be positive", eps=eps)
-    L = cfg.sharpness * math.log(1.0 / max(cfg.rel_tol, 1e-15))
-    h = TWO_PI * d / L
-    ltol = _log_target(cfg)
-    if cfg.half_width > 0.0:
-        ym = yp = cfg.half_width
-    else:
-        ym = ltol / dm + cfg.margin
-        yp = ltol / dp + cfg.margin
-    nm = int(math.ceil(ym / h / 2.0)) * 2
-    np_ = int(math.ceil(yp / h / 2.0)) * 2
-    ys = h * np.arange(-nm, np_ + 1)
-    return h, ys
-
-
-def integrate_multi(f, eps_list, cfg=None, decays=None, pole_dist=None):
-    """Iterated integral over the product of lines Re t_a = -eps_a.
-
-    f(t_1, ..., t_d) must broadcast over numpy arrays.  decays is one
-    hint (scalar or (minus, plus)) per axis.  Evaluated as an iterated
-    trapezoid sum, innermost axis first, with a step-doubled error
-    estimate.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    dim = len(eps_list)
-    if dim == 0:
-        return EvalResult(1.0 + 0.0j, 0.0, {"dim": 0})
-    if dim > cfg.max_dim:
-        raise QuadError("dimension above configured maximum",
-                        dim=dim, max_dim=cfg.max_dim)
-    if decays is None or len(decays) != dim:
-        raise QuadError("one decay hint per axis required")
-
-    axes = []
-    for a in range(dim):
-        dm, dp = _decay_pair(decays[a])
-        h, ys = _axis_grid(eps_list[a], cfg, dm, dp, pole_dist)
-        axes.append((h, ys))
-
-    npts = 1
-    for h, ys in axes:
-        npts *= len(ys)
-    if npts > cfg.max_nodes:
-        raise QuadError("tensor grid above node budget; use the chain "
-                        "evaluator", nodes=npts)
-
-    def tensor_sum(grids):
-        arrs = []
-        for a, (h, ys) in enumerate(grids):
-            shape = [1] * dim
-            shape[a] = len(ys)
-            arrs.append((-eps_list[a] + 1j * ys).reshape(shape))
-        # chunk the first axis to bound memory
-        n0 = arrs[0].shape[0]
-        block = max(1, int(4_000_000 // max(1, npts // max(n0, 1))))
-        acc = 0.0 + 0.0j
-        for i0 in range(0, n0, block):
-            sub = [arrs[0][i0:i0 + block]] + arrs[1:]
-            acc += complex(np.sum(f(*sub)))
-        return acc
-
-    s_fine = tensor_sum(axes)
-    coarse = [(2 * h, ys[::2]) for h, ys in axes]
-    s_coarse = tensor_sum(coarse)
-    scale_f = np.prod([h for h, _ in axes])
-    scale_c = np.prod([h for h, _ in coarse])
-    v_fine = (1j ** dim) * scale_f * s_fine
-    v_coarse = (1j ** dim) * scale_c * s_coarse
-    err = abs(v_fine - v_coarse) + cfg.abs_tol
-    meta = {"dim": dim, "eps": tuple(eps_list),
-            "nodes": npts, "h": tuple(h for h, _ in axes)}
-    return EvalResult(v_fine, err, meta)
-
-
 # ---------------------------------------------------------------------------
 # Convolution chains for iterated cumulative integrals
 
@@ -344,7 +256,205 @@ class ChainStage:
 
 
 def measure_kernel(delta):
-    return 1.0 / (np.exp(TWO_PI * 1j * delta) - 1.0)
+    """1/(e^{2 pi i delta} - 1), written as e^{-x}/(1 - e^{-x}) where
+    Re x = Re(2 pi i delta) > 0, so that no exponential overflows."""
+    x = TWO_PI * 1j * np.asarray(delta)
+    pos = x.real > 0.0
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, -e, 1.0) / (e - 1.0)
+
+
+def _fast_len(n):
+    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT handles fast."""
+    best = 1 << max(0, n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+# The FFT of a tilted pair rounds output k to about eps * e^{f(t, k)},
+# f(t, k) = max_i(log|a_i| + t i) + max_m(log|b_m| + t m) - t k, while
+# the direct sum rounds it to about eps * max_i |a_i b_{k-i}|.  Each
+# output is taken from a tilt whose bound exceeds the best one at that
+# output by at most e^_TILT_SLACK.
+_TILT_SLACK = 2.0
+_HULL_STRIDE = 8
+
+
+def _upper_hull(la):
+    """Upper concave hull of the points (i, la[i]) as (x, y) arrays.
+
+    Points are first thinned to the maximum of each run of _HULL_STRIDE
+    and the two end points, which are always vertices.  Vectorised
+    sweeps then drop every point on or below the chord of its
+    neighbours (such a point is never a hull vertex, so the drops can be
+    made at once) until none is left or, rarely, a monotone chain
+    finishes the rest."""
+    n = len(la)
+    pad = (-n) % _HULL_STRIDE
+    blocks = np.concatenate([la, np.full(pad, -np.inf)]).reshape(
+        -1, _HULL_STRIDE)
+    x = np.argmax(blocks, axis=1) + _HULL_STRIDE * np.arange(len(blocks))
+    x = x[la[x] > -np.inf]
+    if len(x) == 0:
+        return np.zeros(0), np.zeros(0)
+    # the end points are added by hand: the first call of np.unique
+    # loads about 2 MB of numpy code, a peak-memory cost on its own
+    first = int(np.argmax(la > -np.inf))
+    last = n - 1 - int(np.argmax(la[::-1] > -np.inf))
+    if first < x[0]:
+        x = np.concatenate([[first], x])
+    if last > x[-1]:
+        x = np.append(x, last)
+    y = la[x]
+    x = x.astype(float)
+    for _ in range(8):
+        if len(x) < 3:
+            return x, y
+        cross = ((x[1:-1] - x[:-2]) * (y[2:] - y[:-2])
+                 - (y[1:-1] - y[:-2]) * (x[2:] - x[:-2]))
+        if np.all(cross < 0.0):
+            return x, y
+        keep = np.ones(len(x), dtype=bool)
+        keep[1:-1] = cross < 0.0
+        x, y = x[keep], y[keep]
+    hx, hy = [], []
+    for px, py in zip(x.tolist(), y.tolist()):
+        while len(hx) > 1 and ((hx[-1] - hx[-2]) * (py - hy[-2])
+                               - (hy[-1] - hy[-2]) * (px - hx[-2])) >= 0.0:
+            hx.pop()
+            hy.pop()
+        hx.append(px)
+        hy.append(py)
+    return np.array(hx), np.array(hy)
+
+
+def _tilt_plan(la, lb, lo, hi):
+    """Tilts and inclusive output blocks [(t, start, stop), ...] that
+    cover lo..hi-1.
+
+    The direct rounding scale of output k is bounded by g(k), the max-
+    plus convolution of the two hulls: their Minkowski sum, whose edges
+    are the edges of both hulls merged by slope.  The tilt -s makes
+    f(t, k) the tangent of g along its edge of slope s, so the excess
+    f - g is zero on that edge and grows linearly away from it.  Blocks
+    are chosen greedily from the left: of the tangents within the slack
+    at the block start, the rightmost reaches furthest, which fixes the
+    block end; the tangent with the least worst excess over the block is
+    then used.  Excesses are checked at the hull vertices, between which
+    they are linear."""
+    xa, ya = _upper_hull(la)
+    xb, yb = _upper_hull(lb)
+    dx = np.concatenate([np.diff(xa), np.diff(xb)])
+    dy = np.concatenate([np.diff(ya), np.diff(yb)])
+    if len(dx) == 0:
+        return [(0.0, lo, hi - 1)]
+    order = np.argsort(-dy / dx, kind="stable")
+    vx = xa[0] + xb[0] + np.concatenate([[0.0], np.cumsum(dx[order])])
+    vy = ya[0] + yb[0] + np.concatenate([[0.0], np.cumsum(dy[order])])
+    slopes = dy[order] / dx[order]
+    px = np.concatenate([[lo], vx[(vx > lo) & (vx < hi - 1)], [hi - 1]])
+    # g at the sample points; beyond the hull its end edges continue
+    gy = np.interp(px, vx, vy)
+    gy = np.where(px < vx[0], vy[0] + slopes[0] * (px - vx[0]), gy)
+    gy = np.where(px > vx[-1], vy[-1] + slopes[-1] * (px - vx[-1]), gy)
+    base = vy[:-1] - slopes * vx[:-1]
+    own = np.clip(np.searchsorted(vx, px, side="right") - 1,
+                  0, len(slopes) - 1)
+
+    def excess(e, p):
+        return base[e] + slopes[e] * px[p] - gy[p]
+
+    plan = []
+    start = 0
+    while True:
+        cand = np.arange(own[start], len(slopes))
+        reach = cand[np.flatnonzero(excess(cand, start) <= _TILT_SLACK)[-1]]
+        over = np.flatnonzero(excess(reach, np.arange(start, len(px)))
+                              > _TILT_SLACK)
+        stop = len(px) - 1 if len(over) == 0 else start + int(over[0]) - 1
+        block = np.arange(start, stop + 1)
+        # the worst excess over the block is convex in the tilt, so a
+        # ternary search over the candidate edges finds its minimum
+        e0, e1 = int(own[start]), int(reach)
+        while e1 - e0 > 2:
+            m0 = e0 + (e1 - e0) // 3
+            m1 = e1 - (e1 - e0) // 3
+            if excess(m0, block).max() <= excess(m1, block).max():
+                e1 = m1
+            else:
+                e0 = m0
+        e = min(range(e0, e1 + 1), key=lambda c: excess(c, block).max())
+        plan.append((-float(slopes[e]), int(px[start]), int(px[stop])))
+        if stop == len(px) - 1:
+            return plan
+        start = stop
+
+
+def _tilted_fft(x, lx, t, size):
+    """Length-size FFT of x_i e^{t i - s}, s = max(log|x_i| + t i), so
+    that the tilted sequence has unit maximum.  The factor is applied as
+    two halves: for x_i != 0 the exponent is at most -log|x_i| <= 745,
+    whose half never overflows, and the clip keeps zeros at zero."""
+    e = np.arange(len(lx), dtype=float)
+    e *= t
+    s = np.max(e + lx)
+    e -= s
+    np.minimum(e, 745.0, out=e)
+    e *= 0.5
+    np.exp(e, out=e)
+    buf = np.zeros(size, dtype=complex)
+    np.multiply(x, e, out=buf[:len(x)])
+    buf[:len(x)] *= e
+    return np.fft.fft(buf, out=buf), s
+
+
+def _tilted_convolve(a, b, lo, hi):
+    """Entries lo..hi-1 of the full linear convolution of a and b.
+
+    Computed by FFT of the tilted inputs a_i e^{t i} and b_m e^{t m},
+    each scaled to unit maximum, and untilted by e^{-t k} afterwards: a
+    tilt commutes with convolution and moves where the FFT's rounding
+    falls.  A plain FFT spreads the rounding of the largest products
+    over every output, which swamps outputs many decades smaller; with
+    one tilt per block of outputs (`_tilt_plan`) each output is rounded
+    relative to its own scale sum_i |a_i b_{k-i}|, as in the direct sum
+    (to about 1e-13 instead of 1e-16).  That holds for resolved inputs,
+    whose magnitudes change by a moderate factor from one sample to the
+    next, as sampled integrands do.  Where neighbouring samples differ
+    by many decades, a hull bridges an exact zero between them, and an
+    output whose largest term is that zero is rounded relative to the
+    bridged size.  Non-finite inputs give NaN outputs; nothing is
+    masked.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        la = np.log(np.abs(a))
+        lb = np.log(np.abs(b))
+        top = la.max() + lb.max()
+    if np.isnan(top) or top == np.inf:
+        return np.full(hi - lo, np.nan, dtype=complex)
+    if top == -np.inf:
+        return np.zeros(hi - lo, dtype=complex)
+    size = _fast_len(max(hi, len(a), len(b), len(a) + len(b) - 1 - lo))
+    out = np.empty(hi - lo, dtype=complex)
+    for t, start, stop in _tilt_plan(la, lb, lo, hi):
+        fa, sa = _tilted_fft(a, la, t, size)
+        fb, sb = _tilted_fft(b, lb, t, size)
+        fa *= fb
+        del fb
+        np.fft.ifft(fa, out=fa)
+        ks = np.arange(start, stop + 1)
+        out[start - lo:stop + 1 - lo] = (fa[start:stop + 1]
+                                        * np.exp(sa + sb - t * ks))
+    return out
 
 
 def chain_grid(eps, cfg, decay_plus, nstages, pole_dist=None):
@@ -393,7 +503,7 @@ def chain_pass(stages, eps, h, ys):
         else:
             dgrid = (-eps) + 1j * ydiff
             dvals = st.diff(dgrid) if st.diff else measure_kernel(dgrid)
-            chi = h * np.convolve(chi, dvals)[n - 1:2 * n - 1]
+            chi = h * _tilted_convolve(chi, dvals, n - 1, 2 * n - 1)
         if st.cum is not None:
             chi = chi * st.cum(line)
     return chi
@@ -424,6 +534,7 @@ def chain_line_integral(stages, eps, cfg=None, decay_plus=None,
     value = complex(prefactor) * (1j ** r) * h * chi.sum()
     dp = float(decay_plus) if decay_plus else TWO_PI
     tail = abs(prefactor) * (abs(chi[0]) / TWO_PI + abs(chi[-1]) / dp)
+    _require_finite(value, tail, nodes=len(ys), stage="fine")
     meta = {"dim": r, "eps": eps, "h": h, "nodes": len(ys),
             "U": (float(-ys[0]), float(ys[-1]))}
     if state:
@@ -433,4 +544,5 @@ def chain_line_integral(stages, eps, cfg=None, decay_plus=None,
     chi_c = chain_pass(stages, eps, 2 * h, ys[::2])
     value_c = complex(prefactor) * (1j ** r) * (2 * h) * chi_c.sum()
     err = abs(value - value_c) + tail + cfg.abs_tol
+    _require_finite(value_c, err, nodes=len(ys), stage="coarse")
     return EvalResult(value, err, meta)

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from omzv import GammaContext, OmegaParam, QuadConfig
+
+# Property tests draw the same examples on every run: the cost of
+# test_products_associate ranged over 0.5-33 s with the draw.  Each
+# test keeps its own max_examples.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

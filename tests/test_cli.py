@@ -70,6 +70,12 @@ def test_eval_quad_error_is_exit_3(runner):
     assert "node budget" in res.output
 
 
+def test_verify_quad_error_is_exit_3(runner):
+    res = runner.invoke(cli, ["verify", "shuffle", "--omega", "0.0005"])
+    assert res.exit_code == 3
+    assert "node budget" in res.output
+
+
 def test_ohno_quad_error_is_exit_3(runner):
     res = runner.invoke(cli, ["ohno", "2", "--omega", "0.0005"])
     assert res.exit_code == 3

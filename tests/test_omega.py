@@ -3,13 +3,15 @@ reduced/direct agreement, duality spots, and the depth-2 recurrence."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from omzv import (AMonomial, HPoly, HbarLaurent, OmegaParam, Z_omega,
-                  Z_omega_monomial, circle_coefficients, parse_amonomial,
-                  r1_generating, r1_recurrence, r_omega_integral, zeta_omega)
-from omzv.omega import clear_value_cache, inverse_x_variable
+                  Z_omega_monomial, circle_coefficients, index_to_e_word,
+                  parse_amonomial, r1_generating, r1_recurrence,
+                  r_omega_integral, zeta_omega)
+from omzv.omega import clear_value_cache, default_eps, inverse_x_variable
 
 PI = math.pi
 H = HbarLaurent.h
@@ -36,6 +38,45 @@ def test_omega1_constants(p1, fast_cfg, text, want):
 def test_zeta_omega1(p1, fast_cfg):
     res = zeta_omega((2,), p1, fast_cfg)
     assert abs(res.value - (-PI * 1j)) < 1e-8
+
+
+def mp_zeta_depth1(k, omega):
+    """zeta_w(k) = i int_R dy K(t)/(e^{2 pi i t} - 1), t = -eps + i y,
+    K(t) = (2 pi i w)^k e^{2 pi i w (k-1) t}/(1 - e^{2 pi i w t})^k, to
+    30 digits.  Both ends decay exponentially; the cut points leave
+    under 1e-24."""
+    with mp.workdps(30):
+        hb = 2j * mp.pi * mp.mpf(omega)
+        eps = mp.mpf(default_eps(omega, 1))
+
+        def f(y):
+            t = -eps + 1j * y
+            return (hb ** k * mp.exp(hb * (k - 1) * t)
+                    / ((mp.exp(2j * mp.pi * t) - 1)
+                       * (1 - mp.exp(hb * t)) ** k))
+
+        return complex(1j * mp.quad(f, [-12, -4, -1, 0, 1, 4, 12, 30]))
+
+
+@pytest.mark.parametrize("k, omega", [(7, 1.0), (5, 1.4), (4, 1.8),
+                                      (2, 0.6), (3, 0.3)])
+def test_zeta_depth1_matches_mpmath(k, omega):
+    """The first three overflowed e^{2 pi i w t}-powers on the grid and
+    came out NaN before the kernel was written sign by sign."""
+    res = zeta_omega((k,), OmegaParam(omega))
+    ref = mp_zeta_depth1(k, omega)
+    assert abs(res.value - ref) <= res.err_estimate
+    assert abs(res.value - ref) < 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("k", [(2,), (1, 3)])
+def test_e_and_g_routes_agree_at_large_omega(k):
+    """The g-letter kernels overflowed to NaN at omega = 1.9 before they
+    were written sign by sign."""
+    p = OmegaParam(1.9)
+    z = zeta_omega(k, p)
+    g = Z_omega(index_to_e_word(k), p)
+    assert abs(z.value - g.value) <= z.err_estimate + g.err_estimate
 
 
 def test_zeta_is_linear_in_the_e_basis(p1, fast_cfg):
