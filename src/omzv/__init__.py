@@ -16,15 +16,15 @@ the classical values.  The package provides
 """
 
 from .cache import ValueCache, install as install_cache
-from .hypgamma import GammaContext, log_G, theta_kernel
+from .hypgamma import GammaContext, log_G
 from .ncseries import (XSeries, index_to_xy_word, parse_xseries, tau,
                        z_decompose)
 from .ohno import (OhnoParams, OhnoTable, compositions, connected_expansion,
-                   connected_integral, d_norm, double_ohno_sum, hat_shift,
+                   connected_integral, d_norm, double_ohno_sum,
                    initial_relation, ohno_generating, ohno_series,
                    ohno_table, omega_Omega, saalschutz_check,
                    transport_relation)
-from .omega import (OmegaParam, Z_omega, Z_omega_monomial, Z_omega_reduced,
+from .omega import (OmegaParam, Z_omega, Z_omega_monomial,
                     circle_coefficients, inverse_x_variable, r1_generating,
                     r1_recurrence, r_omega_integral, zeta_omega)
 from .qseries import QParam, mzv, z_q, z_q_monomial
@@ -44,9 +44,9 @@ __all__ = [
     "CheckRecord", "EvalResult", "GammaContext", "OhnoParams", "OhnoTable",
     "OmegaParam", "QParam", "QuadConfig", "QuadError", "SUITES",
     "ValueCache", "XSeries", "Z_omega", "Z_omega_monomial",
-    "Z_omega_reduced", "circle_coefficients", "compositions",
+    "circle_coefficients", "compositions",
     "connected_expansion", "connected_integral", "d_norm",
-    "double_ohno_sum", "dual_index", "harmonic", "hat_shift",
+    "double_ohno_sum", "dual_index", "harmonic",
     "index_to_e_word", "index_to_g_word", "index_to_xy_word",
     "initial_relation", "install_cache", "inverse_x_variable", "log_G",
     "monomials_up_to_weight", "mzv", "ohno_generating", "ohno_series",
@@ -54,7 +54,7 @@ __all__ = [
     "parse_hpoly", "parse_index", "parse_word", "parse_xseries",
     "r1_generating", "r1_recurrence", "r_omega_integral", "run_suite",
     "saalschutz_check", "satoh_residual", "shuffle", "sigma",
-    "sigma_monomial", "tau", "theta_kernel", "to_a_basis",
+    "sigma_monomial", "tau", "to_a_basis",
     "transport_relation", "z_decompose", "z_q", "z_q_monomial",
     "zeta_omega",
 ]

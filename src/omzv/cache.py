@@ -1,22 +1,68 @@
-"""Persistent value store for expensive scalar evaluations.
+"""Memo and persistent value store for expensive scalar evaluations.
 
-JSON-lines file, one entry per line, keyed by a hash of the canonical
-triple (expression text, omega, quadrature fingerprint).  Readers are
-tolerant: a corrupt line is dropped with a warning and the file is
+Every memoized evaluation goes through `memoized`, keyed on the
+canonical triple (expression text, repr(omega), quadrature
+fingerprint).  It looks in the process-wide in-memory memo first, a
+bounded least-recently-used map (`LRU`), then in the persistent store
+installed with `install`, and otherwise computes the value and writes
+it to both.  A CLI run with --cache thereby reuses values across
+processes.
+
+The store is a JSON-lines file, one entry per line, keyed by a hash of
+the triple.  Readers are tolerant: a corrupt line, or one whose value
+or error is not finite, is dropped with a warning and the file is
 rewritten without it, so the value is recomputed and stored again on
 the next request.  Single-writer access is assumed.
-
-A store can be installed process-wide with `install`; the evaluation
-modules consult `active()` after their in-memory memo misses, so a CLI
-run with --cache transparently reuses values across processes.
 """
 
+import cmath
 import hashlib
 import json
+import math
 import os
+import threading
 import warnings
+from collections import OrderedDict
 
-__all__ = ["ValueCache", "cache_key", "install", "active"]
+from .quad import EvalResult
+
+__all__ = ["LRU", "ValueCache", "install", "memoized", "clear_memo"]
+
+# Entries of the process-wide memo.  One chains benchmark pass holds
+# about 70, the tier-1 tests at most 83 at a time.
+MEMO_SIZE = 1024
+
+
+class LRU:
+    """Map with at most `maxsize` entries that drops the least recently
+    used one when full.  Safe to share between threads."""
+
+    def __init__(self, maxsize):
+        self.maxsize = maxsize
+        self._d = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            value = self._d.get(key)
+            if value is not None:
+                self._d.move_to_end(key)
+            return value
+
+    def put(self, key, value):
+        with self._lock:
+            self._d[key] = value
+            self._d.move_to_end(key)
+            if len(self._d) > self.maxsize:
+                self._d.popitem(last=False)
+
+    def clear(self):
+        with self._lock:
+            self._d.clear()
+
+    def __len__(self):
+        with self._lock:
+            return len(self._d)
 
 
 def cache_key(expr, omega_repr, fingerprint):
@@ -47,6 +93,8 @@ class ValueCache:
                     key = rec["key"]
                     val = complex(rec["value"][0], rec["value"][1])
                     err = float(rec["err"])
+                    if not (cmath.isfinite(val) and math.isfinite(err)):
+                        raise ValueError("non-finite entry")
                 except (ValueError, KeyError, TypeError, IndexError):
                     self.dropped += 1
                     continue
@@ -105,5 +153,30 @@ def install(store):
     _ACTIVE = store
 
 
-def active():
-    return _ACTIVE
+_memo = LRU(MEMO_SIZE)
+
+
+def clear_memo():
+    _memo.clear()
+
+
+def memoized(expr, omega, cfg, compute, meta=None):
+    """The EvalResult of `compute()` for the value named by `expr` at
+    this omega and quadrature config: from the memo, else from the
+    installed store (meta["cached"] is then True), else computed and
+    written to both.  `meta` is merged into the result's meta."""
+    triple = (expr, repr(omega), cfg.fingerprint())
+    res = _memo.get(triple)
+    if res is not None:
+        return res
+    store = _ACTIVE
+    hit = store.get(*triple) if store is not None else None
+    if hit is not None:
+        res = EvalResult(hit[0], hit[1], dict(meta or {}, cached=True))
+    else:
+        res = compute()
+        res.meta.update(meta or {})
+        if store is not None:
+            store.put(*triple, res.value, res.err_estimate)
+    _memo.put(triple, res)
+    return res

@@ -24,7 +24,7 @@ from . import cache as cache_mod
 from .hypgamma import GammaContext, log_G
 from .ohno import ohno_table
 from .omega import OmegaParam, Z_omega, zeta_omega
-from .quad import QuadConfig, QuadError
+from .quad import EvalResult, QuadConfig, QuadError
 from .verify import SUITES, run_suite
 from .words import parse_apoly, parse_index
 
@@ -242,21 +242,13 @@ def cmd_gamma(z, omega, tol, out, cache_path):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     ctx_g = GammaContext(p, cfg=cfg)
-    expr = "logG %r" % zc
-    store = cache_mod.active()
-    cached = False
-    lg = None
-    if store is not None:
-        hit = store.get(expr, repr(p.omega), cfg.fingerprint())
-        if hit is not None:
-            lg, cached = hit[0], True
-    if lg is None:
-        try:
-            lg = complex(log_G(zc, ctx_g))
-        except QuadError as exc:
-            raise AdmissibilityError(str(exc))
-        if store is not None:
-            store.put(expr, repr(p.omega), cfg.fingerprint(), lg, 0.0)
+    try:
+        res = cache_mod.memoized(
+            "logG %r" % zc, p.omega, cfg,
+            lambda: EvalResult(complex(log_G(zc, ctx_g)), 0.0))
+    except QuadError as exc:
+        raise AdmissibilityError(str(exc))
+    lg = complex(res.value)
     value = None
     if abs(lg.real) < 700.0:
         value = cmath.exp(lg)
@@ -264,7 +256,7 @@ def cmd_gamma(z, omega, tol, out, cache_path):
         "gamma", z=zc,
         config={"omega": omega, "tol": tol,
                 "fingerprint": cfg.fingerprint()},
-        log_G=lg, G=value, cached=cached)
+        log_G=lg, G=value, cached=bool(res.meta.get("cached")))
     _emit(report, out)
 
 

@@ -21,7 +21,7 @@ costs one tilted FFT convolution instead of a dense double loop.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,13 +33,13 @@ from .omega import cexpm1, inverse_x_variable, zeta_omega
 from .quad import (ChainStage, EvalResult, QuadConfig, QuadError,
                    chain_line_integral, chain_pass, integrate_real_line,
                    _require_finite, _log_target, _tilted_convolve)
+from .words import check_index
 
 __all__ = [
     "OhnoParams",
     "OhnoTable",
     "compositions",
     "double_ohno_sum",
-    "hat_shift",
     "ohno_generating",
     "ohno_series",
     "d_norm",
@@ -54,13 +54,15 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# Bound of the composition memo; tier-1 holds at most 9 entries.
+_COMPOSITIONS_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
 class OhnoParams:
     """Generating-function parameters: the deformation point (lam, mu),
     the table order for (xi, eta) expansions, and an optional contour
-    shift (each integral picks a valid default when eps is None)."""
+    shift (each integral picks a valid default when eps is 0)."""
     lam: complex = 0.0 + 0.0j
     mu: complex = 0.0 + 0.0j
     order: int = 2
@@ -118,7 +120,7 @@ class OhnoTable:
 # ---------------------------------------------------------------------------
 # Composition sums
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_COMPOSITIONS_CACHE_SIZE)
 def compositions(total, parts):
     """All tuples of `parts` non-negative integers summing to `total`,
     in lexicographic order."""
@@ -133,18 +135,11 @@ def compositions(total, parts):
     return tuple(out)
 
 
-def _check_admissible(k):
-    k = tuple(int(e) for e in k)
-    if not k or any(e < 1 for e in k) or k[-1] < 2:
-        raise ValueError("index %r is not admissible" % (k,))
-    return k
-
-
 def double_ohno_sum(k, m, n, p, cfg=None):
     """O_{m,n}(k): the sum of zeta values over all ways of distributing
     extra weight m (first direction) and n (second direction) over the
     entries of the admissible index k."""
-    k = _check_admissible(k)
+    k = check_index(k)
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
     cfg = cfg or QuadConfig()
@@ -210,7 +205,7 @@ def _shift_margin(lam, mu):
 def ohno_generating(k, op, p, cfg=None, eps=None):
     """O(k | lam, mu): the generating integral of the double Ohno sums,
     one J stage per index entry on the lines Re T_a = -a*eps."""
-    k = _check_admissible(k)
+    k = check_index(k)
     cfg = cfg or QuadConfig()
     w = p.omega
     r = len(k)
@@ -240,7 +235,7 @@ def ohno_series(k, op, p, cfg=None):
     """Truncated double series sum_{m+n <= order} O_{m,n}(k) L^m M^n in
     the hatted variables; the error estimate folds in a geometric bound
     on the dropped tail."""
-    k = _check_admissible(k)
+    k = check_index(k)
     cfg = cfg or QuadConfig()
     lam_hat = hat_shift(op.lam, p)
     mu_hat = hat_shift(op.mu, p)
@@ -286,19 +281,15 @@ def _cached_line(ctx, x0, h, n, im):
     """log G on the ascending grid x0 + h*arange(n) at height im,
     memoized on the context.  A step-doubled grid is a subsample of its
     fine parent, so it is served by slicing."""
-    def key_of(step, count):
-        return (round(float(x0), 12), round(float(step), 12), int(count),
-                round(float(im), 12))
-    key = key_of(h, n)
+    key = (float(x0), float(h), int(n), float(im))
     hit = ctx.line_cache.get(key)
     if hit is None:
-        parent = ctx.line_cache.get(key_of(0.5 * h, 2 * n - 1))
+        parent = ctx.line_cache.get((key[0], 0.5 * key[1], 2 * n - 1, key[3]))
         if parent is not None:
             hit = parent[::2]
         else:
-            re = x0 + h * np.arange(n)
-            hit = log_G_line(re, im, ctx)
-        ctx.line_cache[key] = hit
+            hit = log_G_line(x0 + h * np.arange(n), im, ctx)
+        ctx.line_cache.put(key, hit)
     return hit
 
 
@@ -402,11 +393,9 @@ def _theta_value(ctx, cfg, p, r, s, lam, mu, eps, h, ys, chi_t, chi_u, dp):
     return value, tail
 
 
-_CONN_MEMO = {}
-
-
 def clear_connector_cache():
-    _CONN_MEMO.clear()
+    """Empty the process-wide memo (shared with the chain values)."""
+    _cache.clear_memo()
 
 
 def connected_integral(k, l, op, ctx, cfg=None, eps=None):
@@ -434,48 +423,31 @@ def connected_integral(k, l, op, ctx, cfg=None, eps=None):
         raise QuadError("deformation point outside the holomorphy region",
                         eps=eps)
 
-    key = (k, l, repr(lam), repr(mu), repr(w), float(eps),
-           cfg.fingerprint())
-    hit = _CONN_MEMO.get(key)
-    if hit is not None:
-        return hit
+    def compute():
+        h, ys, dp = _connector_grid(eps, cfg, p, r, s, _shift_margin(lam, mu))
+        stages_t = _prefix_stages(k, lam, mu, p)
+        stages_u = _prefix_stages(l, lam, mu, p)
+        chi_t = chain_pass(stages_t, eps, h, ys)
+        chi_u = chain_pass(stages_u, eps, h, ys)
+
+        pref = p.hbar_value ** (sum(k) + sum(l))
+        fine, tail = _theta_value(ctx, cfg, p, r, s, lam, mu, eps,
+                                  h, ys, chi_t, chi_u, dp)
+        value = pref * fine
+        _require_finite(value, abs(pref) * tail, nodes=len(ys), stage="fine")
+        chi_t_c = chain_pass(stages_t, eps, 2 * h, ys[::2])
+        chi_u_c = chain_pass(stages_u, eps, 2 * h, ys[::2])
+        coarse, _ = _theta_value(ctx, cfg, p, r, s, lam, mu, eps,
+                                 2 * h, ys[::2], chi_t_c, chi_u_c, dp)
+        err = abs(pref) * (abs(fine - coarse) + tail) + cfg.abs_tol
+        _require_finite(pref * coarse, err, nodes=len(ys), stage="coarse")
+        return EvalResult(value, err, {"h": h, "nodes": len(ys),
+                                       "lam": lam, "mu": mu})
+
     expr = "conn %s;%s lam=%r mu=%r eps=%r" % (
         ",".join(map(str, k)), ",".join(map(str, l)), lam, mu, float(eps))
-    store = _cache.active()
-    if store is not None:
-        stored = store.get(expr, repr(w), cfg.fingerprint())
-        if stored is not None:
-            res = EvalResult(stored[0], stored[1],
-                             {"k": k, "l": l, "eps": eps, "cached": True})
-            _CONN_MEMO[key] = res
-            return res
-
-    shift = _shift_margin(lam, mu)
-    h, ys, dp = _connector_grid(eps, cfg, p, r, s, shift)
-    stages_t = _prefix_stages(k, lam, mu, p)
-    stages_u = _prefix_stages(l, lam, mu, p)
-    chi_t = chain_pass(stages_t, eps, h, ys)
-    chi_u = chain_pass(stages_u, eps, h, ys)
-
-    pref = p.hbar_value ** (sum(k) + sum(l))
-    fine, tail = _theta_value(ctx, cfg, p, r, s, lam, mu, eps,
-                              h, ys, chi_t, chi_u, dp)
-    value = pref * fine
-    _require_finite(value, abs(pref) * tail, nodes=len(ys), stage="fine")
-    chi_t_c = chain_pass(stages_t, eps, 2 * h, ys[::2])
-    chi_u_c = chain_pass(stages_u, eps, 2 * h, ys[::2])
-    coarse, _ = _theta_value(ctx, cfg, p, r, s, lam, mu, eps,
-                             2 * h, ys[::2], chi_t_c, chi_u_c, dp)
-    err = abs(pref) * (abs(fine - coarse) + tail) + cfg.abs_tol
-    _require_finite(pref * coarse, err, nodes=len(ys), stage="coarse")
-    res = EvalResult(value, err,
-                     {"k": k, "l": l, "eps": eps, "h": h,
-                      "nodes": len(ys), "lam": lam, "mu": mu})
-    if store is not None:
-        store.put(expr, repr(w), cfg.fingerprint(), res.value,
-                  res.err_estimate)
-    _CONN_MEMO[key] = res
-    return res
+    return _cache.memoized(expr, w, cfg, compute,
+                           {"k": k, "l": l, "eps": eps})
 
 
 def index_up(k):
@@ -587,7 +559,7 @@ def saalschutz_check(u1, u2, u4, u5, ctx, cfg=None):
 
 def ohno_table(k, order, p, cfg=None):
     """Table of O_{m,n}(k) for m+n <= order."""
-    k = _check_admissible(k)
+    k = check_index(k)
     table = OhnoTable(order)
     for m in range(order + 1):
         for n in range(order + 1 - m):

@@ -23,7 +23,6 @@ integral is `r_omega_integral`.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,18 +30,14 @@ import numpy as np
 from . import cache as _cache
 from .quad import (ChainStage, EvalResult, QuadConfig, QuadError,
                    chain_line_integral, measure_kernel)
-from .words import ALetter, AMonomial, APoly, HPoly
+from .words import ALetter, AMonomial, APoly, HPoly, check_index
 
 __all__ = [
     "OmegaParam",
-    "decay_hint",
     "default_eps",
     "cexpm1",
-    "kernel_I",
-    "kernel_e",
     "Z_omega_monomial",
     "Z_omega",
-    "Z_omega_reduced",
     "zeta_omega",
     "r1_generating",
     "r1_recurrence",
@@ -156,36 +151,9 @@ def _binom_poly(delta, alpha):
 # ---------------------------------------------------------------------------
 # Monomial evaluation
 
-_MEMO = {}
-_MEMO_LOCK = threading.Lock()
-
-
 def clear_value_cache():
-    with _MEMO_LOCK:
-        _MEMO.clear()
-
-
-def _memo_key(mono, p, cfg, mode):
-    return (str(mono), repr(p.omega), mode, cfg.fingerprint())
-
-
-def _store_get(expr, p, cfg, meta):
-    store = _cache.active()
-    if store is None:
-        return None
-    hit = store.get(expr, repr(p.omega), cfg.fingerprint())
-    if hit is None:
-        return None
-    meta = dict(meta)
-    meta["cached"] = True
-    return EvalResult(hit[0], hit[1], meta)
-
-
-def _store_put(expr, p, cfg, res):
-    store = _cache.active()
-    if store is not None:
-        store.put(expr, repr(p.omega), cfg.fingerprint(),
-                  res.value, res.err_estimate)
+    """Empty the process-wide memo (shared with the connector)."""
+    _cache.clear_memo()
 
 
 def Z_omega_monomial(mono, p, cfg=None, mode="reduced"):
@@ -199,55 +167,26 @@ def Z_omega_monomial(mono, p, cfg=None, mode="reduced"):
         raise ValueError("monomial ends in E: not admissible")
     if not len(mono):
         return EvalResult(1.0 + 0.0j, 0.0, {"exact": True})
-
-    key = _memo_key(mono, p, cfg, mode)
-    with _MEMO_LOCK:
-        hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    expr = "mono %s %s" % (mono, mode)
-    stored = _store_get(expr, p, cfg, {"monomial": str(mono), "mode": mode})
-    if stored is not None:
-        with _MEMO_LOCK:
-            _MEMO[key] = stored
-        return stored
-
-    if mode == "reduced":
-        blocks = mono.blocks()
-        res = Z_omega_reduced([a for a, _ in blocks],
-                              [b for _, b in blocks], p, cfg)
-    elif mode == "direct":
-        stages = []
-        for letter in mono.letters:
-            stages.append(ChainStage(
-                cum=(lambda t, l=letter: kernel_I(l, t, p))))
-        eps = default_eps(p.omega, len(stages))
-        res = chain_line_integral(
-            stages, eps, cfg, decay_plus=decay_hint(p.omega),
-            pole_dist=_pole_distance(p.omega, eps, len(stages)))
-    else:
+    if mode not in ("reduced", "direct"):
         raise ValueError("unknown mode %r" % mode)
-    res.meta["monomial"] = str(mono)
-    res.meta["mode"] = mode
-    _store_put(expr, p, cfg, res)
-    with _MEMO_LOCK:
-        _MEMO[key] = res
-    return res
+
+    def compute():
+        if mode == "reduced":
+            stages = _reduced_stages(mono.blocks(), p)
+        else:
+            stages = [ChainStage(cum=(lambda t, l=l: kernel_I(l, t, p)))
+                      for l in mono.letters]
+        return _chain_value(stages, p, cfg)
+
+    return _cache.memoized("mono %s %s" % (mono, mode), p.omega, cfg,
+                           compute, {"monomial": str(mono), "mode": mode})
 
 
-def Z_omega_reduced(alphas, betas, p, cfg=None):
-    """Block-form evaluation: the monomial E^a1 G(b1+1) ... E^ar G(br+1)
-    given as exponent lists (alphas, betas)."""
-    cfg = cfg or QuadConfig()
-    if len(alphas) != len(betas):
-        raise ValueError("alphas and betas must have equal length")
-    r = len(alphas)
-    if r == 0:
-        return EvalResult(1.0 + 0.0j, 0.0, {"exact": True})
-    if any(a < 0 for a in alphas) or any(b < 0 for b in betas):
-        raise ValueError("block exponents must be >= 0")
+def _reduced_stages(blocks, p):
+    """Block-form stages of the monomial E^a1 G(b1+1) ... E^ar G(br+1),
+    given as its (alpha, beta) blocks."""
     stages = []
-    for alpha, beta in zip(alphas, betas):
+    for alpha, beta in blocks:
         if alpha:
             scale = (-p.hbar_value) ** alpha
 
@@ -260,10 +199,15 @@ def Z_omega_reduced(alphas, betas, p, cfg=None):
         stages.append(ChainStage(
             cum=(lambda t, l=letter: kernel_I(l, t, p)),
             diff=diff))
-    eps = default_eps(p.omega, r)
+    return stages
+
+
+def _chain_value(stages, p, cfg):
+    """The chain integral of the stages on the default contour stack."""
+    eps = default_eps(p.omega, len(stages))
     return chain_line_integral(
         stages, eps, cfg, decay_plus=decay_hint(p.omega),
-        pole_dist=_pole_distance(p.omega, eps, r))
+        pole_dist=_pole_distance(p.omega, eps, len(stages)))
 
 
 def Z_omega(arg, p, cfg=None, mode="reduced"):
@@ -294,31 +238,14 @@ def zeta_omega(k, p, cfg=None):
     """Deformed zeta value of an admissible index, via the e-letter
     kernels (one stage per index entry)."""
     cfg = cfg or QuadConfig()
-    k = tuple(int(e) for e in k)
-    if not k or any(e < 1 for e in k) or k[-1] < 2:
-        raise ValueError("index not admissible (last entry must be >= 2)")
-    key = ("zeta", k, repr(p.omega), cfg.fingerprint())
-    with _MEMO_LOCK:
-        hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    expr = "zeta " + ",".join(str(e) for e in k)
-    stored = _store_get(expr, p, cfg, {"index": k})
-    if stored is not None:
-        with _MEMO_LOCK:
-            _MEMO[key] = stored
-        return stored
-    stages = [ChainStage(cum=(lambda t, kk=e: kernel_e(kk, t, p)))
-              for e in k]
-    eps = default_eps(p.omega, len(k))
-    res = chain_line_integral(
-        stages, eps, cfg, decay_plus=decay_hint(p.omega),
-        pole_dist=_pole_distance(p.omega, eps, len(k)))
-    res.meta["index"] = k
-    _store_put(expr, p, cfg, res)
-    with _MEMO_LOCK:
-        _MEMO[key] = res
-    return res
+    k = check_index(k)
+
+    def compute():
+        return _chain_value([ChainStage(cum=(lambda t, e=e: kernel_e(e, t, p)))
+                             for e in k], p, cfg)
+
+    return _cache.memoized("zeta " + ",".join(str(e) for e in k), p.omega,
+                           cfg, compute, {"index": k})
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quad import EvalResult
-from .words import APoly, HPoly, AMonomial
+from .words import APoly, HPoly, AMonomial, check_index
 
-__all__ = ["QParam", "f_q", "z_q_monomial", "z_q", "mzv"]
+__all__ = ["QParam", "z_q_monomial", "z_q", "mzv"]
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,7 @@ def mzv(k, n_terms=10_000):
     """Truncated multiple zeta value sum_{0<m_1<...<m_r} prod 1/m_a^{k_a}
     (increasing-index convention, last entry >= 2), with a crude integral
     tail bound."""
-    k = tuple(int(e) for e in k)
-    if not k or any(e < 1 for e in k) or k[-1] < 2:
-        raise ValueError("index must be admissible (last entry >= 2)")
+    k = check_index(k)
     ms = np.arange(1, n_terms + 1, dtype=float)
     part = ms ** (-float(k[0]))
     prev_total = 1.0

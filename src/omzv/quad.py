@@ -4,16 +4,17 @@ Every integral in this package runs along contours Re t = -epsilon (or a
 product of such lines), with integrands analytic in a strip around the
 contour and exponentially decaying along it.  Two evaluators:
 
-  integrate_line       adaptive Gauss-Legendre panels on one line
-  integrate_real_line  the same on the real axis
+  integrate_real_line  adaptive Gauss-Legendre panels on the real axis
+  chain_line_integral  convolution chains on vertical lines
 
-plus a chain evaluator for iterated integrals whose stage-a integrand
-couples T_a to T_{a-1} only through the difference T_a - T_{a-1} (the
-cumulative-variable form of all the nested sums here).  On a shared
-uniform imaginary grid each stage is one discrete convolution, so depth
-r costs r convolutions instead of an r-dimensional tensor.  Each
-convolution is an FFT under an exponential tilt (`_tilted_convolve`),
-O(n log n) per stage.
+A single vertical line Re t = -eps is the real line u -> f(-eps + i u),
+times i.  The chain evaluator handles iterated integrals whose stage-a
+integrand couples T_a to T_{a-1} only through the difference
+T_a - T_{a-1} (the cumulative-variable form of all the nested sums
+here).  On a shared uniform imaginary grid each stage is one discrete
+convolution, so depth r costs r convolutions instead of an
+r-dimensional tensor.  Each convolution is an FFT under an exponential
+tilt (`_tilted_convolve`), O(n log n) per stage.
 
 Uniform (trapezoid) steps are spectrally accurate for these integrands:
 the error decays like exp(-2*pi*d/h) where d is the width of the
@@ -33,11 +34,9 @@ __all__ = [
     "QuadConfig",
     "EvalResult",
     "QuadError",
-    "integrate_line",
     "integrate_real_line",
     "ChainStage",
     "measure_kernel",
-    "chain_grid",
     "chain_pass",
     "chain_line_integral",
 ]
@@ -115,7 +114,11 @@ def _log_target(cfg):
 # ---------------------------------------------------------------------------
 # Adaptive Gauss-Legendre panels
 
-@functools.lru_cache(maxsize=None)
+# Bound of the Gauss-Legendre node memo, one entry per panel order.
+_GL_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_GL_CACHE_SIZE)
 def _gl_nodes(order):
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
@@ -187,33 +190,6 @@ def _adaptive_segments(g, a, b, cfg, osc):
             total_err += item[5]
 
     return total, total_err, nodes
-
-
-def integrate_line(f, eps, cfg=None, decay=None, osc=0.0):
-    """Integral of f over the contour Re t = -eps, upward orientation:
-    value ~ i * int_R f(-eps + i u) du.
-
-    f must accept a complex numpy array.  decay is the exponential decay
-    rate of |f| along the contour, a scalar or a (minus, plus) pair for
-    the u -> -inf / +inf ends.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    dm, dp = _decay_pair(decay)
-    ltol = _log_target(cfg)
-    if cfg.half_width > 0.0:
-        um = up = cfg.half_width
-    else:
-        um = ltol / dm + cfg.margin
-        up = ltol / dp + cfg.margin
-
-    def g(u):
-        return f(-eps + 1j * np.asarray(u))
-
-    total, err, nodes = _adaptive_segments(g, -um, up, cfg, osc)
-    tail = (abs(complex(g(np.array([-um]))[0])) / dm
-            + abs(complex(g(np.array([up]))[0])) / dp)
-    return EvalResult(1j * total, err + tail,
-                      {"eps": eps, "U": (um, up), "nodes": nodes})
 
 
 def integrate_real_line(f, cfg=None, decay=None, osc=0.0):
@@ -457,7 +433,7 @@ def _tilted_convolve(a, b, lo, hi):
     return out
 
 
-def chain_grid(eps, cfg, decay_plus, nstages, pole_dist=None):
+def _chain_grid(eps, cfg, decay_plus, nstages, pole_dist=None):
     """Shared imaginary grid (h, ys) for a chain of nstages stages.
 
     The minus-side rate is always at least 2*pi (from the measure); the
@@ -510,14 +486,9 @@ def chain_pass(stages, eps, h, ys):
 
 
 def chain_line_integral(stages, eps, cfg=None, decay_plus=None,
-                        pole_dist=None, prefactor=1.0, grid=None,
-                        state=False):
+                        pole_dist=None, prefactor=1.0):
     """Iterated integral prod_a int dT_a diff_a(T_a - T_{a-1}) cum_a(T_a)
-    over the lines Re T_a = -a*eps, evaluated by chained convolutions.
-
-    With state=True the fine-grid chi array is returned in meta["state"]
-    (no step doubling; the caller owns the error estimate).
-    """
+    over the lines Re T_a = -a*eps, evaluated by chained convolutions."""
     cfg = cfg or DEFAULT_CONFIG
     r = len(stages)
     if r == 0:
@@ -525,10 +496,7 @@ def chain_line_integral(stages, eps, cfg=None, decay_plus=None,
     if r > cfg.max_dim:
         raise QuadError("dimension above configured maximum",
                         dim=r, max_dim=cfg.max_dim)
-    if grid is None:
-        h, ys = chain_grid(eps, cfg, decay_plus, r, pole_dist)
-    else:
-        h, ys = grid
+    h, ys = _chain_grid(eps, cfg, decay_plus, r, pole_dist)
 
     chi = chain_pass(stages, eps, h, ys)
     value = complex(prefactor) * (1j ** r) * h * chi.sum()
@@ -537,10 +505,6 @@ def chain_line_integral(stages, eps, cfg=None, decay_plus=None,
     _require_finite(value, tail, nodes=len(ys), stage="fine")
     meta = {"dim": r, "eps": eps, "h": h, "nodes": len(ys),
             "U": (float(-ys[0]), float(ys[-1]))}
-    if state:
-        meta["state"] = {"h": h, "ys": ys, "chi": chi, "shift": r * eps}
-        return EvalResult(value, tail + cfg.abs_tol, meta)
-
     chi_c = chain_pass(stages, eps, 2 * h, ys[::2])
     value_c = complex(prefactor) * (1j ** r) * (2 * h) * chi_c.sum()
     err = abs(value - value_c) + tail + cfg.abs_tol

@@ -14,6 +14,12 @@ not ending in E.  The map sigma (reverse the word, send a -> h*b and
 b -> h^-1 * a) is an antiautomorphism exchanging the two products; the
 defect of that exchange is `satoh_residual`, which must vanish
 identically.  All arithmetic in this module is exact.
+
+Laurent polynomials, a/b-word polynomials and A-monomial polynomials
+are one type of finite linear combination with different keys.  The
+structure constants of both products are integers, so coefficients are
+Python ints; a Fraction appears only where one is put in (a p/q in
+parsed text, or a non-integral rational passed by a caller).
 """
 
 import functools
@@ -29,194 +35,223 @@ __all__ = [
     "AMonomial",
     "APoly",
     "shuffle",
-    "shuffle_words",
     "harmonic",
-    "harmonic_monomials",
     "sigma",
     "sigma_monomial",
     "satoh_residual",
     "to_a_basis",
-    "index_weight",
-    "is_admissible_index",
+    "check_index",
     "index_to_e_word",
     "index_to_g_word",
     "dual_index",
     "parse_index",
-    "word_to_str",
     "parse_word",
     "parse_hpoly",
     "parse_apoly",
+    "parse_amonomial",
     "monomials_up_to_weight",
 ]
+
+# Bounds of the memos of the word products, about twice the entries that
+# `omzv verify algebra --max-weight 5` holds (15,170 and 8,878); the
+# tier-1 tests hold at most 8,472 and 2,146, one algebra benchmark pass
+# fewer.
+_SHUFFLE_CACHE_SIZE = 32768
+_HARMONIC_CACHE_SIZE = 16384
+
+
+# ---------------------------------------------------------------------------
+# Linear combinations
+
+def _rational(q):
+    """q as an int when it is integral, else as a Fraction."""
+    if type(q) is int:
+        return q
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
+class _LinComb:
+    """Finite linear combination: the dict `t` maps key -> coefficient
+    and never stores a zero coefficient.  Instances are treated as
+    immutable.
+
+    A subclass fixes the keys (`_key` normalises one, `_UNIT` is the key
+    of 1, `_sort_key` and `_key_str` order and print them), the
+    coefficients (`_coeff` normalises one, `_of` lifts an operand) and
+    through the keys' `+` the product: exponents add, words
+    concatenate."""
+
+    __slots__ = ("t",)
+
+    def __init__(self, terms=None):
+        t = {}
+        if terms:
+            for k, c in terms.items():
+                c = self._coeff(c)
+                if c:
+                    t[self._key(k)] = c
+        self.t = t
+
+    @classmethod
+    def _make(cls, t):
+        r = cls.__new__(cls)
+        r.t = t
+        return r
+
+    @staticmethod
+    def _merge(t, pairs):
+        """Add the (key, coefficient) pairs into the term dict t."""
+        for k, c in pairs:
+            s = t.get(k)
+            s = c if s is None else s + c
+            if s:
+                t[k] = s
+            else:
+                t.pop(k, None)
+        return t
+
+    @classmethod
+    def _of(cls, x):
+        return x
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls({cls._UNIT: 1})
+
+    @classmethod
+    def total(cls, parts):
+        """Sum of an iterable of combinations, accumulated in one dict."""
+        t = {}
+        for p in parts:
+            cls._merge(t, p.t.items())
+        return cls._make(t)
+
+    def is_zero(self):
+        return not self.t
+
+    def __bool__(self):
+        return bool(self.t)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self._of(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.t == other.t
+
+    def __hash__(self):
+        return hash(frozenset(self.t.items()))
+
+    def __add__(self, other):
+        return self._make(self._merge(dict(self.t), self._of(other).t.items()))
+
+    def __neg__(self):
+        return self._make({k: -c for k, c in self.t.items()})
+
+    def __sub__(self, other):
+        return self + (-self._of(other))
+
+    def __mul__(self, other):
+        """Product of the keys (exponent sum, concatenation) extended
+        bilinearly."""
+        other = self._of(other)
+        return self._make(self._merge({}, (
+            (k1 + k2, c1 * c2)
+            for k1, c1 in self.t.items() for k2, c2 in other.t.items())))
+
+    def scaled(self, c):
+        """Every coefficient times the coefficient-ring element c."""
+        c = self._coeff(c)
+        if not c:
+            return self._make({})
+        return self._make({k: q * c for k, q in self.t.items()})
+
+    def appended(self, key):
+        """Every key k replaced by k + key (a shift or a suffix)."""
+        return self._make({k + key: c for k, c in self.t.items()})
+
+    def items_sorted(self):
+        return sorted(self.t.items(), key=lambda kc: self._sort_key(kc[0]))
+
+    def __str__(self):
+        parts = []
+        for k, c in self.items_sorted():
+            ks = self._key_str(k)
+            cs = str(c)
+            if isinstance(c, _LinComb) and len(c.t) > 1:
+                cs = "(%s)" % cs
+            if ks == "1":
+                parts.append(cs)
+            elif c == 1:
+                parts.append(ks)
+            elif c == -1:
+                parts.append("-" + ks)
+            else:
+                parts.append("%s*%s" % (cs, ks))
+        if not parts:
+            return "0"
+        out = parts[0]
+        for p in parts[1:]:
+            if p.startswith("-"):
+                out += " - " + p[1:]
+            else:
+                out += " + " + p
+        return out
+
+    def __repr__(self):
+        return "%s<%s>" % (type(self).__name__, self)
 
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials in h
 
-class HbarLaurent:
-    """Laurent polynomial in h with Fraction coefficients.
+class HbarLaurent(_LinComb):
+    """Laurent polynomial in h: exponent -> rational coefficient."""
 
-    Instances are treated as immutable; the internal dict never stores a
-    zero coefficient.
-    """
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for e, q in coeffs.items():
-                q = Fraction(q)
-                if q:
-                    c[int(e)] = q
-        self.c = c
-
-    # -- constructors ------------------------------------------------
+    __slots__ = ()
+    _UNIT = 0
+    _key = int
+    _coeff = staticmethod(_rational)
+    _sort_key = int
 
     @staticmethod
-    def zero():
-        return HbarLaurent()
-
-    @staticmethod
-    def one():
-        return HbarLaurent({0: 1})
-
-    @staticmethod
-    def h(exp=1, coeff=1):
-        return HbarLaurent({exp: coeff})
+    def _key_str(e):
+        return "1" if e == 0 else "h" if e == 1 else "h^%d" % e
 
     @staticmethod
     def of(x):
         if isinstance(x, HbarLaurent):
             return x
-        return HbarLaurent({0: Fraction(x)})
+        return HbarLaurent({0: x})
 
-    # -- structure ---------------------------------------------------
+    _of = of
 
-    def is_zero(self):
-        return not self.c
+    @staticmethod
+    def h(exp=1, coeff=1):
+        return HbarLaurent({exp: coeff})
 
-    def min_exp(self):
-        if not self.c:
-            raise ValueError("zero Laurent polynomial has no degree")
-        return min(self.c)
-
-    def max_exp(self):
-        if not self.c:
-            raise ValueError("zero Laurent polynomial has no degree")
-        return max(self.c)
-
-    def is_polynomial(self):
-        """True when no negative power of h occurs."""
-        return all(e >= 0 for e in self.c)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = HbarLaurent.of(other)
-        if not isinstance(other, HbarLaurent):
-            return NotImplemented
-        return self.c == other.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
-    def __bool__(self):
-        return bool(self.c)
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other):
-        other = HbarLaurent.of(other)
-        c = dict(self.c)
-        for e, q in other.c.items():
-            s = c.get(e, Fraction(0)) + q
-            if s:
-                c[e] = s
-            else:
-                c.pop(e, None)
-        r = HbarLaurent()
-        r.c = c
-        return r
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = HbarLaurent()
-        r.c = {e: -q for e, q in self.c.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-HbarLaurent.of(other))
+    __radd__ = _LinComb.__add__
+    __rmul__ = _LinComb.__mul__
 
     def __rsub__(self, other):
         return HbarLaurent.of(other) + (-self)
 
-    def __mul__(self, other):
-        other = HbarLaurent.of(other)
-        c = {}
-        for e1, q1 in self.c.items():
-            for e2, q2 in other.c.items():
-                e = e1 + e2
-                s = c.get(e, Fraction(0)) + q1 * q2
-                if s:
-                    c[e] = s
-                else:
-                    c.pop(e, None)
-        r = HbarLaurent()
-        r.c = c
-        return r
+    # multiplying by h**k shifts every exponent by k
+    shifted = _LinComb.appended
 
-    __rmul__ = __mul__
-
-    def shifted(self, k):
-        """Multiply by h**k."""
-        r = HbarLaurent()
-        r.c = {e + k: q for e, q in self.c.items()}
-        return r
+    def is_polynomial(self):
+        """True when no negative power of h occurs."""
+        return all(e >= 0 for e in self.t)
 
     def eval(self, value):
         """Substitute a numeric value for h."""
-        return sum((complex(q) * value ** e for e, q in self.c.items()),
+        return sum((complex(q) * value ** e for e, q in self.t.items()),
                    complex(0))
-
-    def eval_fraction(self, value):
-        """Substitute an exact Fraction for h (value must be nonzero if
-        negative powers occur)."""
-        value = Fraction(value)
-        total = Fraction(0)
-        for e, q in self.c.items():
-            total += q * value ** e
-        return total
-
-    # -- text form ----------------------------------------------------
-
-    def __str__(self):
-        if not self.c:
-            return "0"
-        parts = []
-        for e in sorted(self.c):
-            q = self.c[e]
-            if e == 0:
-                t = str(q)
-            else:
-                base = "h" if e == 1 else "h^%d" % e
-                if q == 1:
-                    t = base
-                elif q == -1:
-                    t = "-" + base
-                else:
-                    t = "%s*%s" % (q, base)
-            parts.append(t)
-        out = parts[0]
-        for t in parts[1:]:
-            if t.startswith("-"):
-                out += " - " + t[1:]
-            else:
-                out += " + " + t
-        return out
-
-    def __repr__(self):
-        return "HbarLaurent(%s)" % self
 
 
 _H = HbarLaurent.h()
@@ -232,130 +267,22 @@ def word_to_str(w):
     return " ".join(w) if w else "1"
 
 
-class HPoly:
-    """Finite Q[h,h^-1]-linear combination of a/b words.
+class HPoly(_LinComb):
+    """Finite Q[h,h^-1]-linear combination of a/b words."""
 
-    The term dict maps word -> HbarLaurent and never stores zero
-    coefficients.  Instances are treated as immutable.
-    """
-
-    __slots__ = ("t",)
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for w, c in terms.items():
-                c = HbarLaurent.of(c)
-                if not c.is_zero():
-                    t[w] = c
-        self.t = t
+    __slots__ = ()
+    _UNIT = ""
+    _key = str
+    _coeff = staticmethod(HbarLaurent.of)
+    _key_str = staticmethod(word_to_str)
 
     @staticmethod
-    def zero():
-        return HPoly()
-
-    @staticmethod
-    def one():
-        return HPoly({"": 1})
+    def _sort_key(w):
+        return (len(w), w)
 
     @staticmethod
     def word(w, coeff=1):
         return HPoly({w: coeff})
-
-    def is_zero(self):
-        return not self.t
-
-    def __eq__(self, other):
-        if not isinstance(other, HPoly):
-            return NotImplemented
-        return self.t == other.t
-
-    def __add__(self, other):
-        t = dict(self.t)
-        for w, c in other.t.items():
-            s = t.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                t.pop(w, None)
-            else:
-                t[w] = s
-        r = HPoly()
-        r.t = t
-        return r
-
-    def __neg__(self):
-        r = HPoly()
-        r.t = {w: -c for w, c in self.t.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, c):
-        c = HbarLaurent.of(c)
-        if c.is_zero():
-            return HPoly()
-        r = HPoly()
-        r.t = {w: q * c for w, q in self.t.items()}
-        return r
-
-    def __mul__(self, other):
-        """Concatenation product."""
-        t = {}
-        for w1, c1 in self.t.items():
-            for w2, c2 in other.t.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = t.get(w)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    t.pop(w, None)
-                else:
-                    t[w] = s
-        r = HPoly()
-        r.t = t
-        return r
-
-    def appended(self, letter):
-        r = HPoly()
-        r.t = {w + letter: c for w, c in self.t.items()}
-        return r
-
-    def items_sorted(self):
-        return sorted(self.t.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def __str__(self):
-        return _comb_to_str(self.items_sorted(), word_to_str)
-
-    def __repr__(self):
-        return "HPoly<%s>" % self
-
-
-def _comb_to_str(items, word_str):
-    if not items:
-        return "0"
-    parts = []
-    for w, c in items:
-        ws = word_str(w)
-        single = len(c.c) == 1
-        if ws == "1":
-            cs = str(c)
-            parts.append(cs if single else "(%s)" % cs)
-        elif c == _ONE:
-            parts.append(ws)
-        elif c == HbarLaurent.of(-1):
-            parts.append("-" + ws)
-        elif single:
-            parts.append("%s*%s" % (c, ws))
-        else:
-            parts.append("(%s)*%s" % (c, ws))
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +293,7 @@ def _comb_to_str(items, word_str):
 #   (w b) sh w'      = (w sh w') b        (either factor ending in b)
 #   (w a) sh (w' a)  = (w a sh w' + w sh w' a + h * (w sh w')) a
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_SHUFFLE_CACHE_SIZE)
 def shuffle_words(w1, w2):
     if not w1:
         return HPoly.word(w2)
@@ -376,18 +303,15 @@ def shuffle_words(w1, w2):
         return shuffle_words(w1[:-1], w2).appended("b")
     if w2[-1] == "b":
         return shuffle_words(w1, w2[:-1]).appended("b")
-    s = shuffle_words(w1[:-1], w2) + shuffle_words(w1, w2[:-1])
-    s = s + shuffle_words(w1[:-1], w2[:-1]).scaled(_H)
+    s = HPoly.total((shuffle_words(w1[:-1], w2), shuffle_words(w1, w2[:-1]),
+                     shuffle_words(w1[:-1], w2[:-1]).scaled(_H)))
     return s.appended("a")
 
 
 def shuffle(p1, p2):
     """Bilinear extension of the word shuffle to HPoly arguments."""
-    out = HPoly.zero()
-    for w1, c1 in p1.t.items():
-        for w2, c2 in p2.t.items():
-            out = out + shuffle_words(w1, w2).scaled(c1 * c2)
-    return out
+    return HPoly.total(shuffle_words(w1, w2).scaled(c1 * c2)
+                       for w1, c1 in p1.t.items() for w2, c2 in p2.t.items())
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +396,18 @@ class AMonomial:
     def __hash__(self):
         return hash(self.letters)
 
+    def __add__(self, other):
+        """Concatenation."""
+        m = AMonomial.__new__(AMonomial)
+        m.letters = self.letters + other.letters
+        return m
+
+    def _order(self):
+        """Canonical order: by length, then by letter indices."""
+        return (len(self.letters), tuple(l.k for l in self.letters))
+
     def __lt__(self, other):
-        k1 = (len(self.letters), tuple(l.k for l in self.letters))
-        k2 = (len(other.letters), tuple(l.k for l in other.letters))
-        return k1 < k2
+        return self._order() < other._order()
 
     @property
     def weight(self):
@@ -524,29 +456,18 @@ class AMonomial:
         return "AMonomial<%s>" % self
 
 
-class APoly:
+class APoly(_LinComb):
     """Finite Q[h,h^-1]-linear combination of A-monomials."""
 
-    __slots__ = ("t",)
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for m, c in terms.items():
-                if not isinstance(m, AMonomial):
-                    m = AMonomial(m)
-                c = HbarLaurent.of(c)
-                if not c.is_zero():
-                    t[m] = c
-        self.t = t
+    __slots__ = ()
+    _UNIT = AMonomial()
+    _coeff = staticmethod(HbarLaurent.of)
+    _key_str = str
+    _sort_key = staticmethod(AMonomial._order)
 
     @staticmethod
-    def zero():
-        return APoly()
-
-    @staticmethod
-    def one():
-        return APoly({AMonomial(): 1})
+    def _key(m):
+        return m if isinstance(m, AMonomial) else AMonomial(m)
 
     @staticmethod
     def monomial(m, coeff=1):
@@ -554,65 +475,10 @@ class APoly:
 
     @staticmethod
     def from_hpoly(p):
-        out = APoly()
-        for c, m in to_a_basis(p):
-            out = out + APoly.monomial(m, c)
-        return out
-
-    def is_zero(self):
-        return not self.t
-
-    def __eq__(self, other):
-        if not isinstance(other, APoly):
-            return NotImplemented
-        return self.t == other.t
-
-    def __add__(self, other):
-        t = dict(self.t)
-        for m, c in other.t.items():
-            s = t.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                t.pop(m, None)
-            else:
-                t[m] = s
-        r = APoly()
-        r.t = t
-        return r
-
-    def __neg__(self):
-        r = APoly()
-        r.t = {m: -c for m, c in self.t.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, c):
-        c = HbarLaurent.of(c)
-        if c.is_zero():
-            return APoly()
-        r = APoly()
-        r.t = {m: q * c for m, q in self.t.items()}
-        return r
+        return APoly._make({m: c for c, m in to_a_basis(p)})
 
     def to_hpoly(self):
-        out = HPoly.zero()
-        for m, c in self.t.items():
-            out = out + m.to_hpoly().scaled(c)
-        return out
-
-    def items_sorted(self):
-        return sorted(
-            self.t.items(),
-            key=lambda kv: (len(kv[0].letters),
-                            tuple(l.k for l in kv[0].letters)))
-
-    def __str__(self):
-        return _comb_to_str(self.items_sorted(), str)
-
-    def __repr__(self):
-        return "APoly<%s>" % self
+        return HPoly.total(m.to_hpoly().scaled(c) for m, c in self.t.items())
 
 
 # ---------------------------------------------------------------------------
@@ -632,57 +498,40 @@ def _contract(u, v):
     return _ONE, ALetter(u.k + v.k)
 
 
-def _ap_append(p, letter, coeff=_ONE):
-    r = APoly()
-    r.t = {}
-    for m, c in p.t.items():
-        r.t[AMonomial(m.letters + (letter,))] = c * coeff
-    return r
-
-
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_HARMONIC_CACHE_SIZE)
 def _harmonic_tuples(l1, l2):
     if not l1:
         return APoly.monomial(AMonomial(l2))
     if not l2:
         return APoly.monomial(AMonomial(l1))
     u, v = l1[-1], l2[-1]
-    out = _ap_append(_harmonic_tuples(l1[:-1], l2), u)
-    out = out + _ap_append(_harmonic_tuples(l1, l2[:-1]), v)
     q, w = _contract(u, v)
-    out = out + _ap_append(_harmonic_tuples(l1[:-1], l2[:-1]), w, q)
-    return out
-
-
-def harmonic_monomials(m1, m2):
-    return _harmonic_tuples(m1.letters, m2.letters)
+    return APoly.total((
+        _harmonic_tuples(l1[:-1], l2).appended(AMonomial((u,))),
+        _harmonic_tuples(l1, l2[:-1]).appended(AMonomial((v,))),
+        _harmonic_tuples(l1[:-1], l2[:-1]).appended(AMonomial((w,)))
+        .scaled(q)))
 
 
 def harmonic(p1, p2):
     """Bilinear extension of the harmonic product to APoly arguments."""
-    out = APoly.zero()
-    for m1, c1 in p1.t.items():
-        for m2, c2 in p2.t.items():
-            out = out + harmonic_monomials(m1, m2).scaled(c1 * c2)
-    return out
+    return APoly.total(_harmonic_tuples(m1.letters, m2.letters).scaled(c1 * c2)
+                       for m1, c1 in p1.t.items() for m2, c2 in p2.t.items())
 
 
 # ---------------------------------------------------------------------------
 # sigma and the Satoh residual
 
+_SWAP = str.maketrans("ab", "ba")
+
+
 def sigma(p):
     """Antiautomorphism: reverse each word, swap a <-> b, and multiply the
     coefficient by h**(#a - #b).  sigma is Q[h,h^-1]-linear and an
     involution."""
-    out = HPoly.zero()
-    for w, c in p.t.items():
-        na = w.count("a")
-        img = w[::-1].translate(_SWAP)
-        out = out + HPoly.word(img, c.shifted(2 * na - len(w)))
-    return out
-
-
-_SWAP = str.maketrans("ab", "ba")
+    return HPoly._make({w[::-1].translate(_SWAP): c.shifted(2 * w.count("a")
+                                                            - len(w))
+                        for w, c in p.t.items()})
 
 
 def sigma_monomial(m):
@@ -717,77 +566,51 @@ def satoh_residual(p1, p2):
 # ---------------------------------------------------------------------------
 # Rewriting a/b words in the distinguished alphabet
 
+def _a_term(w, c):
+    """The word w (empty or starting with b) times c as one A-monomial
+    term: each maximal block b a^k becomes G(k), a bare b becomes
+    h^-1 * E."""
+    if w and w[0] != "b":
+        raise ValueError("word %r does not start with b" % w)
+    letters = [ALetter(len(run)) for run in w.split("b")[1:]]
+    return AMonomial(letters), c.shifted(-letters.count(E))
+
+
 def to_a_basis(p):
     """Rewrite an HPoly whose words all start with b (or are empty) as a
-    list of (coefficient, AMonomial) pairs, sorted canonically.
-
-    Each maximal block b a^k becomes G(k); a bare b becomes h^-1 * E.
-    """
-    acc = {}
-    for w, c in p.t.items():
-        if w and w[0] != "b":
-            raise ValueError("word %r does not start with b" % w)
-        letters = []
-        shift = 0
-        i = 0
-        n = len(w)
-        while i < n:
-            j = i + 1
-            while j < n and w[j] == "a":
-                j += 1
-            k = j - i - 1
-            if k == 0:
-                letters.append(E)
-                shift -= 1
-            else:
-                letters.append(ALetter(k))
-            i = j
-        m = AMonomial(letters)
-        cc = c.shifted(shift)
-        s = acc.get(m)
-        s = cc if s is None else s + cc
-        if s.is_zero():
-            acc.pop(m, None)
-        else:
-            acc[m] = s
-    out = [(c, m) for m, c in acc.items()]
-    out.sort(key=lambda cm: (len(cm[1].letters),
-                             tuple(l.k for l in cm[1].letters)))
-    return out
+    list of (coefficient, AMonomial) pairs, sorted canonically."""
+    terms = APoly._make(APoly._merge({}, (_a_term(w, c)
+                                          for w, c in p.t.items())))
+    return [(c, m) for m, c in terms.items_sorted()]
 
 
 # ---------------------------------------------------------------------------
 # Indices
 
-def index_weight(k):
-    return sum(k)
-
-
-def is_admissible_index(k):
-    return len(k) > 0 and all(e >= 1 for e in k) and k[-1] >= 2
-
-
-def _check_index(k):
+def check_index(k, admissible=True):
+    """k as a tuple of integers >= 1, non-empty; when `admissible`, also
+    with last entry >= 2, the condition for the nested sums and
+    integrals to converge.  Raises ValueError otherwise."""
     k = tuple(int(e) for e in k)
     if not k or any(e < 1 for e in k):
         raise ValueError("index entries must be integers >= 1")
+    if admissible and k[-1] < 2:
+        raise ValueError("index %r is not admissible (last entry must be "
+                         ">= 2)" % (k,))
     return k
 
 
 def index_to_g_word(k):
     """The monomial G(k_1) ... G(k_r)."""
-    k = _check_index(k)
-    return AMonomial([ALetter(e) for e in k])
+    return AMonomial([ALetter(e) for e in check_index(k, admissible=False)])
 
 
 def index_to_e_word(k):
     """The product e_{k_1} ... e_{k_r} expanded in a/b words, where
     e_k = b a^k + h * b a^(k-1)."""
-    k = _check_index(k)
     p = HPoly.one()
-    for e in k:
-        factor = HPoly({"b" + "a" * e: 1, "b" + "a" * (e - 1): _H})
-        p = p * factor
+    for e in check_index(k, admissible=False):
+        p = p * HPoly({"b" + "a" * e: 1, "b" + "a" * (e - 1): _H})
     return p
 
 
@@ -798,9 +621,7 @@ def dual_index(k):
     ({1}^(ar-1), br+1, ..., {1}^(a1-1), b1+1).  An involution that
     preserves weight.
     """
-    k = _check_index(k)
-    if k[-1] < 2:
-        raise ValueError("index not admissible (last entry must be >= 2)")
+    k = check_index(k)
     blocks = []
     i = 0
     while i < len(k):
@@ -828,7 +649,7 @@ def parse_index(text):
         raise ValueError("bad index entry in %r" % text) from None
     if not k:
         raise ValueError("empty index")
-    return _check_index(k)
+    return check_index(k, admissible=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command line contract: JSON reports, exit codes, cache, config."""
 
 import json
+import math
 import pathlib
 
 import pytest
@@ -191,6 +192,48 @@ def test_cache_survives_corruption(runner, tmp_path):
     assert res.exit_code == 0
     again = json.loads(res.output)
     assert strip_volatile(again)["value"] == strip_volatile(clean)["value"]
+
+
+def test_non_finite_store_entry_is_recomputed(runner, tmp_path):
+    """An entry whose value and error are NaN, as stores written before
+    finite-or-raise integrals can hold, is dropped as corrupt and the
+    value recomputed and stored again."""
+    store = tmp_path / "values.jsonl"
+    fresh_memos()
+    res = runner.invoke(cli, ["eval", "zeta", "7", "--cache", str(store)])
+    assert res.exit_code == 0
+    clean = json.loads(res.output)
+    rec = json.loads(store.read_text())
+    rec["value"], rec["err"] = [math.nan, math.nan], math.nan
+    store.write_text(json.dumps(rec) + "\n")
+
+    fresh_memos()
+    with pytest.warns(UserWarning, match="dropped 1 corrupt entry"):
+        res = runner.invoke(cli, ["eval", "zeta", "7", "--cache",
+                                  str(store)])
+    assert res.exit_code == 0
+    again = json.loads(res.output)
+    assert "cached" not in again["meta"]
+    assert again["value"] == clean["value"]
+    assert again["err_estimate"] == clean["err_estimate"]
+    assert json.loads(store.read_text())["value"] == clean["value"]
+
+
+def test_gamma_cache_round_trip(runner, tmp_path):
+    store = tmp_path / "values.jsonl"
+    args = ["gamma", "0.2+0.3i", "--cache", str(store)]
+    fresh_memos()
+    first = runner.invoke(cli, args)
+    assert first.exit_code == 0
+    stored = store.read_bytes()
+    fresh_memos()
+    second = runner.invoke(cli, args)
+    assert second.exit_code == 0
+    # the second run reads the value from the store and writes nothing
+    assert store.read_bytes() == stored
+    r1, r2 = (strip_volatile(json.loads(r.output)) for r in (first, second))
+    assert r1.pop("cached") is False and r2.pop("cached") is True
+    assert r1 == r2
 
 
 def test_cache_clear(runner, tmp_path):

@@ -1,5 +1,5 @@
 """Hyperbolic gamma: strip integral against mpmath, chirp-z against
-dense sums, reflection, quasi-periods, far field, theta kernel."""
+dense sums, reflection, quasi-periods, far field, poles."""
 
 import math
 
@@ -7,8 +7,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from omzv import GammaContext, OmegaParam, QuadConfig, QuadError, theta_kernel
-from omzv.hypgamma import (_CHIRP_MIN, G, _far_threshold, _log_G_far,
+from omzv import GammaContext, OmegaParam, QuadConfig, QuadError
+from omzv.hypgamma import (_CHIRP_MIN, _far_threshold, _log_G_far,
                            _uniform_step, log_G, log_G_line)
 
 
@@ -122,26 +122,3 @@ def test_far_field_switch_is_seamless(ctx1):
 def test_log_G_pole_raises(ctx1):
     with pytest.raises(QuadError):
         log_G(2j, ctx1)
-
-
-def test_G_matches_exp_log(ctx1):
-    z = 0.4 + 0.2j
-    assert G(z, ctx1) == pytest.approx(np.exp(log_G(z, ctx1)), rel=1e-12)
-
-
-def test_G_overflow_raises(ctx1):
-    with pytest.raises(QuadError):
-        G(40.0 + 20j, ctx1)
-
-
-def test_theta_kernel_symmetry(ctx1):
-    a = theta_kernel(0.3, -0.2, 0.01, 0.02, ctx1)
-    assert theta_kernel(-0.2, 0.3, 0.01, 0.02, ctx1) == pytest.approx(
-        a, rel=1e-12)
-    assert theta_kernel(0.3, -0.2, 0.02, 0.01, ctx1) == pytest.approx(
-        a, rel=1e-12)
-
-
-def test_theta_kernel_pole_raises(ctx1):
-    with pytest.raises(QuadError):
-        theta_kernel(0.3, -0.3, 0.0, 0.0, ctx1)

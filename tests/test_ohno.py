@@ -81,6 +81,15 @@ def test_connected_sum_is_symmetric_in_lam_mu(ctx1, fast_cfg):
         1e-6, 5.0 * (a.err_estimate + b.err_estimate))
 
 
+def test_connected_integral_symmetric_in_chains(ctx1, fast_cfg):
+    """The Theta coupling is symmetric in the two chain points, so
+    exchanging the chains leaves the connected integral unchanged."""
+    op = OhnoParams(0.004 + 0.002j, -0.003 + 0.005j)
+    a = connected_integral((2,), (1,), op, ctx1, fast_cfg)
+    b = connected_integral((1,), (2,), op, ctx1, fast_cfg)
+    assert abs(a.value - b.value) <= 1e-12 * abs(a.value)
+
+
 def test_connected_sum_at_origin(ctx1, fast_cfg, p1):
     res = connected_integral((1,), (1,), OhnoParams(), ctx1, fast_cfg)
     want = 1j * zeta_omega((2,), p1, fast_cfg).value

@@ -25,12 +25,32 @@ def test_laurent_arithmetic():
     assert (x * y).shifted(1) == x.shifted(1) * y
     assert x.eval(2.0) == 7.0
     assert x.is_polynomial() and not y.is_polynomial()
-    assert y.min_exp() == -1 and x.max_exp() == 1
+    assert min(y.t) == -1 and max(x.t) == 1
 
 
-def test_laurent_eval_fraction():
-    x = H(2, 3) - H(1) + HbarLaurent.of(5)
-    assert x.eval_fraction(Fraction(1, 2)) == Fraction(3, 4) - Fraction(1, 2) + 5
+def test_coefficients_stay_int():
+    """Both products, sigma and the A-basis rewrite have integer
+    structure constants: integer inputs give int coefficients, never
+    Fraction."""
+    m1, m2 = parse_amonomial("E G2 G1"), parse_amonomial("G1 E G3")
+    h1, h2 = m1.to_hpoly(), m2.to_hpoly()
+    polys = [shuffle(h1, h2), sigma(h1),
+             harmonic(APoly.monomial(m1), APoly.monomial(m2)),
+             APoly.from_hpoly(shuffle(h1, h2))]
+    coeffs = [c for p in polys for c in p.t.values()]
+    coeffs += [c for c, _ in to_a_basis(sigma(h1))]
+    rationals = [q for c in coeffs for q in c.t.values()]
+    assert len(rationals) > 10
+    assert all(type(q) is int for q in rationals)
+
+
+def test_parsed_fraction_stays_fraction():
+    x = parse_hpoly("1/2*h").t[""]
+    assert x == H(1, Fraction(1, 2))
+    assert type(x.t[1]) is Fraction
+    # an integral p/q is stored as an int
+    assert type(parse_hpoly("4/2 b").t["b"].t[0]) is int
+    assert str(parse_hpoly("-1/2*h b a + 3 b")) == "3*b - 1/2*h*b a"
 
 
 # -- shuffle ----------------------------------------------------------------
