@@ -55,14 +55,13 @@ LINE_CACHE_SIZE = 256
 
 @dataclass
 class GammaContext:
-    """Evaluation context: deformation parameter, quadrature settings,
-    relative margin kept to the strip boundary, and the cache of log G
-    lines that the connector fills, bounded to LINE_CACHE_SIZE lines
-    (least recently used ones are dropped)."""
+    """Evaluation context: the deformation parameter p and the
+    quadrature tolerances cfg, plus the cache of log G lines that the
+    connector fills, bounded to LINE_CACHE_SIZE lines (least recently
+    used ones are dropped)."""
 
     p: object
     cfg: QuadConfig = field(default_factory=QuadConfig)
-    margin: float = 0.05
 
     def __post_init__(self):
         self.line_cache = LRU(LINE_CACHE_SIZE)
@@ -78,6 +77,8 @@ class GammaContext:
         return 0.5 * min(1.0, 1.0 / self.p.omega)
 
 
+# Relative margin kept to the strip boundary |Im z| = omega_bar.
+_STRIP_MARGIN = 0.05
 # Smallest line for the chirp-z sum: below it the dense sum is as fast.
 _CHIRP_MIN = 24
 # Trapezoid nodes per half-line beyond which the strip sum is refused.
@@ -177,7 +178,7 @@ def _log_G_strip(re, im, ctx):
     sums exactly, sum_{n>=1} z/(n step)^2 = z pi^2 / (6 step^2), and
     f(0) = -z (4 w^2 z^2 + 1 + w^2) / 6.  A uniform line sums by
     chirp-z, anything else densely."""
-    bound = (1.0 - ctx.margin) * ctx.omega_bar
+    bound = (1.0 - _STRIP_MARGIN) * ctx.omega_bar
     if abs(im) >= bound:
         raise QuadError("strip violated", immax=abs(im), bound=bound)
     w = ctx.p.omega

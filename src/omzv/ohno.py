@@ -31,8 +31,8 @@ from .hypgamma import log_G, log_G_line
 from .ncseries import z_decompose
 from .omega import cexpm1, inverse_x_variable, zeta_omega
 from .quad import (ChainStage, EvalResult, QuadConfig, QuadError,
-                   chain_line_integral, chain_pass, integrate_real_line,
-                   _require_finite, _log_target, _tilted_convolve)
+                   chain_line_integral, chain_pass, _chain_grid,
+                   _require_finite, _tilted_convolve, _worst)
 from .words import check_index
 
 __all__ = [
@@ -101,13 +101,10 @@ class OhnoTable:
         return sorted(self.coeffs)
 
     def max_abs_diff(self, other):
-        """Largest |difference| over the shared triangle."""
+        """Largest |difference| over the shared triangle, NaN if any is."""
         top = min(self.order, other.order)
-        worst = 0.0
-        for m in range(top + 1):
-            for n in range(top + 1 - m):
-                worst = max(worst, abs(self.get(m, n) - other.get(m, n)))
-        return worst
+        return _worst(abs(self.get(m, n) - other.get(m, n))
+                      for m in range(top + 1) for n in range(top + 1 - m))
 
     def __str__(self):
         lines = []
@@ -225,7 +222,7 @@ def ohno_generating(k, op, p, cfg=None, eps=None):
         raise QuadError("contour too close to a kernel pole", dist=pole)
     dp = 0.8 * TWO_PI * w * (k[-1] - 1)
     pref = p.hbar_value ** sum(k)
-    res = chain_line_integral(stages, eps, cfg, decay_plus=dp,
+    res = chain_line_integral(stages, eps, cfg, decay=(TWO_PI, dp),
                               pole_dist=pole, prefactor=pref)
     res.meta.update(index=k, lam=complex(op.lam), mu=complex(op.mu))
     return res
@@ -304,28 +301,16 @@ def _descending_log_line(ctx, tops, h, shift, height):
 
 
 def _connector_grid(eps, cfg, p, r, s, shift):
-    """Shared grid for the two chains feeding the Theta stage.  The
-    step resolves both the pole strip and the cross-phase chirp, whose
-    local frequency grows linearly with |Im T|."""
+    """Shared grid for the two chains feeding the Theta stage: the chain
+    grid whose step also resolves the cross-phase chirp, whose local
+    frequency pi*w*|Im U| grows linearly with the extent."""
     w = p.omega
     d0 = min(eps, min(1.0, 1.0 / w) - (r + s) * eps) - shift
     if d0 <= 1e-3:
         raise QuadError("contour too close to a kernel pole", dist=d0)
-    ltol = _log_target(cfg)
-    guard = ltol / TWO_PI
     dp = 1.6 * math.pi * w * eps * min(r, s)
-    ym = ltol / TWO_PI + cfg.margin + guard
-    yp = ltol / dp + cfg.margin + guard * (max(r, s) - 1)
-    L = cfg.sharpness * math.log(1.0 / max(cfg.rel_tol, 1e-15))
-    h_pole = TWO_PI * d0 * cfg.strip_safety / L
-    chirp = math.pi * w * max(ym, yp)
-    h = 1.0 / (1.0 / h_pole + chirp / math.pi)
-    nm = int(math.ceil(ym / h / 2.0)) * 2
-    npl = int(math.ceil(yp / h / 2.0)) * 2
-    if nm + npl + 1 > cfg.max_chain_nodes:
-        raise QuadError("connector grid above node budget",
-                        nodes=nm + npl + 1)
-    ys = h * np.arange(-nm, npl + 1)
+    h, ys = _chain_grid(eps, cfg, (TWO_PI, dp), max(r, s), pole_dist=d0,
+                        chirp=math.pi * w)
     return h, ys, dp
 
 
@@ -517,7 +502,9 @@ def saalschutz_check(u1, u2, u4, u5, ctx, cfg=None):
 
     The contour is the straight real line, valid when every Im u_j is
     below ob (pole families separated) and Im sum u > 2 ob (decay at
-    -infinity).  Returns (lhs EvalResult, rhs complex).
+    -infinity).  It is the depth-1 chain on the line Re t = -gap with
+    u = Im t, so each G factor is one log G line on the uniform grid.
+    Returns (lhs EvalResult, rhs complex).
     """
     cfg = cfg or ctx.cfg
     p = ctx.p
@@ -533,15 +520,17 @@ def saalschutz_check(u1, u2, u4, u5, ctx, cfg=None):
                         im_sum=total.imag)
     coeff = (4j * ob - total) * 1j * math.pi * w
 
-    def f(x):
+    def f(t):
+        x = t.imag
         logs = (log_G(x - us[2], ctx) + log_G(x - us[3], ctx)
                 - log_G(x + us[0], ctx) - log_G(x + us[1], ctx))
         return np.exp(coeff * x + logs)
 
     dm = 0.9 * math.pi * w * (2.0 * total.imag - 4.0 * ob)
     dp = 0.9 * TWO_PI * (1.0 + w)
-    osc = math.pi * w * (4.0 * ob + 2.0 * abs(total))
-    lhs = integrate_real_line(f, cfg, decay=(dm, dp), osc=osc)
+    freq = math.pi * w * (4.0 * ob + 2.0 * abs(total))
+    lhs = chain_line_integral([ChainStage(diff=f)], gap, cfg,
+                              decay=(dm, dp), freq=freq, prefactor=-1j)
     lhs.meta["pole_gap"] = gap
 
     expo = (us[0] * us[1] - us[2] * us[3]

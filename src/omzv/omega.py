@@ -206,7 +206,7 @@ def _chain_value(stages, p, cfg):
     """The chain integral of the stages on the default contour stack."""
     eps = default_eps(p.omega, len(stages))
     return chain_line_integral(
-        stages, eps, cfg, decay_plus=decay_hint(p.omega),
+        stages, eps, cfg, decay=(TWO_PI, decay_hint(p.omega)),
         pole_dist=_pole_distance(p.omega, eps, len(stages)))
 
 
@@ -360,7 +360,7 @@ def r_omega_integral(xs, ys, p, cfg=None):
     slow = max([abs(v.real) for v in xs + ys] + [0.0])
     hint = decay_hint(w) * max(0.15, 1.0 - 2.0 * slow)
     return chain_line_integral(
-        stages, eps, cfg, decay_plus=hint, pole_dist=min_sep,
+        stages, eps, cfg, decay=(TWO_PI, hint), pole_dist=min_sep,
         prefactor=pref)
 
 

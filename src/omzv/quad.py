@@ -2,29 +2,26 @@
 
 Every integral in this package runs along contours Re t = -epsilon (or a
 product of such lines), with integrands analytic in a strip around the
-contour and exponentially decaying along it.  Two evaluators:
-
-  integrate_real_line  adaptive Gauss-Legendre panels on the real axis
-  chain_line_integral  convolution chains on vertical lines
-
-A single vertical line Re t = -eps is the real line u -> f(-eps + i u),
-times i.  The chain evaluator handles iterated integrals whose stage-a
-integrand couples T_a to T_{a-1} only through the difference
-T_a - T_{a-1} (the cumulative-variable form of all the nested sums
-here).  On a shared uniform imaginary grid each stage is one discrete
-convolution, so depth r costs r convolutions instead of an
+contour and exponentially decaying along it.  One evaluator,
+`chain_line_integral`, computes them all.  It handles iterated
+integrals whose stage-a integrand couples T_a to T_{a-1} only through
+the difference T_a - T_{a-1} (the cumulative-variable form of all the
+nested sums here).  On a shared uniform imaginary grid each stage is
+one discrete convolution, so depth r costs r convolutions instead of an
 r-dimensional tensor.  Each convolution is an FFT under an exponential
-tilt (`_tilted_convolve`), O(n log n) per stage.
+tilt (`_tilted_convolve`), O(n log n) per stage.  A single line is the
+depth-1 chain, and an integral over the real axis is the line
+Re t = -eps with x = Im t.
 
 Uniform (trapezoid) steps are spectrally accurate for these integrands:
 the error decays like exp(-2*pi*d/h) where d is the width of the
-analyticity strip, in practice the contour-to-pole distance.  Error
-estimates come from step doubling plus boundary-tail monitors and are
-deliberately conservative.
+analyticity strip, in practice the contour-to-pole distance.  Every
+grid is built by one rule (`_chain_grid`) from the strip width, the
+decay rates on both sides and a bound on the oscillation frequency.
+Error estimates come from step doubling plus boundary-tail monitors and
+are deliberately conservative.
 """
 
-import functools
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -34,7 +31,6 @@ __all__ = [
     "QuadConfig",
     "EvalResult",
     "QuadError",
-    "integrate_real_line",
     "ChainStage",
     "measure_kernel",
     "chain_pass",
@@ -42,6 +38,15 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# Grid constants.  They enter every value, so fingerprint() names them.
+_MARGIN = 6.0          # additive truncation margin
+_STRIP_SAFETY = 0.8    # usable fraction of the pole distance
+_SHARPNESS = 2.2       # grid-step log factor (step doubling headroom)
+# Budgets.  They only decide whether an evaluation raises QuadError,
+# never its value, so they stay out of the fingerprint.
+_MAX_DIM = 6
+_MAX_CHAIN_NODES = 200_000
 
 
 class QuadError(Exception):
@@ -54,23 +59,18 @@ class QuadError(Exception):
 
 @dataclass(frozen=True)
 class QuadConfig:
+    """Accuracy targets of an evaluation: the relative tolerance rel_tol
+    and the absolute tolerance abs_tol.  Everything else a grid needs is
+    a module constant."""
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    half_width: float = 0.0      # manual truncation override; 0 = automatic
-    panel_order: int = 16
-    max_panels: int = 4000
-    max_dim: int = 6
-    margin: float = 6.0          # additive truncation margin
-    strip_safety: float = 0.8    # usable fraction of the pole distance
-    sharpness: float = 2.2       # grid-step log factor (step doubling headroom)
-    max_chain_nodes: int = 200_000
 
     def fingerprint(self):
-        """Short string identifying everything that affects values."""
-        return ("p%d,r%.3g,a%.3g,w%.3g,m%.3g,s%.3g,q%.3g"
-                % (self.panel_order, self.rel_tol, self.abs_tol,
-                   self.half_width, self.margin, self.strip_safety,
-                   self.sharpness))
+        """Short string identifying everything that affects values: the
+        two tolerances and the grid constants."""
+        return ("r%.3g,a%.3g,m%.3g,s%.3g,q%.3g"
+                % (self.rel_tol, self.abs_tol, _MARGIN, _STRIP_SAFETY,
+                   _SHARPNESS))
 
 
 DEFAULT_CONFIG = QuadConfig()
@@ -94,126 +94,19 @@ def _require_finite(value, err, **detail):
                         value=complex(value), err=float(err), **detail)
 
 
-def _decay_pair(decay):
-    if decay is None:
-        raise QuadError("decay hint required")
-    if isinstance(decay, (tuple, list)):
-        dm, dp = float(decay[0]), float(decay[1])
-    else:
-        dm = dp = float(decay)
-    if dm <= 0.0 or dp <= 0.0:
-        raise QuadError("decay hint must be positive", decay=decay)
-    return dm, dp
+def _worst(values):
+    """The largest of the non-negative `values` (0.0 if there are none),
+    or NaN if any is NaN: the builtin max keeps its current best when it
+    meets a NaN, so a NaN case would drop out of a worst-case check."""
+    values = [float(v) for v in values]
+    if any(map(math.isnan, values)):
+        return math.nan
+    return max(values, default=0.0)
 
 
 def _log_target(cfg):
     tol = max(min(cfg.rel_tol, cfg.abs_tol) * 1e-2, 1e-16)
     return math.log(1.0 / tol)
-
-
-# ---------------------------------------------------------------------------
-# Adaptive Gauss-Legendre panels
-
-# Bound of the Gauss-Legendre node memo, one entry per panel order.
-_GL_CACHE_SIZE = 16
-
-
-@functools.lru_cache(maxsize=_GL_CACHE_SIZE)
-def _gl_nodes(order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-def _gl_eval(g, a, b, order):
-    x, w = _gl_nodes(order)
-    half = 0.5 * (b - a)
-    vals = g(0.5 * (a + b) + half * x)
-    return half * complex(np.sum(w * vals))
-
-
-def _adaptive_segments(g, a, b, cfg, osc):
-    """Globally adaptive GL quadrature of g on [a, b].
-
-    Returns (value, err, nodes).  Panel error is the defect between one
-    GL pass and the two-half refinement; the worst panel is split until
-    the summed defect meets the tolerance.
-    """
-    order = max(4, cfg.panel_order)
-    width = b - a
-    w0 = min(2.0, width)
-    if osc and osc > 0:
-        w0 = min(w0, 6.0 / osc)
-    n0 = max(4, int(math.ceil(width / w0)))
-    edges = np.linspace(a, b, n0 + 1)
-    nodes = 0
-
-    heap = []
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    counter = 0
-
-    def make(pa, pb):
-        nonlocal nodes, counter
-        coarse = _gl_eval(g, pa, pb, order)
-        mid = 0.5 * (pa + pb)
-        left = _gl_eval(g, pa, mid, order)
-        right = _gl_eval(g, mid, pb, order)
-        nodes += 3 * order
-        fine = left + right
-        err = abs(fine - coarse)
-        counter += 1
-        return (-err, counter, pa, pb, fine, err)
-
-    for i in range(n0):
-        item = make(edges[i], edges[i + 1])
-        heapq.heappush(heap, item)
-        total += item[4]
-        total_err += item[5]
-
-    while True:
-        target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if total_err <= target or not heap:
-            break
-        if len(heap) >= cfg.max_panels:
-            raise QuadError(
-                "quadrature did not converge",
-                panel=(heap[0][2], heap[0][3]),
-                err=total_err, target=target, panels=len(heap))
-        _, _, pa, pb, fine, err = heapq.heappop(heap)
-        total -= fine
-        total_err -= err
-        mid = 0.5 * (pa + pb)
-        for qa, qb in ((pa, mid), (mid, pb)):
-            item = make(qa, qb)
-            heapq.heappush(heap, item)
-            total += item[4]
-            total_err += item[5]
-
-    return total, total_err, nodes
-
-
-def integrate_real_line(f, cfg=None, decay=None, osc=0.0):
-    """Integral of f over the real axis, left to right.
-
-    f must accept a real numpy array.  decay is the exponential decay
-    rate of |f|, a scalar or a (minus, plus) pair for x -> -inf / +inf.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    dm, dp = _decay_pair(decay)
-    ltol = _log_target(cfg)
-    if cfg.half_width > 0.0:
-        um = up = cfg.half_width
-    else:
-        um = ltol / dm + cfg.margin
-        up = ltol / dp + cfg.margin
-
-    def g(u):
-        return f(np.asarray(u))
-
-    total, err, nodes = _adaptive_segments(g, -um, up, cfg, osc)
-    tail = (abs(complex(g(np.array([-um]))[0])) / dm
-            + abs(complex(g(np.array([up]))[0])) / dp)
-    return EvalResult(total, err + tail, {"U": (um, up), "nodes": nodes})
 
 
 # ---------------------------------------------------------------------------
@@ -433,28 +326,34 @@ def _tilted_convolve(a, b, lo, hi):
     return out
 
 
-def _chain_grid(eps, cfg, decay_plus, nstages, pole_dist=None):
+def _chain_grid(eps, cfg, decay, nstages, pole_dist=None, freq=0.0,
+                chirp=0.0):
     """Shared imaginary grid (h, ys) for a chain of nstages stages.
 
-    The minus-side rate is always at least 2*pi (from the measure); the
-    plus side uses the caller's hint plus one guard band per stage for
-    kernels that do not decay upward until a later stage does.
+    decay is the (minus, plus) pair of exponential decay rates towards
+    Im t = -inf and +inf.  The minus side gets one guard band, the plus
+    side one per stage after the first, for kernels that do not decay
+    upward until a later stage does.  The step resolves the pole
+    distance (pole_dist, default eps) and an oscillation of angular
+    frequency at most freq + chirp*|Im t| along the grid, whose growth
+    across the strip it must outrun.
     """
-    dp = float(decay_plus)
-    if dp <= 0.0:
-        raise QuadError("decay hint must be positive", decay=decay_plus)
-    d = (pole_dist if pole_dist else eps) * cfg.strip_safety
+    dm, dp = decay
+    d = (pole_dist if pole_dist else eps) * _STRIP_SAFETY
     if d <= 0.0:
         raise QuadError("pole distance must be positive", eps=eps)
-    L = cfg.sharpness * math.log(1.0 / max(cfg.rel_tol, 1e-15))
+    L = _SHARPNESS * math.log(1.0 / max(cfg.rel_tol, 1e-15))
     h = TWO_PI * d / L
     ltol = _log_target(cfg)
     guard = ltol / TWO_PI
-    ym = ltol / TWO_PI + cfg.margin + guard
-    yp = ltol / dp + cfg.margin + guard * max(0, nstages - 1)
+    ym = ltol / dm + _MARGIN + guard
+    yp = ltol / dp + _MARGIN + guard * max(0, nstages - 1)
+    nu = freq + chirp * max(ym, yp)
+    if nu > 0.0:
+        h = 1.0 / (1.0 / h + nu / math.pi)
     nm = int(math.ceil(ym / h / 2.0)) * 2
     npl = int(math.ceil(yp / h / 2.0)) * 2
-    if nm + npl + 1 > cfg.max_chain_nodes:
+    if nm + npl + 1 > _MAX_CHAIN_NODES:
         raise QuadError("chain grid above node budget", nodes=nm + npl + 1)
     ys = h * np.arange(-nm, npl + 1)
     return h, ys
@@ -485,23 +384,29 @@ def chain_pass(stages, eps, h, ys):
     return chi
 
 
-def chain_line_integral(stages, eps, cfg=None, decay_plus=None,
-                        pole_dist=None, prefactor=1.0):
+def chain_line_integral(stages, eps, cfg=None, *, decay, pole_dist=None,
+                        prefactor=1.0, freq=0.0):
     """Iterated integral prod_a int dT_a diff_a(T_a - T_{a-1}) cum_a(T_a)
-    over the lines Re T_a = -a*eps, evaluated by chained convolutions."""
+    over the lines Re T_a = -a*eps, evaluated by chained convolutions.
+
+    decay is the (minus, plus) pair of decay rates of the integrand
+    along the lines (2*pi on the minus side under the measure kernel),
+    freq a bound on its angular frequency along them."""
     cfg = cfg or DEFAULT_CONFIG
     r = len(stages)
     if r == 0:
         return EvalResult(complex(prefactor), 0.0, {"dim": 0})
-    if r > cfg.max_dim:
-        raise QuadError("dimension above configured maximum",
-                        dim=r, max_dim=cfg.max_dim)
-    h, ys = _chain_grid(eps, cfg, decay_plus, r, pole_dist)
+    if r > _MAX_DIM:
+        raise QuadError("dimension above the supported maximum",
+                        dim=r, max_dim=_MAX_DIM)
+    dm, dp = float(decay[0]), float(decay[1])
+    if not (dm > 0.0 and dp > 0.0):
+        raise QuadError("decay hint must be positive", decay=decay)
+    h, ys = _chain_grid(eps, cfg, (dm, dp), r, pole_dist, freq)
 
     chi = chain_pass(stages, eps, h, ys)
     value = complex(prefactor) * (1j ** r) * h * chi.sum()
-    dp = float(decay_plus) if decay_plus else TWO_PI
-    tail = abs(prefactor) * (abs(chi[0]) / TWO_PI + abs(chi[-1]) / dp)
+    tail = abs(prefactor) * (abs(chi[0]) / dm + abs(chi[-1]) / dp)
     _require_finite(value, tail, nodes=len(ys), stage="fine")
     meta = {"dim": r, "eps": eps, "h": h, "nodes": len(ys),
             "U": (float(-ys[0]), float(ys[-1]))}

@@ -25,7 +25,7 @@ from .ohno import (OhnoParams, double_ohno_sum, initial_relation,
                    saalschutz_check, transport_relation)
 from .omega import OmegaParam, Z_omega, Z_omega_monomial, zeta_omega
 from .qseries import QParam, mzv, z_q, z_q_monomial
-from .quad import QuadConfig
+from .quad import QuadConfig, QuadError, _worst
 from .words import (APoly, HbarLaurent, dual_index, harmonic,
                     monomials_up_to_weight, satoh_residual, shuffle, sigma,
                     sigma_monomial, to_a_basis)
@@ -43,6 +43,8 @@ class CheckRecord:
     tolerance: float
     passed: bool
     runtime: float
+    fingerprint: str = ""
+    error: str = ""
 
 
 def _record(name, anchor, lhs, rhs, tolerance, t0,
@@ -157,23 +159,24 @@ def suite_algebra(omega, cfg, max_weight, order, seed, tol):
     qp = QParam()
     qtol = tol if tol is not None else 1e-8
     t0 = time.perf_counter()
-    worst = max(abs(z_q_monomial(m, qp).value
-                    - z_q_monomial(sigma_monomial(m), qp).value)
-                for m in mons)
+    worst = _worst(abs(z_q_monomial(m, qp).value
+                       - z_q_monomial(sigma_monomial(m), qp).value)
+                   for m in mons)
     out.append(_record("q-duality", "Z_q(sigma(m)) = Z_q(m)",
                        worst, 0, qtol, t0, residual=worst))
 
     small_pairs = [(m1, m2) for m1, m2 in pairs
                    if m1.weight + m2.weight <= max_weight + 1]
     t0 = time.perf_counter()
-    worst_sh = worst_ha = worst_ds = 0.0
+    d_sh, d_ha, d_ds = [], [], []
     for m1, m2 in small_pairs:
         prod = z_q_monomial(m1, qp).value * z_q_monomial(m2, qp).value
         sh = z_q(shuffle(m1.to_hpoly(), m2.to_hpoly()), qp)
         ha = z_q(harmonic(APoly.monomial(m1), APoly.monomial(m2)), qp)
-        worst_sh = max(worst_sh, abs(sh.value - prod))
-        worst_ha = max(worst_ha, abs(ha.value - prod))
-        worst_ds = max(worst_ds, abs(sh.value - ha.value))
+        d_sh.append(abs(sh.value - prod))
+        d_ha.append(abs(ha.value - prod))
+        d_ds.append(abs(sh.value - ha.value))
+    worst_sh, worst_ha, worst_ds = _worst(d_sh), _worst(d_ha), _worst(d_ds)
     out.append(_record("q-shuffle", "Z_q(u sh_h v) = Z_q(u) Z_q(v)",
                        worst_sh, 0, qtol, t0, residual=worst_sh))
     out.append(_record("q-harmonic", "Z_q(u *_h v) = Z_q(u) Z_q(v)",
@@ -201,7 +204,6 @@ def _compositions_of(total):
 
 def suite_duality(omega, cfg, max_weight, order, seed, tol):
     p = OmegaParam(omega)
-    cfg = cfg or QuadConfig()
     out = []
     for m in _monomials(max_weight):
         t0 = time.perf_counter()
@@ -225,7 +227,6 @@ def suite_duality(omega, cfg, max_weight, order, seed, tol):
 
 def _product_suite(kind, omega, cfg, max_weight, tol):
     p = OmegaParam(omega)
-    cfg = cfg or QuadConfig()
     out = []
     for m1, m2 in _pairs(max_weight):
         t0 = time.perf_counter()
@@ -275,7 +276,7 @@ def suite_double_shuffle(omega, cfg, max_weight, order, seed, tol):
 
 def suite_gamma(omega, cfg, max_weight, order, seed, tol):
     p = OmegaParam(omega)
-    ctx = GammaContext(p, cfg=cfg or QuadConfig())
+    ctx = GammaContext(p, cfg=cfg)
     w = p.omega
     s0 = ctx.core_band
     res = np.array([-1.7, -0.8, 0.25, 0.9, 1.8])
@@ -285,43 +286,38 @@ def suite_gamma(omega, cfg, max_weight, order, seed, tol):
     out = []
 
     t0 = time.perf_counter()
-    worst = max(abs(np.exp(log_G(z, ctx) + log_G(-z, ctx)) - 1.0)
-                for z in grid)
+    worst = _worst(abs(np.exp(log_G(z, ctx) + log_G(-z, ctx)) - 1.0)
+                   for z in grid)
     out.append(_record("gamma-reflection", "G(z) G(-z) = 1",
                        worst, 0, t_exact, t0, residual=worst))
 
     t0 = time.perf_counter()
-    worst = 0.0
-    for z in grid:
-        lhs = np.exp(log_G(z, ctx) - log_G(z - 1j, ctx))
-        rhs = -2j * np.sinh(math.pi * w * z + 1j * math.pi * (1.0 - w) / 2)
-        worst = max(worst, abs(lhs / rhs - 1.0))
+    worst = _worst(
+        abs(np.exp(log_G(z, ctx) - log_G(z - 1j, ctx))
+            / (-2j * np.sinh(math.pi * w * z + 1j * math.pi * (1.0 - w) / 2))
+            - 1.0) for z in grid)
     out.append(_record("gamma-shift-period-1",
                        "G(z)/G(z - i) = -2i sinh(pi w z + pi i (1-w)/2)",
                        worst, 0, t_exact, t0, residual=worst))
 
     t0 = time.perf_counter()
-    worst = 0.0
-    for z in grid:
-        lhs = np.exp(log_G(z, ctx) - log_G(z - 1j / w, ctx))
-        rhs = -2j * np.sinh(math.pi * z + 1j * math.pi * (1.0 - 1.0 / w) / 2)
-        worst = max(worst, abs(lhs / rhs - 1.0))
+    worst = _worst(
+        abs(np.exp(log_G(z, ctx) - log_G(z - 1j / w, ctx))
+            / (-2j * np.sinh(math.pi * z + 1j * math.pi * (1.0 - 1.0 / w) / 2))
+            - 1.0) for z in grid)
     out.append(_record("gamma-shift-period-1/w",
                        "G(z)/G(z - i/w) = -2i sinh(pi z + pi i (1-1/w)/2)",
                        worst, 0, t_exact, t0, residual=worst))
 
     t0 = time.perf_counter()
     thr = _far_threshold(w)
-    worst = 0.0
     # just inside the far-field switch, so the strip quadrature is what
     # gets compared against the quadratic asymptotic
-    for x in (0.45 * thr, 0.7 * thr, thr - 0.2):
-        for im in (0.0, 0.3 * s0):
-            for sgn in (1.0, -1.0):
-                z = sgn * x + 1j * im
-                d = abs(np.exp(log_G(z, ctx)
-                               - complex(_log_G_far(np.asarray(z), w))) - 1.0)
-                worst = max(worst, d)
+    far = [sgn * x + 1j * im for x in (0.45 * thr, 0.7 * thr, thr - 0.2)
+           for im in (0.0, 0.3 * s0) for sgn in (1.0, -1.0)]
+    worst = _worst(abs(np.exp(log_G(z, ctx)
+                              - complex(_log_G_far(np.asarray(z), w))) - 1.0)
+                   for z in far)
     out.append(_record(
         "gamma-asymptotic",
         "log G(z) ~ -i sgn(Re z)(pi w z^2/2 + pi(w + 1/w)/24)",
@@ -332,15 +328,10 @@ def suite_gamma(omega, cfg, max_weight, order, seed, tol):
 # ---------------------------------------------------------------------------
 # Connector identities
 
-def _connector_cfg(cfg):
-    return cfg or QuadConfig(rel_tol=1e-7, abs_tol=1e-9)
-
-
-def suite_saalschutz(omega, cfg, max_weight, order, seed, tol):
-    p = OmegaParam(omega)
-    ctx = GammaContext(p, cfg=_connector_cfg(cfg))
-    ob = ctx.omega_bar
-    points = [
+def saalschutz_points(ob):
+    """The suite's three points (u1, u2, u4, u5) for strip half-width
+    ob: every Im u_j below ob, Im sum u above 2 ob."""
+    return [
         (0.20 + 0.55j * ob, -0.15 + 0.70j * ob,
          -0.05 + 0.80j * ob, 0.12 + 0.78j * ob),
         (0.05 + 0.60j * ob, 0.10 + 0.72j * ob,
@@ -348,9 +339,14 @@ def suite_saalschutz(omega, cfg, max_weight, order, seed, tol):
         (-0.10 + 0.65j * ob, 0.08 + 0.68j * ob,
          0.15 + 0.75j * ob, 0.02 + 0.82j * ob),
     ]
+
+
+def suite_saalschutz(omega, cfg, max_weight, order, seed, tol):
+    p = OmegaParam(omega)
+    ctx = GammaContext(p, cfg=cfg)
     t = tol if tol is not None else 1e-5
     out = []
-    for i, us in enumerate(points, 1):
+    for i, us in enumerate(saalschutz_points(ctx.omega_bar), 1):
         t0 = time.perf_counter()
         lhs, rhs = saalschutz_check(*us, ctx)
         out.append(_record(
@@ -370,8 +366,7 @@ _OHNO_POINTS = [
 
 def suite_ohno(omega, cfg, max_weight, order, seed, tol):
     p = OmegaParam(omega)
-    ctx = GammaContext(p, cfg=_connector_cfg(cfg))
-    qcfg = ctx.cfg
+    ctx = GammaContext(p, cfg=cfg)
     t_rel = tol if tol is not None else 1e-4
     out = []
     for k in ((1,), (2,)):
@@ -386,8 +381,8 @@ def suite_ohno(omega, cfg, max_weight, order, seed, tol):
 
     t0 = time.perf_counter()
     op = OhnoParams(lam=0.003 + 0.001j, mu=-0.002 + 0.0025j, order=order)
-    gen = ohno_generating((2,), op, p, qcfg)
-    ser = ohno_series((2,), op, p, qcfg)
+    gen = ohno_generating((2,), op, p, cfg)
+    ser = ohno_series((2,), op, p, cfg)
     t = tol if tol is not None else max(
         1e-9, gen.err_estimate + ser.err_estimate)
     out.append(_record(
@@ -398,9 +393,9 @@ def suite_ohno(omega, cfg, max_weight, order, seed, tol):
     t0 = time.perf_counter()
     # only the single-direction row is self-dual; mixed cells need the
     # tau correction layers checked by the extended-do suite
-    diff = max(abs(double_ohno_sum((3,), m, 0, p, qcfg).value
-                   - double_ohno_sum((1, 2), m, 0, p, qcfg).value)
-               for m in range(order + 1))
+    diff = _worst(abs(double_ohno_sum((3,), m, 0, p, cfg).value
+                      - double_ohno_sum((1, 2), m, 0, p, cfg).value)
+                  for m in range(order + 1))
     t = tol if tol is not None else 1e-6
     out.append(_record("ohno-row-duality (3) vs (1,2)",
                        "O_{m,0}(k) = O_{m,0}(k_dual)",
@@ -410,7 +405,7 @@ def suite_ohno(omega, cfg, max_weight, order, seed, tol):
 
 def suite_transport(omega, cfg, max_weight, order, seed, tol):
     p = OmegaParam(omega)
-    ctx = GammaContext(p, cfg=_connector_cfg(cfg))
+    ctx = GammaContext(p, cfg=cfg)
     rng = random.Random(seed)
     rad = 0.006 + 0.006 * rng.random()
     ang = 2.0 * math.pi * rng.random()
@@ -440,12 +435,11 @@ def suite_transport(omega, cfg, max_weight, order, seed, tol):
 
 def suite_extended_do(omega, cfg, max_weight, order, seed, tol):
     p = OmegaParam(omega)
-    qcfg = cfg or QuadConfig()
     out = []
     t0 = time.perf_counter()
-    a = zeta_omega((4,), p, qcfg)
-    b = zeta_omega((1, 3), p, qcfg)
-    c = zeta_omega((2, 2), p, qcfg)
+    a = zeta_omega((4,), p, cfg)
+    b = zeta_omega((1, 3), p, cfg)
+    c = zeta_omega((2, 2), p, cfg)
     t = tol if tol is not None else 1e-6
     out.append(_record("zeta sum rule (4)=(1,3)+(2,2)",
                        "zeta_w(4) = zeta_w(1,3) + zeta_w(2,2)",
@@ -457,8 +451,8 @@ def suite_extended_do(omega, cfg, max_weight, order, seed, tol):
                           x_word(order))
     rhs_word = series_mul(series_mul(y_word(order), tau_letter("x", order)),
                           x_word(order))
-    ta = omega_Omega(lhs_word, op, p, qcfg)
-    tb = omega_Omega(rhs_word, op, p, qcfg)
+    ta = omega_Omega(lhs_word, op, p, cfg)
+    tb = omega_Omega(rhs_word, op, p, cfg)
     diff = ta.max_abs_diff(tb)
     t = tol if tol is not None else 1e-5
     out.append(_record("omega-table y x x vs y tau(x) x",
@@ -471,7 +465,6 @@ def suite_extended_do(omega, cfg, max_weight, order, seed, tol):
 # Classical limit
 
 def suite_limit(omega, cfg, max_weight, order, seed, tol):
-    qcfg = cfg or QuadConfig()
     steps = (0.2, 0.1, 0.05, 0.02)
     pi26 = math.pi ** 2 / 6.0
     g1 = _monomials(1)[0]
@@ -479,9 +472,9 @@ def suite_limit(omega, cfg, max_weight, order, seed, tol):
     mags = []
     for w in steps:
         p = OmegaParam(w)
-        gaps.append(abs(zeta_omega((2,), p, qcfg).value - pi26))
+        gaps.append(abs(zeta_omega((2,), p, cfg).value - pi26))
         mags.append(abs(p.hbar_value
-                        * Z_omega_monomial(g1, p, qcfg).value))
+                        * Z_omega_monomial(g1, p, cfg).value))
     out = []
     for i in range(len(steps) - 1):
         t0 = time.perf_counter()
@@ -538,14 +531,35 @@ SUITES = {
 }
 
 
+# The connector identities are checked at tolerances around 1e-4, so
+# the default 1e-9 target would only buy grid.
+_SUITE_CFG = dict.fromkeys(("saalschutz", "ohno", "transport"),
+                           QuadConfig(rel_tol=1e-7, abs_tol=1e-9))
+
+
 def run_suite(name, omega=1.0, cfg=None, max_weight=4, order=2, seed=0,
               tol=None):
-    """Run one named suite (or "all") and return its CheckRecords."""
-    if name == "all":
-        out = []
-        for suite in SUITES.values():
-            out.extend(suite(omega, cfg, max_weight, order, seed, tol))
-        return out
-    if name not in SUITES:
+    """Run one named suite (or "all") and return its CheckRecords.
+
+    Each suite runs at cfg if given, else at its own configuration
+    (rel_tol 1e-7 and abs_tol 1e-9 for the connector suites, the
+    default QuadConfig() for the rest), and each record carries the
+    fingerprint of the configuration it ran at.  A suite that raises
+    QuadError yields one failed record whose `error` holds the message;
+    the others still run."""
+    if name != "all" and name not in SUITES:
         raise KeyError("unknown suite %r" % name)
-    return SUITES[name](omega, cfg, max_weight, order, seed, tol)
+    out = []
+    for key in (SUITES if name == "all" else (name,)):
+        scfg = cfg or _SUITE_CFG.get(key, QuadConfig())
+        t0 = time.perf_counter()
+        try:
+            records = SUITES[key](omega, scfg, max_weight, order, seed, tol)
+        except QuadError as exc:
+            records = [_record(key, "the suite raised QuadError", math.nan,
+                               math.nan, 0.0, t0, residual=math.nan)]
+            records[0].error = str(exc)
+        for rec in records:
+            rec.fingerprint = scfg.fingerprint()
+        out.extend(records)
+    return out

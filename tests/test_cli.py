@@ -74,7 +74,21 @@ def test_eval_quad_error_is_exit_3(runner):
 def test_verify_quad_error_is_exit_3(runner):
     res = runner.invoke(cli, ["verify", "shuffle", "--omega", "0.0005"])
     assert res.exit_code == 3
-    assert "node budget" in res.output
+    # the report is still written, with the error as one failed check
+    report = json.loads(res.output)
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert len(failed) == 1 and report["summary"]["failed"] == 1
+    assert "node budget" in failed[0]["error"]
+
+
+def test_verify_records_each_suite_config(runner):
+    """The connector suites run at rel_tol 1e-7, and their checks say so."""
+    res = runner.invoke(cli, ["verify", "saalschutz"])
+    assert res.exit_code == 0
+    report = json.loads(res.output)
+    assert "fingerprint" not in report["config"]
+    assert ({c["fingerprint"] for c in report["checks"]}
+            == {"r1e-07,a1e-09,m6,s0.8,q2.2"})
 
 
 def test_ohno_quad_error_is_exit_3(runner):
@@ -100,7 +114,7 @@ def test_verify_algebra_matches_golden(runner, tmp_path):
     assert fresh["config"] == golden["config"]
     for got, want in zip(fresh["checks"], golden["checks"], strict=True):
         assert got.keys() == want.keys()
-        for key in ("name", "anchor", "pass", "tolerance"):
+        for key in ("name", "anchor", "pass", "tolerance", "fingerprint"):
             assert got[key] == want[key], got["name"]
         assert got["lhs"] == pytest.approx(want["lhs"], abs=1e-12)
         assert got["rhs"] == pytest.approx(want["rhs"], abs=1e-12)

@@ -6,12 +6,14 @@ import math
 
 import pytest
 
-from omzv import (OhnoParams, OmegaParam, QuadError, compositions, d_norm,
-                  double_ohno_sum, dual_index, initial_relation,
-                  ohno_generating, ohno_series, ohno_table, omega_Omega,
-                  saalschutz_check, transport_relation, zeta_omega)
+from omzv import (GammaContext, OhnoParams, OhnoTable, OmegaParam,
+                  QuadError, compositions, d_norm, double_ohno_sum,
+                  dual_index, initial_relation, ohno_generating,
+                  ohno_series, ohno_table, omega_Omega, saalschutz_check,
+                  transport_relation, zeta_omega)
 from omzv.ncseries import series_mul, tau_letter, x_word, y_word
 from omzv.ohno import connected_expansion, connected_integral
+from omzv.verify import saalschutz_points
 
 
 def test_compositions():
@@ -96,12 +98,16 @@ def test_connected_sum_at_origin(ctx1, fast_cfg, p1):
     assert abs(res.value - want) / abs(want) < 1e-6
 
 
-def test_saalschutz_point(ctx1, fast_cfg):
-    ob = ctx1.omega_bar
-    lhs, rhs = saalschutz_check(0.20 + 0.55j * ob, -0.15 + 0.70j * ob,
-                                -0.05 + 0.80j * ob, 0.12 + 0.78j * ob,
-                                ctx1, fast_cfg)
-    assert abs(lhs.value - rhs) / abs(rhs) < 1e-5
+@pytest.mark.parametrize("point", [0, 1, 2])
+@pytest.mark.parametrize("omega", [0.05, 0.3, 0.6, 1.0, 1.4, 1.8, 1.9])
+def test_saalschutz_point(fast_cfg, omega, point):
+    """The trapezoid line integral meets the closed product to rounding,
+    and its error estimate bounds the difference."""
+    ctx = GammaContext(OmegaParam(omega), cfg=fast_cfg)
+    us = saalschutz_points(ctx.omega_bar)[point]
+    lhs, rhs = saalschutz_check(*us, ctx)
+    assert abs(lhs.value - rhs) / abs(rhs) <= 1e-12
+    assert abs(lhs.value - rhs) <= lhs.err_estimate
 
 
 def test_saalschutz_region_guards(ctx1, fast_cfg):
@@ -137,3 +143,16 @@ def test_omega_table_respects_tau(p1, fast_cfg):
     ta = omega_Omega(lhs_word, op, p1, fast_cfg)
     tb = omega_Omega(rhs_word, op, p1, fast_cfg)
     assert ta.max_abs_diff(tb) < 1e-5
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (1, 0), (0, 2)])
+def test_table_diff_keeps_nan(cell):
+    """A NaN cell anywhere in the triangle makes the largest difference
+    NaN, so no check can pass on it."""
+    a, b = OhnoTable(2), OhnoTable(2)
+    for m in range(3):
+        for n in range(3 - m):
+            a.set(m, n, 1.0 + m + 2j * n)
+            b.set(m, n, 1.5 + m + 2j * n)
+    b.set(*cell, complex(math.nan, 0.0))
+    assert math.isnan(a.max_abs_diff(b))

@@ -8,8 +8,7 @@ import pytest
 
 from omzv import OmegaParam, QuadConfig, QuadError, quad, zeta_omega
 from omzv.omega import clear_value_cache
-from omzv.quad import (ChainStage, chain_line_integral, integrate_real_line,
-                       measure_kernel)
+from omzv.quad import ChainStage, chain_line_integral, measure_kernel
 
 TWO_PI = 2.0 * math.pi
 
@@ -25,10 +24,10 @@ def kernel_decay(alpha):
 
 
 def line_integral(f, eps, cfg, decay):
-    """Integral of f over the line Re t = -eps, upward: i times the real
-    line integral of u -> f(-eps + i u).  Returns (value, err)."""
-    res = integrate_real_line(lambda u: f(-eps + 1j * u), cfg, decay=decay)
-    return 1j * res.value, res.err_estimate
+    """Integral of f over the line Re t = -eps, upward, as the depth-1
+    chain whose one stage is f.  Returns (value, err)."""
+    res = chain_line_integral([ChainStage(diff=f)], eps, cfg, decay=decay)
+    return res.value, res.err_estimate
 
 
 def test_kernel_lemma_midpoint(cfg):
@@ -56,21 +55,6 @@ def test_line_is_eps_independent(cfg):
     assert max(abs(v - vals[0]) for v in vals) < 1e-10
 
 
-def test_real_line_sech(cfg):
-    res = integrate_real_line(lambda x: 1.0 / np.cosh(np.pi * x), cfg,
-                              decay=(math.pi, math.pi))
-    assert res.value == pytest.approx(1.0, abs=1e-10)
-
-
-def test_real_line_gaussian_with_oscillation(cfg):
-    # int e^(-x^2) cos(3x) dx = sqrt(pi) e^(-9/4)
-    res = integrate_real_line(lambda x: np.exp(-x * x) * np.cos(3.0 * x),
-                              QuadConfig(half_width=8.0), decay=(2.0, 2.0),
-                              osc=3.0)
-    exact = math.sqrt(math.pi) * math.exp(-2.25)
-    assert res.value == pytest.approx(exact, rel=1e-9)
-
-
 @pytest.mark.parametrize("a1, a2", [(0.3 + 0.2j, 0.2 + 0.3j),
                                     (-0.4 + 0.1j, 0.1 + 0.5j)])
 def test_chain_kernel_lemma_depth2(cfg, a1, a2):
@@ -81,7 +65,7 @@ def test_chain_kernel_lemma_depth2(cfg, a1, a2):
               ChainStage(cum=lambda t: np.exp(a2 * t))]
     exact = 1.0 / ((cmath.exp(a1 + a2) - 1.0) * (cmath.exp(a2) - 1.0))
     res = chain_line_integral(stages, 0.2, cfg,
-                              decay_plus=min(a2.imag, (a1 + a2).imag))
+                              decay=(TWO_PI, min(a2.imag, (a1 + a2).imag)))
     assert abs(res.value - exact) <= res.err_estimate
 
 
@@ -145,7 +129,7 @@ def test_non_finite_chain_raises(cfg):
     stages = [ChainStage(cum=spike),
               ChainStage(cum=lambda t: np.exp(0.5j * t))]
     with pytest.raises(QuadError) as info:
-        chain_line_integral(stages, 0.2, cfg, decay_plus=0.5)
+        chain_line_integral(stages, 0.2, cfg, decay=(TWO_PI, 0.5))
     assert info.value.detail["stage"] == "fine"
     assert info.value.detail["nodes"] > 0
 
@@ -168,4 +152,7 @@ def test_config_fingerprint_tracks_settings():
     base = QuadConfig()
     assert base.fingerprint() == QuadConfig().fingerprint()
     assert QuadConfig(rel_tol=1e-7).fingerprint() != base.fingerprint()
-    assert QuadConfig(panel_order=20).fingerprint() != base.fingerprint()
+    assert QuadConfig(abs_tol=1e-9).fingerprint() != base.fingerprint()
+    # the grid constants stay in the text, so changing one changes the
+    # keys of the value store
+    assert base.fingerprint() == "r1e-09,a1e-12,m6,s0.8,q2.2"

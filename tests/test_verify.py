@@ -1,0 +1,46 @@
+"""Verification suites: worst-case batteries never pass on NaN."""
+
+import math
+
+import pytest
+
+from omzv import EvalResult, QuadConfig, verify
+from omzv.quad import _worst
+
+
+@pytest.mark.parametrize("values", [[math.nan, 1.0, 2.0],
+                                    [1.0, math.nan, 2.0],
+                                    [1.0, 2.0, math.nan]])
+def test_worst_keeps_nan(values):
+    assert math.isnan(_worst(values))
+    assert _worst(v for v in values if not math.isnan(v)) == 2.0
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+def test_one_nan_case_fails_the_check(monkeypatch, position):
+    """A NaN shuffle value in one pair of the q-series battery, wherever
+    the pair falls, fails the checks that read it instead of dropping
+    out of their maximum; the harmonic check, which does not, passes."""
+    z_q = verify.z_q
+    calls = []
+
+    def spy(poly, qp):
+        calls.append(poly)
+        if len(calls) == target:
+            return EvalResult(complex(math.nan, math.nan), 0.0)
+        return z_q(poly, qp)
+
+    monkeypatch.setattr(verify, "z_q", spy)
+    target = 0
+    verify.suite_algebra(1.0, QuadConfig(), 2, 2, 0, None)
+    pairs = len(calls) // 2
+    index = {"first": 0, "middle": pairs // 2, "last": pairs - 1}[position]
+    # z_q is called for the shuffle side, then the harmonic side
+    calls.clear()
+    target = 2 * index + 1
+    records = verify.suite_algebra(1.0, QuadConfig(), 2, 2, 0, None)
+    by_name = {r.name: r for r in records}
+    for name in ("q-shuffle", "q-double-shuffle"):
+        assert math.isnan(by_name[name].residual)
+        assert not by_name[name].passed
+    assert by_name["q-harmonic"].passed
