@@ -31,7 +31,7 @@ from .qseries import QParam, mzv, z_q, z_q_monomial
 from .quad import EvalResult, QuadConfig, QuadError
 from .verify import CheckRecord, SUITES, run_suite
 from .words import (ALetter, AMonomial, APoly, HPoly, HbarLaurent,
-                    dual_index, harmonic, index_to_e_word, index_to_g_word,
+                    dual_index, harmonic, index_to_e_word,
                     monomials_up_to_weight, parse_amonomial, parse_apoly,
                     parse_hpoly, parse_index, parse_word, satoh_residual,
                     shuffle, sigma, sigma_monomial, to_a_basis)
@@ -47,7 +47,7 @@ __all__ = [
     "circle_coefficients", "compositions",
     "connected_expansion", "connected_integral", "d_norm",
     "double_ohno_sum", "dual_index", "harmonic",
-    "index_to_e_word", "index_to_g_word", "index_to_xy_word",
+    "index_to_e_word", "index_to_xy_word",
     "initial_relation", "install_cache", "inverse_x_variable", "log_G",
     "monomials_up_to_weight", "mzv", "ohno_generating", "ohno_series",
     "ohno_table", "omega_Omega", "parse_amonomial", "parse_apoly",

@@ -45,7 +45,7 @@ def _complex_arg(text):
 
 def _jsonable(x):
     if isinstance(x, complex):
-        return [x.real, x.imag]
+        return [_jsonable(x.real), _jsonable(x.imag)]
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):
@@ -53,14 +53,14 @@ def _jsonable(x):
     if isinstance(x, (bool, int, str)) or x is None:
         return x
     if isinstance(x, float):
-        return x
+        return x if cmath.isfinite(x) else None   # NaN, inf: not JSON
     if hasattr(x, "item"):
         return _jsonable(x.item())
     return str(x)
 
 
 def _emit(report, out):
-    text = json.dumps(_jsonable(report), indent=2) + "\n"
+    text = json.dumps(_jsonable(report), indent=2, allow_nan=False) + "\n"
     if out:
         with open(out, "w") as f:
             f.write(text)

@@ -20,6 +20,11 @@ are one type of finite linear combination with different keys.  The
 structure constants of both products are integers, so coefficients are
 Python ints; a Fraction appears only where one is put in (a p/q in
 parsed text, or a non-integral rational passed by a caller).
+
+The products run on flat term dicts {(key, e): c}, key an a/b string
+(shuffle) or an int tuple, 0 = E and k = G(k) (harmonic), e the power of
+h.  The public functions flatten their HPoly/APoly arguments and group
+the result into HbarLaurent coefficients once, at return.
 """
 
 import functools
@@ -42,7 +47,6 @@ __all__ = [
     "to_a_basis",
     "check_index",
     "index_to_e_word",
-    "index_to_g_word",
     "dual_index",
     "parse_index",
     "parse_word",
@@ -53,15 +57,28 @@ __all__ = [
 ]
 
 # Bounds of the memos of the word products, about twice the entries that
-# `omzv verify algebra --max-weight 5` holds (15,170 and 8,878); the
-# tier-1 tests hold at most 8,472 and 2,146, one algebra benchmark pass
-# fewer.
+# `omzv verify algebra --max-weight 5` holds (15,170 and 8,878); tier-1,
+# which runs that battery too, holds 21,157 and 9,582, and one algebra
+# benchmark pass about 5,600 and 2,000.
 _SHUFFLE_CACHE_SIZE = 32768
 _HARMONIC_CACHE_SIZE = 16384
 
 
 # ---------------------------------------------------------------------------
 # Linear combinations
+
+def _merge(t, pairs):
+    """Add the (key, coefficient) pairs into the term dict t, dropping the
+    zero sums; returns t."""
+    for k, c in pairs:
+        s = t.get(k)
+        s = c if s is None else s + c
+        if s:
+            t[k] = s
+        else:
+            t.pop(k, None)
+    return t
+
 
 def _rational(q):
     """q as an int when it is integral, else as a Fraction."""
@@ -99,18 +116,6 @@ class _LinComb:
         r.t = t
         return r
 
-    @staticmethod
-    def _merge(t, pairs):
-        """Add the (key, coefficient) pairs into the term dict t."""
-        for k, c in pairs:
-            s = t.get(k)
-            s = c if s is None else s + c
-            if s:
-                t[k] = s
-            else:
-                t.pop(k, None)
-        return t
-
     @classmethod
     def _of(cls, x):
         return x
@@ -122,14 +127,6 @@ class _LinComb:
     @classmethod
     def one(cls):
         return cls({cls._UNIT: 1})
-
-    @classmethod
-    def total(cls, parts):
-        """Sum of an iterable of combinations, accumulated in one dict."""
-        t = {}
-        for p in parts:
-            cls._merge(t, p.t.items())
-        return cls._make(t)
 
     def is_zero(self):
         return not self.t
@@ -148,7 +145,7 @@ class _LinComb:
         return hash(frozenset(self.t.items()))
 
     def __add__(self, other):
-        return self._make(self._merge(dict(self.t), self._of(other).t.items()))
+        return self._make(_merge(dict(self.t), self._of(other).t.items()))
 
     def __neg__(self):
         return self._make({k: -c for k, c in self.t.items()})
@@ -160,20 +157,9 @@ class _LinComb:
         """Product of the keys (exponent sum, concatenation) extended
         bilinearly."""
         other = self._of(other)
-        return self._make(self._merge({}, (
+        return self._make(_merge({}, (
             (k1 + k2, c1 * c2)
             for k1, c1 in self.t.items() for k2, c2 in other.t.items())))
-
-    def scaled(self, c):
-        """Every coefficient times the coefficient-ring element c."""
-        c = self._coeff(c)
-        if not c:
-            return self._make({})
-        return self._make({k: q * c for k, q in self.t.items()})
-
-    def appended(self, key):
-        """Every key k replaced by k + key (a shift or a suffix)."""
-        return self._make({k + key: c for k, c in self.t.items()})
 
     def items_sorted(self):
         return sorted(self.t.items(), key=lambda kc: self._sort_key(kc[0]))
@@ -241,9 +227,6 @@ class HbarLaurent(_LinComb):
     def __rsub__(self, other):
         return HbarLaurent.of(other) + (-self)
 
-    # multiplying by h**k shifts every exponent by k
-    shifted = _LinComb.appended
-
     def is_polynomial(self):
         """True when no negative power of h occurs."""
         return all(e >= 0 for e in self.t)
@@ -286,32 +269,60 @@ class HPoly(_LinComb):
 
 
 # ---------------------------------------------------------------------------
+# Flat term dicts {(key, e): c}
+
+def _flat(p, key=str):
+    """The terms of an HPoly (or, with `_indices`, an APoly) as
+    {(key, e): c}, one per power h^e of each coefficient."""
+    return {(key(k), e): c for k, q in p.t.items() for e, c in q.t.items()}
+
+
+def _grouped(cls, t):
+    """Inverse of `_flat`: t as a `cls` with HbarLaurent coefficients."""
+    out = {}
+    for (k, e), c in t.items():
+        out.setdefault(k, {})[e] = c
+    return cls._make({k: HbarLaurent._make(q) for k, q in out.items()})
+
+
+def _product(kernel, f1, f2):
+    """Bilinear extension of a memoized word kernel to flat term dicts."""
+    t = {}
+    for (k1, e1), c1 in f1.items():
+        for (k2, e2), c2 in f2.items():
+            c, s = c1 * c2, e1 + e2
+            _merge(t, (((k, e + s), q * c)
+                       for (k, e), q in kernel(k1, k2).items()))
+    return t
+
+
+# ---------------------------------------------------------------------------
 # Shuffle product with h-correction
 #
 # Recursion on last letters:
 #   w*1 = 1*w = w
 #   (w b) sh w'      = (w sh w') b        (either factor ending in b)
 #   (w a) sh (w' a)  = (w a sh w' + w sh w' a + h * (w sh w')) a
+# Memo values are shared, so a merge into one starts from a copy.
 
 @functools.lru_cache(maxsize=_SHUFFLE_CACHE_SIZE)
-def shuffle_words(w1, w2):
-    if not w1:
-        return HPoly.word(w2)
-    if not w2:
-        return HPoly.word(w1)
-    if w1[-1] == "b":
-        return shuffle_words(w1[:-1], w2).appended("b")
-    if w2[-1] == "b":
-        return shuffle_words(w1, w2[:-1]).appended("b")
-    s = HPoly.total((shuffle_words(w1[:-1], w2), shuffle_words(w1, w2[:-1]),
-                     shuffle_words(w1[:-1], w2[:-1]).scaled(_H)))
-    return s.appended("a")
+def _shuffle_terms(w1, w2):
+    if not w1 or not w2:
+        return {(w1 + w2, 0): 1}
+    if w1[-1] == "b" or w2[-1] == "b":
+        t = (_shuffle_terms(w1[:-1], w2) if w1[-1] == "b"
+             else _shuffle_terms(w1, w2[:-1]))
+        return {(w + "b", e): c for (w, e), c in t.items()}
+    t = dict(_shuffle_terms(w1[:-1], w2))
+    _merge(t, _shuffle_terms(w1, w2[:-1]).items())
+    _merge(t, (((w, e + 1), c)
+               for (w, e), c in _shuffle_terms(w1[:-1], w2[:-1]).items()))
+    return {(w + "a", e): c for (w, e), c in t.items()}
 
 
 def shuffle(p1, p2):
     """Bilinear extension of the word shuffle to HPoly arguments."""
-    return HPoly.total(shuffle_words(w1, w2).scaled(c1 * c2)
-                       for w1, c1 in p1.t.items() for w2, c2 in p2.t.items())
+    return _grouped(HPoly, _product(_shuffle_terms, _flat(p1), _flat(p2)))
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +331,17 @@ def shuffle(p1, p2):
 class ALetter:
     """Letter of the distinguished alphabet: E or G(k).
 
-    Encoded by a single integer, 0 for E and k >= 1 for G(k).
+    Encoded by a single integer, 0 for E and k >= 1 for G(k).  Interned
+    in `_LETTERS`, one per k, letters compare and hash by identity.
     """
 
     __slots__ = ("k",)
 
-    def __init__(self, k):
-        k = int(k)
-        if k < 0:
-            raise ValueError("letter index must be >= 0")
-        self.k = k
+    def __new__(cls, k):
+        return _LETTERS[int(k)]
+
+    def __reduce__(self):
+        return ALetter, (self.k,)
 
     @property
     def is_e(self):
@@ -338,12 +350,6 @@ class ALetter:
     @property
     def weight(self):
         return self.k if self.k else 1
-
-    def __eq__(self, other):
-        return isinstance(other, ALetter) and self.k == other.k
-
-    def __hash__(self):
-        return hash(("ALetter", self.k))
 
     def __lt__(self, other):
         return self.k < other.k
@@ -354,12 +360,19 @@ class ALetter:
     def __repr__(self):
         return "E" if self.k == 0 else "G(%d)" % self.k
 
-    def to_hpoly(self):
-        if self.k == 0:
-            return HPoly.word("b", _H)
-        return HPoly.word("b" + "a" * self.k)
+
+class _Letters(dict):
+    """Interned letters by index: looking up a new index makes one."""
+
+    def __missing__(self, k):
+        if k < 0:
+            raise ValueError("letter index must be >= 0")
+        letter = object.__new__(ALetter)
+        letter.k = k
+        return self.setdefault(k, letter)   # one letter even under threads
 
 
+_LETTERS = _Letters()
 E = ALetter(0)
 
 
@@ -395,12 +408,6 @@ class AMonomial:
 
     def __hash__(self):
         return hash(self.letters)
-
-    def __add__(self, other):
-        """Concatenation."""
-        m = AMonomial.__new__(AMonomial)
-        m.letters = self.letters + other.letters
-        return m
 
     def _order(self):
         """Canonical order: by length, then by letter indices."""
@@ -442,10 +449,8 @@ class AMonomial:
         return AMonomial(letters)
 
     def to_hpoly(self):
-        p = HPoly.one()
-        for l in self.letters:
-            p = p * l.to_hpoly()
-        return p
+        """The single word prod b a^k times h^(#E)."""
+        return APoly.monomial(self).to_hpoly()
 
     def __str__(self):
         if not self.letters:
@@ -475,10 +480,19 @@ class APoly(_LinComb):
 
     @staticmethod
     def from_hpoly(p):
-        return APoly._make({m: c for c, m in to_a_basis(p)})
+        """Rewrite an HPoly whose words all start with b (or are empty),
+        terms in canonical order: each maximal block b a^k becomes G(k),
+        a bare b becomes h^-1 * E."""
+        t = {}
+        for (w, e), c in _flat(p).items():
+            if w and w[0] != "b":
+                raise ValueError("word %r does not start with b" % w)
+            m = tuple(map(len, w.split("b")[1:]))
+            t[AMonomial(map(_LETTERS.__getitem__, m)), e - m.count(0)] = c
+        return APoly._make(dict(_grouped(APoly, t).items_sorted()))
 
     def to_hpoly(self):
-        return HPoly.total(m.to_hpoly().scaled(c) for m, c in self.t.items())
+        return _grouped(HPoly, _ab_terms(_flat(self, _indices)))
 
 
 # ---------------------------------------------------------------------------
@@ -486,37 +500,42 @@ class APoly(_LinComb):
 #
 #   (w u) * (w' v) = (w * w'v) u + (wu * w') v + (w * w') (u o v)
 # with the letter contraction
-#   E o E = h E,   E o G(k) = h G(k),   G(k) o G(l) = G(k+l).
-
-def _contract(u, v):
-    if u.is_e and v.is_e:
-        return _H, E
-    if u.is_e:
-        return _H, v
-    if v.is_e:
-        return _H, u
-    return _ONE, ALetter(u.k + v.k)
-
+#   E o E = h E,   E o G(k) = h G(k),   G(k) o G(l) = G(k+l),
+# which on letter indices is u o v = h^[u v == 0] (u + v).
 
 @functools.lru_cache(maxsize=_HARMONIC_CACHE_SIZE)
-def _harmonic_tuples(l1, l2):
-    if not l1:
-        return APoly.monomial(AMonomial(l2))
-    if not l2:
-        return APoly.monomial(AMonomial(l1))
+def _harmonic_terms(l1, l2):
+    if not l1 or not l2:
+        return {(l1 + l2, 0): 1}
     u, v = l1[-1], l2[-1]
-    q, w = _contract(u, v)
-    return APoly.total((
-        _harmonic_tuples(l1[:-1], l2).appended(AMonomial((u,))),
-        _harmonic_tuples(l1, l2[:-1]).appended(AMonomial((v,))),
-        _harmonic_tuples(l1[:-1], l2[:-1]).appended(AMonomial((w,)))
-        .scaled(q)))
+    t = {(m + (u,), e): c
+         for (m, e), c in _harmonic_terms(l1[:-1], l2).items()}
+    _merge(t, (((m + (v,), e), c)
+               for (m, e), c in _harmonic_terms(l1, l2[:-1]).items()))
+    w, q = (u + v,), int(not (u and v))
+    _merge(t, (((m + w, e + q), c)
+               for (m, e), c in _harmonic_terms(l1[:-1], l2[:-1]).items()))
+    return t
+
+
+def _indices(m):
+    """The letter indices of the monomial m."""
+    return tuple(l.k for l in m.letters)
+
+
+def _ab_terms(t):
+    """Flat A-monomial terms as flat a/b terms: (m, e) becomes the word
+    b a^k1 ... b a^kr of m at h^(e + #E).  Distinct monomials have
+    distinct words."""
+    return {("".join(["b" + "a" * k for k in m]), e + m.count(0)): c
+            for (m, e), c in t.items()}
 
 
 def harmonic(p1, p2):
     """Bilinear extension of the harmonic product to APoly arguments."""
-    return APoly.total(_harmonic_tuples(m1.letters, m2.letters).scaled(c1 * c2)
-                       for m1, c1 in p1.t.items() for m2, c2 in p2.t.items())
+    t = _product(_harmonic_terms, _flat(p1, _indices), _flat(p2, _indices))
+    return _grouped(APoly, {(AMonomial(map(_LETTERS.__getitem__, m)), e): c
+                            for (m, e), c in t.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +544,17 @@ def harmonic(p1, p2):
 _SWAP = str.maketrans("ab", "ba")
 
 
+def _sigma_terms(t):
+    """`sigma` on flat a/b terms."""
+    return {(w[::-1].translate(_SWAP), e + 2 * w.count("a") - len(w)): c
+            for (w, e), c in t.items()}
+
+
 def sigma(p):
     """Antiautomorphism: reverse each word, swap a <-> b, and multiply the
     coefficient by h**(#a - #b).  sigma is Q[h,h^-1]-linear and an
     involution."""
-    return HPoly._make({w[::-1].translate(_SWAP): c.shifted(2 * w.count("a")
-                                                            - len(w))
-                        for w, c in p.t.items()})
+    return _grouped(HPoly, _sigma_terms(_flat(p)))
 
 
 def sigma_monomial(m):
@@ -547,7 +570,7 @@ def satoh_residual(p1, p2):
 
     Both arguments (HPoly or APoly) must lie in the span of admissible
     monomials with h-polynomial coefficients; the result is identically
-    zero.
+    zero.  Both sides are compared as flat a/b terms.
     """
     a1 = p1 if isinstance(p1, APoly) else APoly.from_hpoly(p1)
     a2 = p2 if isinstance(p2, APoly) else APoly.from_hpoly(p2)
@@ -557,31 +580,20 @@ def satoh_residual(p1, p2):
                 raise ValueError("argument not in the admissible span")
             if not c.is_polynomial():
                 raise ValueError("argument has h^-1 terms after rewriting")
-    h1, h2 = a1.to_hpoly(), a2.to_hpoly()
-    harm = harmonic(a1, a2).to_hpoly()
-    sh = sigma(shuffle(sigma(h1), sigma(h2)))
-    return harm - sh
+    f1, f2 = _flat(a1, _indices), _flat(a2, _indices)
+    t = _ab_terms(_product(_harmonic_terms, f1, f2))
+    s1, s2 = (_sigma_terms(_ab_terms(f)) for f in (f1, f2))
+    sh = _sigma_terms(_product(_shuffle_terms, s1, s2))
+    _merge(t, ((k, -c) for k, c in sh.items()))
+    return _grouped(HPoly, t)
 
 
 # ---------------------------------------------------------------------------
 # Rewriting a/b words in the distinguished alphabet
 
-def _a_term(w, c):
-    """The word w (empty or starting with b) times c as one A-monomial
-    term: each maximal block b a^k becomes G(k), a bare b becomes
-    h^-1 * E."""
-    if w and w[0] != "b":
-        raise ValueError("word %r does not start with b" % w)
-    letters = [ALetter(len(run)) for run in w.split("b")[1:]]
-    return AMonomial(letters), c.shifted(-letters.count(E))
-
-
 def to_a_basis(p):
-    """Rewrite an HPoly whose words all start with b (or are empty) as a
-    list of (coefficient, AMonomial) pairs, sorted canonically."""
-    terms = APoly._make(APoly._merge({}, (_a_term(w, c)
-                                          for w, c in p.t.items())))
-    return [(c, m) for m, c in terms.items_sorted()]
+    """`APoly.from_hpoly` as a list of (coefficient, AMonomial) pairs."""
+    return [(c, m) for m, c in APoly.from_hpoly(p).t.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +610,6 @@ def check_index(k, admissible=True):
         raise ValueError("index %r is not admissible (last entry must be "
                          ">= 2)" % (k,))
     return k
-
-
-def index_to_g_word(k):
-    """The monomial G(k_1) ... G(k_r)."""
-    return AMonomial([ALetter(e) for e in check_index(k, admissible=False)])
 
 
 def index_to_e_word(k):
@@ -885,12 +892,4 @@ def monomials_up_to_weight(w_max, admissible_only=True):
         out.extend(new)
     if admissible_only:
         out = [m for m in out if m.is_admissible()]
-    seen = set()
-    uniq = []
-    for m in out:
-        if m not in seen:
-            seen.add(m)
-            uniq.append(m)
-    uniq.sort(key=lambda m: (m.weight, len(m.letters),
-                             tuple(l.k for l in m.letters)))
-    return uniq
+    return sorted(out, key=lambda m: (m.weight, m._order()))

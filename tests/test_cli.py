@@ -74,11 +74,17 @@ def test_eval_quad_error_is_exit_3(runner):
 def test_verify_quad_error_is_exit_3(runner):
     res = runner.invoke(cli, ["verify", "shuffle", "--omega", "0.0005"])
     assert res.exit_code == 3
-    # the report is still written, with the error as one failed check
-    report = json.loads(res.output)
+    # the report is still written, with the error as one failed check,
+    # and is strict JSON: its NaN residual is written as null
+    report = json.loads(res.output, parse_constant=_reject_constant)
     failed = [c for c in report["checks"] if not c["pass"]]
     assert len(failed) == 1 and report["summary"]["failed"] == 1
     assert "node budget" in failed[0]["error"]
+    assert failed[0]["residual"] is None
+
+
+def _reject_constant(name):
+    raise ValueError("non-standard JSON constant %s" % name)
 
 
 def test_verify_records_each_suite_config(runner):

@@ -44,3 +44,13 @@ def test_one_nan_case_fails_the_check(monkeypatch, position):
         assert math.isnan(by_name[name].residual)
         assert not by_name[name].passed
     assert by_name["q-harmonic"].passed
+
+
+def test_satoh_zero_at_weight_5():
+    """The double shuffle identity on the full weight-5 battery: every
+    unordered pair of the 88 non-empty admissible monomials."""
+    mons = verify._monomials(5)
+    assert len(mons) * (len(mons) + 1) // 2 == 3916
+    records = verify.suite_algebra(1.0, QuadConfig(), 5, 2, 0, None)
+    satoh, = [r for r in records if r.name == "satoh-zero"]
+    assert satoh.passed and satoh.residual == 0.0
