@@ -25,8 +25,7 @@ from .ohno import (OhnoParams, OhnoTable, compositions, connected_expansion,
                    ohno_table, omega_Omega, saalschutz_check,
                    transport_relation)
 from .omega import (OmegaParam, Z_omega, Z_omega_monomial,
-                    circle_coefficients, inverse_x_variable, r1_generating,
-                    r1_recurrence, r_omega_integral, zeta_omega)
+                    inverse_x_variable, zeta_omega)
 from .qseries import QParam, mzv, z_q, z_q_monomial
 from .quad import EvalResult, QuadConfig, QuadError
 from .verify import CheckRecord, SUITES, run_suite
@@ -44,7 +43,7 @@ __all__ = [
     "CheckRecord", "EvalResult", "GammaContext", "OhnoParams", "OhnoTable",
     "OmegaParam", "QParam", "QuadConfig", "QuadError", "SUITES",
     "ValueCache", "XSeries", "Z_omega", "Z_omega_monomial",
-    "circle_coefficients", "compositions",
+    "compositions",
     "connected_expansion", "connected_integral", "d_norm",
     "double_ohno_sum", "dual_index", "harmonic",
     "index_to_e_word", "index_to_xy_word",
@@ -52,7 +51,7 @@ __all__ = [
     "monomials_up_to_weight", "mzv", "ohno_generating", "ohno_series",
     "ohno_table", "omega_Omega", "parse_amonomial", "parse_apoly",
     "parse_hpoly", "parse_index", "parse_word", "parse_xseries",
-    "r1_generating", "r1_recurrence", "r_omega_integral", "run_suite",
+    "run_suite",
     "saalschutz_check", "satoh_residual", "shuffle", "sigma",
     "sigma_monomial", "tau", "to_a_basis",
     "transport_relation", "z_decompose", "z_q", "z_q_monomial",

@@ -31,8 +31,9 @@ from .hypgamma import log_G, log_G_line
 from .ncseries import z_decompose
 from .omega import cexpm1, inverse_x_variable, zeta_omega
 from .quad import (ChainStage, EvalResult, QuadConfig, QuadError,
-                   chain_line_integral, chain_pass, _chain_grid,
-                   _require_finite, _tilted_convolve, _worst)
+                   chain_line_integral, chain_pass, chain_tables,
+                   coarse_tables, _chain_grid, _require_finite,
+                   _tilted_convolve, _worst)
 from .words import check_index
 
 __all__ = [
@@ -410,18 +411,17 @@ def connected_integral(k, l, op, ctx, cfg=None, eps=None):
 
     def compute():
         h, ys, dp = _connector_grid(eps, cfg, p, r, s, _shift_margin(lam, mu))
-        stages_t = _prefix_stages(k, lam, mu, p)
-        stages_u = _prefix_stages(l, lam, mu, p)
-        chi_t = chain_pass(stages_t, eps, h, ys)
-        chi_u = chain_pass(stages_u, eps, h, ys)
+        tables = chain_tables([_prefix_stages(k, lam, mu, p),
+                               _prefix_stages(l, lam, mu, p)], eps, h, ys)
+        chi_t, chi_u = (chain_pass(t, h) for t in tables)
 
         pref = p.hbar_value ** (sum(k) + sum(l))
         fine, tail = _theta_value(ctx, cfg, p, r, s, lam, mu, eps,
                                   h, ys, chi_t, chi_u, dp)
         value = pref * fine
         _require_finite(value, abs(pref) * tail, nodes=len(ys), stage="fine")
-        chi_t_c = chain_pass(stages_t, eps, 2 * h, ys[::2])
-        chi_u_c = chain_pass(stages_u, eps, 2 * h, ys[::2])
+        chi_t_c, chi_u_c = (chain_pass(t, 2 * h)
+                            for t in coarse_tables(tables))
         coarse, _ = _theta_value(ctx, cfg, p, r, s, lam, mu, eps,
                                  2 * h, ys[::2], chi_t_c, chi_u_c, dp)
         err = abs(pref) * (abs(fine - coarse) + tail) + cfg.abs_tol

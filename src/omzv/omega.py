@@ -17,9 +17,9 @@ difference kernel (-2 pi i omega)^alpha * C(t+alpha, alpha) /
 block's cumulative point.  This reduced form is the default route; the
 letter-by-letter direct route is kept for cross checks.
 
-Depth-1 and depth-2 values at omega = 1 have closed generating forms
-(`r1_generating`, `r1_recurrence`); the general-omega generating
-integral is `r_omega_integral`.
+The generating functions of these values are power series in the
+hatted variable (e^{2 pi i omega x} - 1)/(2 pi i omega);
+`inverse_x_variable` maps it back to x.
 """
 
 import math
@@ -30,7 +30,7 @@ import numpy as np
 from . import cache as _cache
 from .quad import (ChainStage, EvalResult, QuadConfig, QuadError,
                    chain_line_integral, measure_kernel)
-from .words import ALetter, AMonomial, APoly, HPoly, check_index
+from .words import ALetter, AMonomial, APoly, check_index
 
 __all__ = [
     "OmegaParam",
@@ -39,11 +39,7 @@ __all__ = [
     "Z_omega_monomial",
     "Z_omega",
     "zeta_omega",
-    "r1_generating",
-    "r1_recurrence",
-    "r_omega_integral",
     "inverse_x_variable",
-    "circle_coefficients",
     "clear_value_cache",
 ]
 
@@ -184,21 +180,22 @@ def Z_omega_monomial(mono, p, cfg=None, mode="reduced"):
 
 def _reduced_stages(blocks, p):
     """Block-form stages of the monomial E^a1 G(b1+1) ... E^ar G(br+1),
-    given as its (alpha, beta) blocks."""
+    given as its (alpha, beta) blocks.  Blocks with the same alpha share
+    one diff kernel, which the chain then evaluates once."""
+    diffs = {0: None}
     stages = []
     for alpha, beta in blocks:
-        if alpha:
+        if alpha not in diffs:
             scale = (-p.hbar_value) ** alpha
 
             def diff(delta, alpha=alpha, scale=scale):
                 return (scale * _binom_poly(delta, alpha)
                         * measure_kernel(delta))
-        else:
-            diff = None
+            diffs[alpha] = diff
         letter = ALetter(beta + 1)
         stages.append(ChainStage(
             cum=(lambda t, l=letter: kernel_I(l, t, p)),
-            diff=diff))
+            diff=diffs[alpha]))
     return stages
 
 
@@ -214,12 +211,7 @@ def Z_omega(arg, p, cfg=None, mode="reduced"):
     """Linear extension over the admissible span; the coefficient ring
     Q[h] acts through h = 2 pi i omega.  Errors add up."""
     cfg = cfg or QuadConfig()
-    if isinstance(arg, HPoly):
-        arg = APoly.from_hpoly(arg)
-    if isinstance(arg, AMonomial):
-        arg = APoly.monomial(arg)
-    if not isinstance(arg, APoly):
-        raise TypeError("expected APoly, HPoly, or AMonomial")
+    arg = APoly.of(arg)
     total = 0.0 + 0.0j
     err = 0.0
     for mono, coeff in arg.t.items():
@@ -249,135 +241,10 @@ def zeta_omega(k, p, cfg=None):
 
 
 # ---------------------------------------------------------------------------
-# Generating functions
-
-def r1_generating(x1, y1):
-    """Closed depth-1 generating value at omega = 1:
-    2 pi i (1 - e^{2 pi i x y}) / ((1 - e^{2 pi i x})(1 - e^{2 pi i y})).
-    Symmetric in (x1, y1); poles at nonzero integer x1 or y1."""
-    x1 = complex(x1)
-    y1 = complex(y1)
-    cx = complex(cexpm1(TWO_PI * 1j * x1))
-    cy = complex(cexpm1(TWO_PI * 1j * y1))
-    cxy = complex(cexpm1(TWO_PI * 1j * x1 * y1))
-    if x1 == 0 and y1 == 0:
-        return -1.0 + 0.0j
-    if x1 == 0:
-        return TWO_PI * 1j * y1 / (-cy)
-    if y1 == 0:
-        return TWO_PI * 1j * x1 / (-cx)
-    for v, cv in ((x1, cx), (y1, cy)):
-        if abs(cv) < 1e-8 and abs(v) > 1e-6:
-            raise ValueError("argument %s too close to a nonzero integer"
-                             % v)
-    return -TWO_PI * 1j * cxy / (cx * cy)
-
-
-def r1_recurrence(xs, ys):
-    """Depth <= 2 generating values at omega = 1 through the two-point
-    contraction of the last slot:
-
-    R(x1,x2;y1,y2) = 2 pi i / ((1-e^{2 pi i y2})(e^{2 pi i x1}-e^{2 pi i x2}))
-      * { R(x1;y1) - R(x2;y1)
-          - e^{2 pi i (x2-1) y2} (R(x1;y1-y2) - R(x2;y1-y2)) }.
-
-    (Integrating the last contour variable by the kernel lemma
-    contracts the two stage kernels into a difference quotient.)"""
-    xs = [complex(v) for v in xs]
-    ys = [complex(v) for v in ys]
-    if len(xs) != len(ys) or not xs:
-        raise ValueError("need equally many x and y arguments")
-    if len(xs) == 1:
-        return r1_generating(xs[0], ys[0])
-    if len(xs) > 2:
-        raise ValueError("recurrence implemented for depth <= 2 only")
-    x1, x2 = xs
-    y1, y2 = ys
-    ey2 = complex(cexpm1(TWO_PI * 1j * y2))
-    dx = np.exp(TWO_PI * 1j * x1) - np.exp(TWO_PI * 1j * x2)
-    if abs(ey2) < 1e-10:
-        raise ValueError("y2 too close to an integer")
-    if abs(dx) < 1e-10:
-        raise ValueError("x1 and x2 coincide modulo 1")
-    inner = (r1_generating(x1, y1) - r1_generating(x2, y1)
-             - np.exp(TWO_PI * 1j * (x2 - 1.0) * y2)
-             * (r1_generating(x1, y1 - y2) - r1_generating(x2, y1 - y2)))
-    return complex(TWO_PI * 1j / (-ey2) / dx * inner)
-
-
-def r_omega_integral(xs, ys, p, cfg=None):
-    """Generating integral at general omega:
-
-    (2 pi i w)^r e^{-2 pi i w sum(y)} prod_a int dt_a/(e^{2 pi i t_a}-1)
-      e^{2 pi i w (T_a - y_a t_a)} / (1 - e^{2 pi i w (x_a + T_a)})
-
-    with cumulative T_a and per-slot gaps t_a."""
-    cfg = cfg or QuadConfig()
-    xs = [complex(v) for v in xs]
-    ys = [complex(v) for v in ys]
-    if len(xs) != len(ys) or not xs:
-        raise ValueError("need equally many x and y arguments")
-    r = len(xs)
-    w = p.omega
-
-    # the stage-a kernel has poles on Re T = -Re x_a + m/omega; the line
-    # Re T = -a*eps must stay in the cell between m = 0 and m = -1
-    lo = max([0.0] + [x.real / a for a, x in enumerate(xs, start=1)])
-    hi = min([1.0] + [(x.real + 1.0 / w) / a
-                      for a, x in enumerate(xs, start=1)])
-    if hi - lo < 1e-3:
-        raise QuadError("contour separation violated: no admissible eps",
-                        lo=lo, hi=hi)
-
-    def separation(eps):
-        sep = min(eps, 1.0 - eps)
-        for a, x in enumerate(xs, start=1):
-            base = x.real - a * eps
-            m = round(base * w)
-            for mm in (m - 1, m, m + 1):
-                sep = min(sep, abs(base - mm / w))
-        return sep
-
-    cands = [lo + (hi - lo) * t for t in np.linspace(0.12, 0.88, 39)]
-    eps = max(cands, key=separation)
-    min_sep = separation(eps)
-    if min_sep < 3e-3:
-        raise QuadError("contour separation violated", separation=min_sep,
-                        eps=eps)
-
-    stages = []
-    for x, y in zip(xs, ys):
-        def diff(delta, y=y):
-            return (np.exp(-p.hbar_value * y * delta)
-                    / cexpm1(TWO_PI * 1j * delta))
-
-        def cum(t, x=x):
-            return np.exp(p.hbar_value * t) / (-cexpm1(p.hbar_value * (x + t)))
-
-        stages.append(ChainStage(cum=cum, diff=diff))
-
-    pref = p.hbar_value ** r * np.exp(-p.hbar_value * sum(ys))
-    slow = max([abs(v.real) for v in xs + ys] + [0.0])
-    hint = decay_hint(w) * max(0.15, 1.0 - 2.0 * slow)
-    return chain_line_integral(
-        stages, eps, cfg, decay=(TWO_PI, hint), pole_dist=min_sep,
-        prefactor=pref)
-
+# Generating-function variables
 
 def inverse_x_variable(xhat, omega):
     """Solve (e^{2 pi i w x} - 1)/(2 pi i w) = xhat for x (principal
     branch; valid for small |xhat|)."""
     w = TWO_PI * 1j * omega
     return np.log(1.0 + w * xhat) / w
-
-
-def circle_coefficients(f, order, radius=0.05):
-    """Taylor coefficients c_0..c_order of f around 0 by sampling on a
-    circle of the given radius (discrete Fourier transform)."""
-    npts = max(16, 4 * (order + 1))
-    thetas = TWO_PI * np.arange(npts) / npts
-    zs = radius * np.exp(1j * thetas)
-    vals = np.array([complex(f(z)) for z in zs])
-    coeffs = np.fft.fft(vals) / npts
-    ks = np.arange(order + 1)
-    return coeffs[: order + 1] / radius ** ks

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quad import EvalResult
-from .words import APoly, HPoly, AMonomial, check_index
+from .words import APoly, AMonomial, check_index
 
 __all__ = ["QParam", "z_q_monomial", "z_q", "mzv"]
 
@@ -73,12 +73,7 @@ def z_q_monomial(mono, p):
 
 def z_q(arg, p):
     """Sum evaluation extended linearly, h acting as 1 - q."""
-    if isinstance(arg, HPoly):
-        arg = APoly.from_hpoly(arg)
-    if isinstance(arg, AMonomial):
-        arg = APoly.monomial(arg)
-    if not isinstance(arg, APoly):
-        raise TypeError("expected APoly, HPoly, or AMonomial")
+    arg = APoly.of(arg)
     total = 0.0 + 0.0j
     err = 0.0
     for mono, coeff in arg.t.items():

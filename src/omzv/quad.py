@@ -13,6 +13,13 @@ tilt (`_tilted_convolve`), O(n log n) per stage.  A single line is the
 depth-1 chain, and an integral over the real axis is the line
 Re t = -eps with x = Im t.
 
+Each kernel is evaluated once per integral, on the fine grid
+(`chain_tables`).  The step-doubled estimate runs on the grid of step
+2h, the fine grid with every other node dropped (trapezoid grids nest),
+so its tables are every other fine value, bit for bit (`coarse_tables`).
+A diff table shared by several stages keeps its hull and last tilted
+FFTs for the next one (`_Operand`).
+
 Uniform (trapezoid) steps are spectrally accurate for these integrands:
 the error decays like exp(-2*pi*d/h) where d is the width of the
 analyticity strip, in practice the contour-to-pole distance.  Every
@@ -24,6 +31,7 @@ are deliberately conservative.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +41,8 @@ __all__ = [
     "QuadError",
     "ChainStage",
     "measure_kernel",
+    "chain_tables",
+    "coarse_tables",
     "chain_pass",
     "chain_line_integral",
 ]
@@ -206,9 +216,9 @@ def _upper_hull(la):
     return np.array(hx), np.array(hy)
 
 
-def _tilt_plan(la, lb, lo, hi):
+def _tilt_plan(hull_a, hull_b, lo, hi):
     """Tilts and inclusive output blocks [(t, start, stop), ...] that
-    cover lo..hi-1.
+    cover lo..hi-1, given the upper hulls of both log-magnitudes.
 
     The direct rounding scale of output k is bounded by g(k), the max-
     plus convolution of the two hulls: their Minkowski sum, whose edges
@@ -220,8 +230,8 @@ def _tilt_plan(la, lb, lo, hi):
     block end; the tangent with the least worst excess over the block is
     then used.  Excesses are checked at the hull vertices, between which
     they are linear."""
-    xa, ya = _upper_hull(la)
-    xb, yb = _upper_hull(lb)
+    xa, ya = hull_a
+    xb, yb = hull_b
     dx = np.concatenate([np.diff(xa), np.diff(xb)])
     dy = np.concatenate([np.diff(ya), np.diff(yb)])
     if len(dx) == 0:
@@ -286,8 +296,34 @@ def _tilted_fft(x, lx, t, size):
     return np.fft.fft(buf, out=buf), s
 
 
+class _Operand:
+    """A kernel table as the second operand of `_tilted_convolve`: its
+    values, their log-magnitude, its upper hull (made when first used)
+    and the tilted FFTs of its last convolution, keyed by (tilt, size).
+    A table convolved at several stages takes its logarithm and hull
+    once, and an FFT again only at a tilt its last convolution did not
+    use; keeping no older FFTs bounds the memory."""
+
+    def __init__(self, vals):
+        self.vals = vals
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.log = np.log(np.abs(vals))
+        self.top = self.log.max()
+        self.ffts = {}
+
+    @cached_property
+    def hull(self):
+        return _upper_hull(self.log)
+
+    @cached_property
+    def half(self):
+        """The operand of every other value (the grid of step 2h)."""
+        return _Operand(self.vals[::2].copy())
+
+
 def _tilted_convolve(a, b, lo, hi):
-    """Entries lo..hi-1 of the full linear convolution of a and b.
+    """Entries lo..hi-1 of the full linear convolution of a and b (an
+    array or an `_Operand`, whose FFTs are reused and replaced).
 
     Computed by FFT of the tilted inputs a_i e^{t i} and b_m e^{t m},
     each scaled to unit maximum, and untilted by e^{-t k} afterwards: a
@@ -304,25 +340,31 @@ def _tilted_convolve(a, b, lo, hi):
     bridged size.  Non-finite inputs give NaN outputs; nothing is
     masked.
     """
+    if not isinstance(b, _Operand):
+        b = _Operand(b)
     with np.errstate(divide="ignore", invalid="ignore"):
         la = np.log(np.abs(a))
-        lb = np.log(np.abs(b))
-        top = la.max() + lb.max()
+        top = la.max() + b.top
     if np.isnan(top) or top == np.inf:
         return np.full(hi - lo, np.nan, dtype=complex)
     if top == -np.inf:
         return np.zeros(hi - lo, dtype=complex)
-    size = _fast_len(max(hi, len(a), len(b), len(a) + len(b) - 1 - lo))
+    nb = len(b.vals)
+    size = _fast_len(max(hi, len(a), nb, len(a) + nb - 1 - lo))
     out = np.empty(hi - lo, dtype=complex)
-    for t, start, stop in _tilt_plan(la, lb, lo, hi):
+    plan = _tilt_plan(_upper_hull(la), b.hull, lo, hi)
+    keys = [(t, size) for t, _, _ in plan]
+    b.ffts = {k: b.ffts[k] for k in keys if k in b.ffts}
+    for key, (t, start, stop) in zip(keys, plan):
         fa, sa = _tilted_fft(a, la, t, size)
-        fb, sb = _tilted_fft(b, lb, t, size)
-        fa *= fb
-        del fb
+        fb = b.ffts.get(key)
+        if fb is None:
+            fb = b.ffts[key] = _tilted_fft(b.vals, b.log, t, size)
+        fa *= fb[0]
         np.fft.ifft(fa, out=fa)
         ks = np.arange(start, stop + 1)
         out[start - lo:stop + 1 - lo] = (fa[start:stop + 1]
-                                        * np.exp(sa + sb - t * ks))
+                                        * np.exp(sa + fb[1] - t * ks))
     return out
 
 
@@ -359,28 +401,100 @@ def _chain_grid(eps, cfg, decay, nstages, pole_dist=None, freq=0.0,
     return h, ys
 
 
-def chain_pass(stages, eps, h, ys):
-    """Run the convolution chain on the given grid.
+def _diff_values(diff, z):
+    return measure_kernel(z) if diff is None else diff(z)
+
+
+class _CumLine:
+    """A stage's cum kernel on its line, evaluated when the fine pass
+    reaches the stage, so that one full-length cum table is held at a
+    time.  The call returns a fresh array and keeps every other value,
+    the table of the pass with step 2h."""
+
+    def __init__(self, kernel, z0, ys):
+        self.kernel = kernel
+        self.z0 = z0
+        self.ys = ys
+        self.half = None
+
+    def __call__(self):
+        vals = self.kernel(self.z0 + 1j * self.ys)
+        self.half = vals[::2].copy()
+        return vals
+
+
+def chain_tables(chains, eps, h, ys):
+    """Kernel tables of one or more chains (lists of ChainStage) on the
+    grid (h, ys), every kernel evaluated once.
+
+    Each distinct diff kernel of a stage after the first (None, the
+    measure kernel, included) is one `_Operand` on the 2n-1 differences
+    h*k, |k| < n, shared by every stage and chain that uses it.  A first
+    stage's diff kernel is the slice of that table on its line, which
+    holds exactly the same values h*k, or else is evaluated on the line
+    alone.  Stage a's cum kernel is a `_CumLine` on the line
+    Re T = -a*eps.  Returns one list of (diff, cum) pairs per chain,
+    cum None for the kernel 1.
+    """
+    n = len(ys)
+    first = n - 1 - int(round(-ys[0] / h))
+    ops = dict.fromkeys(st.diff for stages in chains for st in stages[1:])
+    if ops:
+        dgrid = (-eps) + 1j * (h * np.arange(-(n - 1), n))
+        ops = {d: _Operand(_diff_values(d, dgrid)) for d in ops}
+    lines = {}
+    out = []
+    for stages in chains:
+        d = stages[0].diff
+        if d not in lines:
+            lines[d] = (ops[d].vals[first:first + n] if d in ops
+                        else _diff_values(d, (-eps) + 1j * ys))
+        table = []
+        for a, st in enumerate(stages, start=1):
+            cum = None if st.cum is None else _CumLine(st.cum, -a * eps, ys)
+            table.append((lines[d] if a == 1 else ops[st.diff], cum))
+        out.append(table)
+    return out
+
+
+def coarse_tables(tables):
+    """The tables of step 2h after the pass on `tables` (from
+    `chain_tables`) has run: every other value.  Trapezoid grids nest
+    and n - 1 is even, so these are the kernel values on the coarse grid
+    and its differences, bit for bit, with no kernel evaluated again."""
+    def half(x):
+        if isinstance(x, _Operand):
+            return x.half
+        return x[::2].copy()
+
+    return [[(half(d), None if c is None else c.half.copy)
+             for d, c in table] for table in tables]
+
+
+def chain_pass(table, h):
+    """Run the convolution chain on one chain's kernel tables with grid
+    step h: those of `chain_tables` on the fine grid, or those of
+    `coarse_tables` on the nested grid of step 2h.
+
+    A cum entry is called when the pass reaches its stage: the fine one
+    evaluates its kernel, the coarse one copies the kept values.  Both
+    return a fresh array, as a kernel call does: numpy may write a large
+    product into a fresh operand with the operands swapped, which rounds
+    it differently.
 
     Returns chi, the stage-r integrand accumulated on the line
     Re T_r = -r*eps: the final integral is i^r * h * chi.sum() (times
     any caller prefactor).
     """
-    n = len(ys)
-    ydiff = h * np.arange(-(n - 1), n)
+    n = len(table[0][0])
     chi = None
-    for a, st in enumerate(stages, start=1):
-        line = (-a * eps) + 1j * ys
+    for d, c in table:
         if chi is None:
-            dline = (-eps) + 1j * ys
-            dvals = st.diff(dline) if st.diff else measure_kernel(dline)
-            chi = dvals
+            chi = d
         else:
-            dgrid = (-eps) + 1j * ydiff
-            dvals = st.diff(dgrid) if st.diff else measure_kernel(dgrid)
-            chi = h * _tilted_convolve(chi, dvals, n - 1, 2 * n - 1)
-        if st.cum is not None:
-            chi = chi * st.cum(line)
+            chi = h * _tilted_convolve(chi, d, n - 1, 2 * n - 1)
+        if c is not None:
+            chi = chi * c()
     return chi
 
 
@@ -404,13 +518,15 @@ def chain_line_integral(stages, eps, cfg=None, *, decay, pole_dist=None,
         raise QuadError("decay hint must be positive", decay=decay)
     h, ys = _chain_grid(eps, cfg, (dm, dp), r, pole_dist, freq)
 
-    chi = chain_pass(stages, eps, h, ys)
+    tables = chain_tables([stages], eps, h, ys)
+    chi = chain_pass(tables[0], h)
     value = complex(prefactor) * (1j ** r) * h * chi.sum()
     tail = abs(prefactor) * (abs(chi[0]) / dm + abs(chi[-1]) / dp)
     _require_finite(value, tail, nodes=len(ys), stage="fine")
     meta = {"dim": r, "eps": eps, "h": h, "nodes": len(ys),
             "U": (float(-ys[0]), float(ys[-1]))}
-    chi_c = chain_pass(stages, eps, 2 * h, ys[::2])
+    tables = coarse_tables(tables)
+    chi_c = chain_pass(tables[0], 2 * h)
     value_c = complex(prefactor) * (1j ** r) * (2 * h) * chi_c.sum()
     err = abs(value - value_c) + tail + cfg.abs_tol
     _require_finite(value_c, err, nodes=len(ys), stage="coarse")

@@ -250,12 +250,20 @@ def word_to_str(w):
     return " ".join(w) if w else "1"
 
 
+def _ab_word(w):
+    """w as a word over a, b; ValueError for any other letter."""
+    w = str(w)
+    if w.strip("ab"):
+        raise ValueError("word %r has a letter other than a, b" % w)
+    return w
+
+
 class HPoly(_LinComb):
     """Finite Q[h,h^-1]-linear combination of a/b words."""
 
     __slots__ = ()
     _UNIT = ""
-    _key = str
+    _key = staticmethod(_ab_word)
     _coeff = staticmethod(HbarLaurent.of)
     _key_str = staticmethod(word_to_str)
 
@@ -477,6 +485,18 @@ class APoly(_LinComb):
     @staticmethod
     def monomial(m, coeff=1):
         return APoly({m: coeff})
+
+    @staticmethod
+    def of(x):
+        """x as an APoly: an HPoly rewritten by `from_hpoly`, an
+        AMonomial as its monomial, an APoly as itself."""
+        if isinstance(x, HPoly):
+            return APoly.from_hpoly(x)
+        if isinstance(x, AMonomial):
+            return APoly.monomial(x)
+        if not isinstance(x, APoly):
+            raise TypeError("expected APoly, HPoly, or AMonomial")
+        return x
 
     @staticmethod
     def from_hpoly(p):

@@ -8,7 +8,7 @@ import pytest
 
 from omzv import OmegaParam, QuadConfig, QuadError, quad, zeta_omega
 from omzv.omega import clear_value_cache
-from omzv.quad import ChainStage, chain_line_integral, measure_kernel
+from omzv.quad import ChainStage, chain_line_integral
 
 TWO_PI = 2.0 * math.pi
 
@@ -69,23 +69,9 @@ def test_chain_kernel_lemma_depth2(cfg, a1, a2):
     assert abs(res.value - exact) <= res.err_estimate
 
 
-def reference_chain_pass(stages, eps, h, ys):
-    """chain_pass with each stage as a direct O(n^2) convolution."""
-    n = len(ys)
-    ydiff = h * np.arange(-(n - 1), n)
-    chi = None
-    for a, st in enumerate(stages, start=1):
-        line = (-a * eps) + 1j * ys
-        if chi is None:
-            dline = (-eps) + 1j * ys
-            chi = st.diff(dline) if st.diff else measure_kernel(dline)
-        else:
-            dgrid = (-eps) + 1j * ydiff
-            dvals = st.diff(dgrid) if st.diff else measure_kernel(dgrid)
-            chi = h * np.convolve(chi, dvals)[n - 1:2 * n - 1]
-        if st.cum is not None:
-            chi = chi * st.cum(line)
-    return chi
+def direct_convolve(a, b, lo, hi):
+    """_tilted_convolve as the direct O(n^2) sum."""
+    return np.convolve(a, getattr(b, "vals", b))[lo:hi]
 
 
 @pytest.mark.parametrize("omega, k", [(0.6, (1, 1, 1, 1, 3)),
@@ -97,7 +83,7 @@ def test_fft_chain_matches_direct(monkeypatch, omega, k):
     p = OmegaParam(omega)
     clear_value_cache()
     fft = zeta_omega(k, p)
-    monkeypatch.setattr(quad, "chain_pass", reference_chain_pass)
+    monkeypatch.setattr(quad, "_tilted_convolve", direct_convolve)
     clear_value_cache()
     ref = zeta_omega(k, p)
     clear_value_cache()

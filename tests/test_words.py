@@ -275,6 +275,30 @@ def test_parse_word_and_hpoly():
         parse_word("b c")
 
 
+@pytest.mark.parametrize("make", [
+    lambda: HPoly.word("bc"),
+    lambda: HPoly.word("bxa", H(1)),
+    lambda: HPoly({"ba": 1, "b a": 2}),
+    lambda: HPoly({"B": 1}),
+    lambda: to_a_basis(HPoly.word("bc")),
+    lambda: sigma(HPoly.word("bc")),
+])
+def test_hpoly_rejects_other_letters(make):
+    """Words are over a, b only: the rewriting maps (to_a_basis, sigma)
+    take every letter other than b for a."""
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_apoly_of():
+    m = parse_amonomial("E G2")
+    assert APoly.of(m) == APoly.monomial(m)
+    assert APoly.of(APoly.monomial(m)) == APoly.monomial(m)
+    assert APoly.of(HPoly.word("ba")) == APoly.monomial(parse_amonomial("G1"))
+    with pytest.raises(TypeError, match="expected APoly, HPoly, or AMonomial"):
+        APoly.of("E G2")
+
+
 def test_parse_apoly():
     assert parse_apoly("E G2 - 3 G1") == (
         APoly.monomial(parse_amonomial("E G2"))
