@@ -17,8 +17,7 @@ the classical values.  The package provides
 
 from .cache import ValueCache, install as install_cache
 from .hypgamma import GammaContext, log_G
-from .ncseries import (XSeries, index_to_xy_word, parse_xseries, tau,
-                       z_decompose)
+from .ncseries import XSeries, tau, z_decompose
 from .ohno import (OhnoParams, OhnoTable, compositions, connected_expansion,
                    connected_integral, d_norm, double_ohno_sum,
                    initial_relation, ohno_generating, ohno_series,
@@ -46,11 +45,11 @@ __all__ = [
     "compositions",
     "connected_expansion", "connected_integral", "d_norm",
     "double_ohno_sum", "dual_index", "harmonic",
-    "index_to_e_word", "index_to_xy_word",
+    "index_to_e_word",
     "initial_relation", "install_cache", "inverse_x_variable", "log_G",
     "monomials_up_to_weight", "mzv", "ohno_generating", "ohno_series",
     "ohno_table", "omega_Omega", "parse_amonomial", "parse_apoly",
-    "parse_hpoly", "parse_index", "parse_word", "parse_xseries",
+    "parse_hpoly", "parse_index", "parse_word",
     "run_suite",
     "saalschutz_check", "satoh_residual", "shuffle", "sigma",
     "sigma_monomial", "tau", "to_a_basis",

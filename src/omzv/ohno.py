@@ -208,7 +208,7 @@ def ohno_generating(k, op, p, cfg=None, eps=None):
     w = p.omega
     r = len(k)
     if eps is None:
-        eps = op.eps or 1.0 / (4.0 * r * w)
+        eps = op.eps or min(0.5, 1.0 / (4.0 * r * w))
     if not 0.0 < eps < 1.0 / (2.0 * r * w):
         raise QuadError("contour shift outside (0, 1/2rw)", eps=eps)
     radius = eps / (3.0 * math.pi)
@@ -218,7 +218,8 @@ def ohno_generating(k, op, p, cfg=None, eps=None):
     stages = [ChainStage(cum=(lambda t, kk=e: _j_kernel(kk, t, op.lam,
                                                         op.mu, p)))
               for e in k]
-    pole = min(eps, 1.0 / w - r * eps) - _shift_margin(op.lam, op.mu)
+    pole = (min(eps, 1.0 - eps, 1.0 / w - r * eps)
+            - _shift_margin(op.lam, op.mu))
     if pole <= 0.1 * eps:
         raise QuadError("contour too close to a kernel pole", dist=pole)
     dp = 0.8 * TWO_PI * w * (k[-1] - 1)

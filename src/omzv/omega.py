@@ -3,7 +3,7 @@
 The deformation parameter h acts as 2*pi*i*omega for 0 < omega < 2.  An
 admissible monomial u_1 ... u_r evaluates to the iterated integral
 
-    Z(u_1...u_r) = prod_a int_{Re t_a = -a eps} dt_a/(e^{2 pi i t_a}-1)
+    Z(u_1...u_r) = prod_a int_{Re t_a = -eps} dt_a/(e^{2 pi i t_a}-1)
                    * prod_a I(u_a | t_1 + ... + t_a)
 
 with the letter kernels
@@ -16,6 +16,12 @@ difference kernel (-2 pi i omega)^alpha * C(t+alpha, alpha) /
 (e^{2 pi i t} - 1) in the block gap t together with I(G(beta+1)) at the
 block's cumulative point.  This reduced form is the default route; the
 letter-by-letter direct route is kept for cross checks.
+
+Every value is one `chain_line_integral` on the contour stack
+Re T_a = -a*eps of the cumulative points T_a = t_1 + ... + t_a, with
+the offset eps of `default_eps`: by Cauchy the value does not depend on
+eps inside the pole-free region, so eps is chosen to hold the stack as
+far from every kernel pole as the geometry allows.
 
 The generating functions of these values are power series in the
 hatted variable (e^{2 pi i omega x} - 1)/(2 pi i omega);
@@ -69,18 +75,21 @@ def decay_hint(omega):
 
 
 def default_eps(omega, depth):
-    """Contour offset for a depth-`depth` iterated integral.  Keeps
-    every line Re T_a = -a*eps strictly between the pole lattices
-    (constant A = 3.0 in the oscillation budget term)."""
-    if depth < 1:
-        return 0.25
-    return min(1.0, 1.0 / (depth * omega),
-               3.0 / (math.pi * depth * omega)) / 4.0
+    """Contour offset eps of the stack Re T_a = -a*eps, a = 1..depth.
 
-
-def _pole_distance(omega, eps, depth):
-    """Distance from the contour stack to the nearest kernel pole."""
-    return min(eps, max(1.0 / omega - depth * eps, 1e-9))
+    The lines meet two pole lattices.  The measure and E-block diff
+    kernels have poles where T_a - T_{a-1} is an integer: at distance
+    eps and 1 - eps from the lines.  The letter kernels have poles where
+    omega*T_a is an integer: at T = 0, distance a*eps, and T = -1/omega,
+    distance 1/omega - a*eps, nearest for the last line a = depth.  The
+    trapezoid error decays like exp(-2 pi d/h) in the smallest of these
+    distances d, so the grid step grows with it.  The smallest distance
+    min(eps, 1 - eps, 1/omega - depth*eps) is largest at
+    eps* = min(1/2, 1/((depth+1)*omega)).  The offset is 0.9*eps*,
+    which keeps the last line a little further from the higher-order
+    letter poles at -1/omega; the nearest pole is then always the one at
+    distance eps."""
+    return 0.9 * min(0.5, 1.0 / ((depth + 1) * omega))
 
 
 def cexpm1(z):
@@ -201,10 +210,9 @@ def _reduced_stages(blocks, p):
 
 def _chain_value(stages, p, cfg):
     """The chain integral of the stages on the default contour stack."""
-    eps = default_eps(p.omega, len(stages))
     return chain_line_integral(
-        stages, eps, cfg, decay=(TWO_PI, decay_hint(p.omega)),
-        pole_dist=_pole_distance(p.omega, eps, len(stages)))
+        stages, default_eps(p.omega, len(stages)), cfg,
+        decay=(TWO_PI, decay_hint(p.omega)))
 
 
 def Z_omega(arg, p, cfg=None, mode="reduced"):

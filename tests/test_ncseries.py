@@ -1,14 +1,79 @@
 """Noncommutative xy-series with a central marker X, and the tau map."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omzv.ncseries import (XSeries, geom_inverse, index_to_xy_word,
-                           parse_xseries, series_mul, tau, tau_letter,
-                           x_word, y_word, z_decompose)
+from omzv.ncseries import (DEFAULT_ORDER, XSeries, geom_inverse, series_mul,
+                           tau, tau_letter, x_word, y_word, z_decompose)
+
+
+# ---------------------------------------------------------------------------
+# Helpers: the inverse of z_decompose, and a parser for printed series
+# (the round trip of XSeries.__str__).
+
+def index_to_xy_word(k):
+    """Inverse of z_decompose: the word z_{k_1} ... z_{k_r}."""
+    if not k or any(e < 1 for e in k):
+        raise ValueError("index entries must be >= 1")
+    return "".join("y" + "x" * (e - 1) for e in k)
+
+
+_XTOK = re.compile(r"X\^(\d+)|X|([xy])|(\d+(?:/\d+)?)|(\*)|(\+)|(-)|(\s+)")
+
+
+def parse_xseries(text, order=DEFAULT_ORDER):
+    """Parse "y x x - y x y x X^1" style text (whitespace tolerant)."""
+    pos = 0
+    terms = []
+    cur_sign = 1
+    cur = None   # [coeff, word, xpow]
+
+    def flush():
+        nonlocal cur
+        if cur is not None:
+            terms.append(cur)
+            cur = None
+
+    def ensure():
+        nonlocal cur
+        if cur is None:
+            cur = [Fraction(cur_sign), "", 0]
+
+    n = len(text)
+    while pos < n:
+        m = _XTOK.match(text, pos)
+        if not m:
+            raise ValueError("bad character %r at %d" % (text[pos], pos))
+        pos = m.end()
+        xp, letter, num, star, plus, minus, ws = m.groups()
+        if ws is not None:
+            continue
+        if plus is not None or minus is not None:
+            flush()
+            cur_sign = -1 if minus is not None else 1
+            continue
+        ensure()
+        if letter is not None:
+            cur[1] += letter
+        elif num is not None:
+            if cur[1] or cur[2]:
+                raise ValueError("coefficient after word in %r" % text)
+            cur[0] *= Fraction(num)
+        elif star is not None:
+            continue
+        elif m.group(0) == "X":
+            cur[2] += 1
+        elif xp is not None:
+            cur[2] += int(xp)
+    flush()
+    out = XSeries.zero(order)
+    for coeff, w, xpow in terms:
+        out = out + XSeries.word(w, order, coeff, xpow)
+    return out
 
 
 def W(w, order=4, coeff=1, xpow=0):

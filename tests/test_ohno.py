@@ -48,6 +48,23 @@ def test_generating_at_origin_is_zeta(p1, fast_cfg):
                                          + z.err_estimate)
 
 
+@pytest.mark.parametrize("k", [(2,), (3,)])
+def test_generating_contour_at_small_omega(k):
+    """At omega < 1/(2r) the default contour offset 1/(4 r omega) passed
+    1/2, so the line came within 1 - eps of the measure pole at -1 on a
+    grid sized for the distance eps: at omega = 0.3 the values were off
+    by 1.5e-5 and 1.7e-5.  At the origin O(k) is zeta_w(k), for k = (2,)
+    the closed form (pi^2/6)(1 - w^2) - i pi w."""
+    p = OmegaParam(0.3)
+    g = ohno_generating(k, OhnoParams(), p)
+    if k == (2,):
+        ref = math.pi ** 2 / 6.0 * (1.0 - 0.09) - 0.3j * math.pi
+    else:
+        ref = zeta_omega(k, p).value
+    assert abs(g.value - ref) <= 1e-12
+    assert abs(g.value - ref) <= g.err_estimate
+
+
 def test_generating_matches_series(p1, fast_cfg):
     op = OhnoParams(0.003 + 0.001j, -0.002 + 0.0025j, order=2)
     g = ohno_generating((2,), op, p1, fast_cfg)

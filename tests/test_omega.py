@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from omzv import (AMonomial, HPoly, HbarLaurent, OmegaParam, QuadConfig,
-                  QuadError, Z_omega, Z_omega_monomial, index_to_e_word,
-                  parse_amonomial, zeta_omega)
+                  QuadError, Z_omega, Z_omega_monomial, dual_index,
+                  index_to_e_word, parse_amonomial, zeta_omega)
 from omzv.omega import (cexpm1, clear_value_cache, decay_hint, default_eps,
-                        inverse_x_variable)
+                        inverse_x_variable, kernel_e)
 from omzv.quad import ChainStage, chain_line_integral
 
 PI = math.pi
@@ -168,9 +168,22 @@ def test_omega1_constants(p1, fast_cfg, text, want):
     assert abs(res.value - want) < 1e-8
 
 
-def test_zeta_omega1(p1, fast_cfg):
-    res = zeta_omega((2,), p1, fast_cfg)
-    assert abs(res.value - (-PI * 1j)) < 1e-8
+def test_zeta_omega1():
+    """zeta_w(2) = (pi^2/6)(1 - w^2) - i pi w, -i pi at w = 1: the error
+    estimate must bound the error, which is at rounding level."""
+    for w in (0.05, 0.3, 0.6, 1.0, 1.3, 1.4, 1.7, 1.9, 1.99):
+        res = zeta_omega((2,), OmegaParam(w))
+        err = abs(res.value - (PI ** 2 / 6.0 * (1.0 - w * w) - 1j * PI * w))
+        assert err <= 1e-13
+        assert err <= res.err_estimate
+
+
+def quarter_eps(omega, depth):
+    """A second admissible offset, min(1, 1/(r w), 3/(pi r w))/4: the
+    fixed contour of the mpmath oracle and the reference stack of the
+    contour regression test."""
+    return min(1.0, 1.0 / (depth * omega),
+               3.0 / (math.pi * depth * omega)) / 4.0
 
 
 def mp_zeta_depth1(k, omega):
@@ -180,7 +193,7 @@ def mp_zeta_depth1(k, omega):
     under 1e-24."""
     with mp.workdps(30):
         hb = 2j * mp.pi * mp.mpf(omega)
-        eps = mp.mpf(default_eps(omega, 1))
+        eps = mp.mpf(quarter_eps(omega, 1))
 
         def f(y):
             t = -eps + 1j * y
@@ -210,6 +223,60 @@ def test_e_and_g_routes_agree_at_large_omega(k):
     z = zeta_omega(k, p)
     g = Z_omega(index_to_e_word(k), p)
     assert abs(z.value - g.value) <= z.err_estimate + g.err_estimate
+
+
+def test_contour_stack_keeps_poles_at_eps():
+    """The lines Re T_a = -a*eps, a = 1..r, stay strictly inside the
+    pole-free region, the nearest pole (measure poles at distance eps
+    and 1 - eps, letter poles at a*eps and 1/w - a*eps) is at distance
+    eps, and eps is at least 0.9 of the best offset found by search."""
+    for w in np.linspace(0.01, 1.99, 67):
+        for r in range(1, 7):
+            eps = default_eps(w, r)
+            dist = min([eps, 1.0 - eps]
+                       + [d for a in range(1, r + 1)
+                          for d in (a * eps, 1.0 / w - a * eps)])
+            assert dist > 0.0
+            assert dist == pytest.approx(eps, rel=1e-12)
+            e = np.linspace(0.0, min(1.0, 1.0 / (r * w)), 4001)
+            best = np.minimum(np.minimum(e, 1.0 - e), 1.0 / w - r * e).max()
+            assert eps >= 0.9 * best - 1e-12
+
+
+REGRESSION_INDEX = {1: (3,), 2: (1, 2), 3: (1, 2, 2), 4: (1, 1, 1, 2),
+                    5: (1, 1, 2, 1, 2), 6: (1, 1, 1, 1, 1, 2)}
+
+
+@pytest.mark.parametrize(
+    "omega, depth", [(w, r) for w in (0.3, 1.0, 1.4) for r in range(1, 7)]
+    + [(w, r) for w in (0.05, 1.9) for r in range(1, 4)])
+def test_contour_stack_against_quarter_rule(omega, depth):
+    """The default stack gives the value of the quarter-offset stack
+    within the two estimates, on at most 0.6 of its nodes."""
+    p = OmegaParam(omega)
+    k = REGRESSION_INDEX[depth]
+    new = zeta_omega(k, p)
+    eps = quarter_eps(omega, depth)
+    ref = chain_line_integral(
+        [ChainStage(cum=(lambda t, e=e: kernel_e(e, t, p))) for e in k],
+        eps, decay=(TWO_PI, decay_hint(omega)),
+        pole_dist=min(eps, 1.0 / omega - depth * eps))
+    assert abs(new.value - ref.value) <= new.err_estimate + ref.err_estimate
+    assert new.meta["nodes"] <= 0.6 * ref.meta["nodes"]
+
+
+def test_depth3_at_omega_199():
+    """At w = 1.99 the quarter-offset stack needed 240,119 nodes for
+    (1,1,2), above the chain budget; it must be finite and agree with
+    its dual (4) and with the e-word route."""
+    p = OmegaParam(1.99)
+    k = (1, 1, 2)
+    z = zeta_omega(k, p)
+    assert np.isfinite(z.value) and np.isfinite(z.err_estimate)
+    for other in (zeta_omega(dual_index(k), p),
+                  Z_omega(index_to_e_word(k), p)):
+        assert (abs(z.value - other.value)
+                <= z.err_estimate + other.err_estimate)
 
 
 def test_zeta_is_linear_in_the_e_basis(p1, fast_cfg):
