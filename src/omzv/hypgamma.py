@@ -15,8 +15,9 @@ exponentially decaying sine part is truncated.  Each node contributes
 one exponential e^{a_n + i b_n z} with b_n proportional to n; on a
 uniform horizontal line z = z0 + h j the node sum is therefore a
 chirp-z transform (Bluestein; Rabiner, Schafer and Rader, 1969), done
-by FFT in O((N + M) log(N + M)) for N nodes and M points.  Other point
-sets are summed densely.
+by FFT in O((N + M) log(N + M)) for N nodes and M points.  The step is
+taken from the whole line, before the far-field points are split off;
+other point sets are summed densely.
 
 Outside the strip, values are assembled from the two functional
 equations
@@ -123,7 +124,9 @@ def _dense_sum(z, b, expo):
 
 def _uniform_step(re):
     """Spacing of `re` if it is a uniform grid of at least _CHIRP_MIN
-    points, else None."""
+    points, else None.  The points of x0 + h*j round to the ulp of the
+    line's largest |x|, so the deviation is judged on the whole line:
+    against a near run's own max |x| that rounding would reject it."""
     m = re.size
     if m < _CHIRP_MIN:
         return None
@@ -168,7 +171,7 @@ def _cis(phi, j):
     return np.exp(1j * (head * j)) * np.exp(1j * ((phi - head) * j))
 
 
-def _log_G_strip(re, im, ctx):
+def _log_G_strip(re, im, ctx, h):
     """log G(re + i*im) inside the strip, by the trapezoid rule on the
     strip integral.
 
@@ -176,8 +179,9 @@ def _log_G_strip(re, im, ctx):
     even and analytic near R, so int_0^inf f = step (f(0)/2 + sum_{n>=1}
     f(n step)) up to geometrically small terms.  The algebraic part
     sums exactly, sum_{n>=1} z/(n step)^2 = z pi^2 / (6 step^2), and
-    f(0) = -z (4 w^2 z^2 + 1 + w^2) / 6.  A uniform line sums by
-    chirp-z, anything else densely."""
+    f(0) = -z (4 w^2 z^2 + 1 + w^2) / 6.  A run of >= _CHIRP_MIN points
+    of a line of step h sums by chirp-z from its first point, anything
+    else densely; h is judged on the whole line (see _uniform_step)."""
     bound = (1.0 - _STRIP_MARGIN) * ctx.omega_bar
     if abs(im) >= bound:
         raise QuadError("strip violated", immax=abs(im), bound=bound)
@@ -185,8 +189,7 @@ def _log_G_strip(re, im, ctx):
     step, b, expo = _trapezoid_nodes(ctx, float(np.max(np.abs(re))),
                                      abs(im))
     z = re + 1j * im
-    h = _uniform_step(re)
-    if h is None:
+    if h is None or re.size < _CHIRP_MIN:
         s = _dense_sum(z, b, expo)
     else:
         s = _chirp_sum(z[0], h, re.size, b, expo)
@@ -230,7 +233,8 @@ def log_G_line(re, im, ctx):
     """log G(re + i*im) for a 1-d real array `re` on the horizontal
     line Im z = im.  One shift schedule serves the whole line; far from
     the imaginary axis the strip integral is replaced by the quadratic
-    asymptotic."""
+    asymptotic.  The near points of a uniform line are one contiguous
+    run with the line's step."""
     re = np.atleast_1d(np.asarray(re, dtype=float))
     s0 = ctx.core_band
     if im < -s0:
@@ -256,7 +260,7 @@ def log_G_line(re, im, ctx):
         base[far] = _log_G_far(re[far] + 1j * im_cur, w)
     near = ~far
     if near.any():
-        base[near] = _log_G_strip(re[near], im_cur, ctx)
+        base[near] = _log_G_strip(re[near], im_cur, ctx, _uniform_step(re))
     return acc + base
 
 

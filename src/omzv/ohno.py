@@ -364,11 +364,12 @@ def _theta_value(ctx, cfg, p, r, s, lam, mu, eps, h, ys, chi_t, chi_u, dp):
     a_vec = chi_t * np.exp(log_a) * f_t
     b_vec = chi_u * np.exp(log_b) * f_u
     conv = _tilted_convolve(a_vec, b_vec, 0, 2 * n - 1)
-    summand = conv * np.exp(log_c) * f_sum
+    c = np.exp(log_c)
+    summand = conv * c * f_sum
     value = const * (1j ** (r + s)) * h * h * summand.sum()
 
     # boundary monitors: top/bottom rows of each line and of the sum
-    c_abs = np.abs(np.exp(log_c))
+    c_abs = np.abs(c)
     row_hi = float(np.sum(np.abs(b_vec) * c_abs[n - 1:]))
     col_hi = float(np.sum(np.abs(a_vec) * c_abs[n - 1:]))
     tail = h * h * (abs(a_vec[-1]) * row_hi / (dp * h)

@@ -70,8 +70,13 @@ class OmegaParam:
 
 
 def decay_hint(omega):
-    """Safe exponential decay rate per contour axis."""
-    return math.pi * (1.0 - abs(1.0 - omega))
+    """Decay rate of a zeta chain integrand as Im T -> +inf, which sizes
+    the plus side of its lines.  Each letter kernel (I(G(k)), and e_k
+    with k >= 2 at the last stage) decays like e^{-2 pi omega Im T} per
+    power, the measure kernel tends to -1, and the last stage carries at
+    least one power.  The factor 1/2 covers the algebraic stretch
+    |T| <~ 1/(2 pi omega), where a kernel behaves like T^{-k}."""
+    return math.pi * omega
 
 
 def default_eps(omega, depth):

@@ -7,9 +7,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from omzv import GammaContext, OmegaParam, QuadConfig, QuadError
+from omzv import GammaContext, OhnoParams, OmegaParam, QuadConfig, QuadError
+from omzv import hypgamma
 from omzv.hypgamma import (_CHIRP_MIN, _far_threshold, _log_G_far,
                            _uniform_step, log_G, log_G_line)
+from omzv.ohno import (clear_connector_cache, connected_integral,
+                       saalschutz_check)
+from omzv.verify import saalschutz_points
 
 
 def make_ctx(omega):
@@ -74,6 +78,62 @@ def test_line_sum_matches_point_sums(omega):
         line = log_G_line(re, im, ctx)
         points = np.array([log_G(complex(r, im), ctx) for r in re])
         assert np.max(np.abs(line - points)) < 1e-12
+
+
+@pytest.mark.parametrize("omega", [0.3, 1.0, 1.8])
+@pytest.mark.parametrize("x0, h, n", [(-80.0, 0.0095, 17_000),
+                                      (-150.3, 0.01, 30_001)])
+def test_long_line_near_run_matches_points(omega, x0, h, n):
+    """Lines as the connector builds them, x0 + h*arange(n), far on
+    both sides: the near run, whose points carry the rounding of |x0|,
+    is chirp-summed and must match per-point sums."""
+    ctx = GammaContext(OmegaParam(omega))
+    s0 = ctx.core_band
+    re = x0 + h * np.arange(n)
+    near = np.flatnonzero(np.abs(re) < _far_threshold(omega))
+    assert 0 < near[0] and near[-1] < n - 1
+    sample = near[np.linspace(0, near.size - 1, 60).astype(int)]
+    for im in (0.4 * s0, s0 + 0.3, -s0 - 0.3):
+        line = log_G_line(re, im, ctx)[sample]
+        points = np.array([log_G(complex(re[j], im), ctx) for j in sample])
+        assert np.max(np.abs(line - points)) < 1e-12
+
+
+def test_connector_lines_are_not_summed_densely(monkeypatch):
+    """Every line of >= _CHIRP_MIN points that a connected integral or a
+    Saalschutz point reads goes through the chirp-z sum."""
+    dense_sizes, chirp_sizes = [], []
+    dense, chirp = hypgamma._dense_sum, hypgamma._chirp_sum
+
+    def dense_spy(z, b, expo):
+        dense_sizes.append(z.size)
+        return dense(z, b, expo)
+
+    def chirp_spy(z0, h, m, b, expo):
+        chirp_sizes.append(m)
+        return chirp(z0, h, m, b, expo)
+
+    monkeypatch.setattr(hypgamma, "_dense_sum", dense_spy)
+    monkeypatch.setattr(hypgamma, "_chirp_sum", chirp_spy)
+    clear_connector_cache()
+    cfg = QuadConfig(rel_tol=1e-7, abs_tol=1e-9)
+    ctx = GammaContext(OmegaParam(0.6), cfg=cfg)
+    connected_integral((1,), (1,), OhnoParams(0.007 + 0.003j, -0.005j), ctx)
+    saalschutz_check(*saalschutz_points(ctx.omega_bar)[0], ctx)
+    clear_connector_cache()
+    assert max(dense_sizes, default=0) < _CHIRP_MIN
+    assert max(chirp_sizes) > 1000
+
+
+def test_uniform_step_accepts_rounded_grids():
+    """x0 + h*arange(n) rounds each point to the ulp of the line's
+    largest |x|; such grids must always be detected as uniform."""
+    rng = np.random.default_rng(1201)
+    for _ in range(200):
+        x0 = rng.uniform(-300.0, 300.0)
+        h = rng.uniform(1e-3, 0.05)
+        n = int(rng.integers(_CHIRP_MIN, 40_001))
+        assert _uniform_step(x0 + h * np.arange(n)) is not None, (x0, h, n)
 
 
 def test_log_G_at_zero(ctx1):

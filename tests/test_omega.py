@@ -267,12 +267,14 @@ def test_contour_stack_against_quarter_rule(omega, depth):
 
 def test_depth3_at_omega_199():
     """At w = 1.99 the quarter-offset stack needed 240,119 nodes for
-    (1,1,2), above the chain budget; it must be finite and agree with
-    its dual (4) and with the e-word route."""
+    (1,1,2), above the chain budget, and a plus side sized by the decay
+    rate pi(2 - w) 84,927; it must be finite, take few nodes and agree
+    with its dual (4) and with the e-word route."""
     p = OmegaParam(1.99)
     k = (1, 1, 2)
     z = zeta_omega(k, p)
     assert np.isfinite(z.value) and np.isfinite(z.err_estimate)
+    assert z.meta["nodes"] <= 5_000
     for other in (zeta_omega(dual_index(k), p),
                   Z_omega(index_to_e_word(k), p)):
         assert (abs(z.value - other.value)
