@@ -29,7 +29,7 @@ import numpy as np
 from . import cache as _cache
 from .hypgamma import log_G, log_G_line
 from .ncseries import z_decompose
-from .omega import cexpm1, inverse_x_variable, zeta_omega
+from .omega import cexpm1, contour_offset, inverse_x_variable, zeta_omega
 from .quad import (ChainStage, EvalResult, QuadConfig, QuadError,
                    chain_line_integral, chain_pass, chain_tables,
                    coarse_tables, _chain_grid, _require_finite,
@@ -55,19 +55,18 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # log of the largest float
 # Bound of the composition memo; tier-1 holds at most 9 entries.
 _COMPOSITIONS_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
 class OhnoParams:
-    """Generating-function parameters: the deformation point (lam, mu),
-    the table order for (xi, eta) expansions, and an optional contour
-    shift (each integral picks a valid default when eps is 0)."""
+    """Generating-function parameters: the deformation point (lam, mu)
+    and the table order for (xi, eta) expansions."""
     lam: complex = 0.0 + 0.0j
     mu: complex = 0.0 + 0.0j
     order: int = 2
-    eps: float = 0.0
 
     def __post_init__(self):
         if self.order < 0:
@@ -106,13 +105,6 @@ class OhnoTable:
         top = min(self.order, other.order)
         return _worst(abs(self.get(m, n) - other.get(m, n))
                       for m in range(top + 1) for n in range(top + 1 - m))
-
-    def __str__(self):
-        lines = []
-        for m, n in self.cells():
-            v = self.coeffs[(m, n)]
-            lines.append("(%d,%d) %.12g%+.12gj" % (m, n, v.real, v.imag))
-        return "\n".join(lines) or "(empty)"
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +199,9 @@ def ohno_generating(k, op, p, cfg=None, eps=None):
     cfg = cfg or QuadConfig()
     w = p.omega
     r = len(k)
-    if eps is None:
-        eps = op.eps or min(0.5, 1.0 / (4.0 * r * w))
-    if not 0.0 < eps < 1.0 / (2.0 * r * w):
+    default, bound = contour_offset(w, r, "generating")
+    eps = default if eps is None else eps
+    if not 0.0 < eps < bound:
         raise QuadError("contour shift outside (0, 1/2rw)", eps=eps)
     radius = eps / (3.0 * math.pi)
     if abs(complex(op.lam)) >= radius or abs(complex(op.mu)) >= radius:
@@ -276,30 +268,22 @@ def d_norm(lam, mu, ctx):
     return complex(pref * np.exp(logs))
 
 
-def _cached_line(ctx, x0, h, n, im):
-    """log G on the ascending grid x0 + h*arange(n) at height im,
-    memoized on the context.  A step-doubled grid is a subsample of its
-    fine parent, so it is served by slicing."""
-    key = (float(x0), float(h), int(n), float(im))
-    hit = ctx.line_cache.get(key)
-    if hit is None:
-        parent = ctx.line_cache.get((key[0], 0.5 * key[1], 2 * n - 1, key[3]))
-        if parent is not None:
-            hit = parent[::2]
-        else:
-            hit = log_G_line(x0 + h * np.arange(n), im, ctx)
-        ctx.line_cache.put(key, hit)
-    return hit
-
-
 def _descending_log_line(ctx, tops, h, shift, height):
     """log G(i(ob + line + shift)) where line = -a*eps + i*ys runs over
     a grid with imaginary parts `tops` (ascending, spacing h); the G
-    argument then has fixed height and descending real part."""
+    argument then has fixed height and descending real part.  The
+    ascending G line is memoized on the context; a step-doubled grid is
+    a subsample of its fine parent, so it is served by slicing."""
     n = len(tops)
     x0 = -float(tops[-1]) - shift.imag
-    vals = _cached_line(ctx, x0, h, n, height)
-    return vals[::-1]
+    key = (x0, float(h), n, float(height))
+    hit = ctx.line_cache.get(key)
+    if hit is None:
+        parent = ctx.line_cache.get((x0, 0.5 * key[1], 2 * n - 1, key[3]))
+        hit = (parent[::2] if parent is not None
+               else log_G_line(x0 + h * np.arange(n), height, ctx))
+        ctx.line_cache.put(key, hit)
+    return hit[::-1]
 
 
 def _connector_grid(eps, cfg, p, r, s, shift):
@@ -333,27 +317,25 @@ def _theta_value(ctx, cfg, p, r, s, lam, mu, eps, h, ys, chi_t, chi_u, dp):
     w = p.omega
     ob = ctx.omega_bar
     n = len(ys)
-    lam = complex(lam)
-    mu = complex(mu)
+    lam, mu = complex(lam), complex(mu)
     both = lam + mu
 
-    log_a = (_descending_log_line(ctx, ys, h, 0.0j, ob - r * eps)
-             - _descending_log_line(ctx, ys, h, lam,
-                                    ob - r * eps + lam.real)
-             - _descending_log_line(ctx, ys, h, mu,
-                                    ob - r * eps + mu.real))
-    log_b = (_descending_log_line(ctx, ys, h, 0.0j, ob - s * eps)
-             - _descending_log_line(ctx, ys, h, lam,
-                                    ob - s * eps + lam.real)
-             - _descending_log_line(ctx, ys, h, mu,
-                                    ob - s * eps + mu.real))
+    def log_line(a):
+        # log of G(i(ob + T)) / (G(i(ob + T + lam)) G(i(ob + T + mu)))
+        top = ob - a * eps
+        return (_descending_log_line(ctx, ys, h, 0.0j, top)
+                - _descending_log_line(ctx, ys, h, lam, top + lam.real)
+                - _descending_log_line(ctx, ys, h, mu, top + mu.real))
 
+    log_a, log_b = log_line(r), log_line(s)
     ysum = np.concatenate([ys[0] + ys[:-1], ys[-1] + ys])
     s_line = -(r + s) * eps + 1j * ysum
-    x0_c = -float(ysum[-1]) - both.imag
-    vals_c = _cached_line(ctx, x0_c, h, len(ysum),
-                          ob - (r + s) * eps + both.real)
-    log_c = vals_c[::-1] - np.log(-cexpm1(p.hbar_value * (s_line + both)))
+    log_c = (_descending_log_line(ctx, ysum, h, both,
+                                  ob - (r + s) * eps + both.real)
+             - np.log(-cexpm1(p.hbar_value * (s_line + both))))
+    for name, logs in (("a", log_a), ("b", log_b), ("c", log_c)):
+        if not np.max(logs.real) < _LOG_FLOAT_MAX:
+            raise QuadError("Theta factor beyond the float range", factor=name)
 
     # cross phase e^{-pi i w T U} split into line chirps and a sum chirp
     f_t = np.exp((-math.pi * w * s * eps) * ys - 0.5j * math.pi * w * ys ** 2)
@@ -369,16 +351,11 @@ def _theta_value(ctx, cfg, p, r, s, lam, mu, eps, h, ys, chi_t, chi_u, dp):
     value = const * (1j ** (r + s)) * h * h * summand.sum()
 
     # boundary monitors: top/bottom rows of each line and of the sum
-    c_abs = np.abs(c)
-    row_hi = float(np.sum(np.abs(b_vec) * c_abs[n - 1:]))
-    col_hi = float(np.sum(np.abs(a_vec) * c_abs[n - 1:]))
-    tail = h * h * (abs(a_vec[-1]) * row_hi / (dp * h)
-                    + abs(b_vec[-1]) * col_hi / (dp * h)
-                    + abs(a_vec[0]) * float(np.sum(np.abs(b_vec)
-                                                   * c_abs[:n])) / (TWO_PI * h)
-                    + abs(b_vec[0]) * float(np.sum(np.abs(a_vec)
-                                                   * c_abs[:n])) / (TWO_PI * h))
-    return value, tail
+    a_abs, b_abs, c_abs = np.abs(a_vec), np.abs(b_vec), np.abs(c)
+    hi, lo = c_abs[n - 1:], c_abs[:n]
+    tail = h * ((a_abs[-1] * (b_abs @ hi) + b_abs[-1] * (a_abs @ hi)) / dp
+                + (a_abs[0] * (b_abs @ lo) + b_abs[0] * (a_abs @ lo)) / TWO_PI)
+    return value, float(tail)
 
 
 def clear_connector_cache():
@@ -401,9 +378,9 @@ def connected_integral(k, l, op, ctx, cfg=None, eps=None):
     p = ctx.p
     w = p.omega
     r, s = len(k), len(l)
-    if eps is None:
-        eps = op.eps or min(1.0, 1.0 / w) / (2.0 * (r + s + 2))
-    if not 0.0 < (r + s + 2) * eps < min(1.0, 1.0 / w):
+    default, bound = contour_offset(w, r + s, "connector")
+    eps = default if eps is None else eps
+    if not 0.0 < eps < bound:
         raise QuadError("contour shift outside the convergence region",
                         eps=eps)
     lam, mu = complex(op.lam), complex(op.mu)
@@ -452,9 +429,7 @@ def initial_relation(k, op, ctx, cfg=None):
     cfg = cfg or ctx.cfg
     lhs = connected_integral(k, (1,), op, ctx, cfg)
     d = d_norm(op.lam, op.mu, ctx)
-    # the one-line integral picks its own contour shift
-    op_gen = OhnoParams(lam=op.lam, mu=op.mu, order=op.order)
-    gen = ohno_generating(index_up(k), op_gen, ctx.p, cfg)
+    gen = ohno_generating(index_up(k), op, ctx.p, cfg)
     rhs = EvalResult(d * complex(gen.value), abs(d) * gen.err_estimate,
                      {"d": d, "index": index_up(k)})
     return lhs, rhs
@@ -472,20 +447,16 @@ def transport_relation(k, l, op, ctx, cfg=None, variant=1):
     p = ctx.p
     lm = hat_shift(op.lam, p) * hat_shift(op.mu, p)
     if variant == 1:
-        lhs = connected_integral(index_right(k), l, op, ctx, cfg)
-        t1 = connected_integral(k, index_up(l), op, ctx, cfg)
-        t2 = connected_integral(index_up(index_right(k)), index_up(l),
-                                op, ctx, cfg)
-        rhs_val = complex(t1.value) + lm * complex(t2.value)
+        legs = [(index_right(k), l), (k, index_up(l)),
+                (index_up(index_right(k)), index_up(l))]
     elif variant == 2:
-        lhs = connected_integral(index_up(k), l, op, ctx, cfg)
-        t1 = connected_integral(k, index_right(l), op, ctx, cfg)
-        t2 = connected_integral(index_up(k), index_up(index_right(l)),
-                                op, ctx, cfg)
-        rhs_val = complex(t1.value) - lm * complex(t2.value)
+        lm = -lm
+        legs = [(index_up(k), l), (k, index_right(l)),
+                (index_up(k), index_up(index_right(l)))]
     else:
         raise ValueError("variant must be 1 or 2")
-    rhs = EvalResult(rhs_val,
+    lhs, t1, t2 = (connected_integral(a, b, op, ctx, cfg) for a, b in legs)
+    rhs = EvalResult(complex(t1.value) + lm * complex(t2.value),
                      t1.err_estimate + abs(lm) * t2.err_estimate,
                      {"variant": variant})
     return lhs, rhs
@@ -585,11 +556,9 @@ def connected_expansion(k, l, order, ctx, cfg=None, radius=None):
     if order > 2:
         raise ValueError("order above the supported expansion depth")
     cfg = cfg or ctx.cfg
-    p = ctx.p
-    w = p.omega
-    r, s = len(k), len(l)
-    eps = min(1.0, 1.0 / w) / (2.0 * (r + s + 2 + 2))
-    rho0 = radius if radius is not None else eps / 8.0
+    w = ctx.p.omega
+    if radius is None:
+        radius = min(1.0, 1.0 / w) / (16.0 * (len(k) + len(l) + 4))
     npts = order + 3
     cells = [(m, n) for m in range(order + 1)
              for n in range(order + 1 - m)]
@@ -606,8 +575,7 @@ def connected_expansion(k, l, order, ctx, cfg=None, radius=None):
             lam = complex(inverse_x_variable(lh, w))
             for mh in hats:
                 mu = complex(inverse_x_variable(mh, w))
-                pt = OhnoParams(lam=lam, mu=mu, order=order, eps=eps)
-                conn = connected_integral(k, l, pt, ctx, cfg, eps=eps)
+                conn = connected_integral(k, l, OhnoParams(lam, mu), ctx, cfg)
                 dd = d_norm(lam, mu, ctx)
                 vals.append(complex(conn.value) / dd)
                 errpt = max(errpt, conn.err_estimate / abs(dd))
@@ -620,10 +588,10 @@ def connected_expansion(k, l, order, ctx, cfg=None, radius=None):
             raise QuadError("expansion fit is ill-conditioned", cond=cond)
         return sol, errpt
 
-    sol_wide, _ = fit(rho0)
-    sol, errpt = fit(rho0 / 2.0)
+    sol_wide, _ = fit(radius)
+    sol, errpt = fit(radius / 2.0)
     table = OhnoTable(order)
     for (m, n), c, c_wide in zip(cells, sol, sol_wide):
-        err = abs(c - c_wide) + errpt / max((rho0 / 2.0) ** (m + n), 1e-30)
+        err = abs(c - c_wide) + errpt / max((radius / 2.0) ** (m + n), 1e-30)
         table.set(m, n, c, err)
     return table

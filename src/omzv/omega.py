@@ -19,7 +19,7 @@ letter-by-letter direct route is kept for cross checks.
 
 Every value is one `chain_line_integral` on the contour stack
 Re T_a = -a*eps of the cumulative points T_a = t_1 + ... + t_a, with
-the offset eps of `default_eps`: by Cauchy the value does not depend on
+the offset eps of `contour_offset`: by Cauchy the value does not depend on
 eps inside the pole-free region, so eps is chosen to hold the stack as
 far from every kernel pole as the geometry allows.
 
@@ -40,7 +40,7 @@ from .words import ALetter, AMonomial, APoly, check_index
 
 __all__ = [
     "OmegaParam",
-    "default_eps",
+    "contour_offset",
     "cexpm1",
     "Z_omega_monomial",
     "Z_omega",
@@ -79,22 +79,50 @@ def decay_hint(omega):
     return math.pi * omega
 
 
-def default_eps(omega, depth):
-    """Contour offset eps of the stack Re T_a = -a*eps, a = 1..depth.
+def contour_offset(omega, depth, geometry="zeta"):
+    """(eps, bound) for the contour stack Re T_a = -a*eps, a = 1..depth:
+    the offset, and the supremum of the offsets the integral is valid
+    for.  Below the bound the value does not depend on eps (Cauchy), and
+    the trapezoid error decays like exp(-2 pi d/h) in the smallest pole
+    distance d, so eps is where d is largest.  The measure and E-block
+    diff kernels have poles where T_a - T_{a-1} is an integer, at eps
+    and 1 - eps; the letter and J kernels where w*(T_a + nu) is (w is
+    omega, nu is 0 or a deformation point lam, mu): at T = -nu, distance
+    a*eps - Re nu, and at T = -nu - 1/w, distance 1/w - a*eps + Re nu.
 
-    The lines meet two pole lattices.  The measure and E-block diff
-    kernels have poles where T_a - T_{a-1} is an integer: at distance
-    eps and 1 - eps from the lines.  The letter kernels have poles where
-    omega*T_a is an integer: at T = 0, distance a*eps, and T = -1/omega,
-    distance 1/omega - a*eps, nearest for the last line a = depth.  The
-    trapezoid error decays like exp(-2 pi d/h) in the smallest of these
-    distances d, so the grid step grows with it.  The smallest distance
-    min(eps, 1 - eps, 1/omega - depth*eps) is largest at
-    eps* = min(1/2, 1/((depth+1)*omega)).  The offset is 0.9*eps*,
-    which keeps the last line a little further from the higher-order
-    letter poles at -1/omega; the nearest pole is then always the one at
-    distance eps."""
-    return 0.9 * min(0.5, 1.0 / ((depth + 1) * omega))
+    "zeta" (`zeta_omega`, `Z_omega`): bound min(1, 1/(depth*w)); d =
+    min(eps, 1 - eps, 1/w - depth*eps) peaks at eps* = min(1/2,
+    1/((depth+1)*w)), and eps = 0.9*eps* keeps the last line off the
+    higher-order letter poles at -1/w: the nearest pole is at eps.
+
+    "generating" (`ohno_generating`, depth = r): the bound 1/(2*r*w)
+    keeps the last line nearer T = 0 than -1/w, so that eps alone sets
+    the series radius eps/(3 pi) in (lam, mu).  Below it d = min(eps,
+    1 - eps), largest at min(1/2, bound): eps = min(1/2, 0.9*bound).
+
+    "connector" (`connected_integral`, depth = r + s): chains of lengths
+    r and s meet on the sum line S = T_r + U_s, Re S = -(r+s)*eps.  The
+    Theta factor G(i(ob + T)) / (G(i(ob + T + lam)) G(i(ob + T + mu)))
+    (G heights ob - r*eps + Re nu; likewise for U) has poles at zeroes
+    of G, T = -nu + a + b/w (a, b >= 0), right of the line, and at poles
+    of G, Re T <= -2*ob, further left.  In G(i(ob + S + lam + mu)) /
+    (1 - e^{hbar (S + lam + mu)}) zeroes of G cancel those of the log
+    factor at S + lam + mu = n/w, n >= 0; the one at -1/w stays, at
+    1/w - (r+s)*eps.  As 1 - eps >= 1 - (r+s)*eps, d is at least
+    min(eps, min(1, 1/w) - (r+s)*eps) - |lam + mu|.  The admitted points
+    |lam|, |mu| < eps shift by up to 2*eps: the "+2" of the bound
+    min(1, 1/w)/(r+s+2) keeps d > 0 at all of them.  Below the bound
+    d = eps at lam = mu = 0, so eps = 0.9*bound."""
+    if geometry == "zeta":
+        return (0.9 * min(0.5, 1.0 / ((depth + 1) * omega)),
+                min(1.0, 1.0 / (depth * omega)))
+    if geometry == "generating":
+        bound = 1.0 / (2.0 * depth * omega)
+        return min(0.5, 0.9 * bound), bound
+    if geometry == "connector":
+        bound = min(1.0, 1.0 / omega) / (depth + 2)
+        return 0.9 * bound, bound
+    raise ValueError("unknown contour geometry %r" % geometry)
 
 
 def cexpm1(z):
@@ -216,7 +244,7 @@ def _reduced_stages(blocks, p):
 def _chain_value(stages, p, cfg):
     """The chain integral of the stages on the default contour stack."""
     return chain_line_integral(
-        stages, default_eps(p.omega, len(stages)), cfg,
+        stages, contour_offset(p.omega, len(stages))[0], cfg,
         decay=(TWO_PI, decay_hint(p.omega)))
 
 

@@ -97,6 +97,19 @@ def test_verify_records_each_suite_config(runner):
             == {"r1e-07,a1e-09,m6,s0.8,q2.2"})
 
 
+@pytest.mark.parametrize("suite, omega", [("ohno", "1.99"),
+                                          ("transport", "1.9")])
+def test_connector_suites_pass_near_omega_2(runner, suite, omega):
+    """With the contour offsets at 0.9 of their bounds the series region
+    holds the ohno points at w = 1.99 and the transport integrals stay
+    finite at 1.9; at half the bounds both suites exited 3."""
+    res = runner.invoke(cli, ["verify", suite, "--omega", omega])
+    assert res.exit_code == 0
+    report = json.loads(res.output, parse_constant=_reject_constant)
+    assert report["summary"]["failed"] == 0
+    assert all(c["pass"] for c in report["checks"])
+
+
 def test_ohno_quad_error_is_exit_3(runner):
     res = runner.invoke(cli, ["ohno", "2", "--omega", "0.0005"])
     assert res.exit_code == 3

@@ -99,6 +99,25 @@ def test_long_line_near_run_matches_points(omega, x0, h, n):
         assert np.max(np.abs(line - points)) < 1e-12
 
 
+@pytest.mark.parametrize("x0, h, n", [(-149.7, 0.0175, 17_110),
+                                      (-150.0, 0.015, 20_001)])
+def test_chirp_run_is_anchored_at_its_mean(x0, h, n):
+    """On a connector-shaped line at w = 1.4 each near point carries
+    the rounding of |x0| ~ 150, up to 1.4e-14, and |d log G/dx| reaches
+    about 27 there.  A run anchored at one point shifts every value by
+    that point's rounding: the largest difference from per-point sums
+    was 2.1e-13 to 2.4e-13 on these lines, and is at most 1.4e-13 when
+    the run is anchored at the mean offset."""
+    ctx = GammaContext(OmegaParam(1.4))
+    s0 = ctx.core_band
+    re = x0 + h * np.arange(n)
+    near = np.flatnonzero(np.abs(re) < _far_threshold(1.4))
+    for im in (0.4 * s0, s0 + 0.3, -s0 - 0.3):
+        line = log_G_line(re, im, ctx)[near]
+        points = np.array([log_G(complex(re[j], im), ctx) for j in near])
+        assert np.max(np.abs(line - points)) < 1.8e-13
+
+
 def test_connector_lines_are_not_summed_densely(monkeypatch):
     """Every line of >= _CHIRP_MIN points that a connected integral or a
     Saalschutz point reads goes through the chirp-z sum."""
@@ -118,7 +137,9 @@ def test_connector_lines_are_not_summed_densely(monkeypatch):
     clear_connector_cache()
     cfg = QuadConfig(rel_tol=1e-7, abs_tol=1e-9)
     ctx = GammaContext(OmegaParam(0.6), cfg=cfg)
-    connected_integral((1,), (1,), OhnoParams(0.007 + 0.003j, -0.005j), ctx)
+    # the offset 1/8 gives lines of more than 1000 points
+    connected_integral((1,), (1,), OhnoParams(0.007 + 0.003j, -0.005j), ctx,
+                       eps=0.125)
     saalschutz_check(*saalschutz_points(ctx.omega_bar)[0], ctx)
     clear_connector_cache()
     assert max(dense_sizes, default=0) < _CHIRP_MIN

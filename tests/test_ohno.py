@@ -145,6 +145,47 @@ def test_connected_integral_region_guards(ctx1, fast_cfg):
                            fast_cfg, eps=0.9)
 
 
+@pytest.mark.parametrize("omega", [0.3, 1.0, 1.4, 1.9])
+def test_contour_offset_does_not_move_values(fast_cfg, omega):
+    """By Cauchy the integrals do not depend on the offset inside the
+    pole-free region: the default offsets and the earlier ones, half the
+    connector bound and min(1/2, 1/(4 r w)), agree within the two
+    estimates."""
+    ctx = GammaContext(OmegaParam(omega), cfg=fast_cfg)
+    op = OhnoParams(0.004 + 0.002j, -0.003 + 0.003j)
+    old = min(1.0, 1.0 / omega) / 8.0
+    a = connected_integral((2,), (1,), op, ctx)
+    b = connected_integral((2,), (1,), op, ctx, eps=old)
+    assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate
+    assert a.meta["nodes"] < b.meta["nodes"]
+    a = ohno_generating((1, 2), op, ctx.p, fast_cfg)
+    b = ohno_generating((1, 2), op, ctx.p, fast_cfg,
+                        eps=min(0.5, 1.0 / (8.0 * omega)))
+    assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate
+
+
+def test_connector_node_bound(fast_cfg):
+    """A connected integral of total depth 2 at w = 0.6, with a
+    deformation point of the size the suites use, took 9,119 nodes at
+    half its offset bound (3,365 at 0.9 of it)."""
+    ctx = GammaContext(OmegaParam(0.6), cfg=fast_cfg)
+    res = connected_integral((1,), (1,), OhnoParams(0.008 - 0.003j,
+                                                    -0.004 + 0.006j), ctx)
+    assert res.meta["nodes"] <= 4000
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_theta_overflow_is_a_quad_error(fast_cfg):
+    """At w = 0.05 the Theta factors exceed the float range: the
+    integral raises QuadError instead of overflowing to NaN."""
+    ctx = GammaContext(OmegaParam(0.05), cfg=fast_cfg)
+    try:
+        res = connected_integral((1,), (1,), OhnoParams(), ctx)
+    except QuadError:
+        return
+    assert cmath.isfinite(res.value) and math.isfinite(res.err_estimate)
+
+
 def test_connected_expansion_matches_table(ctx1, fast_cfg, p1):
     exp_tbl = connected_expansion((1,), (1,), 1, ctx1, fast_cfg)
     tbl = ohno_table((2,), 1, p1, fast_cfg)

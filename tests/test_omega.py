@@ -10,7 +10,7 @@ import pytest
 from omzv import (AMonomial, HPoly, HbarLaurent, OmegaParam, QuadConfig,
                   QuadError, Z_omega, Z_omega_monomial, dual_index,
                   index_to_e_word, parse_amonomial, zeta_omega)
-from omzv.omega import (cexpm1, clear_value_cache, decay_hint, default_eps,
+from omzv.omega import (cexpm1, clear_value_cache, contour_offset, decay_hint,
                         inverse_x_variable, kernel_e)
 from omzv.quad import ChainStage, chain_line_integral
 
@@ -232,7 +232,7 @@ def test_contour_stack_keeps_poles_at_eps():
     eps, and eps is at least 0.9 of the best offset found by search."""
     for w in np.linspace(0.01, 1.99, 67):
         for r in range(1, 7):
-            eps = default_eps(w, r)
+            eps = contour_offset(w, r)[0]
             dist = min([eps, 1.0 - eps]
                        + [d for a in range(1, r + 1)
                           for d in (a * eps, 1.0 / w - a * eps)])
