@@ -16,6 +16,7 @@ reports every check, with a suite that raised as one failed check).
 
 import cmath
 import json
+import math
 import time
 
 import click
@@ -34,6 +35,13 @@ SUITE_NAMES = tuple(SUITES) + ("all",)
 
 class AdmissibilityError(click.ClickException):
     exit_code = 3
+
+
+def _tolerance(ctx, param, value):
+    """--tol is finite and > 0; click.FloatRange lets NaN and inf in."""
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise click.BadParameter("%r is not a finite number > 0" % value)
+    return value
 
 
 def _complex_arg(text):
@@ -124,7 +132,7 @@ def cli(ctx, config):
 @click.argument("expr")
 @click.option("--omega", type=float, default=1.0, show_default=True,
               help="Deformation parameter in (0, 2).")
-@click.option("--tol", type=float, default=None,
+@click.option("--tol", type=float, default=None, callback=_tolerance,
               help="Quadrature relative tolerance target.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the JSON report here instead of stdout.")
@@ -171,11 +179,13 @@ def cmd_eval(kind, expr, omega, tol, out, cache_path):
 @click.argument("suite", type=click.Choice(SUITE_NAMES))
 @click.option("--omega", type=float, default=1.0, show_default=True,
               help="Deformation parameter in (0, 2).")
-@click.option("--tol", type=float, default=None,
+@click.option("--tol", type=float, default=None, callback=_tolerance,
               help="Override the per-check tolerances.")
-@click.option("--max-weight", type=int, default=4, show_default=True,
+@click.option("--max-weight", type=click.IntRange(min=0), default=4,
+              show_default=True,
               help="Weight cap for the monomial batteries.")
-@click.option("--order", type=int, default=2, show_default=True,
+@click.option("--order", type=click.IntRange(min=0), default=2,
+              show_default=True,
               help="Table order for the Ohno checks.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for generic-point selection.")
@@ -227,7 +237,7 @@ def cmd_verify(ctx, suite, omega, tol, max_weight, order, seed, out,
 @click.argument("z")
 @click.option("--omega", type=float, default=1.0, show_default=True,
               help="Deformation parameter in (0, 2).")
-@click.option("--tol", type=float, default=None,
+@click.option("--tol", type=float, default=None, callback=_tolerance,
               help="Quadrature relative tolerance target.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the JSON report here instead of stdout.")
@@ -265,9 +275,10 @@ def cmd_gamma(z, omega, tol, out, cache_path):
 @click.argument("index")
 @click.option("--omega", type=float, default=1.0, show_default=True,
               help="Deformation parameter in (0, 2).")
-@click.option("--order", type=int, default=2, show_default=True,
+@click.option("--order", type=click.IntRange(min=0), default=2,
+              show_default=True,
               help="Largest m+n in the table.")
-@click.option("--tol", type=float, default=None,
+@click.option("--tol", type=float, default=None, callback=_tolerance,
               help="Quadrature relative tolerance target.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the JSON report here instead of stdout.")

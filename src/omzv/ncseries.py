@@ -1,7 +1,7 @@
 """Noncommutative polynomials in x, y with a central series variable X.
 
-Truncated series sum_j c_j X^j whose coefficients c_j are exact rational
-combinations of words in the letters x, y.  The transform tau is the
+An `XSeries` is a finite exact rational combination of terms w X^j, w a
+word in the letters x, y and j >= 0.  The transform tau is the
 anti-automorphism fixed by
 
     tau(X) = X
@@ -10,242 +10,87 @@ anti-automorphism fixed by
 
 It restricts to the subalgebra generated by x, y, X and (1 + y x X)^-1;
 whether tau is an involution is observed in tests, never assumed here.
+The image of x is an infinite series in X, so `tau` takes a truncation
+order and drops the higher powers of X after each product; a series
+itself carries no order.
 
 Words starting with y and ending with x encode indices through
 z_k = y x^(k-1); see `z_decompose`.
 """
 
-from fractions import Fraction
+from .words import _LinComb, _merge, _rational
 
-__all__ = [
-    "XSeries",
-    "x_word",
-    "y_word",
-    "series_mul",
-    "geom_inverse",
-    "tau",
-    "tau_letter",
-    "z_decompose",
-    "DEFAULT_ORDER",
-]
-
-DEFAULT_ORDER = 4
+__all__ = ["XSeries", "tau", "z_decompose"]
 
 
-def _clean(d):
-    return {w: q for w, q in d.items() if q}
+def _xy_key(k):
+    """k = (word, X power) with the letters and the power checked."""
+    w, j = k
+    w, j = str(w), int(j)
+    if w.strip("xy"):
+        raise ValueError("word letters must be x or y")
+    if j < 0:
+        raise ValueError("X power must be >= 0")
+    return w, j
 
 
-class XSeries:
-    """Polynomial in X of degree <= order with xy-word coefficients.
+class XSeries(_LinComb):
+    """Rational combination of terms w X^j: (xy-word, X power) ->
+    coefficient."""
 
-    coeffs is a list of dicts (word -> Fraction), one per X power,
-    indices 0..order.  Treated as immutable.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order=DEFAULT_ORDER, coeffs=None):
-        order = int(order)
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        self.order = order
-        cs = [dict() for _ in range(order + 1)]
-        if coeffs is not None:
-            for j, d in enumerate(coeffs):
-                if j > order:
-                    break
-                for w, q in d.items():
-                    q = Fraction(q)
-                    if q:
-                        cs[j][w] = q
-        self.coeffs = cs
-
-    # -- constructors -------------------------------------------------
+    __slots__ = ()
+    _UNIT = ("", 0)
+    _key = staticmethod(_xy_key)
+    _coeff = staticmethod(_rational)
 
     @staticmethod
-    def zero(order=DEFAULT_ORDER):
-        return XSeries(order)
+    def _sort_key(k):
+        w, j = k
+        return (j, len(w), w)
 
     @staticmethod
-    def one(order=DEFAULT_ORDER):
-        return XSeries(order, [{"": Fraction(1)}])
+    def _key_str(k):
+        w, j = k
+        return " ".join(list(w) + (["X^%d" % j] if j else [])) or "1"
+
+    @classmethod
+    def _of(cls, x):
+        return x if isinstance(x, XSeries) else cls({cls._UNIT: x})
 
     @staticmethod
-    def word(w, order=DEFAULT_ORDER, coeff=1, xpow=0):
-        if any(ch not in "xy" for ch in w):
-            raise ValueError("word letters must be x or y")
-        s = XSeries(order)
-        if xpow <= order:
-            q = Fraction(coeff)
-            if q:
-                s.coeffs[xpow][w] = q
-        return s
-
-    # -- structure ----------------------------------------------------
-
-    def is_zero(self):
-        return all(not d for d in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, XSeries):
-            return NotImplemented
-        if self.order != other.order:
-            return False
-        return all(_clean(a) == _clean(b)
-                   for a, b in zip(self.coeffs, other.coeffs))
-
-    def __add__(self, other):
-        self._check(other)
-        out = XSeries(self.order)
-        for j in range(self.order + 1):
-            d = dict(self.coeffs[j])
-            for w, q in other.coeffs[j].items():
-                s = d.get(w, Fraction(0)) + q
-                if s:
-                    d[w] = s
-                else:
-                    d.pop(w, None)
-            out.coeffs[j] = d
-        return out
-
-    def __neg__(self):
-        out = XSeries(self.order)
-        out.coeffs = [{w: -q for w, q in d.items()} for d in self.coeffs]
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, c):
-        c = Fraction(c)
-        out = XSeries(self.order)
-        if c:
-            out.coeffs = [{w: q * c for w, q in d.items()}
-                          for d in self.coeffs]
-        return out
+    def word(w, coeff=1, xpow=0):
+        return XSeries({(w, xpow): coeff})
 
     def __mul__(self, other):
-        return series_mul(self, other)
+        """Words concatenate and X powers add."""
+        other = self._of(other)
+        return self._make(_merge({}, (
+            ((w1 + w2, j1 + j2), c1 * c2)
+            for (w1, j1), c1 in self.t.items()
+            for (w2, j2), c2 in other.t.items())))
 
-    def _check(self, other):
-        if not isinstance(other, XSeries):
-            raise TypeError("expected XSeries")
-        if self.order != other.order:
-            raise ValueError("truncation orders differ: %d vs %d"
-                             % (self.order, other.order))
-
-    def words(self):
-        """All words appearing, any X power."""
-        out = set()
-        for d in self.coeffs:
-            out.update(d)
-        return out
-
-    # -- text form ----------------------------------------------------
-
-    def __str__(self):
-        parts = []
-        for j in range(self.order + 1):
-            for w in sorted(self.coeffs[j], key=lambda w: (len(w), w)):
-                q = self.coeffs[j][w]
-                sign = "-" if q < 0 else ""
-                q = abs(q)
-                body = " ".join(w)
-                if j:
-                    body = (body + " " if body else "") + "X^%d" % j
-                if not body:
-                    parts.append(sign + str(q))
-                elif q == 1:
-                    parts.append(sign + body)
-                else:
-                    parts.append(sign + str(q) + "*" + body)
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            if p.startswith("-"):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
-        return out
-
-    def __repr__(self):
-        return "XSeries<%s>" % self
+    def truncated(self, order):
+        """The terms with X power <= order."""
+        return self._make({k: c for k, c in self.t.items() if k[1] <= order})
 
 
-def x_word(order=DEFAULT_ORDER):
-    return XSeries.word("x", order)
-
-
-def y_word(order=DEFAULT_ORDER):
-    return XSeries.word("y", order)
-
-
-def series_mul(s, s2):
-    """Product, truncated at the common order (orders must match)."""
-    s._check(s2)
-    out = XSeries(s.order)
-    for j1, d1 in enumerate(s.coeffs):
-        if not d1:
-            continue
-        for j2, d2 in enumerate(s2.coeffs):
-            if not d2 or j1 + j2 > s.order:
-                continue
-            acc = out.coeffs[j1 + j2]
-            for w1, q1 in d1.items():
-                for w2, q2 in d2.items():
-                    w = w1 + w2
-                    q = acc.get(w, Fraction(0)) + q1 * q2
-                    if q:
-                        acc[w] = q
-                    else:
-                        acc.pop(w, None)
-    return out
-
-
-def geom_inverse(u, order=DEFAULT_ORDER):
-    """(1 + u X)^-1 = sum_j (-1)^j u^j X^j for an xy-word u."""
-    if isinstance(u, XSeries):
-        raise TypeError("u must be a plain word, not a series")
-    if any(ch not in "xy" for ch in u):
-        raise ValueError("word letters must be x or y")
-    out = XSeries(order)
-    for j in range(order + 1):
-        out.coeffs[j][u * j] = Fraction(-1) ** j
-    return out
-
-
-def tau_letter(letter, order=DEFAULT_ORDER):
-    """Image of a single letter under tau."""
-    if letter == "x":
-        return series_mul(geom_inverse("yx", order), y_word(order))
-    if letter == "y":
-        one_plus = XSeries.one(order) + XSeries.word("yx", order, xpow=1)
-        return series_mul(x_word(order), one_plus)
-    raise ValueError("unknown letter %r" % letter)
-
-
-def tau(s):
-    """Anti-automorphism tau applied to an XSeries, word by word:
-    tau(l_1 ... l_n) = tau(l_n) ... tau(l_1), tau(X) = X."""
-    order = s.order
-    images = {"x": tau_letter("x", order), "y": tau_letter("y", order)}
-    out = XSeries.zero(order)
-    for j, d in enumerate(s.coeffs):
-        for w, q in d.items():
-            img = XSeries.one(order)
-            for letter in reversed(w):
-                img = series_mul(img, images[letter])
-            out = out + _xshift(img, j, order).scaled(q)
-    return out
-
-
-def _xshift(s, j, order):
-    out = XSeries(order)
-    for i, d in enumerate(s.coeffs):
-        if i + j <= order:
-            out.coeffs[i + j] = dict(d)
+def tau(s, order):
+    """Anti-automorphism tau applied to an XSeries word by word,
+    tau(l_1 ... l_n X^j) = tau(l_n) ... tau(l_1) X^j, with every power of
+    X above `order` dropped."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    images = {
+        "x": XSeries({("yx" * j + "y", j): (-1) ** j
+                      for j in range(order + 1)}),
+        "y": XSeries({("x", 0): 1, ("xyx", 1): 1}).truncated(order),
+    }
+    out = XSeries.zero()
+    for (w, j), q in s.t.items():
+        img = XSeries({("", j): q}).truncated(order)
+        for letter in reversed(w):
+            img = (img * images[letter]).truncated(order)
+        out = out + img
     return out
 
 
@@ -268,4 +113,3 @@ def z_decompose(w):
         out.append(j - i)
         i = j
     return tuple(out)
-

@@ -235,17 +235,16 @@ def ohno_series(k, op, p, cfg=None):
     if q >= 0.5:
         raise QuadError("deformation too large for series truncation",
                         rho=rho)
+    table = ohno_table(k, op.order, p, cfg)
     total = 0.0 + 0.0j
     err = 0.0
     top = 0.0
-    for m in range(op.order + 1):
-        for n in range(op.order + 1 - m):
-            cell = double_ohno_sum(k, m, n, p, cfg)
-            term = complex(cell.value) * lam_hat ** m * mu_hat ** n
-            total += term
-            err += cell.err_estimate * abs(lam_hat ** m * mu_hat ** n)
-            if m + n == op.order:
-                top += abs(term)
+    for m, n in table.cells():
+        term = table.coeffs[(m, n)] * lam_hat ** m * mu_hat ** n
+        total += term
+        err += table.errs[(m, n)] * abs(lam_hat ** m * mu_hat ** n)
+        if m + n == op.order:
+            top += abs(term)
     err += top * q / (1.0 - q)
     return EvalResult(total, err, {"index": k, "order": op.order})
 
@@ -534,18 +533,17 @@ def omega_Omega(w, op, p, cfg=None):
     """Omega table of an XSeries whose X^j coefficients are words in
     y h x: each word contributes its O table shifted by (j, j)."""
     table = OhnoTable(op.order)
-    for j, layer in enumerate(w.coeffs):
+    for (word, j), q in w.items_sorted():
         if 2 * j > op.order:
-            break
+            continue
         sub = op.order - 2 * j
-        for word, q in layer.items():
-            idx = z_decompose(word)
-            c = complex(q)
-            for m in range(sub + 1):
-                for n in range(sub + 1 - m):
-                    cell = double_ohno_sum(idx, m, n, p, cfg)
-                    table.add(m + j, n + j, c * complex(cell.value),
-                              abs(c) * cell.err_estimate)
+        idx = z_decompose(word)
+        c = complex(q)
+        for m in range(sub + 1):
+            for n in range(sub + 1 - m):
+                cell = double_ohno_sum(idx, m, n, p, cfg)
+                table.add(m + j, n + j, c * complex(cell.value),
+                          abs(c) * cell.err_estimate)
     return table
 
 

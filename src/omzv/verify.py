@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypgamma import GammaContext, _far_threshold, _log_G_far, log_G
-from .ncseries import series_mul, tau_letter, x_word, y_word
+from .ncseries import XSeries, tau
 from .ohno import (OhnoParams, double_ohno_sum, initial_relation,
                    ohno_generating, ohno_series, omega_Omega,
                    saalschutz_check, transport_relation)
@@ -447,10 +447,9 @@ def suite_extended_do(omega, cfg, max_weight, order, seed, tol):
 
     t0 = time.perf_counter()
     op = OhnoParams(order=order)
-    lhs_word = series_mul(series_mul(y_word(order), x_word(order)),
-                          x_word(order))
-    rhs_word = series_mul(series_mul(y_word(order), tau_letter("x", order)),
-                          x_word(order))
+    x, y = XSeries.word("x"), XSeries.word("y")
+    lhs_word = y * x * x
+    rhs_word = y * tau(x, order) * x
     ta = omega_Omega(lhs_word, op, p, cfg)
     tb = omega_Omega(rhs_word, op, p, cfg)
     diff = ta.max_abs_diff(tb)

@@ -16,7 +16,8 @@ defect of that exchange is `satoh_residual`, which must vanish
 identically.  All arithmetic in this module is exact.
 
 Laurent polynomials, a/b-word polynomials and A-monomial polynomials
-are one type of finite linear combination with different keys.  The
+are one type of finite linear combination with different keys; the
+fourth kind of key, (xy-word, X power), is `ncseries.XSeries`.  The
 structure constants of both products are integers, so coefficients are
 Python ints; a Fraction appears only where one is put in (a p/q in
 parsed text, or a non-integral rational passed by a caller).
@@ -49,7 +50,6 @@ __all__ = [
     "index_to_e_word",
     "dual_index",
     "parse_index",
-    "parse_word",
     "parse_hpoly",
     "parse_apoly",
     "parse_amonomial",
@@ -840,16 +840,6 @@ def _a_letter(tok):
     if tok.startswith("G") and tok[1:].isdigit():
         return G(int(tok[1:]))
     raise ValueError("unknown letter %r" % tok)
-
-
-def parse_word(text):
-    """Parse a plain a/b word like "b a a" (or "1" for the empty word)."""
-    toks = _tokenize(text)
-    p = _Parser(toks, _ab_letter)
-    coeff, letters = p.word(HbarLaurent.one())
-    if p.i != len(toks) or coeff != _ONE:
-        raise ValueError("not a plain word: %r" % text)
-    return "".join(letters)
 
 
 def parse_hpoly(text):

@@ -57,6 +57,26 @@ def test_parse_error_is_exit_2(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "extended-do", "--order", "-1"],
+    ["verify", "ohno", "--order", "-1"],
+    ["verify", "algebra", "--max-weight", "-1"],
+    ["ohno", "2", "--order", "-1"],
+    ["eval", "zeta", "2", "--tol", "nan"],
+    ["eval", "zeta", "2", "--tol", "inf"],
+    ["eval", "zeta", "2", "--tol", "0"],
+    ["eval", "zeta", "2", "--tol", "-1"],
+    ["verify", "algebra", "--tol", "nan"],
+    ["gamma", "0.2", "--tol", "0"],
+    ["ohno", "2", "--tol", "-inf"],
+])
+def test_bad_numeric_option_is_exit_2(runner, args):
+    """Negative orders and weights, and tolerances that are not finite
+    and > 0, are usage errors, before any work is done."""
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 2, res.output
+
+
 def test_non_admissible_is_exit_3(runner):
     res = runner.invoke(cli, ["eval", "zeta", "2,1"])
     assert res.exit_code == 3

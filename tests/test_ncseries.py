@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omzv.ncseries import (DEFAULT_ORDER, XSeries, geom_inverse, series_mul,
-                           tau, tau_letter, x_word, y_word, z_decompose)
+from omzv.ncseries import XSeries, tau, z_decompose
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +24,7 @@ def index_to_xy_word(k):
 _XTOK = re.compile(r"X\^(\d+)|X|([xy])|(\d+(?:/\d+)?)|(\*)|(\+)|(-)|(\s+)")
 
 
-def parse_xseries(text, order=DEFAULT_ORDER):
+def parse_xseries(text):
     """Parse "y x x - y x y x X^1" style text (whitespace tolerant)."""
     pos = 0
     terms = []
@@ -70,40 +69,43 @@ def parse_xseries(text, order=DEFAULT_ORDER):
         elif xp is not None:
             cur[2] += int(xp)
     flush()
-    out = XSeries.zero(order)
+    out = XSeries.zero()
     for coeff, w, xpow in terms:
-        out = out + XSeries.word(w, order, coeff, xpow)
+        out = out + XSeries.word(w, coeff, xpow)
     return out
 
 
-def W(w, order=4, coeff=1, xpow=0):
-    return XSeries.word(w, order, coeff=coeff, xpow=xpow)
+def W(w, coeff=1, xpow=0):
+    return XSeries.word(w, coeff=coeff, xpow=xpow)
 
 
 def test_geom_inverse_is_inverse():
-    for u in ("x", "yx", "xy", "yyx"):
-        one_plus = XSeries.one(4) + W(u, xpow=1)
-        assert series_mul(one_plus, geom_inverse(u, 4)) == XSeries.one(4)
-        assert series_mul(geom_inverse(u, 4), one_plus) == XSeries.one(4)
-    with pytest.raises(TypeError):
-        geom_inverse(x_word(4))
-    with pytest.raises(ValueError):
-        geom_inverse("yz")
+    """tau(x) = (1 + y x X)^-1 y up to X^n: the geometric inverse."""
+    one_plus = XSeries.one() + W("yx", xpow=1)
+    for n in (1, 3, 4):
+        assert (one_plus * tau(W("x"), n)).truncated(n) == W("y")
 
 
 def test_tau_letters():
-    want_x = (W("y", 3) - W("yxy", 3, xpow=1) + W("yxyxy", 3, xpow=2)
-              - W("yxyxyxy", 3, xpow=3))
-    assert tau_letter("x", 3) == want_x
-    want_y = W("x", 3) + W("xyx", 3, xpow=1)
-    assert tau_letter("y", 3) == want_y
+    want_x = (W("y") - W("yxy", xpow=1) + W("yxyxy", xpow=2)
+              - W("yxyxyxy", xpow=3))
+    assert tau(W("x"), 3) == want_x
+    assert tau(W("y"), 3) == W("x") + W("xyx", xpow=1)
+    assert tau(W("y"), 0) == W("x")
     with pytest.raises(ValueError):
-        tau_letter("z", 3)
+        W("z")
+    with pytest.raises(ValueError):
+        W("x", xpow=-1)
 
 
 def test_tau_involution_on_letters():
-    assert tau(tau(x_word(3))) == x_word(3)
-    assert tau(tau(y_word(3))) == y_word(3)
+    assert tau(tau(W("x"), 3), 3) == W("x")
+    assert tau(tau(W("y"), 3), 3) == W("y")
+
+
+def test_coefficients_are_ints():
+    for s in (tau(W("x"), 4), W("yx") * W("xy"), XSeries.one() * -2):
+        assert s and all(type(c) is int for c in s.t.values())
 
 
 def test_z_decompose():
@@ -126,17 +128,14 @@ def test_index_to_xy_word():
 
 def test_parse_roundtrip():
     s = (W("yx", coeff=Fraction(3, 2)) - W("yyx", xpow=2)
-         + XSeries.one(4).scaled(-2))
-    assert parse_xseries(str(s), 4) == s
-    assert parse_xseries("y x x - y x y x X^1", 4) == (W("yxx")
-                                                       - W("yxyx", xpow=1))
+         + XSeries.one() * -2)
+    assert str(s) == "-2 + 3/2*y x - y y x X^2"
+    back = parse_xseries(str(s))
+    assert back == s and type(back.t[("yx", 0)]) is Fraction
+    assert parse_xseries("y x x - y x y x X^1") == (W("yxx")
+                                                    - W("yxyx", xpow=1))
     with pytest.raises(ValueError):
-        parse_xseries("y q", 4)
-
-
-def test_order_mismatch_rejected():
-    with pytest.raises(ValueError):
-        series_mul(x_word(3), x_word(4))
+        parse_xseries("y q")
 
 
 words = st.text(alphabet="xy", min_size=0, max_size=4)
@@ -146,17 +145,17 @@ words = st.text(alphabet="xy", min_size=0, max_size=4)
 @settings(max_examples=40, deadline=None)
 def test_tau_antiautomorphism(u, v):
     order = 3
-    su, sv = W(u, order), W(v, order)
-    lhs = tau(series_mul(su, sv))
-    rhs = series_mul(tau(sv), tau(su))
+    su, sv = W(u), W(v)
+    lhs = tau(su * sv, order)
+    rhs = (tau(sv, order) * tau(su, order)).truncated(order)
     assert lhs == rhs
 
 
 @given(words)
 @settings(max_examples=40, deadline=None)
 def test_tau_involution(w):
-    s = W(w, 2)
-    assert tau(tau(s)) == s
+    s = W(w)
+    assert tau(tau(s, 2), 2) == s
 
 
 @given(st.lists(st.integers(min_value=1, max_value=4), min_size=0,

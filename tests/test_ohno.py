@@ -2,6 +2,7 @@
 Saalschutz, and the connected-sum expansion."""
 
 import cmath
+import itertools
 import math
 
 import pytest
@@ -11,7 +12,7 @@ from omzv import (GammaContext, OhnoParams, OhnoTable, OmegaParam,
                   dual_index, initial_relation, ohno_generating,
                   ohno_series, ohno_table, omega_Omega, saalschutz_check,
                   transport_relation, zeta_omega)
-from omzv.ncseries import series_mul, tau_letter, x_word, y_word
+from omzv.ncseries import XSeries, tau
 from omzv.ohno import connected_expansion, connected_integral
 from omzv.verify import saalschutz_points
 
@@ -193,14 +194,23 @@ def test_connected_expansion_matches_table(ctx1, fast_cfg, p1):
     assert exp_tbl.max_abs_diff(tbl) <= max(1e-6, 5.0 * combined)
 
 
-def test_omega_table_respects_tau(p1, fast_cfg):
+SHORT_WORDS = ["".join(t) for n in range(4)
+               for t in itertools.product("xy", repeat=n)]
+
+
+@pytest.mark.parametrize("w", SHORT_WORDS)
+@pytest.mark.parametrize("omega", [0.6, 1.0, 1.4])
+def test_omega_table_respects_tau(omega, w, fast_cfg):
+    """Omega(y w x) = Omega(y tau(w) x) for every word of length <= 3,
+    within the tables' combined error estimates."""
+    p = OmegaParam(omega)
     op = OhnoParams(order=2)
-    lhs_word = series_mul(series_mul(y_word(2), x_word(2)), x_word(2))
-    rhs_word = series_mul(series_mul(y_word(2), tau_letter("x", 2)),
-                          x_word(2))
-    ta = omega_Omega(lhs_word, op, p1, fast_cfg)
-    tb = omega_Omega(rhs_word, op, p1, fast_cfg)
-    assert ta.max_abs_diff(tb) < 1e-5
+    x, y, ws = XSeries.word("x"), XSeries.word("y"), XSeries.word(w)
+    ta = omega_Omega(y * ws * x, op, p, fast_cfg)
+    tb = omega_Omega(y * tau(ws, op.order) * x, op, p, fast_cfg)
+    diff = ta.max_abs_diff(tb)
+    assert diff <= 1e-7
+    assert diff <= sum(ta.errs.values()) + sum(tb.errs.values())
 
 
 @pytest.mark.parametrize("cell", [(0, 0), (1, 0), (0, 2)])

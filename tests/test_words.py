@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from omzv import (ALetter, AMonomial, APoly, HPoly, HbarLaurent, dual_index,
                   harmonic, index_to_e_word, monomials_up_to_weight,
                   parse_amonomial, parse_apoly, parse_hpoly, parse_index,
-                  parse_word, satoh_residual, shuffle, sigma, sigma_monomial,
+                  satoh_residual, shuffle, sigma, sigma_monomial,
                   to_a_basis)
 from omzv.words import E, G
 
@@ -266,13 +266,10 @@ def test_monomial_enumeration():
 # -- parsing round trips ----------------------------------------------------
 
 def test_parse_word_and_hpoly():
-    assert parse_word("b a a") == "baa"
     assert parse_hpoly("2 b a + h b b") == (HPoly.word("ba", 2)
                                             + HPoly.word("bb", H(1)))
     assert parse_hpoly("(h^-1 - 1) b a") == HPoly.word("ba", H(-1)
                                                        - HbarLaurent.one())
-    with pytest.raises(ValueError):
-        parse_word("b c")
 
 
 @pytest.mark.parametrize("make", [
