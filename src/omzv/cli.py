@@ -46,9 +46,12 @@ def _tolerance(ctx, param, value):
 
 def _complex_arg(text):
     try:
-        return complex(text.strip().replace("i", "j").replace(" ", ""))
+        z = complex(text.strip().replace("i", "j").replace(" ", ""))
     except ValueError:
         raise click.UsageError("cannot parse complex number %r" % text)
+    if not cmath.isfinite(z):
+        raise click.UsageError("complex number %r is not finite" % text)
+    return z
 
 
 def _jsonable(x):

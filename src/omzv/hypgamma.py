@@ -84,6 +84,9 @@ _STRIP_MARGIN = 0.05
 _CHIRP_MIN = 24
 # Trapezoid nodes per half-line beyond which the strip sum is refused.
 _MAX_NODES = 100_000
+# Functional-equation steps beyond which a shift path is refused: each
+# step is one pass over the line.
+_MAX_SHIFTS = 100_000
 
 
 def _trapezoid_nodes(ctx, xmax, immax):
@@ -238,24 +241,32 @@ def log_G_line(re, im, ctx):
     line Im z = im.  One shift schedule serves the whole line; far from
     the imaginary axis the strip integral is replaced by the quadratic
     asymptotic.  The near points of a uniform line are one contiguous
-    run with the line's step."""
+    run with the line's step.
+
+    The shift path takes big steps max(1, 1/w) while they end at or
+    above -s0 (s0 the core band), then small ones min(1, 1/w) into the
+    band.  Its length is counted in closed form first, and a path of
+    more than _MAX_SHIFTS steps, like a non-finite argument, raises."""
     re = np.atleast_1d(np.asarray(re, dtype=float))
+    if not (math.isfinite(im) and np.isfinite(re).all()):
+        raise QuadError("non-finite argument of log G", im=im)
     s0 = ctx.core_band
     if im < -s0:
         return -log_G_line(-re, -im, ctx)
     w = ctx.p.omega
-    steps = []
-    im_cur = float(im)
     big, small = max(1.0, 1.0 / w), min(1.0, 1.0 / w)
+    top = max(big - s0, s0)
+    n_big = math.floor((im - top) / big) + 1 if im >= top else 0
+    n_small = max(0, math.ceil((im - n_big * big - s0) / small))
+    if n_big + n_small > _MAX_SHIFTS:
+        raise QuadError("shift path of log G above step budget",
+                        steps=n_big + n_small)
+    acc = np.zeros(re.shape, dtype=complex)
+    im_cur = float(im)
     while im_cur > s0 + 1e-12:
         step = big if im_cur - big >= -s0 - 1e-12 else small
         im_cur -= step
-        steps.append(step)
-    acc = np.zeros(re.shape, dtype=complex)
-    im_next = float(im)
-    for step in steps:
-        im_next -= step
-        zeta = re + 1j * (im_next + ctx.omega_bar)
+        zeta = re + 1j * (im_cur + ctx.omega_bar)
         scale = math.pi * w if step == 1.0 else math.pi
         acc = acc + _log_m2i_sinh(scale * zeta)
     far = np.abs(re) >= _far_threshold(w)

@@ -32,8 +32,7 @@ from .ncseries import z_decompose
 from .omega import cexpm1, contour_offset, inverse_x_variable, zeta_omega
 from .quad import (ChainStage, EvalResult, QuadConfig, QuadError,
                    chain_line_integral, chain_pass, chain_tables,
-                   coarse_tables, _chain_grid, _require_finite,
-                   _tilted_convolve, _worst)
+                   _chain_grid, _require_finite, _tilted_convolve, _worst)
 from .words import check_index
 
 __all__ = [
@@ -391,17 +390,16 @@ def connected_integral(k, l, op, ctx, cfg=None, eps=None):
         h, ys, dp = _connector_grid(eps, cfg, p, r, s, _shift_margin(lam, mu))
         tables = chain_tables([_prefix_stages(k, lam, mu, p),
                                _prefix_stages(l, lam, mu, p)], eps, h, ys)
-        chi_t, chi_u = (chain_pass(t, h) for t in tables)
+        (chi_t, chi_t_c), (chi_u, chi_u_c) = (chain_pass(t, h)
+                                              for t in tables)
 
         pref = p.hbar_value ** (sum(k) + sum(l))
         fine, tail = _theta_value(ctx, cfg, p, r, s, lam, mu, eps,
                                   h, ys, chi_t, chi_u, dp)
         value = pref * fine
         _require_finite(value, abs(pref) * tail, nodes=len(ys), stage="fine")
-        chi_t_c, chi_u_c = (chain_pass(t, 2 * h)
-                            for t in coarse_tables(tables))
-        coarse, _ = _theta_value(ctx, cfg, p, r, s, lam, mu, eps,
-                                 2 * h, ys[::2], chi_t_c, chi_u_c, dp)
+        coarse, _ = _theta_value(ctx, cfg, p, r, s, lam, mu, eps, 2 * h,
+                                 ys[::2], chi_t_c[::2], chi_u_c[::2], dp)
         err = abs(pref) * (abs(fine - coarse) + tail) + cfg.abs_tol
         _require_finite(pref * coarse, err, nodes=len(ys), stage="coarse")
         return EvalResult(value, err, {"h": h, "nodes": len(ys),

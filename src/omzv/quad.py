@@ -15,10 +15,11 @@ Re t = -eps with x = Im t.
 
 Each kernel is evaluated once per integral, on the fine grid
 (`chain_tables`).  The step-doubled estimate runs on the grid of step
-2h, the fine grid with every other node dropped (trapezoid grids nest),
-so its tables are every other fine value, bit for bit (`coarse_tables`).
-A diff table shared by several stages keeps its hull and last tilted
-FFTs for the next one (`_Operand`).
+2h, the fine grid with every other node dropped (trapezoid grids nest).
+Its chain rides through the fine pass as a second row that is zero at
+the odd nodes, so each stage is one convolution of both rows against
+the fine tables (`chain_pass`).  A diff table shared by several stages
+keeps its hull and last tilted FFTs for the next one (`_Operand`).
 
 Uniform (trapezoid) steps are spectrally accurate for these integrands:
 the error decays like exp(-2*pi*d/h) where d is the width of the
@@ -42,7 +43,6 @@ __all__ = [
     "ChainStage",
     "measure_kernel",
     "chain_tables",
-    "coarse_tables",
     "chain_pass",
     "chain_line_integral",
 ]
@@ -279,20 +279,22 @@ def _tilt_plan(hull_a, hull_b, lo, hi):
 
 
 def _tilted_fft(x, lx, t, size):
-    """Length-size FFT of x_i e^{t i - s}, s = max(log|x_i| + t i), so
-    that the tilted sequence has unit maximum.  The factor is applied as
-    two halves: for x_i != 0 the exponent is at most -log|x_i| <= 745,
-    whose half never overflows, and the clip keeps zeros at zero."""
-    e = np.arange(len(lx), dtype=float)
+    """Length-size FFTs of the rows x_i e^{t i - s}, s = max(log|x_i| +
+    t i) per row (kept as a column), so that each tilted row has unit
+    maximum.  The factor is applied as two halves: for x_i != 0 the
+    exponent is at most -log|x_i| <= 745, whose half never overflows,
+    and the clip keeps zeros at zero."""
+    n = lx.shape[-1]
+    e = np.arange(n, dtype=float)
     e *= t
-    s = np.max(e + lx)
-    e -= s
+    s = np.max(e + lx, axis=-1, keepdims=True)
+    e = e - s
     np.minimum(e, 745.0, out=e)
     e *= 0.5
     np.exp(e, out=e)
-    buf = np.zeros(size, dtype=complex)
-    np.multiply(x, e, out=buf[:len(x)])
-    buf[:len(x)] *= e
+    buf = np.zeros(x.shape[:-1] + (size,), dtype=complex)
+    np.multiply(x, e, out=buf[..., :n])
+    buf[..., :n] *= e
     return np.fft.fft(buf, out=buf), s
 
 
@@ -315,15 +317,11 @@ class _Operand:
     def hull(self):
         return _upper_hull(self.log)
 
-    @cached_property
-    def half(self):
-        """The operand of every other value (the grid of step 2h)."""
-        return _Operand(self.vals[::2].copy())
-
 
 def _tilted_convolve(a, b, lo, hi):
-    """Entries lo..hi-1 of the full linear convolution of a and b (an
-    array or an `_Operand`, whose FFTs are reused and replaced).
+    """Entries lo..hi-1 of the full linear convolution of a, an array or
+    a stack of rows, with b (an array or an `_Operand`, whose FFTs are
+    reused and replaced).
 
     Computed by FFT of the tilted inputs a_i e^{t i} and b_m e^{t m},
     each scaled to unit maximum, and untilted by e^{-t k} afterwards: a
@@ -339,20 +337,28 @@ def _tilted_convolve(a, b, lo, hi):
     output whose largest term is that zero is rounded relative to the
     bridged size.  Non-finite inputs give NaN outputs; nothing is
     masked.
+
+    The rows share the tilt plan of the first one, which must not
+    vanish where the others do not (an all-zero first row gives zeros):
+    per tilt, one FFT of all rows against the shared FFT of b, and each
+    row untilted by its own scale.  The first row's outputs are those
+    of its one-row call, bit for bit.
     """
     if not isinstance(b, _Operand):
         b = _Operand(b)
+    shape = a.shape[:-1] + (hi - lo,)
     with np.errstate(divide="ignore", invalid="ignore"):
         la = np.log(np.abs(a))
         top = la.max() + b.top
     if np.isnan(top) or top == np.inf:
-        return np.full(hi - lo, np.nan, dtype=complex)
-    if top == -np.inf:
-        return np.zeros(hi - lo, dtype=complex)
-    nb = len(b.vals)
-    size = _fast_len(max(hi, len(a), nb, len(a) + nb - 1 - lo))
-    out = np.empty(hi - lo, dtype=complex)
-    plan = _tilt_plan(_upper_hull(la), b.hull, lo, hi)
+        return np.full(shape, np.nan, dtype=complex)
+    la0 = la.reshape(-1, la.shape[-1])[0]
+    if la0.max() == -np.inf or b.top == -np.inf:
+        return np.zeros(shape, dtype=complex)
+    n, nb = a.shape[-1], len(b.vals)
+    size = _fast_len(max(hi, n, nb, n + nb - 1 - lo))
+    out = np.empty(shape, dtype=complex)
+    plan = _tilt_plan(_upper_hull(la0), b.hull, lo, hi)
     keys = [(t, size) for t, _, _ in plan]
     b.ffts = {k: b.ffts[k] for k in keys if k in b.ffts}
     for key, (t, start, stop) in zip(keys, plan):
@@ -363,8 +369,8 @@ def _tilted_convolve(a, b, lo, hi):
         fa *= fb[0]
         np.fft.ifft(fa, out=fa)
         ks = np.arange(start, stop + 1)
-        out[start - lo:stop + 1 - lo] = (fa[start:stop + 1]
-                                        * np.exp(sa + fb[1] - t * ks))
+        out[..., start - lo:stop + 1 - lo] = (fa[..., start:stop + 1]
+                                             * np.exp(sa + fb[1] - t * ks))
     return out
 
 
@@ -405,24 +411,6 @@ def _diff_values(diff, z):
     return measure_kernel(z) if diff is None else diff(z)
 
 
-class _CumLine:
-    """A stage's cum kernel on its line, evaluated when the fine pass
-    reaches the stage, so that one full-length cum table is held at a
-    time.  The call returns a fresh array and keeps every other value,
-    the table of the pass with step 2h."""
-
-    def __init__(self, kernel, z0, ys):
-        self.kernel = kernel
-        self.z0 = z0
-        self.ys = ys
-        self.half = None
-
-    def __call__(self):
-        vals = self.kernel(self.z0 + 1j * self.ys)
-        self.half = vals[::2].copy()
-        return vals
-
-
 def chain_tables(chains, eps, h, ys):
     """Kernel tables of one or more chains (lists of ChainStage) on the
     grid (h, ys), every kernel evaluated once.
@@ -432,9 +420,10 @@ def chain_tables(chains, eps, h, ys):
     h*k, |k| < n, shared by every stage and chain that uses it.  A first
     stage's diff kernel is the slice of that table on its line, which
     holds exactly the same values h*k, or else is evaluated on the line
-    alone.  Stage a's cum kernel is a `_CumLine` on the line
-    Re T = -a*eps.  Returns one list of (diff, cum) pairs per chain,
-    cum None for the kernel 1.
+    alone.  Stage a's cum kernel becomes a call that evaluates it on the
+    line Re T = -a*eps when the pass reaches the stage, so that one
+    full-length cum table is held at a time.  Returns one list of (diff,
+    cum) pairs per chain, cum None for the kernel 1.
     """
     n = len(ys)
     first = n - 1 - int(round(-ys[0] / h))
@@ -451,51 +440,47 @@ def chain_tables(chains, eps, h, ys):
                         else _diff_values(d, (-eps) + 1j * ys))
         table = []
         for a, st in enumerate(stages, start=1):
-            cum = None if st.cum is None else _CumLine(st.cum, -a * eps, ys)
+            cum = st.cum and (lambda k=st.cum, z0=-a * eps: k(z0 + 1j * ys))
             table.append((lines[d] if a == 1 else ops[st.diff], cum))
         out.append(table)
     return out
 
 
-def coarse_tables(tables):
-    """The tables of step 2h after the pass on `tables` (from
-    `chain_tables`) has run: every other value.  Trapezoid grids nest
-    and n - 1 is even, so these are the kernel values on the coarse grid
-    and its differences, bit for bit, with no kernel evaluated again."""
-    def half(x):
-        if isinstance(x, _Operand):
-            return x.half
-        return x[::2].copy()
-
-    return [[(half(d), None if c is None else c.half.copy)
-             for d, c in table] for table in tables]
-
-
 def chain_pass(table, h):
-    """Run the convolution chain on one chain's kernel tables with grid
-    step h: those of `chain_tables` on the fine grid, or those of
-    `coarse_tables` on the nested grid of step 2h.
+    """Run the convolution chain on one chain's kernel tables (from
+    `chain_tables`) with grid step h, and with it the chain of the
+    nested grid of step 2h.
 
-    A cum entry is called when the pass reaches its stage: the fine one
-    evaluates its kernel, the coarse one copies the kept values.  Both
-    return a fresh array, as a kernel call does: numpy may write a large
-    product into a fresh operand with the operands swapped, which rounds
-    it differently.
+    The coarse chain is a second row on the fine grid, zero at the odd
+    nodes.  n - 1 is even, so the even outputs of its convolution with
+    the fine diff table take only the even differences, the table of
+    step 2h: they are the coarse chain's stage.  Both rows share one
+    logarithm, hull and tilt plan per stage (`_tilted_convolve`) and are
+    multiplied by the same cum values, as chi * c() in that operand
+    order: a complex product rounds differently with its operands
+    swapped, and the fine row rounds as the one-row chain does.  Up to
+    the first convolution the coarse chain is every other fine value,
+    so its row starts there, and a chain of depth 1 has the fine row
+    for both.
 
-    Returns chi, the stage-r integrand accumulated on the line
+    Returns (chi, chi_c), the stage-r integrands accumulated on the line
     Re T_r = -r*eps: the final integral is i^r * h * chi.sum() (times
-    any caller prefactor).
+    any caller prefactor), its step-doubled value i^r * 2h *
+    chi_c[::2].sum().
     """
-    n = len(table[0][0])
-    chi = None
-    for d, c in table:
-        if chi is None:
-            chi = d
-        else:
-            chi = h * _tilted_convolve(chi, d, n - 1, 2 * n - 1)
+    chi = table[0][0]
+    n = len(chi)
+    steps = np.array([[h], [2.0 * h]])
+    for a, (d, c) in enumerate(table):
+        if a == 1:
+            chi = np.array([chi, chi])
+            chi[1, 1::2] = 0.0
+        if a:
+            chi = _tilted_convolve(chi, d, n - 1, 2 * n - 1) * steps
+            chi[1, 1::2] = 0.0
         if c is not None:
             chi = chi * c()
-    return chi
+    return (chi, chi) if chi.ndim == 1 else (chi[0], chi[1])
 
 
 def chain_line_integral(stages, eps, cfg=None, *, decay, pole_dist=None,
@@ -518,16 +503,13 @@ def chain_line_integral(stages, eps, cfg=None, *, decay, pole_dist=None,
         raise QuadError("decay hint must be positive", decay=decay)
     h, ys = _chain_grid(eps, cfg, (dm, dp), r, pole_dist, freq)
 
-    tables = chain_tables([stages], eps, h, ys)
-    chi = chain_pass(tables[0], h)
+    chi, chi_c = chain_pass(chain_tables([stages], eps, h, ys)[0], h)
     value = complex(prefactor) * (1j ** r) * h * chi.sum()
     tail = abs(prefactor) * (abs(chi[0]) / dm + abs(chi[-1]) / dp)
     _require_finite(value, tail, nodes=len(ys), stage="fine")
     meta = {"dim": r, "eps": eps, "h": h, "nodes": len(ys),
             "U": (float(-ys[0]), float(ys[-1]))}
-    tables = coarse_tables(tables)
-    chi_c = chain_pass(tables[0], 2 * h)
-    value_c = complex(prefactor) * (1j ** r) * (2 * h) * chi_c.sum()
+    value_c = complex(prefactor) * (1j ** r) * (2 * h) * chi_c[::2].sum()
     err = abs(value - value_c) + tail + cfg.abs_tol
     _require_finite(value_c, err, nodes=len(ys), stage="coarse")
     return EvalResult(value, err, meta)

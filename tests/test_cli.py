@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -176,6 +177,21 @@ def test_gamma_point(runner):
     assert report["G"] is not None
     res = runner.invoke(cli, ["gamma", "2i"])
     assert res.exit_code == 3
+
+
+@pytest.mark.parametrize("z", ["nan", "nan+1j", "inf", "infj"])
+def test_non_finite_gamma_point_is_exit_2(runner, z):
+    res = runner.invoke(cli, ["gamma", z])
+    assert res.exit_code == 2, res.output
+
+
+def test_far_gamma_point_is_exit_3_at_once(runner):
+    """Its shift path would be 10^17 steps long; it is counted, not
+    walked."""
+    t0 = time.perf_counter()
+    res = runner.invoke(cli, ["gamma", "1e17j"])
+    assert res.exit_code == 3, res.output
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_ohno_verb(runner):

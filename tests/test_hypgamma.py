@@ -203,3 +203,29 @@ def test_far_field_switch_is_seamless(ctx1):
 def test_log_G_pole_raises(ctx1):
     with pytest.raises(QuadError):
         log_G(2j, ctx1)
+
+
+@pytest.mark.parametrize("omega", [0.05, 1.0, 1.99])
+@pytest.mark.parametrize("z", [complex(math.nan, 0.1), complex(0.3, math.nan),
+                               complex(math.inf, 0.1),
+                               complex(0.3, -math.inf), 0.3 + 1e7j,
+                               0.3 - 1e17j, 0.3 + 1e308j])
+def test_unbounded_shift_path_raises(omega, z):
+    """A non-finite argument, or one whose shift path to the core band
+    has more than 10^5 steps, raises at once instead of walking it."""
+    with pytest.raises(QuadError):
+        log_G(z, make_ctx(omega))
+
+
+@pytest.mark.parametrize("omega, im, steps", [(1.0, 100.25, 100),
+                                               (0.5, 200.25, 100),
+                                               (1.6, 100.0, 100)])
+def test_shift_path_count_is_exact(monkeypatch, omega, im, steps):
+    """The closed-form count is the length of the walk: a path of
+    exactly the budget runs, a budget one step shorter refuses it."""
+    ctx = make_ctx(omega)
+    monkeypatch.setattr(hypgamma, "_MAX_SHIFTS", steps)
+    assert np.isfinite(log_G_line(np.array([0.3]), im, ctx)).all()
+    monkeypatch.setattr(hypgamma, "_MAX_SHIFTS", steps - 1)
+    with pytest.raises(QuadError, match="step budget"):
+        log_G_line(np.array([0.3]), im, ctx)

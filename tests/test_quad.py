@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,17 +70,21 @@ def test_chain_kernel_lemma_depth2(cfg, a1, a2):
     assert abs(res.value - exact) <= res.err_estimate
 
 
-def direct_convolve(a, b, lo, hi):
-    """_tilted_convolve as the direct O(n^2) sum."""
-    return np.convolve(a, getattr(b, "vals", b))[lo:hi]
-
-
 @pytest.mark.parametrize("omega, k", [(0.6, (1, 1, 1, 1, 3)),
                                       (1.0, (1, 1, 1, 1, 3)),
                                       (0.3, (1, 1, 1, 1, 2, 2))])
 def test_fft_chain_matches_direct(monkeypatch, omega, k):
     """These chains span many decades; an untilted FFT misses the direct
     value by more than its error estimate on each of them."""
+    calls = []
+
+    def direct_convolve(a, b, lo, hi):
+        """_tilted_convolve as the direct O(n^2) sum, row by row."""
+        calls.append(a.shape)
+        b = getattr(b, "vals", b)
+        return np.apply_along_axis(lambda row: np.convolve(row, b)[lo:hi],
+                                   -1, a)
+
     p = OmegaParam(omega)
     clear_value_cache()
     fft = zeta_omega(k, p)
@@ -87,6 +92,7 @@ def test_fft_chain_matches_direct(monkeypatch, omega, k):
     clear_value_cache()
     ref = zeta_omega(k, p)
     clear_value_cache()
+    assert len(calls) >= 1
     assert abs(fft.value - ref.value) <= ref.err_estimate
 
 
@@ -102,6 +108,63 @@ def test_tilted_convolve_keeps_small_outputs(lo, hi):
     scale = np.convolve(np.abs(a), np.abs(b))[lo:hi]
     got = quad._tilted_convolve(a, b, lo, hi)
     assert np.max(np.abs(got - full) / scale) < 1e-12
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 599), (299, 599), (150, 450)])
+def test_zero_stuffed_row_is_the_coarse_convolution(lo, hi):
+    """A second row holding a at the even nodes and zeros between gives,
+    at its even outputs, the convolution of a[::2] with b[::2] (the step
+    2h chain stage), each output rounded to its own scale, while the
+    first row keeps the bits of its one-row call."""
+    y = np.linspace(-8.0, 8.0, 301)
+    a = np.exp(-6.0 * np.abs(y) + 1j * y) * np.cos(4.0 * y)
+    b = np.exp(2.0 * y - 0.5j * y * y)
+    rows = np.stack([a, a])
+    rows[1, 1::2] = 0.0
+    got = quad._tilted_convolve(rows, b, lo, hi)
+    assert got[0].tobytes() == quad._tilted_convolve(a, b, lo, hi).tobytes()
+    ks = np.arange(lo, hi)
+    even = ks[ks % 2 == 0] // 2
+    full = np.convolve(a[::2], b[::2])[even]
+    scale = np.convolve(np.abs(a[::2]), np.abs(b[::2]))[even]
+    assert np.max(np.abs(got[1][ks % 2 == 0] - full) / scale) < 1e-12
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4, 6])
+def test_one_convolution_and_hull_per_stage(monkeypatch, cfg, depth):
+    """The step-doubled chain rides in the fine pass: a depth-r chain
+    makes r - 1 convolutions and takes r - 1 hulls of chi (the shared
+    diff table adds one hull of its own, of length 2n - 1)."""
+    convs, hulls = [], []
+    tilted, hull = quad._tilted_convolve, quad._upper_hull
+    monkeypatch.setattr(quad, "_tilted_convolve",
+                        lambda a, *rest: convs.append(a.shape)
+                        or tilted(a, *rest))
+    monkeypatch.setattr(quad, "_upper_hull",
+                        lambda la: hulls.append(len(la)) or hull(la))
+    stages = [ChainStage(cum=lambda t, a=a: np.exp(0.1j * a * t))
+              for a in range(1, depth + 1)]
+    res = chain_line_integral(stages, 0.05, cfg, decay=(TWO_PI, 0.1))
+    n = res.meta["nodes"]
+    assert convs == [(2, n)] * (depth - 1)
+    assert hulls.count(n) == depth - 1
+    assert len(hulls) == depth - 1 + (depth > 1)
+
+
+def test_chain_peak_memory():
+    """A depth-6 chain with its step-doubled row stays within 2 MB of
+    traced peak memory: the two-row FFT buffers are made one tilt at a
+    time, not for all tilts at once."""
+    p = OmegaParam(1.0)
+    clear_value_cache()
+    tracemalloc.start()
+    try:
+        zeta_omega((1, 1, 1, 1, 2, 2), p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        clear_value_cache()
+    assert peak <= 2.0e6
 
 
 def test_non_finite_chain_raises(cfg):
