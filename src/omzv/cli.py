@@ -44,6 +44,40 @@ def _tolerance(ctx, param, value):
     return value
 
 
+def _omega(ctx, param, value):
+    """--omega lies in (0, 2), the range OmegaParam accepts."""
+    try:
+        return OmegaParam(value).omega
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
+
+
+_OUT = click.option("--out", type=click.Path(dir_okay=False), default=None,
+                    help="Write the JSON report here instead of stdout.")
+
+
+def _evaluation_options(tol_help="Quadrature relative tolerance target."):
+    """--omega, --tol, --out and --cache, shared by the verbs that
+    evaluate; tol_help says what --tol sets for the verb."""
+    options = [
+        click.option("--omega", type=float, default=1.0, show_default=True,
+                     callback=_omega,
+                     help="Deformation parameter in (0, 2)."),
+        click.option("--tol", type=float, default=None, callback=_tolerance,
+                     help=tol_help),
+        _OUT,
+        click.option("--cache", "cache_path",
+                     type=click.Path(dir_okay=False), default=None,
+                     help="Persistent value store (JSON lines)."),
+    ]
+
+    def decorate(f):
+        for option in reversed(options):
+            f = option(f)
+        return f
+    return decorate
+
+
 def _complex_arg(text):
     try:
         z = complex(text.strip().replace("i", "j").replace(" ", ""))
@@ -133,42 +167,22 @@ def cli(ctx, config):
 @cli.command("eval")
 @click.argument("kind", type=click.Choice(["zeta", "word"]))
 @click.argument("expr")
-@click.option("--omega", type=float, default=1.0, show_default=True,
-              help="Deformation parameter in (0, 2).")
-@click.option("--tol", type=float, default=None, callback=_tolerance,
-              help="Quadrature relative tolerance target.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write the JSON report here instead of stdout.")
-@click.option("--cache", "cache_path", type=click.Path(dir_okay=False),
-              default=None, help="Persistent value store (JSON lines).")
+@_evaluation_options()
 def cmd_eval(kind, expr, omega, tol, out, cache_path):
     """Evaluate zeta_w of an index ("1,3,2") or Z_w of a word ("E G2")."""
     _install_cache(cache_path)
     cfg = _quad_config(tol)
+    p = OmegaParam(omega)
+    zeta = kind == "zeta"
     try:
-        p = OmegaParam(omega)
+        arg = parse_index(expr) if zeta else parse_apoly(expr)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    if kind == "zeta":
-        try:
-            k = parse_index(expr)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-        try:
-            res = zeta_omega(k, p, cfg)
-        except (ValueError, QuadError) as exc:
-            raise AdmissibilityError(str(exc))
-        parsed = ",".join(str(e) for e in k)
-    else:
-        try:
-            poly = parse_apoly(expr)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-        try:
-            res = Z_omega(poly, p, cfg)
-        except (ValueError, QuadError) as exc:
-            raise AdmissibilityError(str(exc))
-        parsed = str(poly)
+    try:
+        res = (zeta_omega if zeta else Z_omega)(arg, p, cfg)
+    except (ValueError, QuadError) as exc:
+        raise AdmissibilityError(str(exc))
+    parsed = ",".join(str(e) for e in arg) if zeta else str(arg)
     report = _base_report(
         "eval", kind=kind, expr=expr, parsed=parsed,
         config={"omega": omega, "tol": tol,
@@ -180,10 +194,7 @@ def cmd_eval(kind, expr, omega, tol, out, cache_path):
 
 @cli.command("verify")
 @click.argument("suite", type=click.Choice(SUITE_NAMES))
-@click.option("--omega", type=float, default=1.0, show_default=True,
-              help="Deformation parameter in (0, 2).")
-@click.option("--tol", type=float, default=None, callback=_tolerance,
-              help="Override the per-check tolerances.")
+@_evaluation_options("Override the per-check tolerances.")
 @click.option("--max-weight", type=click.IntRange(min=0), default=4,
               show_default=True,
               help="Weight cap for the monomial batteries.")
@@ -192,19 +203,11 @@ def cmd_eval(kind, expr, omega, tol, out, cache_path):
               help="Table order for the Ohno checks.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for generic-point selection.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write the JSON report here instead of stdout.")
-@click.option("--cache", "cache_path", type=click.Path(dir_okay=False),
-              default=None, help="Persistent value store (JSON lines).")
 @click.pass_context
 def cmd_verify(ctx, suite, omega, tol, max_weight, order, seed, out,
                cache_path):
     """Run one verification suite (or "all") and report each check."""
     _install_cache(cache_path)
-    try:
-        OmegaParam(omega)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     t0 = time.perf_counter()
     records = run_suite(suite, omega=omega, max_weight=max_weight,
                         order=order, seed=seed, tol=tol)
@@ -238,23 +241,13 @@ def cmd_verify(ctx, suite, omega, tol, max_weight, order, seed, out,
 
 @cli.command("gamma")
 @click.argument("z")
-@click.option("--omega", type=float, default=1.0, show_default=True,
-              help="Deformation parameter in (0, 2).")
-@click.option("--tol", type=float, default=None, callback=_tolerance,
-              help="Quadrature relative tolerance target.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write the JSON report here instead of stdout.")
-@click.option("--cache", "cache_path", type=click.Path(dir_okay=False),
-              default=None, help="Persistent value store (JSON lines).")
+@_evaluation_options()
 def cmd_gamma(z, omega, tol, out, cache_path):
     """Hyperbolic gamma function at a complex point such as "0.2+0.3i"."""
     _install_cache(cache_path)
     zc = _complex_arg(z)
     cfg = _quad_config(tol)
-    try:
-        p = OmegaParam(omega)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    p = OmegaParam(omega)
     ctx_g = GammaContext(p, cfg=cfg)
     try:
         res = cache_mod.memoized(
@@ -276,23 +269,16 @@ def cmd_gamma(z, omega, tol, out, cache_path):
 
 @cli.command("ohno")
 @click.argument("index")
-@click.option("--omega", type=float, default=1.0, show_default=True,
-              help="Deformation parameter in (0, 2).")
+@_evaluation_options()
 @click.option("--order", type=click.IntRange(min=0), default=2,
               show_default=True,
               help="Largest m+n in the table.")
-@click.option("--tol", type=float, default=None, callback=_tolerance,
-              help="Quadrature relative tolerance target.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write the JSON report here instead of stdout.")
-@click.option("--cache", "cache_path", type=click.Path(dir_okay=False),
-              default=None, help="Persistent value store (JSON lines).")
 def cmd_ohno(index, omega, order, tol, out, cache_path):
     """Table of double Ohno sums O_{m,n}(k) for an admissible index."""
     _install_cache(cache_path)
     cfg = _quad_config(tol)
+    p = OmegaParam(omega)
     try:
-        p = OmegaParam(omega)
         k = parse_index(index)
     except ValueError as exc:
         raise click.UsageError(str(exc))
@@ -314,8 +300,7 @@ def cmd_ohno(index, omega, order, tol, out, cache_path):
 @click.argument("action", type=click.Choice(["stats", "clear"]))
 @click.option("--cache", "cache_path", type=click.Path(dir_okay=False),
               required=True, help="Persistent value store (JSON lines).")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write the JSON report here instead of stdout.")
+@_OUT
 def cmd_cache(action, cache_path, out):
     """Inspect or empty the persistent value store."""
     store = cache_mod.ValueCache(cache_path)

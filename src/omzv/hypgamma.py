@@ -39,8 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cache import LRU
-from .omega import cexpm1 as _cexpm1_arr
-from .quad import QuadConfig, QuadError, _log_target
+from .quad import QuadConfig, QuadError, _log_target, cexpm1
 
 __all__ = [
     "GammaContext",
@@ -210,7 +209,7 @@ def _log_m2i_sinh(v):
     v = np.atleast_1d(np.asarray(v, dtype=complex))
     pos = v.real >= 0
     vv = np.where(pos, v, -v)
-    em = -_cexpm1_arr(-2.0 * vv)
+    em = -cexpm1(-2.0 * vv)
     bad = np.abs(em) < 1e-13
     if np.any(bad):
         raise QuadError("pole or zero of G hit on shift path",

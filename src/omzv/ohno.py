@@ -29,10 +29,11 @@ import numpy as np
 from . import cache as _cache
 from .hypgamma import log_G, log_G_line
 from .ncseries import z_decompose
-from .omega import cexpm1, contour_offset, inverse_x_variable, zeta_omega
+from .omega import contour_offset, inverse_x_variable, zeta_omega
 from .quad import (ChainStage, EvalResult, QuadConfig, QuadError,
-                   chain_line_integral, chain_pass, chain_tables,
-                   _chain_grid, _require_finite, _tilted_convolve, _worst)
+                   cexpm1, chain_line_integral, chain_pass, chain_tables,
+                   geometric_factor, _chain_grid, _require_finite,
+                   _tilted_convolve, _worst)
 from .words import check_index
 
 __all__ = [
@@ -159,31 +160,22 @@ def hat_shift(z, p):
 
 def _j_kernel(kk, t, lam, mu, p):
     """J_k(t | lam, mu) = e^{2 pi i w (k-1) t} / [(1 - e^{2 pi i w (lam+t)})
-    (1 - e^{2 pi i w (mu+t)}) (1 - e^{2 pi i w t})^{k-2}]."""
+    (1 - e^{2 pi i w (mu+t)}) (1 - e^{2 pi i w t})^{k-2}].  With
+    x = 2 pi i w t, P(x) = e^x/(1 - e^x) and Q(x) = 1/(1 - e^x) (the
+    factors of `geometric_factor`) it is e^{-hbar lam} P(x + hbar lam)
+    Q(x + hbar mu) P(x)^{k-2}, and Q(x + hbar lam) Q(x + hbar mu) / Q(x)
+    for k = 1."""
     hbar = p.hbar_value
-    d1 = -cexpm1(hbar * (lam + t))
-    d2 = -cexpm1(hbar * (mu + t))
-    bad = np.minimum(np.abs(d1), np.abs(d2))
-    if kk != 2:
-        d0 = -cexpm1(hbar * t)
-        bad = np.minimum(bad, np.abs(d0))
-    if np.min(bad) < 1e-12:
-        raise QuadError("J kernel pole on the contour", k=kk)
-    num = np.exp(hbar * (kk - 1) * t)
-    out = num / (d1 * d2)
-    if kk != 2:
-        out = out / d0 ** (kk - 2)
+    x = hbar * np.asarray(t, dtype=complex)
+    x_lam, x_mu = x + hbar * lam, x + hbar * mu
+    if kk == 1:
+        return (geometric_factor(x_lam, 0, 1) * geometric_factor(x_mu, 0, 1)
+                / geometric_factor(x, 0, 1))
+    out = (np.exp(-hbar * lam) * geometric_factor(x_lam, 1, 0)
+           * geometric_factor(x_mu, 0, 1))
+    if kk > 2:
+        out = out * geometric_factor(x, kk - 2, 0)
     return out
-
-
-def _last_power_kernel(kk, t, p):
-    """(e^{2 pi i w t} / (1 - e^{2 pi i w t}))^{k-1} via the stable form
-    (e^{-2 pi i w t} - 1)^{-(k-1)}; the reciprocal is taken first so a
-    huge base underflows to zero instead of overflowing."""
-    den = cexpm1(-p.hbar_value * t)
-    if np.min(np.abs(den)) < 1e-12:
-        raise QuadError("power kernel pole on the contour", k=kk)
-    return (1.0 / den) ** (kk - 1)
 
 
 def _shift_margin(lam, mu):
@@ -300,12 +292,13 @@ def _connector_grid(eps, cfg, p, r, s, shift):
 
 def _prefix_stages(k, lam, mu, p):
     """J stages for all but the last entry, then the bare power kernel
-    of the last entry (identity when it is 1)."""
+    (e^x/(1 - e^x))^{k-1}, x = 2 pi i w t, of the last entry k (identity
+    when it is 1)."""
     stages = [ChainStage(cum=(lambda t, kk=e: _j_kernel(kk, t, lam, mu, p)))
               for e in k[:-1]]
     last = k[-1]
-    cum = None if last == 1 else (lambda t, kk=last:
-                                  _last_power_kernel(kk, t, p))
+    cum = None if last == 1 else (lambda t, kk=last: geometric_factor(
+        p.hbar_value * t, kk - 1, 0))
     stages.append(ChainStage(cum=cum))
     return stages
 

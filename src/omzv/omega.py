@@ -15,7 +15,9 @@ Runs of E letters collapse: a block E^alpha G(beta+1) contributes the
 difference kernel (-2 pi i omega)^alpha * C(t+alpha, alpha) /
 (e^{2 pi i t} - 1) in the block gap t together with I(G(beta+1)) at the
 block's cumulative point.  This reduced form is the default route; the
-letter-by-letter direct route is kept for cross checks.
+letter-by-letter direct route is kept for cross checks.  Every kernel
+is a product of the factors (e^x/(1 - e^x))^a (1/(1 - e^x))^b that
+`quad.geometric_factor` evaluates without overflow.
 
 Every value is one `chain_line_integral` on the contour stack
 Re T_a = -a*eps of the cumulative points T_a = t_1 + ... + t_a, with
@@ -34,14 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cache as _cache
-from .quad import (ChainStage, EvalResult, QuadConfig, QuadError,
-                   chain_line_integral, measure_kernel)
+from .quad import (ChainStage, EvalResult, QuadConfig, chain_line_integral,
+                   geometric_factor, measure_kernel)
 from .words import ALetter, AMonomial, APoly, check_index
 
 __all__ = [
     "OmegaParam",
     "contour_offset",
-    "cexpm1",
     "Z_omega_monomial",
     "Z_omega",
     "zeta_omega",
@@ -125,57 +126,27 @@ def contour_offset(omega, depth, geometry="zeta"):
     raise ValueError("unknown contour geometry %r" % geometry)
 
 
-def cexpm1(z):
-    """exp(z) - 1, accurate for small |z| (numpy expm1 is real-only)."""
-    z = np.asarray(z, dtype=complex)
-    out = np.exp(z) - 1.0
-    small = np.abs(z) < 1e-4
-    if np.any(small):
-        zs = np.where(small, z, 0.0)
-        series = zs * (1.0 + zs / 2.0 * (1.0 + zs / 3.0 * (1.0 + zs / 4.0)))
-        out = np.where(small, series, out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Letter kernels
 
 def kernel_I(letter, t, p):
-    """Kernel of one alphabet letter at the cumulative point t."""
+    """Kernel of one alphabet letter at the cumulative point t: hbar for
+    E, and (hbar e^x/(1 - e^x))^k for G(k), x = 2 pi i omega t
+    (`geometric_factor`)."""
     t = np.asarray(t, dtype=complex)
     if letter.is_e:
         return np.full(t.shape, p.hbar_value)
-    # hbar/(e^{-x} - 1) with x = 2 pi i omega t, as hbar e^x/(1 - e^x)
-    # where Re x < 0, so that no exponential overflows
-    x = p.hbar_value * t
-    neg = x.real < 0.0
-    s = np.where(neg, x, -x)
-    den = cexpm1(s)
-    bad = np.abs(den) < 1e-12
-    if np.any(bad):
-        raise QuadError("kernel pole: omega*t at an integer",
-                        t=complex(t.flat[int(np.argmax(bad))]))
-    return (p.hbar_value * np.where(neg, -np.exp(s), 1.0) / den) ** letter.k
+    return (p.hbar_value ** letter.k
+            * geometric_factor(p.hbar_value * t, letter.k, 0))
 
 
 def kernel_e(k, t, p):
     """Kernel of the letter combination e_k = g_k + h g_{k-1}:
-    (2 pi i omega)^k e^{2 pi i omega (k-1) t} / (1 - e^{2 pi i omega t})^k."""
-    t = np.asarray(t, dtype=complex)
-    # with x = 2 pi i omega t the kernel is e^{(k-1)x}/(1 - e^x)^k for
-    # Re x <= 0 and e^{-x}/(e^{-x} - 1)^k for Re x > 0: both exponentials
-    # have Re <= 0, and the reciprocal is taken before the power
-    x = p.hbar_value * t
-    pos = x.real > 0.0
-    s = np.where(pos, -x, x)
-    den = cexpm1(s)
-    bad = np.abs(den) < 1e-12
-    if np.any(bad):
-        raise QuadError("kernel pole: omega*t at an integer",
-                        t=complex(t.flat[int(np.argmax(bad))]))
-    num = np.exp(np.where(pos, s, (k - 1) * s))
-    sign = np.where(pos, 1.0, (-1.0) ** k)
-    return p.hbar_value ** k * sign * num * (1.0 / den) ** k
+    (2 pi i omega)^k e^{2 pi i omega (k-1) t} / (1 - e^{2 pi i omega t})^k,
+    that is hbar^k (e^x/(1 - e^x))^{k-1} / (1 - e^x) with
+    x = 2 pi i omega t (`geometric_factor`)."""
+    x = p.hbar_value * np.asarray(t, dtype=complex)
+    return p.hbar_value ** k * geometric_factor(x, k - 1, 1)
 
 
 def _binom_poly(delta, alpha):

@@ -21,6 +21,10 @@ the odd nodes, so each stage is one convolution of both rows against
 the fine tables (`chain_pass`).  A diff table shared by several stages
 keeps its hull and last tilted FFTs for the next one (`_Operand`).
 
+Every chain kernel is a product of powers of e^x/(1 - e^x) and
+1/(1 - e^x); `geometric_factor` evaluates them without overflow and
+raises QuadError at their poles.
+
 Uniform (trapezoid) steps are spectrally accurate for these integrands:
 the error decays like exp(-2*pi*d/h) where d is the width of the
 analyticity strip, in practice the contour-to-pole distance.  Every
@@ -41,6 +45,8 @@ __all__ = [
     "EvalResult",
     "QuadError",
     "ChainStage",
+    "cexpm1",
+    "geometric_factor",
     "measure_kernel",
     "chain_tables",
     "chain_pass",
@@ -134,13 +140,59 @@ class ChainStage:
     diff: object = None
 
 
-def measure_kernel(delta):
-    """1/(e^{2 pi i delta} - 1), written as e^{-x}/(1 - e^{-x}) where
-    Re x = Re(2 pi i delta) > 0, so that no exponential overflows."""
-    x = TWO_PI * 1j * np.asarray(delta)
+def cexpm1(z):
+    """exp(z) - 1, accurate for small |z| (numpy expm1 is real-only)."""
+    z = np.asarray(z, dtype=complex)
+    return _expm1(z, np.exp(z))
+
+
+def _expm1(z, ez):
+    """exp(z) - 1 from ez = exp(z): the difference, or a series where
+    |z| < 1e-4 and the difference would cancel."""
+    out = ez - 1.0
+    small = np.abs(z) < 1e-4
+    if np.any(small):
+        zs = np.where(small, z, 0.0)
+        series = zs * (1.0 + zs / 2.0 * (1.0 + zs / 3.0 * (1.0 + zs / 4.0)))
+        out = np.where(small, series, out)
+    return out
+
+
+def geometric_factor(x, a, b):
+    """(e^x/(1 - e^x))^a (1/(1 - e^x))^b for integers a, b >= 0, the
+    factors of every chain kernel, from the one exponential e = e^s:
+    s = x where Re x <= 0 and -x elsewhere, so |e| <= 1 and nothing
+    overflows.  With d = e - 1 the factors are -e/d and -1/d where
+    Re x <= 0, 1/d and e/d elsewhere.  Raises QuadError at a pole, x
+    within 1e-12 of 2 pi i m."""
+    x = np.asarray(x, dtype=complex)
     pos = x.real > 0.0
-    e = np.exp(np.where(pos, -x, x))
-    return np.where(pos, -e, 1.0) / (e - 1.0)
+    # a real sign array: np.where is several times slower on complex
+    s = x * np.where(pos, -1.0, 1.0)
+    e = np.exp(s)
+    d = _expm1(s, e)
+    bad = np.abs(d) < 1e-12
+    if np.any(bad):
+        raise QuadError("kernel pole: x at an integer multiple of 2 pi i",
+                        x=complex(x.flat[int(np.argmax(bad))]))
+    num = np.asarray((-1.0) ** (a + b) * _power(e, a))
+    np.copyto(num, _power(e, b), where=pos)
+    return num / _power(d, a + b)
+
+
+def _power(z, k):
+    """z^k by products, for an integer k >= 0: numpy's complex power of
+    an array goes through exp and log."""
+    out = np.ones_like(z) if k == 0 else z
+    for _ in range(k - 1):
+        out = out * z
+    return out
+
+
+def measure_kernel(delta):
+    """1/(e^{2 pi i delta} - 1), the factor e^x/(1 - e^x) at
+    x = -2 pi i delta (`geometric_factor`)."""
+    return geometric_factor(-TWO_PI * 1j * np.asarray(delta), 1, 0)
 
 
 def _fast_len(n):

@@ -74,6 +74,12 @@ def _pairs(max_weight):
             if m1.weight + m2.weight <= max_weight + 1]
 
 
+def _identity_tol(tol, err):
+    """Tolerance of a two-sided identity whose sides carry the combined
+    error estimate err: tol if given, else 5 err, at least 1e-6."""
+    return tol if tol is not None else max(1e-6, 5.0 * err)
+
+
 def _prod_err(z1, z2):
     return (abs(z1.value) * z2.err_estimate
             + abs(z2.value) * z1.err_estimate
@@ -96,8 +102,7 @@ def suite_algebra(omega, cfg, max_weight, order, seed, tol):
                        bad, 0, 0.0, t0, residual=float(bad)))
 
     t0 = time.perf_counter()
-    small = [(m1, m2) for m1, m2 in pairs
-             if m1.weight + m2.weight <= max_weight + 1]
+    small = _pairs(max_weight)
     bad = sum(1 for m1, m2 in small
               if shuffle(m1.to_hpoly(), m2.to_hpoly())
               != shuffle(m2.to_hpoly(), m1.to_hpoly()))
@@ -165,11 +170,9 @@ def suite_algebra(omega, cfg, max_weight, order, seed, tol):
     out.append(_record("q-duality", "Z_q(sigma(m)) = Z_q(m)",
                        worst, 0, qtol, t0, residual=worst))
 
-    small_pairs = [(m1, m2) for m1, m2 in pairs
-                   if m1.weight + m2.weight <= max_weight + 1]
     t0 = time.perf_counter()
     d_sh, d_ha, d_ds = [], [], []
-    for m1, m2 in small_pairs:
+    for m1, m2 in small:
         prod = z_q_monomial(m1, qp).value * z_q_monomial(m2, qp).value
         sh = z_q(shuffle(m1.to_hpoly(), m2.to_hpoly()), qp)
         ha = z_q(harmonic(APoly.monomial(m1), APoly.monomial(m2)), qp)
@@ -209,16 +212,14 @@ def suite_duality(omega, cfg, max_weight, order, seed, tol):
         t0 = time.perf_counter()
         a = Z_omega_monomial(m, p, cfg)
         b = Z_omega_monomial(sigma_monomial(m), p, cfg)
-        t = tol if tol is not None else max(
-            1e-6, 5.0 * (a.err_estimate + b.err_estimate))
+        t = _identity_tol(tol, a.err_estimate + b.err_estimate)
         out.append(_record("duality %s" % m, "Z_w(sigma(m)) = Z_w(m)",
                            b.value, a.value, t, t0))
     for k in ((3,), (4,), (1, 3), (2, 2)):
         t0 = time.perf_counter()
         a = zeta_omega(k, p, cfg)
         b = zeta_omega(dual_index(k), p, cfg)
-        t = tol if tol is not None else max(
-            1e-6, 5.0 * (a.err_estimate + b.err_estimate))
+        t = _identity_tol(tol, a.err_estimate + b.err_estimate)
         out.append(_record("zeta-duality %s" % ",".join(map(str, k)),
                            "zeta_w(k_dual) = zeta_w(k)",
                            b.value, a.value, t, t0))
@@ -237,23 +238,20 @@ def _product_suite(kind, omega, cfg, max_weight, tol):
         name = "%s %s | %s" % (kind, m1, m2)
         if kind == "shuffle":
             lhs = Z_omega(shuffle(m1.to_hpoly(), m2.to_hpoly()), p, cfg)
-            t = tol if tol is not None else max(
-                1e-6, 5.0 * (lhs.err_estimate + perr))
+            t = _identity_tol(tol, lhs.err_estimate + perr)
             out.append(_record(name, "Z_w(u sh_h v) = Z_w(u) Z_w(v)",
                                lhs.value, prod, t, t0))
         elif kind == "harmonic":
             lhs = Z_omega(harmonic(APoly.monomial(m1), APoly.monomial(m2)),
                           p, cfg)
-            t = tol if tol is not None else max(
-                1e-6, 5.0 * (lhs.err_estimate + perr))
+            t = _identity_tol(tol, lhs.err_estimate + perr)
             out.append(_record(name, "Z_w(u *_h v) = Z_w(u) Z_w(v)",
                                lhs.value, prod, t, t0))
         else:
             sh = Z_omega(shuffle(m1.to_hpoly(), m2.to_hpoly()), p, cfg)
             ha = Z_omega(harmonic(APoly.monomial(m1), APoly.monomial(m2)),
                          p, cfg)
-            t = tol if tol is not None else max(
-                1e-6, 5.0 * (sh.err_estimate + ha.err_estimate))
+            t = _identity_tol(tol, sh.err_estimate + ha.err_estimate)
             out.append(_record(name, "Z_w(u sh_h v) = Z_w(u *_h v)",
                                sh.value, ha.value, t, t0))
     return out

@@ -78,6 +78,19 @@ def test_bad_numeric_option_is_exit_2(runner, args):
     assert res.exit_code == 2, res.output
 
 
+@pytest.mark.parametrize("omega", ["0", "2", "2.5", "nan", "inf"])
+@pytest.mark.parametrize("args", [["eval", "zeta", "2"],
+                                  ["verify", "algebra"],
+                                  ["gamma", "0.2"],
+                                  ["ohno", "2"]])
+def test_omega_outside_range_is_exit_2(runner, args, omega):
+    """--omega outside (0, 2), NaN included, is a usage error of every
+    verb that takes it."""
+    res = runner.invoke(cli, args + ["--omega", omega])
+    assert res.exit_code == 2, res.output
+    assert "--omega" in res.output
+
+
 def test_non_admissible_is_exit_3(runner):
     res = runner.invoke(cli, ["eval", "zeta", "2,1"])
     assert res.exit_code == 3

@@ -14,6 +14,7 @@ from omzv import (GammaContext, OhnoParams, OhnoTable, OmegaParam,
                   transport_relation, zeta_omega)
 from omzv.ncseries import XSeries, tau
 from omzv.ohno import connected_expansion, connected_integral
+from omzv.omega import contour_offset
 from omzv.verify import saalschutz_points
 
 
@@ -162,6 +163,22 @@ def test_contour_offset_does_not_move_values(fast_cfg, omega):
     a = ohno_generating((1, 2), op, ctx.p, fast_cfg)
     b = ohno_generating((1, 2), op, ctx.p, fast_cfg,
                         eps=min(0.5, 1.0 / (8.0 * omega)))
+    assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k, l, omega, share", [((1, 2), (1,), 1.9, 0.5),
+                                                ((1, 2), (1,), 1.99, 0.5),
+                                                ((2,), (1,), 1.4, 0.25)])
+def test_connector_below_default_offset(fast_cfg, k, l, omega, share):
+    """Below the default offset the lines reach further into Im T, where
+    |Re 2 pi i w T| passes the exponent range: at these offsets the
+    power kernel of the last entry overflowed before every kernel took
+    its factors from `geometric_factor`."""
+    ctx = GammaContext(OmegaParam(omega), cfg=fast_cfg)
+    eps = share * contour_offset(omega, len(k) + len(l), "connector")[1]
+    a = connected_integral(k, l, OhnoParams(), ctx)
+    b = connected_integral(k, l, OhnoParams(), ctx, eps=eps)
     assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate
 
 

@@ -10,9 +10,9 @@ import pytest
 from omzv import (AMonomial, HPoly, HbarLaurent, OmegaParam, QuadConfig,
                   QuadError, Z_omega, Z_omega_monomial, dual_index,
                   index_to_e_word, parse_amonomial, zeta_omega)
-from omzv.omega import (cexpm1, clear_value_cache, contour_offset, decay_hint,
+from omzv.omega import (clear_value_cache, contour_offset, decay_hint,
                         inverse_x_variable, kernel_e)
-from omzv.quad import ChainStage, chain_line_integral
+from omzv.quad import ChainStage, cexpm1, chain_line_integral
 
 PI = math.pi
 H = HbarLaurent.h

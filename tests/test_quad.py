@@ -4,12 +4,13 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from omzv import OmegaParam, QuadConfig, QuadError, quad, zeta_omega
 from omzv.omega import clear_value_cache
-from omzv.quad import ChainStage, chain_line_integral
+from omzv.quad import ChainStage, chain_line_integral, geometric_factor
 
 TWO_PI = 2.0 * math.pi
 
@@ -165,6 +166,40 @@ def test_chain_peak_memory():
         tracemalloc.stop()
         clear_value_cache()
     assert peak <= 2.0e6
+
+
+FACTOR_RE = (-700.0, -30.0, -1e-2, 0.0, 1e-2, 30.0, 700.0)
+FACTOR_IM = (-5.0, -0.5, 0.0, 1.0, 3.0, 40.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a, b", [(1, 0), (0, 1), (3, 1), (5, 0)])
+def test_geometric_factor_matches_mpmath(a, b):
+    """(e^x/(1 - e^x))^a (1/(1 - e^x))^b on both sides of Re x = 0, out
+    to |Re x| = 700 where e^|x| is within a factor 2e4 of overflow,
+    against 30-digit values.  Near Re x = 0 the difference 1 - e^x
+    cancels to |x|, which costs up to eps/|x| per power.  Each x is
+    also passed alone, as a scalar."""
+    x = np.array([complex(re, im) for re in FACTOR_RE for im in FACTOR_IM
+                  if (re, im) != (0.0, 0.0)])
+    got = geometric_factor(x, a, b)
+    with mp.workdps(30):
+        for xi, gi in zip(x, got):
+            e = mp.exp(mp.mpc(xi))
+            want = complex((e / (1 - e)) ** a * (1 / (1 - e)) ** b)
+            for g in (gi, geometric_factor(xi, a, b)):
+                assert abs(g - want) <= 1e-13 * abs(want) + 1e-300, xi
+
+
+@pytest.mark.parametrize("m", [-3, 0, 1, 7])
+@pytest.mark.parametrize("shift", [0.0, 1e-13, -1e-13j, 7e-14 + 7e-14j])
+def test_geometric_factor_pole_is_a_quad_error(m, shift):
+    """x within 1e-13 of a pole 2 pi i m, among regular points, raises
+    for every pair of powers."""
+    x = np.array([0.3 + 1.0j, 2j * math.pi * m + shift, -4.0 + 2.0j])
+    for a, b in [(1, 0), (0, 1), (3, 1), (5, 0)]:
+        with pytest.raises(QuadError):
+            geometric_factor(x, a, b)
 
 
 def test_non_finite_chain_raises(cfg):
