@@ -24,8 +24,6 @@ import threading
 import warnings
 from collections import OrderedDict
 
-from .quad import EvalResult
-
 __all__ = ["LRU", "ValueCache", "install", "memoized", "clear_memo"]
 
 # Entries of the process-wide memo.  One chains benchmark pass holds
@@ -34,11 +32,14 @@ MEMO_SIZE = 1024
 
 
 class LRU:
-    """Map with at most `maxsize` entries that drops the least recently
-    used one when full.  Safe to share between threads."""
+    """Map of entries weighing at most `maxsize` in all (weight(value)
+    each, 1 by default) that drops the least recently used ones to fit;
+    a heavier value is not kept.  Safe to share between threads."""
 
-    def __init__(self, maxsize):
+    def __init__(self, maxsize, weight=None):
         self.maxsize = maxsize
+        self.weight = weight or (lambda value: 1)
+        self.total = 0
         self._d = OrderedDict()
         self._lock = threading.Lock()
 
@@ -50,15 +51,19 @@ class LRU:
             return value
 
     def put(self, key, value):
+        w = self.weight(value)
         with self._lock:
+            if key in self._d:
+                self.total -= self.weight(self._d.pop(key))
             self._d[key] = value
-            self._d.move_to_end(key)
-            if len(self._d) > self.maxsize:
-                self._d.popitem(last=False)
+            self.total += w
+            while self.total > self.maxsize:
+                self.total -= self.weight(self._d.popitem(last=False)[1])
 
     def clear(self):
         with self._lock:
             self._d.clear()
+            self.total = 0
 
     def __len__(self):
         with self._lock:
@@ -172,6 +177,7 @@ def memoized(expr, omega, cfg, compute, meta=None):
     store = _ACTIVE
     hit = store.get(*triple) if store is not None else None
     if hit is not None:
+        from .quad import EvalResult   # quad imports this module's LRU
         res = EvalResult(hit[0], hit[1], dict(meta or {}, cached=True))
     else:
         res = compute()

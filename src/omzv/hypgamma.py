@@ -34,6 +34,7 @@ line shares one shift schedule, so evaluation is vectorized over Re z.
 """
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,8 +84,8 @@ _STRIP_MARGIN = 0.05
 _CHIRP_MIN = 24
 # Trapezoid nodes per half-line beyond which the strip sum is refused.
 _MAX_NODES = 100_000
-# Functional-equation steps beyond which a shift path is refused: each
-# step is one pass over the line.
+# Functional-equation steps beyond which a shift path is refused: its
+# walk is a scalar loop, and its terms fill (steps x points) blocks.
 _MAX_SHIFTS = 100_000
 
 
@@ -260,14 +261,25 @@ def log_G_line(re, im, ctx):
     if n_big + n_small > _MAX_SHIFTS:
         raise QuadError("shift path of log G above step budget",
                         steps=n_big + n_small)
-    acc = np.zeros(re.shape, dtype=complex)
+    ys, scales = array("d"), array("d")     # Im zeta, scale of each step
     im_cur = float(im)
     while im_cur > s0 + 1e-12:
         step = big if im_cur - big >= -s0 - 1e-12 else small
         im_cur -= step
-        zeta = re + 1j * (im_cur + ctx.omega_bar)
-        scale = math.pi * w if step == 1.0 else math.pi
-        acc = acc + _log_m2i_sinh(scale * zeta)
+        ys.append(im_cur + ctx.omega_bar)
+        scales.append(math.pi * w if step == 1.0 else math.pi)
+    # terms in blocks of 2^14 values (or one step), summed in path order
+    acc = 0.0
+    rows = max(1, (1 << 14) // re.size)
+    for j in range(0, len(ys), rows):
+        y = np.frombuffer(ys)[j:j + rows, None]
+        zeta = np.frombuffer(scales)[j:j + rows, None] * (re + 1j * y)
+        # one 1-d call is faster than a 2-d one
+        block = _log_m2i_sinh(zeta.ravel()).reshape(zeta.shape)
+        block[0] += acc
+        if len(block) > 1:
+            np.add.accumulate(block, out=block)
+        acc = block[-1]
     far = np.abs(re) >= _far_threshold(w)
     base = np.empty(re.shape, dtype=complex)
     if far.any():

@@ -29,7 +29,8 @@ import numpy as np
 from . import cache as _cache
 from .hypgamma import log_G, log_G_line
 from .ncseries import z_decompose
-from .omega import contour_offset, inverse_x_variable, zeta_omega
+from .omega import (clear_value_cache, contour_offset, inverse_x_variable,
+                    zeta_omega)
 from .quad import (ChainStage, EvalResult, QuadConfig, QuadError,
                    cexpm1, chain_line_integral, chain_pass, chain_tables,
                    geometric_factor, _chain_grid, _require_finite,
@@ -349,9 +350,7 @@ def _theta_value(ctx, cfg, p, r, s, lam, mu, eps, h, ys, chi_t, chi_u, dp):
     return value, float(tail)
 
 
-def clear_connector_cache():
-    """Empty the process-wide memo (shared with the chain values)."""
-    _cache.clear_memo()
+clear_connector_cache = clear_value_cache   # one memo with the chains
 
 
 def connected_integral(k, l, op, ctx, cfg=None, eps=None):

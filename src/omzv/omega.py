@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cache as _cache
-from .quad import (ChainStage, EvalResult, QuadConfig, chain_line_integral,
-                   geometric_factor, measure_kernel)
+from .quad import (_MEASURE_MEMO, ChainStage, EvalResult, QuadConfig,
+                   chain_line_integral, geometric_factor, measure_kernel)
 from .words import ALetter, AMonomial, APoly, check_index
 
 __all__ = [
@@ -161,8 +161,10 @@ def _binom_poly(delta, alpha):
 # Monomial evaluation
 
 def clear_value_cache():
-    """Empty the process-wide memo (shared with the connector)."""
+    """Empty the process-wide memo (shared with the connector) and the
+    measure-kernel tables of the chain grids."""
     _cache.clear_memo()
+    _MEASURE_MEMO.clear()
 
 
 def Z_omega_monomial(mono, p, cfg=None, mode="reduced"):

@@ -13,7 +13,8 @@ tilt (`_tilted_convolve`), O(n log n) per stage.  A single line is the
 depth-1 chain, and an integral over the real axis is the line
 Re t = -eps with x = Im t.
 
-Each kernel is evaluated once per integral, on the fine grid
+Each kernel is evaluated once per integral on the fine grid, and the
+measure kernel, which does not depend on omega, once per grid
 (`chain_tables`).  The step-doubled estimate runs on the grid of step
 2h, the fine grid with every other node dropped (trapezoid grids nest).
 Its chain rides through the fine pass as a second row that is zero at
@@ -34,11 +35,14 @@ Error estimates come from step doubling plus boundary-tail monitors and
 are deliberately conservative.
 """
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+from .cache import LRU
 
 __all__ = [
     "QuadConfig",
@@ -146,11 +150,12 @@ def cexpm1(z):
     return _expm1(z, np.exp(z))
 
 
-def _expm1(z, ez):
+def _expm1(z, ez, mag=None, low=None):
     """exp(z) - 1 from ez = exp(z): the difference, or a series where
-    |z| < 1e-4 and the difference would cancel."""
+    |z| < 1e-4 and the difference would cancel.  mag and low, float and
+    bool arrays of z's shape, take |z| and the test when given."""
     out = ez - 1.0
-    small = np.abs(z) < 1e-4
+    small = np.less(np.abs(z, out=mag), 1e-4, out=low)
     if np.any(small):
         zs = np.where(small, z, 0.0)
         series = zs * (1.0 + zs / 2.0 * (1.0 + zs / 3.0 * (1.0 + zs / 4.0)))
@@ -164,25 +169,29 @@ def geometric_factor(x, a, b):
     s = x where Re x <= 0 and -x elsewhere, so |e| <= 1 and nothing
     overflows.  With d = e - 1 the factors are -e/d and -1/d where
     Re x <= 0, 1/d and e/d elsewhere.  Raises QuadError at a pole, x
-    within 1e-12 of 2 pi i m."""
+    within 1e-12 of 2 pi i m.  A scalar x is a one-point array."""
     x = np.asarray(x, dtype=complex)
+    if x.ndim == 0:
+        return geometric_factor(x.reshape(1), a, b)[0]
     pos = x.real > 0.0
     # a real sign array: np.where is several times slower on complex
     s = x * np.where(pos, -1.0, 1.0)
     e = np.exp(s)
-    d = _expm1(s, e)
-    bad = np.abs(d) < 1e-12
-    if np.any(bad):
+    mag, low = np.empty(x.shape), np.empty(x.shape, dtype=bool)
+    d = _expm1(s, e, mag, low)
+    if np.less(np.abs(d, out=mag), 1e-12, out=low).any():
         raise QuadError("kernel pole: x at an integer multiple of 2 pi i",
-                        x=complex(x.flat[int(np.argmax(bad))]))
-    num = np.asarray((-1.0) ** (a + b) * _power(e, a))
-    np.copyto(num, _power(e, b), where=pos)
-    return num / _power(d, a + b)
+                        x=complex(x.flat[int(np.argmax(low))]))
+    # s is spent: the numerator takes its buffer
+    num = np.multiply((-1.0) ** (a + b), _power(e, a), out=s)
+    np.copyto(num, _power(e, b) if b else 1.0, where=pos)
+    return np.divide(num, _power(d, a + b), out=num)
 
 
 def _power(z, k):
     """z^k by products, for an integer k >= 0: numpy's complex power of
-    an array goes through exp and log."""
+    an array goes through exp and log (and an in-place product rounds
+    differently on one-point arrays)."""
     out = np.ones_like(z) if k == 0 else z
     for _ in range(k - 1):
         out = out * z
@@ -276,12 +285,13 @@ def _tilt_plan(hull_a, hull_b, lo, hi):
     plus convolution of the two hulls: their Minkowski sum, whose edges
     are the edges of both hulls merged by slope.  The tilt -s makes
     f(t, k) the tangent of g along its edge of slope s, so the excess
-    f - g is zero on that edge and grows linearly away from it.  Blocks
-    are chosen greedily from the left: of the tangents within the slack
-    at the block start, the rightmost reaches furthest, which fixes the
-    block end; the tangent with the least worst excess over the block is
-    then used.  Excesses are checked at the hull vertices, between which
-    they are linear."""
+    f - g is zero on that edge and grows away from it.  Blocks are
+    chosen greedily from the left: of the tangents within the slack at
+    the block start, the rightmost reaches furthest, which fixes the
+    block end.  g is concave, so each excess is convex and peaks over a
+    block at one of its ends: the tangent whose larger end excess is
+    least is used.  Excesses are checked at the hull vertices, between
+    which they are linear."""
     xa, ya = hull_a
     xb, yb = hull_b
     dx = np.concatenate([np.diff(xa), np.diff(xb)])
@@ -308,22 +318,13 @@ def _tilt_plan(hull_a, hull_b, lo, hi):
     start = 0
     while True:
         cand = np.arange(own[start], len(slopes))
-        reach = cand[np.flatnonzero(excess(cand, start) <= _TILT_SLACK)[-1]]
-        over = np.flatnonzero(excess(reach, np.arange(start, len(px)))
+        at_start = excess(cand, start)
+        cand = cand[:np.flatnonzero(at_start <= _TILT_SLACK)[-1] + 1]
+        over = np.flatnonzero(excess(cand[-1], np.arange(start, len(px)))
                               > _TILT_SLACK)
         stop = len(px) - 1 if len(over) == 0 else start + int(over[0]) - 1
-        block = np.arange(start, stop + 1)
-        # the worst excess over the block is convex in the tilt, so a
-        # ternary search over the candidate edges finds its minimum
-        e0, e1 = int(own[start]), int(reach)
-        while e1 - e0 > 2:
-            m0 = e0 + (e1 - e0) // 3
-            m1 = e1 - (e1 - e0) // 3
-            if excess(m0, block).max() <= excess(m1, block).max():
-                e1 = m1
-            else:
-                e0 = m0
-        e = min(range(e0, e1 + 1), key=lambda c: excess(c, block).max())
+        worst = np.maximum(at_start[:len(cand)], excess(cand, stop))
+        e = cand[np.argmin(worst)]
         plan.append((-float(slopes[e]), int(px[start]), int(px[stop])))
         if stop == len(px) - 1:
             return plan
@@ -356,7 +357,8 @@ class _Operand:
     and the tilted FFTs of its last convolution, keyed by (tilt, size).
     A table convolved at several stages takes its logarithm and hull
     once, and an FFT again only at a tilt its last convolution did not
-    use; keeping no older FFTs bounds the memory."""
+    use; keeping no older FFTs bounds the memory.  Integrals sharing one
+    memoised table hold copies with FFTs of their own (`_measure_operand`)."""
 
     def __init__(self, vals):
         self.vals = vals
@@ -459,17 +461,35 @@ def _chain_grid(eps, cfg, decay, nstages, pole_dist=None, freq=0.0,
     return h, ys
 
 
-def _diff_values(diff, z):
-    return measure_kernel(z) if diff is None else diff(z)
+# Measure-kernel tables of recent grids, bounded by their summed length:
+# 2^17 entries (3 MB) hold about five depth-6 zeta grids or fifty depth-2.
+_MEASURE_MEMO = LRU(1 << 17, weight=lambda op: len(op.vals))
+
+
+def _measure_operand(eps, h, dgrid):
+    """The measure kernel's `_Operand` on the differences dgrid of the
+    grid (eps, h), the same for every omega: evaluated, its hull made
+    and memoised on the grid's first use; a copy with no FFTs."""
+    key = (eps, h, len(dgrid))
+    op = _MEASURE_MEMO.get(key)
+    if op is None:
+        op = _Operand(measure_kernel(dgrid))
+        op.vals.flags.writeable = False
+        op.hull                     # made once, for every copy
+        _MEASURE_MEMO.put(key, op)
+    op = copy.copy(op)
+    op.ffts = {}
+    return op
 
 
 def chain_tables(chains, eps, h, ys):
     """Kernel tables of one or more chains (lists of ChainStage) on the
     grid (h, ys), every kernel evaluated once.
 
-    Each distinct diff kernel of a stage after the first (None, the
-    measure kernel, included) is one `_Operand` on the 2n-1 differences
-    h*k, |k| < n, shared by every stage and chain that uses it.  A first
+    Each distinct diff kernel of a stage after the first is one
+    `_Operand` on the 2n-1 differences h*k, |k| < n, shared by every
+    stage and chain that uses it; the measure kernel's (diff None) is
+    shared by every integral on the grid (`_measure_operand`).  A first
     stage's diff kernel is the slice of that table on its line, which
     holds exactly the same values h*k, or else is evaluated on the line
     alone.  Stage a's cum kernel becomes a call that evaluates it on the
@@ -482,14 +502,15 @@ def chain_tables(chains, eps, h, ys):
     ops = dict.fromkeys(st.diff for stages in chains for st in stages[1:])
     if ops:
         dgrid = (-eps) + 1j * (h * np.arange(-(n - 1), n))
-        ops = {d: _Operand(_diff_values(d, dgrid)) for d in ops}
+        ops = {d: _measure_operand(eps, h, dgrid) if d is None
+               else _Operand(d(dgrid)) for d in ops}
     lines = {}
     out = []
     for stages in chains:
         d = stages[0].diff
         if d not in lines:
-            lines[d] = (ops[d].vals[first:first + n] if d in ops
-                        else _diff_values(d, (-eps) + 1j * ys))
+            lines[d] = (ops[d].vals[first:first + n] if d in ops else
+                        (measure_kernel if d is None else d)((-eps) + 1j * ys))
         table = []
         for a, st in enumerate(stages, start=1):
             cum = st.cum and (lambda k=st.cum, z0=-a * eps: k(z0 + 1j * ys))

@@ -4,16 +4,22 @@ row of the fine pass, reuse those values.  The evaluate-per-pass chain,
 with its own compact pass on the grid of step 2h, is kept here as the
 reference.  Values must match it bit for bit.  Error estimates must
 match it to 1e-12 of the value: they take the step-2h value, which the
-zero-stuffed row rounds differently from the compact pass."""
+zero-stuffed row rounds differently from the compact pass.  The
+measure kernel's difference table is made once per grid and shared by
+every integral on it, and the tilt plans are chosen at block ends; both
+keep every bit."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from omzv import (GammaContext, OhnoParams, OmegaParam, QuadConfig,
-                  Z_omega_monomial, connected_integral, ohno, omega,
-                  ohno_generating, parse_amonomial, quad, zeta_omega)
+from omzv import (GammaContext, OhnoParams, OmegaParam, QuadConfig, Z_omega,
+                  Z_omega_monomial, cache, connected_integral, ohno, omega,
+                  ohno_generating, parse_amonomial, parse_apoly, quad,
+                  zeta_omega)
 from omzv.omega import clear_value_cache
 from omzv.quad import ChainStage, chain_line_integral, measure_kernel
 
@@ -167,7 +173,8 @@ def counted(fn, calls, name):
 def test_each_kernel_is_evaluated_once(monkeypatch, cfg):
     """Depth 4: the measure kernel serves stages 1 and 3 (stage 1 as a
     slice of the difference table), one diff kernel stages 2 and 4; the
-    step-doubled pass calls nothing again."""
+    step-doubled pass calls nothing again, and a second integral on the
+    grid takes the measure table from the grid memo."""
     calls = {}
     plain = measure_kernel
     monkeypatch.setattr(quad, "measure_kernel",
@@ -177,12 +184,18 @@ def test_each_kernel_is_evaluated_once(monkeypatch, cfg):
                                      calls, "cum%d" % a),
                          diff=tilted if a % 2 == 0 else None)
               for a in range(1, 5)]
-    for _ in range(2):
-        calls.clear()
-        res = chain_line_integral(stages, 0.05, cfg, decay=(TWO_PI, 0.1))
-        assert math.isfinite(res.err_estimate)
-        assert calls == {"measure": 1, "diff": 1, "cum1": 1, "cum2": 1,
-                         "cum3": 1, "cum4": 1}
+    clear_value_cache()
+    try:
+        for measured in (1, 0):
+            calls.clear()
+            res = chain_line_integral(stages, 0.05, cfg,
+                                      decay=(TWO_PI, 0.1))
+            assert math.isfinite(res.err_estimate)
+            assert calls.pop("measure", 0) == measured
+            assert calls == {"diff": 1, "cum1": 1, "cum2": 1, "cum3": 1,
+                             "cum4": 1}
+    finally:
+        clear_value_cache()
 
 
 def test_depth1_evaluates_its_line_only(cfg):
@@ -224,3 +237,183 @@ def test_reused_operand_matches_fresh():
     reused = dict(op.ffts)
     quad._tilted_convolve(same_tilts, op, n - 1, 2 * n - 1)
     assert all(op.ffts[k] is reused[k] for k in reused)
+
+
+# ---------------------------------------------------------------------------
+# The measure table of a grid, shared by every integral on it
+
+def result_bits(res):
+    return value_bits(res) + (float(res.err_estimate).hex(),)
+
+
+GRID_VALUES = [
+    ("zeta", lambda: zeta_omega((1, 2, 3), OmegaParam(1.0))),
+    ("zeta", lambda: zeta_omega((2, 1, 1, 2), OmegaParam(0.3), FAST)),
+    ("reduced", lambda: Z_omega(parse_apoly("E G1 G2 + 2 G1 G1 E G2"),
+                                OmegaParam(1.4), FAST)),
+    ("generating", lambda: ohno_generating(
+        (1, 3), OhnoParams(lam=0.001 + 0.0005j, mu=-0.0007j),
+        OmegaParam(0.8), FAST)),
+]
+
+
+@pytest.mark.parametrize("kind, fn", GRID_VALUES,
+                         ids=[kind for kind, _ in GRID_VALUES])
+def test_warm_grid_memo_keeps_bits(monkeypatch, kind, fn):
+    """A value and its estimate are the same bits whether the grid's
+    measure table is made afresh or taken from the memo, where the warm
+    run evaluates no measure kernel on the chain grid."""
+    clear_value_cache()
+    cold = fn()
+    assert len(quad._MEASURE_MEMO)
+    cache.clear_memo()
+    calls = {}
+    monkeypatch.setattr(quad, "measure_kernel",
+                        counted(measure_kernel, calls, "measure"))
+    warm = fn()
+    clear_value_cache()
+    assert "measure" not in calls
+    assert result_bits(warm) == result_bits(cold)
+
+
+def test_grid_memo_stays_within_its_bound(monkeypatch, cfg):
+    """Chains on more grids than the memo holds: after each one the
+    summed table length is within the bound and is the sum of the kept
+    tables, and the oldest grids are the ones dropped.  A table longer
+    than the bound is not kept."""
+    memo = quad._MEASURE_MEMO
+    stages = [ChainStage(cum=lambda t: np.exp(0.3j * t)), ChainStage()]
+    clear_value_cache()
+    made = []
+    for eps in np.linspace(0.1, 0.3, 60):
+        res = chain_line_integral(stages, float(eps), cfg,
+                                  decay=(TWO_PI, 1.0))
+        made.append(2 * res.meta["nodes"] - 1)
+        assert memo.total <= memo.maxsize
+        assert memo.total == sum(len(op.vals) for op in memo._d.values())
+    assert sum(made) > 2 * memo.maxsize
+    assert memo.total > memo.maxsize - max(made)
+    assert len(memo) < len(made)
+    kept = list(memo._d)
+    assert kept == sorted(kept)          # the newest (largest eps) kept
+    clear_value_cache()
+    monkeypatch.setattr(memo, "maxsize", min(made) - 1)
+    chain_line_integral(stages, 0.2, cfg, decay=(TWO_PI, 1.0))
+    assert len(memo) == 0 and memo.total == 0
+
+
+def test_threads_on_one_grid_keep_bits(cfg):
+    """Threads evaluating chains on one grid, more of them than cores and
+    all starting on a cold memo with a short switch interval, give the
+    bits of one thread: each integral convolves a copy of the shared
+    table with FFTs of its own.  The memo's total stays the sum of the
+    tables it holds."""
+    def chains():
+        return [[ChainStage(cum=lambda t, c=c: np.exp(c * t)),
+                 ChainStage(cum=lambda t, c=c: np.exp(0.5 * c * t)),
+                 ChainStage()] for c in (0.2j, 0.35j, 0.1 + 0.5j)]
+
+    def run():
+        return [result_bits(chain_line_integral(st, 0.2, cfg,
+                                                decay=(TWO_PI, 0.9)))
+                for st in chains() for _ in range(3)]
+
+    clear_value_cache()
+    want = run()
+    clear_value_cache()
+    workers = 4
+    start = threading.Barrier(workers)
+    got = [None] * workers
+
+    def worker(i):
+        start.wait(timeout=60)
+        got[i] = run()
+
+    threads = [threading.Thread(target=worker, args=(i,))
+               for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    memo = quad._MEASURE_MEMO
+    assert memo.total == sum(len(op.vals) for op in memo._d.values())
+    clear_value_cache()
+    assert got == [want] * workers
+
+
+# ---------------------------------------------------------------------------
+# Tilt plans chosen at block ends
+
+def ternary_tilt_plan(hull_a, hull_b, lo, hi):
+    """_tilt_plan with the tangent of each block chosen by a ternary
+    search over the candidates, each probe taking the worst excess over
+    every sample point of the block."""
+    xa, ya = hull_a
+    xb, yb = hull_b
+    dx = np.concatenate([np.diff(xa), np.diff(xb)])
+    dy = np.concatenate([np.diff(ya), np.diff(yb)])
+    if len(dx) == 0:
+        return [(0.0, lo, hi - 1)]
+    order = np.argsort(-dy / dx, kind="stable")
+    vx = xa[0] + xb[0] + np.concatenate([[0.0], np.cumsum(dx[order])])
+    vy = ya[0] + yb[0] + np.concatenate([[0.0], np.cumsum(dy[order])])
+    slopes = dy[order] / dx[order]
+    px = np.concatenate([[lo], vx[(vx > lo) & (vx < hi - 1)], [hi - 1]])
+    gy = np.interp(px, vx, vy)
+    gy = np.where(px < vx[0], vy[0] + slopes[0] * (px - vx[0]), gy)
+    gy = np.where(px > vx[-1], vy[-1] + slopes[-1] * (px - vx[-1]), gy)
+    base = vy[:-1] - slopes * vx[:-1]
+    own = np.clip(np.searchsorted(vx, px, side="right") - 1,
+                  0, len(slopes) - 1)
+
+    def excess(e, p):
+        return base[e] + slopes[e] * px[p] - gy[p]
+
+    plan = []
+    start = 0
+    while True:
+        cand = np.arange(own[start], len(slopes))
+        reach = cand[np.flatnonzero(excess(cand, start)
+                                    <= quad._TILT_SLACK)[-1]]
+        over = np.flatnonzero(excess(reach, np.arange(start, len(px)))
+                              > quad._TILT_SLACK)
+        stop = len(px) - 1 if len(over) == 0 else start + int(over[0]) - 1
+        block = np.arange(start, stop + 1)
+        e0, e1 = int(own[start]), int(reach)
+        while e1 - e0 > 2:
+            m0 = e0 + (e1 - e0) // 3
+            m1 = e1 - (e1 - e0) // 3
+            if excess(m0, block).max() <= excess(m1, block).max():
+                e1 = m1
+            else:
+                e0 = m0
+        e = min(range(e0, e1 + 1), key=lambda c: excess(c, block).max())
+        plan.append((-float(slopes[e]), int(px[start]), int(px[stop])))
+        if stop == len(px) - 1:
+            return plan
+        start = stop
+
+
+def test_tilt_plan_matches_ternary_search(monkeypatch):
+    """On the hulls of zeta chains at omega 0.3, 1 and 1.9, depths 2-6,
+    choosing each tangent from its excesses at the block ends gives the
+    plan of the ternary search over whole blocks."""
+    recorded = []
+    plan = quad._tilt_plan
+    monkeypatch.setattr(quad, "_tilt_plan",
+                        lambda *args: recorded.append(args) or plan(*args))
+    for w in (0.3, 1.0, 1.9):
+        for k in ((1, 2), (2, 1, 2), (1, 1, 1, 2), (1, 2, 1, 1, 2),
+                  (1, 1, 1, 1, 1, 2)):
+            clear_value_cache()
+            zeta_omega(k, OmegaParam(w))
+    clear_value_cache()
+    assert len(recorded) == 3 * (1 + 2 + 3 + 4 + 5)
+    for args in recorded:
+        assert plan(*args) == ternary_tilt_plan(*args)

@@ -202,6 +202,67 @@ def test_geometric_factor_pole_is_a_quad_error(m, shift):
             geometric_factor(x, a, b)
 
 
+def reference_geometric_factor(x, a, b):
+    """geometric_factor as one fresh array per step, the formula that the
+    in-place form must reproduce bit for bit."""
+    x = np.asarray(x, dtype=complex)
+    pos = x.real > 0.0
+    s = x * np.where(pos, -1.0, 1.0)
+    e = np.exp(s)
+    d = e - 1.0
+    small = np.abs(s) < 1e-4
+    if np.any(small):
+        zs = np.where(small, s, 0.0)
+        series = zs * (1.0 + zs / 2.0 * (1.0 + zs / 3.0 * (1.0 + zs / 4.0)))
+        d = np.where(small, series, d)
+    if np.any(np.abs(d) < 1e-12):
+        raise QuadError("kernel pole")
+
+    def power(z, k):
+        out = np.ones_like(z) if k == 0 else z
+        for _ in range(k - 1):
+            out = out * z
+        return out
+
+    num = np.asarray((-1.0) ** (a + b) * power(e, a))
+    np.copyto(num, power(e, b), where=pos)
+    return num / power(d, a + b)
+
+
+def hex_bits(z):
+    z = np.asarray(z, dtype=complex).ravel()
+    return [(v.real.hex(), v.imag.hex()) for v in z.tolist()]
+
+
+@pytest.mark.parametrize("a", range(7))
+@pytest.mark.parametrize("b", range(7))
+def test_geometric_factor_matches_reference_bits(a, b):
+    """The in-place factor equals the fresh-array formula bit for bit on
+    random x in both half-planes, in the series range near the poles and
+    far out, in one and two dimensions, and raises where it raises.  A
+    scalar is a one-point array (the formula on a 0-d input would round
+    through numpy's scalar arithmetic instead)."""
+    rng = np.random.default_rng(100 + 7 * a + b)
+    x = np.concatenate([
+        rng.uniform(-40.0, 40.0, 300) + 1j * rng.uniform(-40.0, 40.0, 300),
+        rng.uniform(-1e-4, 1e-4, 60) + 1j * rng.uniform(-1e-4, 1e-4, 60),
+        rng.uniform(-700.0, 700.0, 40) + 1j * rng.uniform(-5.0, 5.0, 40),
+        [1e-5 + 2j * math.pi, -3e-5j + 4j * math.pi, 0.5 - 1e-7j,
+         -2e-6 + 1e-6j]])
+    assert hex_bits(geometric_factor(x, a, b)) == \
+        hex_bits(reference_geometric_factor(x, a, b))
+    grid = x.reshape(2, -1)
+    assert hex_bits(geometric_factor(grid, a, b)) == \
+        hex_bits(reference_geometric_factor(grid, a, b))
+    for xi in x[::37]:
+        assert hex_bits(geometric_factor(xi, a, b)) == \
+            hex_bits(reference_geometric_factor([xi], a, b))
+    pole = np.append(x[:5], 2j * math.pi * 3 + 1e-13)
+    for f in (geometric_factor, reference_geometric_factor):
+        with pytest.raises(QuadError):
+            f(pole, a, b)
+
+
 def test_non_finite_chain_raises(cfg):
     """One infinite kernel value spreads over every FFT output; the
     integral raises instead of returning NaN."""
