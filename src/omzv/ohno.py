@@ -17,12 +17,13 @@ The Theta stage couples the two chain lines only through the sum
 T + U and the cross phase e^{-pi i w T U}.  On a shared uniform grid
 the sum part is a discrete convolution, and the cross phase splits
 into per-line chirps times a chirp on the sum grid, so the double sum
-costs one tilted FFT convolution instead of a dense double loop.
+costs one tilted FFT convolution instead of a dense double loop.  It
+finishes the shared chain pass (`quad._chain_integral`) of both chains.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -32,9 +33,8 @@ from .ncseries import z_decompose
 from .omega import (clear_value_cache, contour_offset, inverse_x_variable,
                     zeta_omega)
 from .quad import (ChainStage, EvalResult, QuadConfig, QuadError,
-                   cexpm1, chain_line_integral, chain_pass, chain_tables,
-                   geometric_factor, _chain_grid, _require_finite,
-                   _tilted_convolve, _worst)
+                   cexpm1, chain_line_integral, geometric_factor,
+                   _chain_grid, _chain_integral, _tilted_convolve, _worst)
 from .words import check_index
 
 __all__ = [
@@ -135,18 +135,11 @@ def double_ohno_sum(k, m, n, p, cfg=None):
         raise ValueError("m and n must be >= 0")
     cfg = cfg or QuadConfig()
     r = len(k)
-    total = 0.0 + 0.0j
-    err = 0.0
-    count = 0
-    for ms in compositions(m, r):
-        for ns in compositions(n, r):
-            shifted = tuple(k[a] + ms[a] + ns[a] for a in range(r))
-            res = zeta_omega(shifted, p, cfg)
-            total += complex(res.value)
-            err += res.err_estimate
-            count += 1
-    return EvalResult(total, err, {"index": k, "m": m, "n": n,
-                                   "terms": count})
+    terms = [(1, zeta_omega(tuple(k[a] + ms[a] + ns[a] for a in range(r)),
+                            p, cfg))
+             for ms in compositions(m, r) for ns in compositions(n, r)]
+    return EvalResult.combine(terms, {"index": k, "m": m, "n": n,
+                                      "terms": len(terms)})
 
 
 def hat_shift(z, p):
@@ -179,6 +172,12 @@ def _j_kernel(kk, t, lam, mu, p):
     return out
 
 
+def _j_stages(k, lam, mu, p):
+    """One J stage per entry of k."""
+    return [ChainStage(cum=(lambda t, kk=e: _j_kernel(kk, t, lam, mu, p)))
+            for e in k]
+
+
 def _shift_margin(lam, mu):
     return max(abs(complex(lam)), abs(complex(mu)),
                abs(complex(lam) + complex(mu)))
@@ -199,9 +198,7 @@ def ohno_generating(k, op, p, cfg=None, eps=None):
     if abs(complex(op.lam)) >= radius or abs(complex(op.mu)) >= radius:
         raise QuadError("deformation point outside the series region",
                         radius=radius)
-    stages = [ChainStage(cum=(lambda t, kk=e: _j_kernel(kk, t, op.lam,
-                                                        op.mu, p)))
-              for e in k]
+    stages = _j_stages(k, op.lam, op.mu, p)
     pole = (min(eps, 1.0 - eps, 1.0 / w - r * eps)
             - _shift_margin(op.lam, op.mu))
     if pole <= 0.1 * eps:
@@ -277,39 +274,23 @@ def _descending_log_line(ctx, tops, h, shift, height):
     return hit[::-1]
 
 
-def _connector_grid(eps, cfg, p, r, s, shift):
-    """Shared grid for the two chains feeding the Theta stage: the chain
-    grid whose step also resolves the cross-phase chirp, whose local
-    frequency pi*w*|Im U| grows linearly with the extent."""
-    w = p.omega
-    d0 = min(eps, min(1.0, 1.0 / w) - (r + s) * eps) - shift
-    if d0 <= 1e-3:
-        raise QuadError("contour too close to a kernel pole", dist=d0)
-    dp = 1.6 * math.pi * w * eps * min(r, s)
-    h, ys = _chain_grid(eps, cfg, (TWO_PI, dp), max(r, s), pole_dist=d0,
-                        chirp=math.pi * w)
-    return h, ys, dp
-
-
 def _prefix_stages(k, lam, mu, p):
     """J stages for all but the last entry, then the bare power kernel
     (e^x/(1 - e^x))^{k-1}, x = 2 pi i w t, of the last entry k (identity
     when it is 1)."""
-    stages = [ChainStage(cum=(lambda t, kk=e: _j_kernel(kk, t, lam, mu, p)))
-              for e in k[:-1]]
     last = k[-1]
     cum = None if last == 1 else (lambda t, kk=last: geometric_factor(
         p.hbar_value * t, kk - 1, 0))
-    stages.append(ChainStage(cum=cum))
-    return stages
+    return _j_stages(k[:-1], lam, mu, p) + [ChainStage(cum=cum)]
 
 
-def _theta_value(ctx, cfg, p, r, s, lam, mu, eps, h, ys, chi_t, chi_u, dp):
-    """Assemble the coupled double sum for one grid resolution."""
-    w = p.omega
+def _theta_value(ctx, pref, r, s, lam, mu, eps, dp, h, ys, rows):
+    """The Theta-coupled double sum of the chains' last rows on the grid
+    (h, ys), times pref, and its boundary-tail bound."""
+    chi_t, chi_u = rows
+    w = ctx.p.omega
     ob = ctx.omega_bar
     n = len(ys)
-    lam, mu = complex(lam), complex(mu)
     both = lam + mu
 
     def log_line(a):
@@ -324,7 +305,7 @@ def _theta_value(ctx, cfg, p, r, s, lam, mu, eps, h, ys, chi_t, chi_u, dp):
     s_line = -(r + s) * eps + 1j * ysum
     log_c = (_descending_log_line(ctx, ysum, h, both,
                                   ob - (r + s) * eps + both.real)
-             - np.log(-cexpm1(p.hbar_value * (s_line + both))))
+             - np.log(-cexpm1(ctx.p.hbar_value * (s_line + both))))
     for name, logs in (("a", log_a), ("b", log_b), ("c", log_c)):
         if not np.max(logs.real) < _LOG_FLOAT_MAX:
             raise QuadError("Theta factor beyond the float range", factor=name)
@@ -347,7 +328,7 @@ def _theta_value(ctx, cfg, p, r, s, lam, mu, eps, h, ys, chi_t, chi_u, dp):
     hi, lo = c_abs[n - 1:], c_abs[:n]
     tail = h * ((a_abs[-1] * (b_abs @ hi) + b_abs[-1] * (a_abs @ hi)) / dp
                 + (a_abs[0] * (b_abs @ lo) + b_abs[0] * (a_abs @ lo)) / TWO_PI)
-    return value, float(tail)
+    return pref * value, abs(pref) * float(tail)
 
 
 clear_connector_cache = clear_value_cache   # one memo with the chains
@@ -359,6 +340,8 @@ def connected_integral(k, l, op, ctx, cfg=None, eps=None):
     Chain a of length r runs on Re T_a = -a*eps, likewise the second
     chain; the Theta factor depends on (T_r, U_s) only through the sum
     and the cross phase, evaluated by convolution on the shared grid.
+    Both chains run in `quad._chain_integral` with the Theta stage times
+    the hbar prefactor as finisher; a chain may not exceed _MAX_DIM.
     """
     k = tuple(int(e) for e in k)
     l = tuple(int(e) for e in l)
@@ -379,23 +362,20 @@ def connected_integral(k, l, op, ctx, cfg=None, eps=None):
                         eps=eps)
 
     def compute():
-        h, ys, dp = _connector_grid(eps, cfg, p, r, s, _shift_margin(lam, mu))
-        tables = chain_tables([_prefix_stages(k, lam, mu, p),
-                               _prefix_stages(l, lam, mu, p)], eps, h, ys)
-        (chi_t, chi_t_c), (chi_u, chi_u_c) = (chain_pass(t, h)
-                                              for t in tables)
-
-        pref = p.hbar_value ** (sum(k) + sum(l))
-        fine, tail = _theta_value(ctx, cfg, p, r, s, lam, mu, eps,
-                                  h, ys, chi_t, chi_u, dp)
-        value = pref * fine
-        _require_finite(value, abs(pref) * tail, nodes=len(ys), stage="fine")
-        coarse, _ = _theta_value(ctx, cfg, p, r, s, lam, mu, eps, 2 * h,
-                                 ys[::2], chi_t_c[::2], chi_u_c[::2], dp)
-        err = abs(pref) * (abs(fine - coarse) + tail) + cfg.abs_tol
-        _require_finite(pref * coarse, err, nodes=len(ys), stage="coarse")
-        return EvalResult(value, err, {"h": h, "nodes": len(ys),
-                                       "lam": lam, "mu": mu})
+        d0 = (min(eps, min(1.0, 1.0 / w) - (r + s) * eps)
+              - _shift_margin(lam, mu))
+        if d0 <= 1e-3:
+            raise QuadError("contour too close to a kernel pole", dist=d0)
+        # the step also resolves the cross-phase chirp, whose local
+        # frequency pi*w*|Im U| grows linearly with the extent
+        dp = 1.6 * math.pi * w * eps * min(r, s)
+        h, ys = _chain_grid(eps, cfg, (TWO_PI, dp), max(r, s), pole_dist=d0,
+                            chirp=math.pi * w)
+        theta = partial(_theta_value, ctx, p.hbar_value ** (sum(k) + sum(l)),
+                        r, s, lam, mu, eps, dp)
+        return _chain_integral([_prefix_stages(k, lam, mu, p),
+                                _prefix_stages(l, lam, mu, p)],
+                               eps, cfg, h, ys, theta, lam=lam, mu=mu)
 
     expr = "conn %s;%s lam=%r mu=%r eps=%r" % (
         ",".join(map(str, k)), ",".join(map(str, l)), lam, mu, float(eps))
@@ -419,9 +399,8 @@ def initial_relation(k, op, ctx, cfg=None):
     lhs = connected_integral(k, (1,), op, ctx, cfg)
     d = d_norm(op.lam, op.mu, ctx)
     gen = ohno_generating(index_up(k), op, ctx.p, cfg)
-    rhs = EvalResult(d * complex(gen.value), abs(d) * gen.err_estimate,
-                     {"d": d, "index": index_up(k)})
-    return lhs, rhs
+    return lhs, EvalResult.combine([(d, gen)],
+                                   {"d": d, "index": index_up(k)})
 
 
 def transport_relation(k, l, op, ctx, cfg=None, variant=1):
@@ -445,10 +424,7 @@ def transport_relation(k, l, op, ctx, cfg=None, variant=1):
     else:
         raise ValueError("variant must be 1 or 2")
     lhs, t1, t2 = (connected_integral(a, b, op, ctx, cfg) for a, b in legs)
-    rhs = EvalResult(complex(t1.value) + lm * complex(t2.value),
-                     t1.err_estimate + abs(lm) * t2.err_estimate,
-                     {"variant": variant})
-    return lhs, rhs
+    return lhs, EvalResult.combine([(1, t1), (lm, t2)], {"variant": variant})
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +502,11 @@ def omega_Omega(w, op, p, cfg=None):
     for (word, j), q in w.items_sorted():
         if 2 * j > op.order:
             continue
-        sub = op.order - 2 * j
-        idx = z_decompose(word)
+        block = ohno_table(z_decompose(word), op.order - 2 * j, p, cfg)
         c = complex(q)
-        for m in range(sub + 1):
-            for n in range(sub + 1 - m):
-                cell = double_ohno_sum(idx, m, n, p, cfg)
-                table.add(m + j, n + j, c * complex(cell.value),
-                          abs(c) * cell.err_estimate)
+        for m, n in block.cells():
+            table.add(m + j, n + j, c * block.coeffs[(m, n)],
+                      abs(c) * block.errs[(m, n)])
     return table
 
 

@@ -226,18 +226,15 @@ def Z_omega(arg, p, cfg=None, mode="reduced"):
     Q[h] acts through h = 2 pi i omega.  Errors add up."""
     cfg = cfg or QuadConfig()
     arg = APoly.of(arg)
-    total = 0.0 + 0.0j
-    err = 0.0
     for mono, coeff in arg.t.items():
         if not mono.is_admissible():
             raise ValueError("monomial %s not admissible" % mono)
         if not coeff.is_polynomial():
             raise ValueError("coefficient of %s has h^-1 terms" % mono)
-        c = coeff.eval(p.hbar_value)
-        r = Z_omega_monomial(mono, p, cfg, mode)
-        total += c * r.value
-        err += abs(c) * r.err_estimate
-    return EvalResult(total, err, {"omega": p.omega, "mode": mode})
+    return EvalResult.combine(
+        [(coeff.eval(p.hbar_value), Z_omega_monomial(mono, p, cfg, mode))
+         for mono, coeff in arg.t.items()],
+        {"omega": p.omega, "mode": mode})
 
 
 def zeta_omega(k, p, cfg=None):

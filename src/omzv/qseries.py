@@ -74,14 +74,10 @@ def z_q_monomial(mono, p):
 def z_q(arg, p):
     """Sum evaluation extended linearly, h acting as 1 - q."""
     arg = APoly.of(arg)
-    total = 0.0 + 0.0j
-    err = 0.0
-    for mono, coeff in arg.t.items():
-        c = coeff.eval(1.0 - p.q)
-        r = z_q_monomial(mono, p)
-        total += c * r.value
-        err += abs(c) * r.err_estimate
-    return EvalResult(total, err, {"q": p.q, "n_terms": p.n_terms})
+    return EvalResult.combine(
+        [(coeff.eval(1.0 - p.q), z_q_monomial(mono, p))
+         for mono, coeff in arg.t.items()],
+        {"q": p.q, "n_terms": p.n_terms})
 
 
 def mzv(k, n_terms=10_000):

@@ -3,10 +3,12 @@
 Every integral in this package runs along contours Re t = -epsilon (or a
 product of such lines), with integrands analytic in a strip around the
 contour and exponentially decaying along it.  One evaluator,
-`chain_line_integral`, computes them all.  It handles iterated
+`_chain_integral`, computes them all.  It runs chains, iterated
 integrals whose stage-a integrand couples T_a to T_{a-1} only through
 the difference T_a - T_{a-1} (the cumulative-variable form of all the
-nested sums here).  On a shared uniform imaginary grid each stage is
+nested sums here), and a finisher turns their last rows into the
+value: `chain_line_integral` for one chain, the Theta coupling of the
+Ohno connector for two.  On a shared uniform imaginary grid each stage is
 one discrete convolution, so depth r costs r convolutions instead of an
 r-dimensional tensor.  Each convolution is an FFT under an exponential
 tilt (`_tilted_convolve`), O(n log n) per stage.  A single line is the
@@ -31,8 +33,8 @@ the error decays like exp(-2*pi*d/h) where d is the width of the
 analyticity strip, in practice the contour-to-pole distance.  Every
 grid is built by one rule (`_chain_grid`) from the strip width, the
 decay rates on both sides and a bound on the oscillation frequency.
-Error estimates come from step doubling plus boundary-tail monitors and
-are deliberately conservative.
+Error estimates come from step doubling plus the finisher's boundary-
+tail monitors and are deliberately conservative.
 """
 
 import copy
@@ -52,8 +54,6 @@ __all__ = [
     "cexpm1",
     "geometric_factor",
     "measure_kernel",
-    "chain_tables",
-    "chain_pass",
     "chain_line_integral",
 ]
 
@@ -104,6 +104,16 @@ class EvalResult:
 
     def __complex__(self):
         return complex(self.value)
+
+    @classmethod
+    def combine(cls, terms, meta=None):
+        """The sum of c * value over the (c, result) pairs, added in their
+        order, with the estimate sum |c| * err_estimate."""
+        total, err = 0j, 0.0
+        for c, res in terms:
+            total += c * complex(res.value)
+            err += abs(c) * res.err_estimate
+        return cls(total, err, meta or {})
 
 
 def _require_finite(value, err, **detail):
@@ -438,9 +448,15 @@ def _chain_grid(eps, cfg, decay, nstages, pole_dist=None, freq=0.0,
     upward until a later stage does.  The step resolves the pole
     distance (pole_dist, default eps) and an oscillation of angular
     frequency at most freq + chirp*|Im t| along the grid, whose growth
-    across the strip it must outrun.
+    across the strip it must outrun.  QuadError for more than _MAX_DIM
+    stages or a decay rate that is not positive.
     """
-    dm, dp = decay
+    if nstages > _MAX_DIM:
+        raise QuadError("dimension above the supported maximum",
+                        dim=nstages, max_dim=_MAX_DIM)
+    dm, dp = float(decay[0]), float(decay[1])
+    if not (dm > 0.0 and dp > 0.0):
+        raise QuadError("decay hint must be positive", decay=decay)
     d = (pole_dist if pole_dist else eps) * _STRIP_SAFETY
     if d <= 0.0:
         raise QuadError("pole distance must be positive", eps=eps)
@@ -536,10 +552,8 @@ def chain_pass(table, h):
     so its row starts there, and a chain of depth 1 has the fine row
     for both.
 
-    Returns (chi, chi_c), the stage-r integrands accumulated on the line
-    Re T_r = -r*eps: the final integral is i^r * h * chi.sum() (times
-    any caller prefactor), its step-doubled value i^r * 2h *
-    chi_c[::2].sum().
+    Returns (chi, chi_c), the stage-r rows on the line Re T_r = -r*eps;
+    chi_c[::2] is the chain of step 2h.
     """
     chi = table[0][0]
     n = len(chi)
@@ -556,10 +570,29 @@ def chain_pass(table, h):
     return (chi, chi) if chi.ndim == 1 else (chi[0], chi[1])
 
 
+def _chain_integral(chains, eps, cfg, h, ys, finish, **meta):
+    """One or more chains (lists of ChainStage) on the grid (h, ys), and
+    the one step-doubled error estimate.  finish(h, ys, rows) -> (value,
+    tail) turns the chains' last rows into the integral and a bound on
+    its boundary tails; it runs on the fine rows and on those of step 2h
+    (`chain_pass`), and err = |V_h - V_2h| + tail + abs_tol.  A value
+    or estimate that is not finite raises QuadError (detail stage
+    "fine" or "coarse").  meta gains the grid's eps, h, nodes and U."""
+    rows = [chain_pass(t, h) for t in chain_tables(chains, eps, h, ys)]
+    nodes = len(ys)
+    value, tail = finish(h, ys, [fine for fine, _ in rows])
+    _require_finite(value, tail, nodes=nodes, stage="fine")
+    value_c, _ = finish(2 * h, ys[::2], [coarse[::2] for _, coarse in rows])
+    err = abs(value - value_c) + tail + cfg.abs_tol
+    _require_finite(value_c, err, nodes=nodes, stage="coarse")
+    meta.update(eps=eps, h=h, nodes=nodes, U=(float(-ys[0]), float(ys[-1])))
+    return EvalResult(value, err, meta)
+
+
 def chain_line_integral(stages, eps, cfg=None, *, decay, pole_dist=None,
                         prefactor=1.0, freq=0.0):
     """Iterated integral prod_a int dT_a diff_a(T_a - T_{a-1}) cum_a(T_a)
-    over the lines Re T_a = -a*eps, evaluated by chained convolutions.
+    over the lines Re T_a = -a*eps: the one-chain `_chain_integral`.
 
     decay is the (minus, plus) pair of decay rates of the integrand
     along the lines (2*pi on the minus side under the measure kernel),
@@ -568,21 +601,13 @@ def chain_line_integral(stages, eps, cfg=None, *, decay, pole_dist=None,
     r = len(stages)
     if r == 0:
         return EvalResult(complex(prefactor), 0.0, {"dim": 0})
-    if r > _MAX_DIM:
-        raise QuadError("dimension above the supported maximum",
-                        dim=r, max_dim=_MAX_DIM)
-    dm, dp = float(decay[0]), float(decay[1])
-    if not (dm > 0.0 and dp > 0.0):
-        raise QuadError("decay hint must be positive", decay=decay)
-    h, ys = _chain_grid(eps, cfg, (dm, dp), r, pole_dist, freq)
+    h, ys = _chain_grid(eps, cfg, decay, r, pole_dist, freq)
+    dm, dp = decay
+    pref = complex(prefactor) * (1j ** r)
 
-    chi, chi_c = chain_pass(chain_tables([stages], eps, h, ys)[0], h)
-    value = complex(prefactor) * (1j ** r) * h * chi.sum()
-    tail = abs(prefactor) * (abs(chi[0]) / dm + abs(chi[-1]) / dp)
-    _require_finite(value, tail, nodes=len(ys), stage="fine")
-    meta = {"dim": r, "eps": eps, "h": h, "nodes": len(ys),
-            "U": (float(-ys[0]), float(ys[-1]))}
-    value_c = complex(prefactor) * (1j ** r) * (2 * h) * chi_c[::2].sum()
-    err = abs(value - value_c) + tail + cfg.abs_tol
-    _require_finite(value_c, err, nodes=len(ys), stage="coarse")
-    return EvalResult(value, err, meta)
+    def finish(h, ys, rows):
+        chi = rows[0]
+        return (pref * h * chi.sum(),
+                abs(prefactor) * (abs(chi[0]) / dm + abs(chi[-1]) / dp))
+
+    return _chain_integral([stages], eps, cfg, h, ys, finish, dim=r)

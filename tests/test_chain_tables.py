@@ -66,23 +66,25 @@ def reference_chain_line_integral(stages, eps, cfg=None, *, decay,
 
 def reference_connected_integral(k, l, op, ctx, cfg, eps):
     p = ctx.p
+    w = p.omega
     r, s = len(k), len(l)
     lam, mu = complex(op.lam), complex(op.mu)
-    h, ys, dp = ohno._connector_grid(eps, cfg, p, r, s,
-                                     ohno._shift_margin(lam, mu))
-    stages_t = ohno._prefix_stages(k, lam, mu, p)
-    stages_u = ohno._prefix_stages(l, lam, mu, p)
+    d0 = (min(eps, min(1.0, 1.0 / w) - (r + s) * eps)
+          - ohno._shift_margin(lam, mu))
+    dp = 1.6 * math.pi * w * eps * min(r, s)
+    h, ys = quad._chain_grid(eps, cfg, (TWO_PI, dp), max(r, s),
+                             pole_dist=d0, chirp=math.pi * w)
+    stages = (ohno._prefix_stages(k, lam, mu, p),
+              ohno._prefix_stages(l, lam, mu, p))
     pref = p.hbar_value ** (sum(k) + sum(l))
     fine, tail = ohno._theta_value(
-        ctx, cfg, p, r, s, lam, mu, eps, h, ys,
-        reference_chain_pass(stages_t, eps, h, ys),
-        reference_chain_pass(stages_u, eps, h, ys), dp)
+        ctx, pref, r, s, lam, mu, eps, dp, h, ys,
+        [reference_chain_pass(st, eps, h, ys) for st in stages])
     coarse, _ = ohno._theta_value(
-        ctx, cfg, p, r, s, lam, mu, eps, 2 * h, ys[::2],
-        reference_chain_pass(stages_t, eps, 2 * h, ys[::2]),
-        reference_chain_pass(stages_u, eps, 2 * h, ys[::2]), dp)
-    err = abs(pref) * (abs(fine - coarse) + tail) + cfg.abs_tol
-    return quad.EvalResult(pref * fine, err)
+        ctx, pref, r, s, lam, mu, eps, dp, 2 * h, ys[::2],
+        [reference_chain_pass(st, eps, 2 * h, ys[::2]) for st in stages])
+    err = abs(fine - coarse) + tail + cfg.abs_tol
+    return quad.EvalResult(fine, err)
 
 
 def value_bits(res):

@@ -192,6 +192,13 @@ def test_connector_node_bound(fast_cfg):
     assert res.meta["nodes"] <= 4000
 
 
+def test_connector_chain_depth_budget(ctx1):
+    """A connector chain longer than quad._MAX_DIM raises like any other
+    chain: every chain grid checks the depth."""
+    with pytest.raises(QuadError, match="dimension above the supported"):
+        connected_integral((1, 1, 1, 1, 1, 1, 2), (1,), OhnoParams(), ctx1)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_theta_overflow_is_a_quad_error(fast_cfg):
     """At w = 0.05 the Theta factors exceed the float range: the

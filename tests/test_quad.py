@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from omzv import OmegaParam, QuadConfig, QuadError, quad, zeta_omega
+from omzv import OmegaParam, QuadConfig, QuadError, ohno, quad, zeta_omega
 from omzv.omega import clear_value_cache
 from omzv.quad import ChainStage, chain_line_integral, geometric_factor
 
@@ -275,6 +275,26 @@ def test_non_finite_chain_raises(cfg):
               ChainStage(cum=lambda t: np.exp(0.5j * t))]
     with pytest.raises(QuadError) as info:
         chain_line_integral(stages, 0.2, cfg, decay=(TWO_PI, 0.5))
+    assert info.value.detail["stage"] == "fine"
+    assert info.value.detail["nodes"] > 0
+
+
+def test_non_finite_connector_raises(monkeypatch, ctx1):
+    """The same for the connector: one infinite J kernel value in the
+    first chain makes the Theta sum non-finite, and the connected
+    integral raises at the fine stage instead of returning NaN."""
+    plain = ohno._j_kernel
+
+    def spike(kk, t, lam, mu, p):
+        out = plain(kk, t, lam, mu, p)
+        out[len(out) // 2] = np.inf
+        return out
+
+    monkeypatch.setattr(ohno, "_j_kernel", spike)
+    clear_value_cache()
+    with pytest.raises(QuadError) as info:
+        ohno.connected_integral((1, 2), (1,), ohno.OhnoParams(), ctx1)
+    clear_value_cache()
     assert info.value.detail["stage"] == "fine"
     assert info.value.detail["nodes"] > 0
 
