@@ -187,7 +187,7 @@ def cmd_eval(kind, expr, omega, tol, out, cache_path):
         "eval", kind=kind, expr=expr, parsed=parsed,
         config={"omega": omega, "tol": tol,
                 "fingerprint": cfg.fingerprint()},
-        value=complex(res.value), err_estimate=float(res.err_estimate),
+        value=res.value, err_estimate=res.err_estimate,
         meta=res.meta)
     _emit(report, out)
 
@@ -252,10 +252,10 @@ def cmd_gamma(z, omega, tol, out, cache_path):
     try:
         res = cache_mod.memoized(
             "logG %r" % zc, p.omega, cfg,
-            lambda: EvalResult(complex(log_G(zc, ctx_g)), 0.0))
+            lambda: EvalResult(log_G(zc, ctx_g), 0.0))
     except QuadError as exc:
         raise AdmissibilityError(str(exc))
-    lg = complex(res.value)
+    lg = res.value
     value = None
     if abs(lg.real) < 700.0:
         value = cmath.exp(lg)

@@ -512,8 +512,9 @@ def omega_Omega(w, op, p, cfg=None):
 
 def connected_expansion(k, l, order, ctx, cfg=None, radius=None):
     """Coefficients Z_{m,n} of I(k, l | lam, mu)/d(lam, mu) as a series
-    in the hatted variables, by least squares over a small product grid
-    of phases."""
+    in the hatted variables: the trapezoid rule (a 2-D FFT) on the torus
+    of radius radius/2 in both, checked against the torus of radius
+    `radius`."""
     if order > 2:
         raise ValueError("order above the supported expansion depth")
     cfg = cfg or ctx.cfg
@@ -521,38 +522,31 @@ def connected_expansion(k, l, order, ctx, cfg=None, radius=None):
     if radius is None:
         radius = min(1.0, 1.0 / w) / (16.0 * (len(k) + len(l) + 4))
     npts = order + 3
-    cells = [(m, n) for m in range(order + 1)
-             for n in range(order + 1 - m)]
 
-    def fit(rho):
-        # On a product grid of npts-th roots the monomial columns are
+    def coeffs(rho):
+        # The npts x npts grid of roots of unity makes the monomials
         # orthogonal, so truncation enters only through aliasing at
         # exponent gap npts; two radii expose that error directly.
         hats = rho * np.exp(2j * math.pi * np.arange(npts) / npts)
-        rows = []
-        vals = []
+        vals = np.empty((npts, npts), dtype=complex)
         errpt = 0.0
-        for lh in hats:
+        for i, lh in enumerate(hats):
             lam = complex(inverse_x_variable(lh, w))
-            for mh in hats:
+            for j, mh in enumerate(hats):
                 mu = complex(inverse_x_variable(mh, w))
                 conn = connected_integral(k, l, OhnoParams(lam, mu), ctx, cfg)
                 dd = d_norm(lam, mu, ctx)
-                vals.append(complex(conn.value) / dd)
+                vals[i, j] = conn.value / dd
                 errpt = max(errpt, conn.err_estimate / abs(dd))
-                rows.append([lh ** m * mh ** n for (m, n) in cells])
-        a = np.array(rows)
-        b = np.array(vals)
-        sol, _, _, sv = np.linalg.lstsq(a, b, rcond=None)
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-        if cond > 1e8:
-            raise QuadError("expansion fit is ill-conditioned", cond=cond)
-        return sol, errpt
+        m, n = np.indices(vals.shape)
+        return np.fft.fft2(vals) / npts ** 2 / rho ** (m + n), errpt
 
-    sol_wide, _ = fit(radius)
-    sol, errpt = fit(radius / 2.0)
+    c_wide, _ = coeffs(radius)
+    c, errpt = coeffs(radius / 2.0)
     table = OhnoTable(order)
-    for (m, n), c, c_wide in zip(cells, sol, sol_wide):
-        err = abs(c - c_wide) + errpt / max((radius / 2.0) ** (m + n), 1e-30)
-        table.set(m, n, c, err)
+    for m in range(order + 1):
+        for n in range(order + 1 - m):
+            err = (abs(c[m, n] - c_wide[m, n])
+                   + errpt / max((radius / 2.0) ** (m + n), 1e-30))
+            table.set(m, n, c[m, n], err)
     return table

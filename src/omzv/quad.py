@@ -98,12 +98,19 @@ DEFAULT_CONFIG = QuadConfig()
 
 @dataclass
 class EvalResult:
+    """A value and its error estimate, as Python complex and float
+    whatever route made them (a fresh grid's numpy scalars, the memo, the
+    store): numpy and CPython divide complex numbers differently."""
     value: complex
     err_estimate: float
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.value = complex(self.value)
+        self.err_estimate = float(self.err_estimate)
+
     def __complex__(self):
-        return complex(self.value)
+        return self.value
 
     @classmethod
     def combine(cls, terms, meta=None):
@@ -111,7 +118,7 @@ class EvalResult:
         order, with the estimate sum |c| * err_estimate."""
         total, err = 0j, 0.0
         for c, res in terms:
-            total += c * complex(res.value)
+            total += c * res.value
             err += abs(c) * res.err_estimate
         return cls(total, err, meta or {})
 

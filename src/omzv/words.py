@@ -26,6 +26,17 @@ The products run on flat term dicts {(key, e): c}, key an a/b string
 (shuffle) or an int tuple, 0 = E and k = G(k) (harmonic), e the power of
 h.  The public functions flatten their HPoly/APoly arguments and group
 the result into HbarLaurent coefficients once, at return.
+
+`parse_hpoly` and `parse_apoly` invert the one printer, `_LinComb.__str__`:
+
+    sum    := term (("+" | "-") term)*
+    term   := "-"* factor* letter*          (not empty)
+    factor := (p[/q] | "h" ["^" ["-"] n] | "(" sum ")") ["*"]
+
+A parenthesised sum has no letters and no parentheses and is an
+HbarLaurent.  A letter is a or b (HPoly) or E, G<k> (APoly), and the
+word "1" is the factor 1.  Whitespace between tokens is free, and a "*"
+must be followed by a factor or a letter.
 """
 
 import functools
@@ -680,196 +691,84 @@ def parse_index(text):
 
 
 # ---------------------------------------------------------------------------
-# Parsing (whitespace-tolerant; inverse of the canonical printers)
+# Parsing, by the grammar of the module docstring
 
-_TOKEN = re.compile(r"""
-    (?P<lpar>\() | (?P<rpar>\)) | (?P<plus>\+) | (?P<minus>-)
-  | (?P<star>\*) | (?P<caret>\^)
-  | (?P<num>\d+(?:/\d+)?)
-  | (?P<name>[A-Za-z]\d*)
-""", re.VERBOSE)
+_TOKEN = re.compile(r"\s*(\^\s*-?\s*\d+|\d+(?:/\d+)?|[A-Za-z]\d*|\S)")
 
 
-def _tokenize(text):
-    toks = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError("bad character %r at %d" % (text[pos], pos))
-        toks.append((m.lastgroup, m.group()))
-        pos = m.end()
-    return toks
+def _factor(toks):
+    """The HbarLaurent of the coefficient factor at the end of `toks`."""
+    t = toks.pop()
+    if t == "(":
+        c = _sum(toks, HbarLaurent, None, None)
+        if toks[-1:] != [")"]:
+            raise ValueError("expected ')'")
+        toks.pop()
+        return c
+    if t != "h":
+        try:
+            return HbarLaurent.of(Fraction(t))
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % t) from None
+    if toks and toks[-1][0] == "^":    # "^-2" is one token
+        return HbarLaurent.h(int("".join(toks.pop()[1:].split())))
+    return _H
 
 
-class _Parser:
-    def __init__(self, toks, letter_parser):
-        self.toks = toks
-        self.i = 0
-        self.letter = letter_parser
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None)
-
-    def take(self):
-        t = self.peek()
-        self.i += 1
-        return t
-
-    def expect(self, kind):
-        k, v = self.take()
-        if k != kind:
-            raise ValueError("expected %s, got %r" % (kind, v))
-        return v
-
-    # laurent := lterm (("+"|"-") lterm)*
-    def laurent(self):
-        out = self.lterm()
-        while True:
-            k, _ = self.peek()
-            if k == "plus":
-                self.take()
-                out = out + self.lterm()
-            elif k == "minus":
-                self.take()
-                out = out - self.lterm()
-            else:
-                return out
-
-    # lterm := ["-"] (num ["*" hfac] | hfac)
-    def lterm(self):
-        sign = 1
-        while self.peek()[0] == "minus":
-            self.take()
-            sign = -sign
-        k, v = self.peek()
-        if k == "num":
-            self.take()
-            q = Fraction(v)
-            if self.peek()[0] == "star":
-                save = self.i
-                self.take()
-                if self.peek() == ("name", "h"):
-                    return HbarLaurent.of(sign * q) * self.hfac()
-                self.i = save
-            return HbarLaurent.of(sign * q)
-        if (k, v) == ("name", "h"):
-            return HbarLaurent.of(sign) * self.hfac()
-        raise ValueError("expected coefficient, got %r" % (v,))
-
-    def hfac(self):
-        k, v = self.take()
-        if (k, v) != ("name", "h"):
-            raise ValueError("expected h, got %r" % v)
-        if self.peek()[0] == "caret":
-            self.take()
-            sign = 1
-            if self.peek()[0] == "minus":
-                self.take()
-                sign = -1
-            e = int(self.expect("num"))
-            return HbarLaurent.h(sign * e)
-        return HbarLaurent.h(1)
-
-    # poly := ["-"] term (("+"|"-") term)*
-    def poly(self, zero, add, neg):
-        first = self.term()
-        out = add(zero, first)
-        while True:
-            k, _ = self.peek()
-            if k == "plus":
-                self.take()
-                out = add(out, self.term())
-            elif k == "minus":
-                self.take()
-                out = add(out, neg(self.term()))
-            else:
-                if self.i != len(self.toks):
-                    raise ValueError("trailing input near %r" % (self.peek()[1],))
-                return out
-
-    # term := coeff ["*"] word | coeff | word
-    def term(self):
-        sign = 1
-        while self.peek()[0] == "minus":
-            self.take()
-            sign = -sign
-        coeff = HbarLaurent.of(sign)
-        k, v = self.peek()
-        if k == "lpar":
-            self.take()
-            coeff = coeff * self.laurent()
-            self.expect("rpar")
-            if self.peek()[0] == "star":
-                self.take()
-        elif k == "num" or (k, v) == ("name", "h"):
-            coeff = coeff * self.lterm()
-            if self.peek()[0] == "star":
-                self.take()
-        return self.word(coeff)
-
-    # word := "1" | letter+
-    def word(self, coeff):
+def _sum(toks, cls, letter, word):
+    """The sum at the end of the reversed token list `toks`, popped off
+    it: each term is cls({word(letters): coefficient}), its letters read
+    by `letter`; with `letter` None a term is its coefficient, has no
+    parenthesised factor, and the sum is an HbarLaurent."""
+    out, negate = cls(), False
+    while True:
+        coeff = -_ONE if negate else _ONE
+        while toks[-1:] == ["-"]:
+            toks.pop()
+            coeff = -coeff
+        n = len(toks)
+        while toks and (toks[-1][0].isdigit() or toks[-1] == "h"
+                        or letter and toks[-1] == "("):
+            coeff = coeff * _factor(toks)
+            if toks[-1:] == ["*"]:
+                toks.pop()
+                if not toks or not (toks[-1][0].isalnum() or toks[-1] == "("):
+                    raise ValueError("'*' ends a term")
         letters = []
-        while True:
-            k, v = self.peek()
-            if k == "num" and v == "1" and not letters:
-                self.take()
-                break
-            if k == "name" and v != "h":
-                self.take()
-                letters.append(self.letter(v))
-            else:
-                break
-        return coeff, letters
+        while letter and toks and toks[-1][0].isalpha():
+            letters.append(letter(toks.pop()))
+        if len(toks) == n:
+            raise ValueError("empty term")
+        out = out + (cls({word(letters): coeff}) if letter else coeff)
+        if toks[-1:] not in (["+"], ["-"]):
+            return out
+        negate = toks.pop() == "-"
 
 
-def _ab_letter(tok):
-    if tok in ("a", "b"):
-        return tok
-    raise ValueError("unknown letter %r" % tok)
+def _parse(text, cls, letter, word):
+    toks = _TOKEN.findall(text)[::-1]
+    out = _sum(toks, cls, letter, word)
+    if toks:
+        raise ValueError("unexpected %r in %r" % (toks[-1], text))
+    return out
 
 
-def _a_letter(tok):
-    if tok == "E":
+def _a_letter(t):
+    if t == "E":
         return E
-    if tok.startswith("G") and tok[1:].isdigit():
-        return G(int(tok[1:]))
-    raise ValueError("unknown letter %r" % tok)
+    if t[0] != "G" or len(t) == 1:
+        raise ValueError("unknown letter %r" % t)
+    return G(int(t[1:]))
 
 
 def parse_hpoly(text):
-    toks = _tokenize(text)
-    p = _Parser(toks, _ab_letter)
-
-    def add(acc, term):
-        coeff, letters = term
-        return acc + HPoly.word("".join(letters), coeff)
-
-    def neg(term):
-        coeff, letters = term
-        return -coeff, letters
-
-    return p.poly(HPoly.zero(), add, neg)
+    """The HPoly printed as `text`."""
+    return _parse(text, HPoly, _ab_word, "".join)
 
 
 def parse_apoly(text):
-    toks = _tokenize(text)
-    p = _Parser(toks, _a_letter)
-
-    def add(acc, term):
-        coeff, letters = term
-        return acc + APoly.monomial(AMonomial(letters), coeff)
-
-    def neg(term):
-        coeff, letters = term
-        return -coeff, letters
-
-    return p.poly(APoly.zero(), add, neg)
+    """The APoly printed as `text`."""
+    return _parse(text, APoly, _a_letter, tuple)
 
 
 def parse_amonomial(text):

@@ -63,3 +63,23 @@ def test_evicted_value_is_recomputed_bit_identically(monkeypatch):
     assert again.value.imag.hex() == first.value.imag.hex()
     assert again.err_estimate.hex() == first.err_estimate.hex()
     clear_value_cache()
+
+
+def test_result_types_agree_across_routes(tmp_path, monkeypatch):
+    """A fresh value, a memo hit and a store hit are Python complex and
+    float with the same bits."""
+    monkeypatch.setattr(cache, "_memo", cache.LRU(8))
+    monkeypatch.setattr(cache, "_ACTIVE",
+                        cache.ValueCache(tmp_path / "values.jsonl"))
+    p = OmegaParam(0.8)
+    fresh = zeta_omega((2,), p)
+    memo = zeta_omega((2,), p)
+    cache.clear_memo()
+    stored = zeta_omega((2,), p)
+    assert stored.meta["cached"] and not fresh.meta.get("cached")
+    for res in (fresh, memo, stored):
+        assert type(res.value) is complex
+        assert type(res.err_estimate) is float
+        assert res.value.real.hex() == fresh.value.real.hex()
+        assert res.value.imag.hex() == fresh.value.imag.hex()
+        assert res.err_estimate.hex() == fresh.err_estimate.hex()

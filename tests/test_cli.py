@@ -54,8 +54,9 @@ def test_eval_word(runner):
 def test_parse_error_is_exit_2(runner):
     res = runner.invoke(cli, ["eval", "zeta", "2,,"])
     assert res.exit_code == 2
-    res = runner.invoke(cli, ["eval", "word", "b q a"])
-    assert res.exit_code == 2
+    for text in ["b q a", "", "G2 +", "+ G2", "G2 -", "2*", "1/0 G2"]:
+        res = runner.invoke(cli, ["eval", "word", text])
+        assert res.exit_code == 2, (text, res.output)
 
 
 @pytest.mark.parametrize("args", [

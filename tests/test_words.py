@@ -304,6 +304,41 @@ def test_parse_apoly():
         parse_amonomial("G0")
 
 
+EMPTY_TERMS = ["", "G2 +", "+ G2", "G2 -", "2*", "-"]
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_hpoly, "b q a"),
+    (parse_hpoly, "b 2 a"),
+    (parse_hpoly, "(h - 1 b a"),
+    (parse_hpoly, "h^"),
+    (parse_hpoly, "b * a"),
+    (parse_hpoly, "0 q"),
+    (parse_hpoly, "h^1/2 b"),
+    (parse_hpoly, "((h)) b"),
+    (parse_hpoly, "(" * 5000 + "h" + ")" * 5000),
+    (parse_apoly, "G0"),
+    (parse_apoly, "E G"),
+    (parse_apoly, "1/0 G2"),
+] + [(parse, text) for text in EMPTY_TERMS
+     for parse in (parse_hpoly, parse_apoly)])
+def test_parse_rejects_malformed(parse, text):
+    with pytest.raises(ValueError):
+        parse(text)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("-1/2*h*b a + 3*b", HPoly({"b": 3, "ba": H(1, Fraction(-1, 2))})),
+    ("- - b a - -h^ - 2 b", HPoly({"ba": 1, "b": H(-2)})),
+    ("(h - 1)*b + (h^-1) - 2", HPoly({"b": H(1) - 1, "": H(-1) - 2})),
+    ("2 1 + h*1 + 4/2 b", HPoly({"": H(1) + 2, "b": 2})),
+    ("hb", HPoly.word("b", H(1))),
+])
+def test_parse_hpoly_table(text, want):
+    """Spellings other than the printer's that the parser accepts."""
+    assert parse_hpoly(text) == want
+
+
 # -- property tests ---------------------------------------------------------
 
 letters = st.sampled_from([E, G(1), G(2), G(3)])
@@ -351,6 +386,13 @@ def test_kernels_match_reference_on_polys(h1, h2, a1, a2):
             == ref_shuffle(h1 + h2, h1 - h2).t)
     assert (harmonic(a1 + a2, a1 - a2).t
             == ref_harmonic(a1 + a2, a1 - a2).t)
+
+
+@given(hpolys, apolys)
+@settings(max_examples=200, deadline=None)
+def test_parse_inverts_the_printer(p, a):
+    assert parse_hpoly(str(p)) == p
+    assert parse_apoly(str(a)) == a
 
 
 def test_to_hpoly_matches_reference():
