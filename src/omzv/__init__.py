@@ -32,7 +32,7 @@ from .words import (ALetter, AMonomial, APoly, HPoly, HbarLaurent,
                     dual_index, harmonic, index_to_e_word,
                     monomials_up_to_weight, parse_amonomial, parse_apoly,
                     parse_hpoly, parse_index, satoh_residual,
-                    shuffle, sigma, sigma_monomial, to_a_basis)
+                    shuffle, sigma, sigma_monomial)
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,7 @@ __all__ = [
     "parse_hpoly", "parse_index",
     "run_suite",
     "saalschutz_check", "satoh_residual", "shuffle", "sigma",
-    "sigma_monomial", "tau", "to_a_basis",
+    "sigma_monomial", "tau",
     "transport_relation", "z_decompose", "z_q", "z_q_monomial",
     "zeta_omega",
 ]

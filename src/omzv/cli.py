@@ -286,8 +286,8 @@ def cmd_ohno(index, omega, order, tol, out, cache_path):
         table = ohno_table(k, order, p, cfg)
     except (ValueError, QuadError) as exc:
         raise AdmissibilityError(str(exc))
-    cells = [{"m": m, "n": n, "value": table.coeffs[(m, n)],
-              "err": table.errs[(m, n)]} for m, n in table.cells()]
+    cells = [{"m": m, "n": n, "value": table[m, n].value,
+              "err": table[m, n].err_estimate} for m, n in table.cells()]
     report = _base_report(
         "ohno", index=list(k), order=order,
         config={"omega": omega, "tol": tol,

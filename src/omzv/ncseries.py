@@ -18,7 +18,7 @@ Words starting with y and ending with x encode indices through
 z_k = y x^(k-1); see `z_decompose`.
 """
 
-from .words import _LinComb, _merge, _rational
+from .words import _LinComb, _merge, _rational, _word_index
 
 __all__ = ["XSeries", "tau", "z_decompose"]
 
@@ -101,15 +101,4 @@ def z_decompose(w):
         raise ValueError("word %r does not start with y and end with x" % w)
     if any(ch not in "xy" for ch in w):
         raise ValueError("word letters must be x or y")
-    out = []
-    i = 0
-    n = len(w)
-    while i < n:
-        if w[i] != "y":
-            raise ValueError("malformed block in %r" % w)
-        j = i + 1
-        while j < n and w[j] == "x":
-            j += 1
-        out.append(j - i)
-        i = j
-    return tuple(out)
+    return _word_index(w)

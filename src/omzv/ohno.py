@@ -13,6 +13,12 @@ Three layers:
     Omega(y w x) = Omega(y tau(w) x) is the extended double Ohno
     relation.
 
+Each coefficient table, O_{m,n}(k), Omega and the connected integral's
+Z_{m,n}, is an `OhnoTable`: a dict (m, n) -> EvalResult whose cells are
+summed by `EvalResult.combine`.  The connector functions take a
+`GammaContext` and compute everything, chains and log G lines, at its
+`cfg`, the configuration the memo and the store key their values by.
+
 The Theta stage couples the two chain lines only through the sum
 T + U and the cross phase e^{-pi i w T U}.  On a shared uniform grid
 the sum part is a discrete convolution, and the cross phase splits
@@ -63,49 +69,32 @@ _COMPOSITIONS_CACHE_SIZE = 256
 
 @dataclass(frozen=True)
 class OhnoParams:
-    """Generating-function parameters: the deformation point (lam, mu)
-    and the table order for (xi, eta) expansions."""
+    """The deformation point (lam, mu) of the generating functions."""
     lam: complex = 0.0 + 0.0j
     mu: complex = 0.0 + 0.0j
-    order: int = 2
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
 
 
-class OhnoTable:
-    """Triangular table of coefficients indexed by (m, n), m+n <= order,
-    with a parallel table of error estimates."""
+class OhnoTable(dict):
+    """Coefficient table: a dict (m, n) -> EvalResult.  `coeffs` and
+    `errs` are copies of its values and of its error estimates."""
 
-    def __init__(self, order):
-        self.order = int(order)
-        self.coeffs = {}
-        self.errs = {}
+    @property
+    def coeffs(self):
+        return {cell: res.value for cell, res in self.items()}
 
-    def set(self, m, n, value, err=0.0):
-        if m < 0 or n < 0 or m + n > self.order:
-            raise ValueError("cell (%d, %d) outside order %d"
-                             % (m, n, self.order))
-        self.coeffs[(m, n)] = complex(value)
-        self.errs[(m, n)] = float(err)
-
-    def add(self, m, n, value, err=0.0):
-        cur = self.coeffs.get((m, n), 0.0 + 0.0j)
-        self.set(m, n, cur + complex(value),
-                 self.errs.get((m, n), 0.0) + float(err))
-
-    def get(self, m, n):
-        return self.coeffs.get((m, n), 0.0 + 0.0j)
+    @property
+    def errs(self):
+        return {cell: res.err_estimate for cell, res in self.items()}
 
     def cells(self):
-        return sorted(self.coeffs)
+        return sorted(self)
 
     def max_abs_diff(self, other):
-        """Largest |difference| over the shared triangle, NaN if any is."""
-        top = min(self.order, other.order)
-        return _worst(abs(self.get(m, n) - other.get(m, n))
-                      for m in range(top + 1) for n in range(top + 1 - m))
+        """Largest |difference| over the union of cells, a missing cell
+        counting as 0; NaN if any difference is."""
+        a, b = self.coeffs, other.coeffs
+        return _worst(abs(a.get(c, 0j) - b.get(c, 0j))
+                      for c in a.keys() | b.keys())
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +108,8 @@ def compositions(total, parts):
         raise ValueError("parts must be >= 1")
     if parts == 1:
         return ((total,),)
-    out = []
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return tuple(out)
+    return tuple((first,) + rest for first in range(total + 1)
+                 for rest in compositions(total - first, parts - 1))
 
 
 def double_ohno_sum(k, m, n, p, cfg=None):
@@ -211,12 +197,12 @@ def ohno_generating(k, op, p, cfg=None, eps=None):
     return res
 
 
-def ohno_series(k, op, p, cfg=None):
+def ohno_series(k, op, order, p, cfg=None):
     """Truncated double series sum_{m+n <= order} O_{m,n}(k) L^m M^n in
     the hatted variables; the error estimate folds in a geometric bound
     on the dropped tail."""
     k = check_index(k)
-    cfg = cfg or QuadConfig()
+    table = ohno_table(k, order, p, cfg)
     lam_hat = hat_shift(op.lam, p)
     mu_hat = hat_shift(op.mu, p)
     rho = max(abs(lam_hat), abs(mu_hat))
@@ -224,18 +210,13 @@ def ohno_series(k, op, p, cfg=None):
     if q >= 0.5:
         raise QuadError("deformation too large for series truncation",
                         rho=rho)
-    table = ohno_table(k, op.order, p, cfg)
-    total = 0.0 + 0.0j
-    err = 0.0
-    top = 0.0
-    for m, n in table.cells():
-        term = table.coeffs[(m, n)] * lam_hat ** m * mu_hat ** n
-        total += term
-        err += table.errs[(m, n)] * abs(lam_hat ** m * mu_hat ** n)
-        if m + n == op.order:
-            top += abs(term)
-    err += top * q / (1.0 - q)
-    return EvalResult(total, err, {"index": k, "order": op.order})
+    terms = [(lam_hat ** m * mu_hat ** n, table[m, n])
+             for m, n in table.cells()]
+    res = EvalResult.combine(terms, {"index": k, "order": order})
+    top = sum(abs(lam_hat ** m * mu_hat ** (order - m)
+                  * table[m, order - m].value) for m in range(order + 1))
+    res.err_estimate += top * q / (1.0 - q)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +228,7 @@ def d_norm(lam, mu, ctx):
     lam = mu = 0."""
     w = ctx.p.omega
     ob = ctx.omega_bar
-    lam = complex(lam)
-    mu = complex(mu)
+    lam, mu = complex(lam), complex(mu)
     logs = (log_G(1j * (ob - lam - 1.0 / w), ctx)
             + log_G(1j * (ob - mu - 1.0 / w), ctx))
     pref = (1j / math.sqrt(w)) * np.exp(1j * math.pi * w
@@ -334,20 +314,21 @@ def _theta_value(ctx, pref, r, s, lam, mu, eps, dp, h, ys, rows):
 clear_connector_cache = clear_value_cache   # one memo with the chains
 
 
-def connected_integral(k, l, op, ctx, cfg=None, eps=None):
+def connected_integral(k, l, op, ctx, eps=None):
     """I(k, l | lam, mu): two J chains joined by the Theta coupling.
 
     Chain a of length r runs on Re T_a = -a*eps, likewise the second
     chain; the Theta factor depends on (T_r, U_s) only through the sum
     and the cross phase, evaluated by convolution on the shared grid.
     Both chains run in `quad._chain_integral` with the Theta stage times
-    the hbar prefactor as finisher; a chain may not exceed _MAX_DIM.
+    the hbar prefactor as finisher, at the tolerance `ctx.cfg`; a chain
+    may not exceed _MAX_DIM.
     """
     k = tuple(int(e) for e in k)
     l = tuple(int(e) for e in l)
     if not k or not l or min(k) < 1 or min(l) < 1:
         raise QuadError("index entries must be >= 1", k=k, l=l)
-    cfg = cfg or ctx.cfg
+    cfg = ctx.cfg
     p = ctx.p
     w = p.omega
     r, s = len(k), len(l)
@@ -392,18 +373,17 @@ def index_right(k):
     return tuple(k) + (1,)
 
 
-def initial_relation(k, op, ctx, cfg=None):
+def initial_relation(k, op, ctx):
     """Both sides of I(k, {1} | lam, mu) = d(lam, mu) O(k_up | lam, mu);
     returns (lhs, rhs) EvalResults with the d factor folded into rhs."""
-    cfg = cfg or ctx.cfg
-    lhs = connected_integral(k, (1,), op, ctx, cfg)
+    lhs = connected_integral(k, (1,), op, ctx)
     d = d_norm(op.lam, op.mu, ctx)
-    gen = ohno_generating(index_up(k), op, ctx.p, cfg)
+    gen = ohno_generating(index_up(k), op, ctx.p, ctx.cfg)
     return lhs, EvalResult.combine([(d, gen)],
                                    {"d": d, "index": index_up(k)})
 
 
-def transport_relation(k, l, op, ctx, cfg=None, variant=1):
+def transport_relation(k, l, op, ctx, variant=1):
     """Residual data for the transport relations.
 
     variant 1:  I(k_right, l) = I(k, l_up) + LM * I(k_right_up, l_up)
@@ -411,7 +391,6 @@ def transport_relation(k, l, op, ctx, cfg=None, variant=1):
 
     Returns (lhs, rhs) EvalResults.
     """
-    cfg = cfg or ctx.cfg
     p = ctx.p
     lm = hat_shift(op.lam, p) * hat_shift(op.mu, p)
     if variant == 1:
@@ -423,14 +402,14 @@ def transport_relation(k, l, op, ctx, cfg=None, variant=1):
                 (index_up(k), index_up(index_right(l)))]
     else:
         raise ValueError("variant must be 1 or 2")
-    lhs, t1, t2 = (connected_integral(a, b, op, ctx, cfg) for a, b in legs)
+    lhs, t1, t2 = (connected_integral(a, b, op, ctx) for a, b in legs)
     return lhs, EvalResult.combine([(1, t1), (lm, t2)], {"variant": variant})
 
 
 # ---------------------------------------------------------------------------
 # Saalschutz identity
 
-def saalschutz_check(u1, u2, u4, u5, ctx, cfg=None):
+def saalschutz_check(u1, u2, u4, u5, ctx):
     """Both sides of the hyperbolic Saalschutz identity.
 
     lhs = int_R du exp((4 i ob - sum u) pi i w u) G(u-u4)G(u-u5) /
@@ -444,7 +423,6 @@ def saalschutz_check(u1, u2, u4, u5, ctx, cfg=None):
     u = Im t, so each G factor is one log G line on the uniform grid.
     Returns (lhs EvalResult, rhs complex).
     """
-    cfg = cfg or ctx.cfg
     p = ctx.p
     w = p.omega
     ob = ctx.omega_bar
@@ -467,7 +445,7 @@ def saalschutz_check(u1, u2, u4, u5, ctx, cfg=None):
     dm = 0.9 * math.pi * w * (2.0 * total.imag - 4.0 * ob)
     dp = 0.9 * TWO_PI * (1.0 + w)
     freq = math.pi * w * (4.0 * ob + 2.0 * abs(total))
-    lhs = chain_line_integral([ChainStage(diff=f)], gap, cfg,
+    lhs = chain_line_integral([ChainStage(diff=f)], gap, ctx.cfg,
                               decay=(dm, dp), freq=freq, prefactor=-1j)
     lhs.meta["pole_gap"] = gap
 
@@ -487,37 +465,35 @@ def saalschutz_check(u1, u2, u4, u5, ctx, cfg=None):
 def ohno_table(k, order, p, cfg=None):
     """Table of O_{m,n}(k) for m+n <= order."""
     k = check_index(k)
-    table = OhnoTable(order)
-    for m in range(order + 1):
-        for n in range(order + 1 - m):
-            cell = double_ohno_sum(k, m, n, p, cfg)
-            table.set(m, n, cell.value, cell.err_estimate)
-    return table
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    return OhnoTable({(m, n): double_ohno_sum(k, m, n, p, cfg)
+                      for m in range(order + 1) for n in range(order + 1 - m)})
 
 
-def omega_Omega(w, op, p, cfg=None):
+def omega_Omega(w, order, p, cfg=None):
     """Omega table of an XSeries whose X^j coefficients are words in
     y h x: each word contributes its O table shifted by (j, j)."""
-    table = OhnoTable(op.order)
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    terms = {}
     for (word, j), q in w.items_sorted():
-        if 2 * j > op.order:
+        if 2 * j > order:
             continue
-        block = ohno_table(z_decompose(word), op.order - 2 * j, p, cfg)
-        c = complex(q)
-        for m, n in block.cells():
-            table.add(m + j, n + j, c * block.coeffs[(m, n)],
-                      abs(c) * block.errs[(m, n)])
-    return table
+        block = ohno_table(z_decompose(word), order - 2 * j, p, cfg)
+        for (m, n), cell in block.items():
+            terms.setdefault((m + j, n + j), []).append((complex(q), cell))
+    return OhnoTable({cell: EvalResult.combine(pairs)
+                      for cell, pairs in terms.items()})
 
 
-def connected_expansion(k, l, order, ctx, cfg=None, radius=None):
+def connected_expansion(k, l, order, ctx, radius=None):
     """Coefficients Z_{m,n} of I(k, l | lam, mu)/d(lam, mu) as a series
     in the hatted variables: the trapezoid rule (a 2-D FFT) on the torus
     of radius radius/2 in both, checked against the torus of radius
     `radius`."""
     if order > 2:
         raise ValueError("order above the supported expansion depth")
-    cfg = cfg or ctx.cfg
     w = ctx.p.omega
     if radius is None:
         radius = min(1.0, 1.0 / w) / (16.0 * (len(k) + len(l) + 4))
@@ -534,7 +510,7 @@ def connected_expansion(k, l, order, ctx, cfg=None, radius=None):
             lam = complex(inverse_x_variable(lh, w))
             for j, mh in enumerate(hats):
                 mu = complex(inverse_x_variable(mh, w))
-                conn = connected_integral(k, l, OhnoParams(lam, mu), ctx, cfg)
+                conn = connected_integral(k, l, OhnoParams(lam, mu), ctx)
                 dd = d_norm(lam, mu, ctx)
                 vals[i, j] = conn.value / dd
                 errpt = max(errpt, conn.err_estimate / abs(dd))
@@ -543,10 +519,7 @@ def connected_expansion(k, l, order, ctx, cfg=None, radius=None):
 
     c_wide, _ = coeffs(radius)
     c, errpt = coeffs(radius / 2.0)
-    table = OhnoTable(order)
-    for m in range(order + 1):
-        for n in range(order + 1 - m):
-            err = (abs(c[m, n] - c_wide[m, n])
-                   + errpt / max((radius / 2.0) ** (m + n), 1e-30))
-            table.set(m, n, c[m, n], err)
-    return table
+    return OhnoTable({
+        (m, n): EvalResult(c[m, n], abs(c[m, n] - c_wide[m, n])
+                           + errpt / max((radius / 2.0) ** (m + n), 1e-30))
+        for m in range(order + 1) for n in range(order + 1 - m)})

@@ -56,7 +56,6 @@ __all__ = [
     "sigma",
     "sigma_monomial",
     "satoh_residual",
-    "to_a_basis",
     "check_index",
     "index_to_e_word",
     "dual_index",
@@ -116,9 +115,9 @@ class _LinComb:
         t = {}
         if terms:
             for k, c in terms.items():
-                c = self._coeff(c)
+                k, c = self._key(k), self._coeff(c)
                 if c:
-                    t[self._key(k)] = c
+                    t[k] = c
         self.t = t
 
     @classmethod
@@ -620,14 +619,6 @@ def satoh_residual(p1, p2):
 
 
 # ---------------------------------------------------------------------------
-# Rewriting a/b words in the distinguished alphabet
-
-def to_a_basis(p):
-    """`APoly.from_hpoly` as a list of (coefficient, AMonomial) pairs."""
-    return [(c, m) for m, c in APoly.from_hpoly(p).t.items()]
-
-
-# ---------------------------------------------------------------------------
 # Indices
 
 def check_index(k, admissible=True):
@@ -653,27 +644,17 @@ def index_to_e_word(k):
 
 
 def dual_index(k):
-    """Dual of an admissible index.
+    """Dual of an admissible index: its word y x^(k_1-1) ... y x^(k_r-1),
+    reversed with x and y exchanged, read back by `_word_index`.  An
+    involution that preserves weight."""
+    word = "".join("y" + "x" * (e - 1) for e in check_index(k))
+    return _word_index(word[::-1].translate(str.maketrans("xy", "yx")))
 
-    Writing k = ({1}^(b1-1), a1+1, ..., {1}^(br-1), ar+1), the dual is
-    ({1}^(ar-1), br+1, ..., {1}^(a1-1), b1+1).  An involution that
-    preserves weight.
-    """
-    k = check_index(k)
-    blocks = []
-    i = 0
-    while i < len(k):
-        ones = 0
-        while k[i] == 1:
-            ones += 1
-            i += 1
-        blocks.append((k[i] - 1, ones + 1))   # (a_j, b_j)
-        i += 1
-    out = []
-    for a, b in reversed(blocks):
-        out.extend([1] * (a - 1))
-        out.append(b + 1)
-    return tuple(out)
+
+def _word_index(w):
+    """The index (k_1, ..., k_r) of a word y x^(k_1-1) ... y x^(k_r-1),
+    unchecked: one entry per y, one more than the run of x after it."""
+    return tuple(len(run) + 1 for run in w.split("y")[1:])
 
 
 def parse_index(text):

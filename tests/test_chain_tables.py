@@ -156,7 +156,7 @@ def test_connected_integral_matches_evaluate_per_pass(k, l):
     op = OhnoParams(lam=0.002j, mu=0.001)
     eps = min(1.0, 1.0 / 1.2) / (2.0 * (len(k) + len(l) + 2))
     clear_value_cache()
-    got = connected_integral(k, l, op, ctx, FAST, eps=eps)
+    got = connected_integral(k, l, op, ctx, eps=eps)
     clear_value_cache()
     ref = reference_connected_integral(k, l, op, ctx, FAST, eps)
     assert_matches(got, ref)

@@ -2,18 +2,20 @@
 Saalschutz, and the connected-sum expansion."""
 
 import cmath
+import inspect
 import itertools
 import math
 
 import pytest
 
-from omzv import (GammaContext, OhnoParams, OhnoTable, OmegaParam,
-                  QuadError, compositions, d_norm, double_ohno_sum,
-                  dual_index, initial_relation, ohno_generating,
-                  ohno_series, ohno_table, omega_Omega, saalschutz_check,
-                  transport_relation, zeta_omega)
+from omzv import (EvalResult, GammaContext, OhnoParams, OhnoTable,
+                  OmegaParam, QuadConfig, QuadError, compositions, d_norm,
+                  double_ohno_sum, dual_index, initial_relation,
+                  ohno_generating, ohno_series, ohno_table, omega_Omega,
+                  saalschutz_check, transport_relation, zeta_omega)
 from omzv.ncseries import XSeries, tau
-from omzv.ohno import connected_expansion, connected_integral
+from omzv.ohno import (clear_connector_cache, connected_expansion,
+                       connected_integral)
 from omzv.omega import contour_offset
 from omzv.verify import saalschutz_points
 
@@ -27,10 +29,10 @@ def test_compositions():
 def test_table_base_cell_is_zeta(p1, fast_cfg):
     tbl = ohno_table((2,), 1, p1, fast_cfg)
     z = zeta_omega((2,), p1, fast_cfg)
-    assert abs(tbl.get(0, 0) - z.value) < 1e-8
-    assert tbl.get(1, 1) == 0j
+    assert abs(tbl[0, 0].value - z.value) < 1e-8
+    assert (1, 1) not in tbl
     assert double_ohno_sum((2,), 0, 0, p1, fast_cfg).value == pytest.approx(
-        tbl.get(0, 0), abs=1e-12)
+        tbl[0, 0].value, abs=1e-12)
 
 
 def test_row_duality(p1, fast_cfg):
@@ -44,7 +46,7 @@ def test_row_duality(p1, fast_cfg):
 
 
 def test_generating_at_origin_is_zeta(p1, fast_cfg):
-    g = ohno_generating((2,), OhnoParams(0.0, 0.0, order=2), p1, fast_cfg)
+    g = ohno_generating((2,), OhnoParams(0.0, 0.0), p1, fast_cfg)
     z = zeta_omega((2,), p1, fast_cfg)
     assert abs(g.value - z.value) <= max(1e-9, g.err_estimate
                                          + z.err_estimate)
@@ -68,9 +70,9 @@ def test_generating_contour_at_small_omega(k):
 
 
 def test_generating_matches_series(p1, fast_cfg):
-    op = OhnoParams(0.003 + 0.001j, -0.002 + 0.0025j, order=2)
+    op = OhnoParams(0.003 + 0.001j, -0.002 + 0.0025j)
     g = ohno_generating((2,), op, p1, fast_cfg)
-    s = ohno_series((2,), op, p1, fast_cfg)
+    s = ohno_series((2,), op, 2, p1, fast_cfg)
     assert abs(g.value - s.value) <= max(1e-9, g.err_estimate
                                          + s.err_estimate)
 
@@ -81,23 +83,65 @@ def test_d_norm_at_origin(ctx1):
 
 def test_initial_relation_point(ctx1, fast_cfg):
     op = OhnoParams(0.013 + 0.004j, -0.009 + 0.007j)
-    lhs, rhs = initial_relation((2,), op, ctx1, fast_cfg)
+    lhs, rhs = initial_relation((2,), op, ctx1)
     assert abs(lhs.value - rhs.value) / abs(rhs.value) < 1e-4
 
 
 def test_transport_relation_point(ctx1, fast_cfg):
     op = OhnoParams(0.005 + 0.003j, -0.004 + 0.002j)
-    lhs, rhs = transport_relation((1,), (2,), op, ctx1, fast_cfg, variant=1)
+    lhs, rhs = transport_relation((1,), (2,), op, ctx1, variant=1)
     assert abs(lhs.value - rhs.value) / abs(rhs.value) < 1e-4
+
+
+def test_connector_tolerance_is_the_context_one():
+    """A connected integral is computed, and memoized, at its context's
+    cfg alone: a loose context's value is not served to a tight one.
+    When a separate cfg argument set the chains while the context set
+    the log G lines, and the memo key named only the first, a value
+    from a context at rel_tol 1e-2 came back for one at 1e-12 and was
+    5.3e-7 off with an estimate of 1e-9."""
+    p = OmegaParam(1.0)
+    loose = GammaContext(p, cfg=QuadConfig(rel_tol=1e-2))
+    tight = GammaContext(p, cfg=QuadConfig(rel_tol=1e-7))
+    clear_connector_cache()
+    a = connected_integral((1,), (1,), OhnoParams(), loose)
+    b = connected_integral((1,), (1,), OhnoParams(), tight)
+    assert a is not b
+    assert a.value != b.value
+    want = 1j * zeta_omega((2,), p, tight.cfg).value
+    assert abs(b.value - want) <= b.err_estimate
+
+
+def test_connector_functions_take_no_cfg():
+    for fn in (connected_integral, initial_relation, transport_relation,
+               saalschutz_check, connected_expansion):
+        assert "cfg" not in inspect.signature(fn).parameters, fn.__name__
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: ohno_table((2,), -1, p),
+    lambda p: ohno_series((2,), OhnoParams(), -1, p),
+    lambda p: omega_Omega(XSeries.word("yxx"), -1, p),
+], ids=["ohno_table", "ohno_series", "omega_Omega"])
+def test_negative_order_is_rejected(p1, build):
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        build(p1)
+
+
+def test_table_diff_counts_a_missing_cell_as_zero():
+    a = OhnoTable({(0, 0): EvalResult(1.0, 0.0), (1, 0): EvalResult(2j, 0.0)})
+    b = OhnoTable({(0, 0): EvalResult(1.5, 0.0), (0, 1): EvalResult(3.0, 0.0)})
+    assert a.max_abs_diff(b) == b.max_abs_diff(a) == 3.0
+    assert a.coeffs == {(0, 0): 1.0, (1, 0): 2j}
+    assert b.errs == {(0, 0): 0.0, (0, 1): 0.0}
+    assert a.cells() == [(0, 0), (1, 0)]
 
 
 def test_connected_sum_is_symmetric_in_lam_mu(ctx1, fast_cfg):
     a = connected_integral((1,), (1,), OhnoParams(0.004 + 0.002j,
-                                                  -0.003 + 0.005j),
-                           ctx1, fast_cfg)
+                                                  -0.003 + 0.005j), ctx1)
     b = connected_integral((1,), (1,), OhnoParams(-0.003 + 0.005j,
-                                                  0.004 + 0.002j),
-                           ctx1, fast_cfg)
+                                                  0.004 + 0.002j), ctx1)
     assert abs(a.value - b.value) <= max(
         1e-6, 5.0 * (a.err_estimate + b.err_estimate))
 
@@ -106,13 +150,13 @@ def test_connected_integral_symmetric_in_chains(ctx1, fast_cfg):
     """The Theta coupling is symmetric in the two chain points, so
     exchanging the chains leaves the connected integral unchanged."""
     op = OhnoParams(0.004 + 0.002j, -0.003 + 0.005j)
-    a = connected_integral((2,), (1,), op, ctx1, fast_cfg)
-    b = connected_integral((1,), (2,), op, ctx1, fast_cfg)
+    a = connected_integral((2,), (1,), op, ctx1)
+    b = connected_integral((1,), (2,), op, ctx1)
     assert abs(a.value - b.value) <= 1e-12 * abs(a.value)
 
 
 def test_connected_sum_at_origin(ctx1, fast_cfg, p1):
-    res = connected_integral((1,), (1,), OhnoParams(), ctx1, fast_cfg)
+    res = connected_integral((1,), (1,), OhnoParams(), ctx1)
     want = 1j * zeta_omega((2,), p1, fast_cfg).value
     assert abs(res.value - want) / abs(want) < 1e-6
 
@@ -132,19 +176,18 @@ def test_saalschutz_point(fast_cfg, omega, point):
 def test_saalschutz_region_guards(ctx1, fast_cfg):
     ob = ctx1.omega_bar
     with pytest.raises(QuadError):
-        saalschutz_check(0.2, 0.3, 0.1, 0.15, ctx1, fast_cfg)
+        saalschutz_check(0.2, 0.3, 0.1, 0.15, ctx1)
     with pytest.raises(QuadError):
         saalschutz_check(0.2 + 1.2j * ob, -0.15 + 0.7j * ob,
-                         -0.05 + 0.8j * ob, 0.12 + 0.78j * ob,
-                         ctx1, fast_cfg)
+                         -0.05 + 0.8j * ob, 0.12 + 0.78j * ob, ctx1)
 
 
 def test_connected_integral_region_guards(ctx1, fast_cfg):
     with pytest.raises(QuadError):
-        connected_integral((1,), (1,), OhnoParams(0.9, 0.0), ctx1, fast_cfg)
+        connected_integral((1,), (1,), OhnoParams(0.9, 0.0), ctx1)
     with pytest.raises(QuadError):
         connected_integral((1,), (1,), OhnoParams(0.001, 0.002), ctx1,
-                           fast_cfg, eps=0.9)
+                           eps=0.9)
 
 
 @pytest.mark.parametrize("omega", [0.3, 1.0, 1.4, 1.9])
@@ -212,7 +255,7 @@ def test_theta_overflow_is_a_quad_error(fast_cfg):
 
 
 def test_connected_expansion_matches_table(ctx1, fast_cfg, p1):
-    exp_tbl = connected_expansion((1,), (1,), 1, ctx1, fast_cfg)
+    exp_tbl = connected_expansion((1,), (1,), 1, ctx1)
     tbl = ohno_table((2,), 1, p1, fast_cfg)
     combined = sum(exp_tbl.errs.values()) + sum(tbl.errs.values())
     assert exp_tbl.max_abs_diff(tbl) <= max(1e-6, 5.0 * combined)
@@ -228,10 +271,9 @@ def test_omega_table_respects_tau(omega, w, fast_cfg):
     """Omega(y w x) = Omega(y tau(w) x) for every word of length <= 3,
     within the tables' combined error estimates."""
     p = OmegaParam(omega)
-    op = OhnoParams(order=2)
     x, y, ws = XSeries.word("x"), XSeries.word("y"), XSeries.word(w)
-    ta = omega_Omega(y * ws * x, op, p, fast_cfg)
-    tb = omega_Omega(y * tau(ws, op.order) * x, op, p, fast_cfg)
+    ta = omega_Omega(y * ws * x, 2, p, fast_cfg)
+    tb = omega_Omega(y * tau(ws, 2) * x, 2, p, fast_cfg)
     diff = ta.max_abs_diff(tb)
     assert diff <= 1e-7
     assert diff <= sum(ta.errs.values()) + sum(tb.errs.values())
@@ -241,10 +283,10 @@ def test_omega_table_respects_tau(omega, w, fast_cfg):
 def test_table_diff_keeps_nan(cell):
     """A NaN cell anywhere in the triangle makes the largest difference
     NaN, so no check can pass on it."""
-    a, b = OhnoTable(2), OhnoTable(2)
-    for m in range(3):
-        for n in range(3 - m):
-            a.set(m, n, 1.0 + m + 2j * n)
-            b.set(m, n, 1.5 + m + 2j * n)
-    b.set(*cell, complex(math.nan, 0.0))
+    triangle = [(m, n) for m in range(3) for n in range(3 - m)]
+    a = OhnoTable({(m, n): EvalResult(1.0 + m + 2j * n, 0.0)
+                   for m, n in triangle})
+    b = OhnoTable({(m, n): EvalResult(1.5 + m + 2j * n, 0.0)
+                   for m, n in triangle})
+    b[cell] = EvalResult(complex(math.nan, 0.0), 0.0)
     assert math.isnan(a.max_abs_diff(b))

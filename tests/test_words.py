@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omzv import (ALetter, AMonomial, APoly, HPoly, HbarLaurent, dual_index,
-                  harmonic, index_to_e_word, monomials_up_to_weight,
-                  parse_amonomial, parse_apoly, parse_hpoly, parse_index,
-                  satoh_residual, shuffle, sigma, sigma_monomial,
-                  to_a_basis)
+from omzv import (ALetter, AMonomial, APoly, HPoly, HbarLaurent, XSeries,
+                  dual_index, harmonic, index_to_e_word,
+                  monomials_up_to_weight, parse_amonomial, parse_apoly,
+                  parse_hpoly, parse_index, satoh_residual, shuffle, sigma,
+                  sigma_monomial)
 from omzv.words import E, G
 
 H = HbarLaurent.h
@@ -119,9 +119,8 @@ def test_coefficients_stay_int():
     h1, h2 = m1.to_hpoly(), m2.to_hpoly()
     polys = [shuffle(h1, h2), sigma(h1),
              harmonic(APoly.monomial(m1), APoly.monomial(m2)),
-             APoly.from_hpoly(shuffle(h1, h2))]
+             APoly.from_hpoly(shuffle(h1, h2)), APoly.from_hpoly(sigma(h1))]
     coeffs = [c for p in polys for c in p.t.values()]
-    coeffs += [c for c, _ in to_a_basis(sigma(h1))]
     rationals = [q for c in coeffs for q in c.t.values()]
     assert len(rationals) > 10
     assert all(type(q) is int for q in rationals)
@@ -209,13 +208,13 @@ def test_satoh_rejects_inadmissible():
 
 # -- rewriting --------------------------------------------------------------
 
-def test_to_a_basis_examples():
-    assert to_a_basis(HPoly.word("ba")) == [(HbarLaurent.one(),
-                                             parse_amonomial("G1"))]
-    assert to_a_basis(HPoly.word("bba")) == [(H(-1),
-                                              parse_amonomial("E G1"))]
+def test_from_hpoly_examples():
+    assert APoly.from_hpoly(HPoly.word("ba")) == APoly.monomial(
+        parse_amonomial("G1"))
+    assert APoly.from_hpoly(HPoly.word("bba")) == APoly.monomial(
+        parse_amonomial("E G1"), H(-1))
     with pytest.raises(ValueError):
-        to_a_basis(HPoly.word("ab"))
+        APoly.from_hpoly(HPoly.word("ab"))
 
 
 def test_e_word_expansion():
@@ -242,6 +241,46 @@ def test_dual_index_examples():
 def test_dual_index_rejects_inadmissible():
     with pytest.raises(ValueError):
         dual_index((2, 1))
+
+
+def block_dual(k):
+    """The dual by the block formula: writing k = ({1}^(b1-1), a1+1, ...,
+    {1}^(br-1), ar+1), it is ({1}^(ar-1), br+1, ..., {1}^(a1-1), b1+1)."""
+    blocks = []
+    i = 0
+    while i < len(k):
+        ones = 0
+        while k[i] == 1:
+            ones += 1
+            i += 1
+        blocks.append((k[i] - 1, ones + 1))   # (a_j, b_j)
+        i += 1
+    out = []
+    for a, b in reversed(blocks):
+        out.extend([1] * (a - 1))
+        out.append(b + 1)
+    return tuple(out)
+
+
+def admissible_indices(max_weight):
+    """Every admissible index of weight <= max_weight."""
+    def compositions(total):
+        if total == 0:
+            yield ()
+        for first in range(1, total + 1):
+            for rest in compositions(total - first):
+                yield (first,) + rest
+    return [k for weight in range(2, max_weight + 1)
+            for k in compositions(weight) if k[-1] >= 2]
+
+
+def test_dual_index_matches_the_block_formula():
+    """The word definition of the dual and the block formula agree on
+    every admissible index of weight <= 10."""
+    indices = admissible_indices(10)
+    assert len(indices) == 2 ** 9 - 1
+    assert [dual_index(k) for k in indices] == [block_dual(k)
+                                                for k in indices]
 
 
 def test_parse_index():
@@ -277,14 +316,27 @@ def test_parse_word_and_hpoly():
     lambda: HPoly.word("bxa", H(1)),
     lambda: HPoly({"ba": 1, "b a": 2}),
     lambda: HPoly({"B": 1}),
-    lambda: to_a_basis(HPoly.word("bc")),
+    lambda: APoly.from_hpoly(HPoly.word("bc")),
     lambda: sigma(HPoly.word("bc")),
 ])
 def test_hpoly_rejects_other_letters(make):
-    """Words are over a, b only: the rewriting maps (to_a_basis, sigma)
+    """Words are over a, b only: the rewriting maps (from_hpoly, sigma)
     take every letter other than b for a."""
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("cls, bad", [(HPoly, "q"), (HbarLaurent, "x"),
+                                      (XSeries, ("q", 0)), (APoly, "x")],
+                         ids=["HPoly", "HbarLaurent", "XSeries", "APoly"])
+def test_bad_key_raises_whatever_its_coefficient(cls, bad):
+    """A key is checked before its coefficient, so a bad key with
+    coefficient 0 raises like one with coefficient 1 instead of making
+    the zero combination."""
+    with pytest.raises(Exception) as one:
+        cls({bad: 1})
+    with pytest.raises(one.type):
+        cls({bad: 0})
 
 
 def test_apoly_of():
@@ -469,17 +521,17 @@ def test_satoh_residual_vanishes(m1, m2):
 def test_sigma_involution_and_block_form(m):
     hp = m.to_hpoly()
     assert sigma(sigma(hp)) == hp
-    assert to_a_basis(sigma(hp)) == [(HbarLaurent.one(), sigma_monomial(m))]
+    assert APoly.from_hpoly(sigma(hp)) == APoly.monomial(sigma_monomial(m))
     assert sigma_monomial(sigma_monomial(m)) == m
 
 
 @given(admissible_monomials())
 @settings(max_examples=60, deadline=None)
 def test_a_basis_roundtrip(m):
-    basis = to_a_basis(m.to_hpoly())
-    assert basis == [(HbarLaurent.one(), m)]
+    basis = APoly.from_hpoly(m.to_hpoly())
+    assert basis == APoly.monomial(m)
     back = APoly.monomial(m).to_hpoly()
-    assert to_a_basis(back) == basis
+    assert APoly.from_hpoly(back) == basis
 
 
 @given(st.lists(st.integers(min_value=1, max_value=4), min_size=0,
