@@ -15,7 +15,7 @@ the classical values.  The package provides
     the command line tool `omzv`.
 """
 
-from .cache import ValueCache, install as install_cache
+from .cache import ValueCache
 from .hypgamma import GammaContext, log_G
 from .ncseries import XSeries, tau, z_decompose
 from .ohno import (OhnoParams, OhnoTable, compositions, connected_expansion,
@@ -46,7 +46,7 @@ __all__ = [
     "connected_expansion", "connected_integral", "d_norm",
     "double_ohno_sum", "dual_index", "harmonic",
     "index_to_e_word",
-    "initial_relation", "install_cache", "inverse_x_variable", "log_G",
+    "initial_relation", "inverse_x_variable", "log_G",
     "monomials_up_to_weight", "mzv", "ohno_generating", "ohno_series",
     "ohno_table", "omega_Omega", "parse_amonomial", "parse_apoly",
     "parse_hpoly", "parse_index",

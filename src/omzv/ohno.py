@@ -38,7 +38,7 @@ from .hypgamma import log_G, log_G_line
 from .ncseries import z_decompose
 from .omega import (clear_value_cache, contour_offset, inverse_x_variable,
                     zeta_omega)
-from .quad import (ChainStage, EvalResult, QuadConfig, QuadError,
+from .quad import (TWO_PI, ChainStage, EvalResult, QuadConfig, QuadError,
                    cexpm1, chain_line_integral, geometric_factor,
                    _chain_grid, _chain_integral, _tilted_convolve, _worst)
 from .words import check_index
@@ -61,7 +61,6 @@ __all__ = [
     "clear_connector_cache",
 ]
 
-TWO_PI = 2.0 * math.pi
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # log of the largest float
 # Bound of the composition memo; tier-1 holds at most 9 entries.
 _COMPOSITIONS_CACHE_SIZE = 256
@@ -492,8 +491,8 @@ def connected_expansion(k, l, order, ctx, radius=None):
     in the hatted variables: the trapezoid rule (a 2-D FFT) on the torus
     of radius radius/2 in both, checked against the torus of radius
     `radius`."""
-    if order > 2:
-        raise ValueError("order above the supported expansion depth")
+    if not 0 <= order <= 2:
+        raise ValueError("order must be >= 0 and <= 2, the expansion depth")
     w = ctx.p.omega
     if radius is None:
         radius = min(1.0, 1.0 / w) / (16.0 * (len(k) + len(l) + 4))

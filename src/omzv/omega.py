@@ -36,8 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cache as _cache
-from .quad import (_MEASURE_MEMO, ChainStage, EvalResult, QuadConfig,
-                   chain_line_integral, geometric_factor, measure_kernel)
+from .quad import (_MEASURE_MEMO, TWO_PI, ChainStage, EvalResult,
+                   QuadConfig, chain_line_integral, geometric_factor,
+                   measure_kernel)
 from .words import ALetter, AMonomial, APoly, check_index
 
 __all__ = [
@@ -49,8 +50,6 @@ __all__ = [
     "inverse_x_variable",
     "clear_value_cache",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,10 @@ parsed text, or a non-integral rational passed by a caller).
 The products run on flat term dicts {(key, e): c}, key an a/b string
 (shuffle) or an int tuple, 0 = E and k = G(k) (harmonic), e the power of
 h.  The public functions flatten their HPoly/APoly arguments and group
-the result into HbarLaurent coefficients once, at return.
+the result into HbarLaurent coefficients once, at return.  The kernels
+are graded: their memos keep {key: count}, and `_product` puts the term
+k of k1 * k2 at h^(grade(k1) + grade(k2) - grade(k)), grade the length
+(shuffle) or the number of E's (harmonic); a final run of b peels whole.
 
 `parse_hpoly` and `parse_apoly` invert the one printer, `_LinComb.__str__`:
 
@@ -66,10 +69,9 @@ __all__ = [
     "monomials_up_to_weight",
 ]
 
-# Bounds of the memos of the word products, about twice the entries that
-# `omzv verify algebra --max-weight 5` holds (15,170 and 8,878); tier-1,
-# which runs that battery too, holds 21,157 and 9,582, and one algebra
-# benchmark pass about 5,600 and 2,000.
+# Bounds of the word-product memos, about twice what `omzv verify algebra
+# --max-weight 5` holds (15,170 and 8,878); tier-1 holds 20,938 and 9,582,
+# one algebra benchmark pass 5,149-5,275 and 1,957-2,035 (seeds 11-31).
 _SHUFFLE_CACHE_SIZE = 32768
 _HARMONIC_CACHE_SIZE = 16384
 
@@ -189,14 +191,9 @@ class _LinComb:
                 parts.append("-" + ks)
             else:
                 parts.append("%s*%s" % (cs, ks))
-        if not parts:
-            return "0"
-        out = parts[0]
+        out = parts[0] if parts else "0"
         for p in parts[1:]:
-            if p.startswith("-"):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
+            out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
 
     def __repr__(self):
@@ -303,44 +300,45 @@ def _grouped(cls, t):
     return cls._make({k: HbarLaurent._make(q) for k, q in out.items()})
 
 
-def _product(kernel, f1, f2):
-    """Bilinear extension of a memoized word kernel to flat term dicts."""
+def _product(kernel, grade, f1, f2):
+    """Bilinear extension of a graded word kernel to flat term dicts."""
     t = {}
     for (k1, e1), c1 in f1.items():
         for (k2, e2), c2 in f2.items():
-            c, s = c1 * c2, e1 + e2
-            _merge(t, (((k, e + s), q * c)
-                       for (k, e), q in kernel(k1, k2).items()))
+            c, s = c1 * c2, e1 + e2 + grade(k1) + grade(k2)
+            _merge(t, (((k, s - grade(k)), q * c)
+                       for k, q in kernel(k1, k2).items()))
     return t
 
 
 # ---------------------------------------------------------------------------
 # Shuffle product with h-correction
 #
-# Recursion on last letters:
+# Recursion on last letters, the h of a merge left to `_product`:
 #   w*1 = 1*w = w
-#   (w b) sh w'      = (w sh w') b        (either factor ending in b)
-#   (w a) sh (w' a)  = (w a sh w' + w sh w' a + h * (w sh w')) a
+#   (u b^m) sh w'    = (u sh w') b^m      (w1's run first, then w2's)
+#   (w a) sh (w' a)  = (w a sh w' + w sh w' a + (w sh w')) a
 # Memo values are shared, so a merge into one starts from a copy.
 
 @functools.lru_cache(maxsize=_SHUFFLE_CACHE_SIZE)
 def _shuffle_terms(w1, w2):
     if not w1 or not w2:
-        return {(w1 + w2, 0): 1}
-    if w1[-1] == "b" or w2[-1] == "b":
-        t = (_shuffle_terms(w1[:-1], w2) if w1[-1] == "b"
-             else _shuffle_terms(w1, w2[:-1]))
-        return {(w + "b", e): c for (w, e), c in t.items()}
-    t = dict(_shuffle_terms(w1[:-1], w2))
-    _merge(t, _shuffle_terms(w1, w2[:-1]).items())
-    _merge(t, (((w, e + 1), c)
-               for (w, e), c in _shuffle_terms(w1[:-1], w2[:-1]).items()))
-    return {(w + "a", e): c for (w, e), c in t.items()}
+        return {w1 + w2: 1}
+    u, v = w1.rstrip("b"), w2.rstrip("b")
+    run = w1[len(u):] or w2[len(v):]
+    if run:
+        t = _shuffle_terms(u, w2) if u != w1 else _shuffle_terms(w1, v)
+    else:
+        run, t = "a", dict(_shuffle_terms(w1[:-1], w2))
+        _merge(t, _shuffle_terms(w1, w2[:-1]).items())
+        _merge(t, _shuffle_terms(w1[:-1], w2[:-1]).items())
+    return {w + run: c for w, c in t.items()}
 
 
 def shuffle(p1, p2):
     """Bilinear extension of the word shuffle to HPoly arguments."""
-    return _grouped(HPoly, _product(_shuffle_terms, _flat(p1), _flat(p2)))
+    return _grouped(HPoly, _product(_shuffle_terms, len, _flat(p1),
+                                    _flat(p2)))
 
 
 # ---------------------------------------------------------------------------
@@ -531,21 +529,23 @@ class APoly(_LinComb):
 #   (w u) * (w' v) = (w * w'v) u + (wu * w') v + (w * w') (u o v)
 # with the letter contraction
 #   E o E = h E,   E o G(k) = h G(k),   G(k) o G(l) = G(k+l),
-# which on letter indices is u o v = h^[u v == 0] (u + v).
+# which on letter indices is u + v, its h left to `_product`.
 
 @functools.lru_cache(maxsize=_HARMONIC_CACHE_SIZE)
 def _harmonic_terms(l1, l2):
     if not l1 or not l2:
-        return {(l1 + l2, 0): 1}
-    u, v = l1[-1], l2[-1]
-    t = {(m + (u,), e): c
-         for (m, e), c in _harmonic_terms(l1[:-1], l2).items()}
-    _merge(t, (((m + (v,), e), c)
-               for (m, e), c in _harmonic_terms(l1, l2[:-1]).items()))
-    w, q = (u + v,), int(not (u and v))
-    _merge(t, (((m + w, e + q), c)
-               for (m, e), c in _harmonic_terms(l1[:-1], l2[:-1]).items()))
+        return {l1 + l2: 1}
+    u, v, w = l1[-1:], l2[-1:], (l1[-1] + l2[-1],)
+    t = {m + u: c for m, c in _harmonic_terms(l1[:-1], l2).items()}
+    _merge(t, ((m + v, c) for m, c in _harmonic_terms(l1, l2[:-1]).items()))
+    _merge(t, ((m + w, c)
+               for m, c in _harmonic_terms(l1[:-1], l2[:-1]).items()))
     return t
+
+
+def _e_count(m):
+    """The grade of the harmonic kernel: the number of E's in m."""
+    return m.count(0)
 
 
 def _indices(m):
@@ -563,7 +563,8 @@ def _ab_terms(t):
 
 def harmonic(p1, p2):
     """Bilinear extension of the harmonic product to APoly arguments."""
-    t = _product(_harmonic_terms, _flat(p1, _indices), _flat(p2, _indices))
+    t = _product(_harmonic_terms, _e_count, _flat(p1, _indices),
+                 _flat(p2, _indices))
     return _grouped(APoly, {(AMonomial(map(_LETTERS.__getitem__, m)), e): c
                             for (m, e), c in t.items()})
 
@@ -611,9 +612,9 @@ def satoh_residual(p1, p2):
             if not c.is_polynomial():
                 raise ValueError("argument has h^-1 terms after rewriting")
     f1, f2 = _flat(a1, _indices), _flat(a2, _indices)
-    t = _ab_terms(_product(_harmonic_terms, f1, f2))
+    t = _ab_terms(_product(_harmonic_terms, _e_count, f1, f2))
     s1, s2 = (_sigma_terms(_ab_terms(f)) for f in (f1, f2))
-    sh = _sigma_terms(_product(_shuffle_terms, s1, s2))
+    sh = _sigma_terms(_product(_shuffle_terms, len, s1, s2))
     _merge(t, ((k, -c) for k, c in sh.items()))
     return _grouped(HPoly, t)
 

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from omzv import ohno
 from omzv import (EvalResult, GammaContext, OhnoParams, OhnoTable,
                   OmegaParam, QuadConfig, QuadError, compositions, d_norm,
                   double_ohno_sum, dual_index, initial_relation,
@@ -126,6 +127,16 @@ def test_connector_functions_take_no_cfg():
 def test_negative_order_is_rejected(p1, build):
     with pytest.raises(ValueError, match="order must be >= 0"):
         build(p1)
+
+
+def test_connected_expansion_checks_its_order_first(ctx1, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("connected_integral evaluated")
+
+    monkeypatch.setattr(ohno, "connected_integral", fail)
+    for order in (-1, 3):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            connected_expansion((1,), (1,), order, ctx1)
 
 
 def test_table_diff_counts_a_missing_cell_as_zero():
