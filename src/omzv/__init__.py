@@ -28,7 +28,7 @@ from .omega import (OmegaParam, Z_omega, Z_omega_monomial,
 from .qseries import QParam, mzv, z_q, z_q_monomial
 from .quad import EvalResult, QuadConfig, QuadError
 from .verify import CheckRecord, SUITES, run_suite
-from .words import (ALetter, AMonomial, APoly, HPoly, HbarLaurent,
+from .words import (AMonomial, APoly, HPoly, HbarLaurent,
                     dual_index, harmonic, index_to_e_word,
                     monomials_up_to_weight, parse_amonomial, parse_apoly,
                     parse_hpoly, parse_index, satoh_residual,
@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ALetter", "AMonomial", "APoly", "HPoly", "HbarLaurent",
+    "AMonomial", "APoly", "HPoly", "HbarLaurent",
     "CheckRecord", "EvalResult", "GammaContext", "OhnoParams", "OhnoTable",
     "OmegaParam", "QParam", "QuadConfig", "QuadError", "SUITES",
     "ValueCache", "XSeries", "Z_omega", "Z_omega_monomial",

@@ -39,7 +39,7 @@ from . import cache as _cache
 from .quad import (_MEASURE_MEMO, TWO_PI, ChainStage, EvalResult,
                    QuadConfig, chain_line_integral, geometric_factor,
                    measure_kernel)
-from .words import ALetter, AMonomial, APoly, check_index
+from .words import AMonomial, APoly, check_index
 
 __all__ = [
     "OmegaParam",
@@ -128,15 +128,14 @@ def contour_offset(omega, depth, geometry="zeta"):
 # ---------------------------------------------------------------------------
 # Letter kernels
 
-def kernel_I(letter, t, p):
-    """Kernel of one alphabet letter at the cumulative point t: hbar for
-    E, and (hbar e^x/(1 - e^x))^k for G(k), x = 2 pi i omega t
-    (`geometric_factor`)."""
+def kernel_I(k, t, p):
+    """Kernel of the alphabet letter of index k at the cumulative point
+    t: hbar for E (k = 0), and (hbar e^x/(1 - e^x))^k for G(k),
+    x = 2 pi i omega t (`geometric_factor`)."""
     t = np.asarray(t, dtype=complex)
-    if letter.is_e:
+    if k == 0:
         return np.full(t.shape, p.hbar_value)
-    return (p.hbar_value ** letter.k
-            * geometric_factor(p.hbar_value * t, letter.k, 0))
+    return p.hbar_value ** k * geometric_factor(p.hbar_value * t, k, 0)
 
 
 def kernel_e(k, t, p):
@@ -184,8 +183,8 @@ def Z_omega_monomial(mono, p, cfg=None, mode="reduced"):
         if mode == "reduced":
             stages = _reduced_stages(mono.blocks(), p)
         else:
-            stages = [ChainStage(cum=(lambda t, l=l: kernel_I(l, t, p)))
-                      for l in mono.letters]
+            stages = [ChainStage(cum=(lambda t, k=k: kernel_I(k, t, p)))
+                      for k in mono]
         return _chain_value(stages, p, cfg)
 
     return _cache.memoized("mono %s %s" % (mono, mode), p.omega, cfg,
@@ -206,9 +205,8 @@ def _reduced_stages(blocks, p):
                 return (scale * _binom_poly(delta, alpha)
                         * measure_kernel(delta))
             diffs[alpha] = diff
-        letter = ALetter(beta + 1)
         stages.append(ChainStage(
-            cum=(lambda t, l=letter: kernel_I(l, t, p)),
+            cum=(lambda t, k=beta + 1: kernel_I(k, t, p)),
             diff=diffs[alpha]))
     return stages
 
@@ -227,9 +225,9 @@ def Z_omega(arg, p, cfg=None, mode="reduced"):
     arg = APoly.of(arg)
     for mono, coeff in arg.t.items():
         if not mono.is_admissible():
-            raise ValueError("monomial %s not admissible" % mono)
+            raise ValueError("monomial %s not admissible" % (mono,))
         if not coeff.is_polynomial():
-            raise ValueError("coefficient of %s has h^-1 terms" % mono)
+            raise ValueError("coefficient of %s has h^-1 terms" % (mono,))
     return EvalResult.combine(
         [(coeff.eval(p.hbar_value), Z_omega_monomial(mono, p, cfg, mode))
          for mono, coeff in arg.t.items()],

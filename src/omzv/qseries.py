@@ -35,14 +35,15 @@ class QParam:
             raise ValueError("n_terms must be >= 1")
 
 
-def f_q(letter, m, p):
-    """Summand factor for one letter at level m (vectorized over m)."""
+def f_q(k, m, p):
+    """Summand factor for the letter of index k at level m (vectorized
+    over m)."""
     m = np.asarray(m, dtype=float)
-    if letter.is_e:
+    if k == 0:
         return np.full_like(m, 1.0 - p.q)
     qm = p.q ** m
     bracket = (1.0 - qm) / (1.0 - p.q)
-    return (qm / bracket) ** letter.k
+    return (qm / bracket) ** k
 
 
 def z_q_monomial(mono, p):
@@ -57,7 +58,7 @@ def z_q_monomial(mono, p):
     ms = np.arange(1, p.n_terms + 1, dtype=float)
     part = f_q(mono[0], ms, p)
     prev_total = 1.0   # bound on the depth r-1 prefix sums
-    for letter in mono.letters[1:]:
+    for letter in mono[1:]:
         csum = np.cumsum(part)
         prev_total = float(csum[-1])
         prefix = np.concatenate(([0.0], csum[:-1]))
@@ -65,7 +66,7 @@ def z_q_monomial(mono, p):
     value = float(np.sum(part))
     # tail over m_r > N: all factors are positive, inner sums are bounded
     # by prev_total (doubled for their own tails), and q^m/[m] <= q^m.
-    k_last = mono[-1].k
+    k_last = mono[-1]
     qk = p.q ** k_last
     tail = 2.0 * max(prev_total, 1.0) * qk ** (p.n_terms + 1) / (1.0 - qk)
     return EvalResult(value + 0.0j, tail, {"n_terms": p.n_terms})

@@ -211,7 +211,7 @@ def suite_duality(omega, cfg, max_weight, order, seed, tol):
         a = Z_omega_monomial(m, p, cfg)
         b = Z_omega_monomial(sigma_monomial(m), p, cfg)
         t = _identity_tol(tol, a.err_estimate + b.err_estimate)
-        out.append(_record("duality %s" % m, "Z_w(sigma(m)) = Z_w(m)",
+        out.append(_record("duality %s" % (m,), "Z_w(sigma(m)) = Z_w(m)",
                            b.value, a.value, t, t0))
     for k in ((3,), (4,), (1, 3), (2, 2)):
         t0 = time.perf_counter()

@@ -9,11 +9,18 @@ alphabet
     E    = h*b        (the combination e1 - g1)
     G(k) = b a^k      (the letter g_k, k >= 1).
 
-An admissible monomial is a (possibly empty) sequence of these letters
-not ending in E.  The map sigma (reverse the word, send a -> h*b and
-b -> h^-1 * a) is an antiautomorphism exchanging the two products; the
-defect of that exchange is `satoh_residual`, which must vanish
-identically.  All arithmetic in this module is exact.
+A letter is an int index, 0 for E and k for G(k), and an A-monomial
+is the tuple of its letter indices.  It is admissible, a (possibly
+empty) sequence of letters not ending in E, when its last index is not
+0.  The harmonic product contracts two letters by adding their indices,
+
+    E o E = h E,   E o G(k) = h G(k),   G(k) o G(l) = G(k+l),
+
+with one power of h for each E that the sum loses.  The map sigma
+(reverse the word, send a -> h*b and b -> h^-1 * a) is an
+antiautomorphism exchanging the two products; the defect of that
+exchange is `satoh_residual`, which must vanish identically.  All
+arithmetic in this module is exact.
 
 Laurent polynomials, a/b-word polynomials and A-monomial polynomials
 are one type of finite linear combination with different keys; the
@@ -23,12 +30,14 @@ Python ints; a Fraction appears only where one is put in (a p/q in
 parsed text, or a non-integral rational passed by a caller).
 
 The products run on flat term dicts {(key, e): c}, key an a/b string
-(shuffle) or an int tuple, 0 = E and k = G(k) (harmonic), e the power of
-h.  The public functions flatten their HPoly/APoly arguments and group
-the result into HbarLaurent coefficients once, at return.  The kernels
-are graded: their memos keep {key: count}, and `_product` puts the term
-k of k1 * k2 at h^(grade(k1) + grade(k2) - grade(k)), grade the length
-(shuffle) or the number of E's (harmonic); a final run of b peels whole.
+(shuffle) or an A-monomial (harmonic), e the power of h.  The public
+functions flatten their HPoly/APoly arguments and group the result into
+HbarLaurent coefficients once, at return; `harmonic` and
+`APoly.from_hpoly` wrap the plain index tuples they make as AMonomials
+without checking them again.  The kernels are graded: their memos keep
+{key: count}, and `_product` puts the term k of k1 * k2 at
+h^(grade(k1) + grade(k2) - grade(k)), grade the length (shuffle) or the
+number of E's (harmonic); a final run of b peels whole.
 
 `parse_hpoly` and `parse_apoly` invert the one printer, `_LinComb.__str__`:
 
@@ -49,7 +58,6 @@ from fractions import Fraction
 __all__ = [
     "HbarLaurent",
     "HPoly",
-    "ALetter",
     "E",
     "G",
     "AMonomial",
@@ -147,6 +155,8 @@ class _LinComb:
         return bool(self.t)
 
     def __eq__(self, other):
+        if type(other) is type(self):
+            return self.t == other.t
         if isinstance(other, (int, Fraction)):
             other = self._of(other)
         if not isinstance(other, type(self)):
@@ -286,10 +296,10 @@ class HPoly(_LinComb):
 # ---------------------------------------------------------------------------
 # Flat term dicts {(key, e): c}
 
-def _flat(p, key=str):
-    """The terms of an HPoly (or, with `_indices`, an APoly) as
-    {(key, e): c}, one per power h^e of each coefficient."""
-    return {(key(k), e): c for k, q in p.t.items() for e, c in q.t.items()}
+def _flat(p):
+    """The terms of an HPoly or an APoly as {(key, e): c}, one per power
+    h^e of each coefficient."""
+    return {(k, e): c for k, q in p.t.items() for e, c in q.t.items()}
 
 
 def _grouped(cls, t):
@@ -344,100 +354,54 @@ def shuffle(p1, p2):
 # ---------------------------------------------------------------------------
 # The distinguished alphabet and admissible monomials
 
-class ALetter:
-    """Letter of the distinguished alphabet: E or G(k).
-
-    Encoded by a single integer, 0 for E and k >= 1 for G(k).  Interned
-    in `_LETTERS`, one per k, letters compare and hash by identity.
-    """
-
-    __slots__ = ("k",)
-
-    def __new__(cls, k):
-        return _LETTERS[int(k)]
-
-    def __reduce__(self):
-        return ALetter, (self.k,)
-
-    @property
-    def is_e(self):
-        return self.k == 0
-
-    @property
-    def weight(self):
-        return self.k if self.k else 1
-
-    def __lt__(self, other):
-        return self.k < other.k
-
-    def __str__(self):
-        return "E" if self.k == 0 else "G%d" % self.k
-
-    def __repr__(self):
-        return "E" if self.k == 0 else "G(%d)" % self.k
-
-
-class _Letters(dict):
-    """Interned letters by index: looking up a new index makes one."""
-
-    def __missing__(self, k):
-        if k < 0:
-            raise ValueError("letter index must be >= 0")
-        letter = object.__new__(ALetter)
-        letter.k = k
-        return self.setdefault(k, letter)   # one letter even under threads
-
-
-_LETTERS = _Letters()
-E = ALetter(0)
+E = 0
 
 
 def G(k):
     if k < 1:
         raise ValueError("G(k) needs k >= 1")
-    return ALetter(k)
+    return k
 
 
-class AMonomial:
-    """Word in the letters E, G(k); admissible when it does not end in E."""
+class AMonomial(tuple):
+    """Word in the letters E, G(k) as its tuple of letter indices, 0 for
+    E and k >= 1 for G(k); admissible when it does not end in E.  It
+    equals, and hashes as, the plain tuple of its indices."""
 
-    __slots__ = ("letters",)
+    __slots__ = ()
 
-    def __init__(self, letters=()):
-        letters = tuple(letters)
-        for l in letters:
-            if not isinstance(l, ALetter):
-                raise TypeError("AMonomial takes ALetter entries")
-        self.letters = letters
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __getitem__(self, i):
-        return self.letters[i]
-
-    def __eq__(self, other):
-        return isinstance(other, AMonomial) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
+    def __new__(cls, letters=()):
+        m = tuple.__new__(cls, letters)
+        for k in m:
+            if type(k) is not int:
+                raise TypeError("AMonomial takes int letter indices")
+            if k < 0:
+                raise ValueError("letter index must be >= 0")
+        return m
 
     def _order(self):
         """Canonical order: by length, then by letter indices."""
-        return (len(self.letters), tuple(l.k for l in self.letters))
+        return (len(self), tuple(self))
 
+    # all four, or the tuple order (by indices alone) would fill the rest
     def __lt__(self, other):
         return self._order() < other._order()
 
+    def __le__(self, other):
+        return self._order() <= other._order()
+
+    def __gt__(self, other):
+        return self._order() > other._order()
+
+    def __ge__(self, other):
+        return self._order() >= other._order()
+
     @property
     def weight(self):
-        return sum(l.weight for l in self.letters)
+        return sum(k or 1 for k in self)
 
     def is_admissible(self):
-        return not self.letters or not self.letters[-1].is_e
+        return not self or self[-1] != 0
 
     def blocks(self):
         """Decompose an admissible monomial into (alpha_a, beta_a) pairs,
@@ -446,11 +410,11 @@ class AMonomial:
             raise ValueError("monomial ends in E, no block form")
         out = []
         alpha = 0
-        for l in self.letters:
-            if l.is_e:
+        for k in self:
+            if k == 0:
                 alpha += 1
             else:
-                out.append((alpha, l.k - 1))
+                out.append((alpha, k - 1))
                 alpha = 0
         return out
 
@@ -469,12 +433,10 @@ class AMonomial:
         return APoly.monomial(self).to_hpoly()
 
     def __str__(self):
-        if not self.letters:
-            return "1"
-        return " ".join(str(l) for l in self.letters)
+        return " ".join(["G%d" % k if k else "E" for k in self]) or "1"
 
     def __repr__(self):
-        return "AMonomial<%s>" % self
+        return "AMonomial<%s>" % (self,)
 
 
 class APoly(_LinComb):
@@ -489,6 +451,10 @@ class APoly(_LinComb):
     @staticmethod
     def _key(m):
         return m if isinstance(m, AMonomial) else AMonomial(m)
+
+    def __mul__(self, other):
+        # `+` on tuple keys would concatenate into plain tuples
+        raise TypeError("APoly has no word product; use harmonic")
 
     @staticmethod
     def monomial(m, coeff=1):
@@ -515,12 +481,12 @@ class APoly(_LinComb):
         for (w, e), c in _flat(p).items():
             if w and w[0] != "b":
                 raise ValueError("word %r does not start with b" % w)
-            m = tuple(map(len, w.split("b")[1:]))
-            t[AMonomial(map(_LETTERS.__getitem__, m)), e - m.count(0)] = c
+            m = tuple.__new__(AMonomial, map(len, w.split("b")[1:]))
+            t[m, e - m.count(0)] = c
         return APoly._make(dict(_grouped(APoly, t).items_sorted()))
 
     def to_hpoly(self):
-        return _grouped(HPoly, _ab_terms(_flat(self, _indices)))
+        return _grouped(HPoly, _ab_terms(_flat(self)))
 
 
 # ---------------------------------------------------------------------------
@@ -548,11 +514,6 @@ def _e_count(m):
     return m.count(0)
 
 
-def _indices(m):
-    """The letter indices of the monomial m."""
-    return tuple(l.k for l in m.letters)
-
-
 def _ab_terms(t):
     """Flat A-monomial terms as flat a/b terms: (m, e) becomes the word
     b a^k1 ... b a^kr of m at h^(e + #E).  Distinct monomials have
@@ -563,9 +524,8 @@ def _ab_terms(t):
 
 def harmonic(p1, p2):
     """Bilinear extension of the harmonic product to APoly arguments."""
-    t = _product(_harmonic_terms, _e_count, _flat(p1, _indices),
-                 _flat(p2, _indices))
-    return _grouped(APoly, {(AMonomial(map(_LETTERS.__getitem__, m)), e): c
+    t = _product(_harmonic_terms, _e_count, _flat(p1), _flat(p2))
+    return _grouped(APoly, {(tuple.__new__(AMonomial, m), e): c
                             for (m, e), c in t.items()})
 
 
@@ -611,7 +571,7 @@ def satoh_residual(p1, p2):
                 raise ValueError("argument not in the admissible span")
             if not c.is_polynomial():
                 raise ValueError("argument has h^-1 terms after rewriting")
-    f1, f2 = _flat(a1, _indices), _flat(a2, _indices)
+    f1, f2 = _flat(a1), _flat(a2)
     t = _ab_terms(_product(_harmonic_terms, _e_count, f1, f2))
     s1, s2 = (_sigma_terms(_ab_terms(f)) for f in (f1, f2))
     sh = _sigma_terms(_product(_shuffle_terms, len, s1, s2))
@@ -776,9 +736,8 @@ def monomials_up_to_weight(w_max, admissible_only=True):
         new = []
         for m in frontier:
             for k in range(0, w_max - m.weight + 1):
-                l = E if k == 0 else ALetter(k)
-                if m.weight + l.weight <= w_max:
-                    new.append(AMonomial(m.letters + (l,)))
+                if m.weight + (k or 1) <= w_max:
+                    new.append(AMonomial(m + (k,)))
         frontier = new
         out.extend(new)
     if admissible_only:

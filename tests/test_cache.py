@@ -4,7 +4,7 @@ eviction."""
 import sys
 import threading
 
-from omzv import OmegaParam, cache, zeta_omega
+from omzv import OmegaParam, Z_omega, cache, parse_apoly, zeta_omega
 from omzv.omega import clear_value_cache
 
 
@@ -83,3 +83,16 @@ def test_result_types_agree_across_routes(tmp_path, monkeypatch):
         assert res.value.real.hex() == fresh.value.real.hex()
         assert res.value.imag.hex() == fresh.value.imag.hex()
         assert res.err_estimate.hex() == fresh.err_estimate.hex()
+
+
+def test_store_keys_are_the_printed_monomials(tmp_path, monkeypatch):
+    """A sum writes one store entry per monomial, named by the printed
+    monomial and the route: stores already written are keyed so."""
+    monkeypatch.setattr(cache, "_memo", cache.LRU(8))
+    store = cache.ValueCache(tmp_path / "values.jsonl")
+    monkeypatch.setattr(cache, "_ACTIVE", store)
+    Z_omega(parse_apoly("E G2 + 2 G1 G3"), OmegaParam(0.8))
+    want = {"mono E G2 reduced", "mono G1 G3 reduced"}
+    assert {rec["expr"] for _, _, rec in store.entries.values()} == want
+    reloaded = cache.ValueCache(tmp_path / "values.jsonl")
+    assert {rec["expr"] for _, _, rec in reloaded.entries.values()} == want

@@ -178,6 +178,19 @@ def test_zeta_omega1():
         assert err <= res.err_estimate
 
 
+@pytest.mark.parametrize("w", [0.05, 0.3, 1.0, 1.4, 1.9, 1.99])
+def test_zeta_22_closed_form(w):
+    """zeta_w(2,2) = zeta(2,2) - (zeta(2)/2) hb + ((zeta(2) + 1)/8) hb^2
+    - hb^3/16 + (3/640) hb^4, with hb = 2 pi i w and zeta(2,2) = pi^4/120:
+    the error estimate must bound the error."""
+    hb = TWO_PI * 1j * w
+    z2 = PI ** 2 / 6.0
+    want = (PI ** 4 / 120.0 - z2 / 2.0 * hb + (z2 + 1.0) / 8.0 * hb ** 2
+            - hb ** 3 / 16.0 + 3.0 / 640.0 * hb ** 4)
+    res = zeta_omega((2, 2), OmegaParam(w))
+    assert abs(res.value - want) <= res.err_estimate
+
+
 def quarter_eps(omega, depth):
     """A second admissible offset, min(1, 1/(r w), 3/(pi r w))/4: the
     fixed contour of the mpmath oracle and the reference stack of the

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from omzv import EvalResult, QuadConfig, verify
+from omzv import (AMonomial, APoly, EvalResult, HbarLaurent, OmegaParam,
+                  QuadConfig, Z_omega, verify)
 from omzv.quad import _worst
 
 
@@ -54,3 +55,21 @@ def test_satoh_zero_at_weight_5():
     records = verify.suite_algebra(1.0, QuadConfig(), 5, 2, 0, None)
     satoh, = [r for r in records if r.name == "satoh-zero"]
     assert satoh.passed and satoh.residual == 0.0
+
+
+def test_monomials_print_as_text_in_messages_and_names():
+    """A monomial is a tuple, and each place that formats one with `%`
+    prints its text: both rejections of Z_omega, its repr and the
+    duality record names."""
+    p = OmegaParam(1.0)
+    with pytest.raises(ValueError, match="monomial G2 E not admissible"):
+        Z_omega(APoly.monomial(AMonomial((2, 0))), p)
+    with pytest.raises(ValueError, match="coefficient of G2 has h"):
+        Z_omega(APoly.monomial(AMonomial((2,)), HbarLaurent.h(-1)), p)
+    assert repr(AMonomial((0, 2))) == "AMonomial<E G2>"
+    records = verify.run_suite("duality", 1.0, max_weight=2)
+    assert [r.name for r in records] == [
+        "duality G1", "duality G2", "duality E G1", "duality G1 G1",
+        "zeta-duality 3", "zeta-duality 4", "zeta-duality 1,3",
+        "zeta-duality 2,2"]
+    assert all(r.passed for r in records)

@@ -3,10 +3,8 @@
 import functools
 import gc
 import itertools
-import operator
 import pickle
 import sys
-import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -14,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omzv import (ALetter, AMonomial, APoly, HPoly, HbarLaurent, XSeries,
+from omzv import (AMonomial, APoly, HPoly, HbarLaurent, XSeries,
                   dual_index, harmonic, index_to_e_word,
                   monomials_up_to_weight, parse_amonomial, parse_apoly,
                   parse_hpoly, parse_index, satoh_residual, shuffle, sigma,
@@ -34,12 +32,12 @@ _H1 = H(1)
 
 
 def _letter_word(l):
-    return HPoly.word("b", _H1) if l.is_e else HPoly.word("b" + "a" * l.k)
+    return HPoly.word("b", _H1) if l == 0 else HPoly.word("b" + "a" * l)
 
 
 def ref_to_hpoly(m):
     p = HPoly.one()
-    for l in m.letters:
+    for l in m:
         p = p * _letter_word(l)
     return p
 
@@ -49,7 +47,7 @@ def _suffixed(p, letter, coeff=1):
     coeff."""
     if isinstance(p, HPoly):
         return HPoly({w + letter: q * coeff for w, q in p.t.items()})
-    return APoly({m.letters + letter: q * coeff for m, q in p.t.items()})
+    return APoly({m + letter: q * coeff for m, q in p.t.items()})
 
 
 @functools.cache
@@ -75,13 +73,13 @@ def ref_shuffle(p1, p2):
 
 def _contract(u, v):
     """E o E = h E, E o G(k) = h G(k), G(k) o G(l) = G(k+l)."""
-    if u.is_e and v.is_e:
+    if u == 0 and v == 0:
         return _H1, E
-    if u.is_e:
+    if u == 0:
         return _H1, v
-    if v.is_e:
+    if v == 0:
         return _H1, u
-    return 1, ALetter(u.k + v.k)
+    return 1, u + v
 
 
 @functools.cache
@@ -99,8 +97,7 @@ def ref_harmonic(p1, p2):
     out = APoly.zero()
     for m1, c1 in p1.t.items():
         for m2, c2 in p2.t.items():
-            out = out + _suffixed(ref_harmonic_tuples(m1.letters, m2.letters),
-                                  (), c1 * c2)
+            out = out + _suffixed(ref_harmonic_tuples(m1, m2), (), c1 * c2)
     return out
 
 
@@ -163,16 +160,9 @@ def _grouped_in_order(t):
     return [((k, e), c) for k, q in out.items() for e, c in q.items()]
 
 
-_LETTER_INDEX = operator.attrgetter("k")
-
-
-def _indices(m):
-    return tuple(map(_LETTER_INDEX, m.letters))
-
-
-def _terms_in_order(p, key=str):
+def _terms_in_order(p):
     """The terms of p as [((key, e), c)], in the order of its dicts."""
-    return [((key(k), e), c) for k, q in p.t.items() for e, c in q.t.items()]
+    return [((k, e), c) for k, q in p.t.items() for e, c in q.t.items()]
 
 
 def test_graded_kernels_match_the_letter_kernels_in_order():
@@ -187,8 +177,7 @@ def test_graded_kernels_match_the_letter_kernels_in_order():
     for w1, w2 in itertools.product(ab_words, repeat=2):
         got = shuffle(HPoly.word(w1), HPoly.word(w2))
         assert _terms_in_order(got) == list(ref_shuffle_terms(w1, w2).items())
-    for l1, l2 in itertools.combinations_with_replacement(
-            map(_indices, mons), 2):
+    for l1, l2 in itertools.combinations_with_replacement(mons, 2):
         # a term off the grading rule drops out of `want`
         grade = l1.count(0) + l2.count(0)
         want = [(m, c) for (m, e), c in ref_harmonic_terms(l1, l2).items()
@@ -200,9 +189,9 @@ def test_graded_kernels_match_the_letter_kernels_in_order():
     assert _terms_in_order(shuffle(h, h)) == _grouped_in_order(want)
     mons = monomials_up_to_weight(4)
     a = APoly({m: i + 1 for i, m in enumerate(mons)})
-    f = {(_indices(m), 0): i + 1 for i, m in enumerate(mons)}
+    f = {(m, 0): i + 1 for i, m in enumerate(mons)}
     want = ref_product(ref_harmonic_terms, f, f)
-    assert _terms_in_order(harmonic(a, a), _indices) == _grouped_in_order(want)
+    assert _terms_in_order(harmonic(a, a)) == _grouped_in_order(want)
 
 
 def test_kernel_memos_stay_small():
@@ -353,7 +342,7 @@ def test_from_hpoly_examples():
 def test_e_word_expansion():
     def index_to_g_word(k):
         """The monomial G(k_1) ... G(k_r)."""
-        return AMonomial([ALetter(e) for e in k])
+        return AMonomial(k)
 
     # e_2 = b a a + h b a
     assert index_to_e_word((2,)) == HPoly.word("baa") + HPoly.word("ba", H(1))
@@ -592,36 +581,26 @@ def test_to_hpoly_matches_reference():
     assert a.to_hpoly() == want
 
 
-def test_letters_are_interned():
-    assert ALetter(2) is G(2) and ALetter(0) is E
-    assert pickle.loads(pickle.dumps(G(3))) is G(3)
-    assert parse_amonomial("E G2").letters == (E, G(2))
-    assert G(1) != G(2) and len({G(1), ALetter(1), G(2)}) == 2
-
-
-def test_letters_interned_across_threads():
-    """Threads that make the same new letters at once get one object per
-    index."""
-    ks = range(10_000, 30_000)
-    out = [None] * 4
-    start = threading.Barrier(4)
-
-    def make(i):
-        start.wait(timeout=30)
-        out[i] = [ALetter(k) for k in ks]
-
-    threads = [threading.Thread(target=make, args=(i,)) for i in range(4)]
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert all(a is b for o in out[1:] for a, b in zip(o, out[0], strict=True))
+def test_monomial_is_its_index_tuple():
+    """A monomial is the tuple of its letter indices, 0 for E and k for
+    G(k): equal to it, hashed as it, and rebuilt by pickle; only the
+    public constructor checks the entries."""
+    m = parse_amonomial("E G2")
+    assert m == (0, 2) and hash(m) == hash((0, 2))
+    assert (E, G(2)) == (0, 2)
+    back = pickle.loads(pickle.dumps(m))
+    assert type(back) is AMonomial and back == m and str(back) == "E G2"
+    for bad in ([1, -1], ["E"], [True]):
+        with pytest.raises((TypeError, ValueError)):
+            AMonomial(bad)
+    with pytest.raises(ValueError):
+        G(0)
+    with pytest.raises(TypeError):
+        APoly.monomial(m) * APoly.monomial(m)
+    # the canonical order, by length first, not the tuple order
+    g3, g11 = AMonomial((3,)), AMonomial((1, 1))
+    assert g3 < g11 and g3 <= g11 and g11 > g3 and g11 >= g3
+    assert sorted([g11, g3]) == [g3, g11]
 
 
 @given(admissible_monomials(), admissible_monomials())
