@@ -31,7 +31,7 @@ from .verify import CheckRecord, SUITES, run_suite
 from .words import (AMonomial, APoly, HPoly, HbarLaurent,
                     dual_index, harmonic, index_to_e_word,
                     monomials_up_to_weight, parse_amonomial, parse_apoly,
-                    parse_hpoly, parse_index, satoh_residual,
+                    parse_index, satoh_residual,
                     shuffle, sigma, sigma_monomial)
 
 __version__ = "0.1.0"
@@ -49,7 +49,7 @@ __all__ = [
     "initial_relation", "inverse_x_variable", "log_G",
     "monomials_up_to_weight", "mzv", "ohno_generating", "ohno_series",
     "ohno_table", "omega_Omega", "parse_amonomial", "parse_apoly",
-    "parse_hpoly", "parse_index",
+    "parse_index",
     "run_suite",
     "saalschutz_check", "satoh_residual", "shuffle", "sigma",
     "sigma_monomial", "tau",

@@ -265,7 +265,8 @@ def _prefix_stages(k, lam, mu, p):
 
 def _theta_value(ctx, pref, r, s, lam, mu, eps, dp, h, ys, rows):
     """The Theta-coupled double sum of the chains' last rows on the grid
-    (h, ys), times pref, and its boundary-tail bound."""
+    (h, ys), times pref, its boundary-tail bound and the sum of its
+    terms' magnitudes."""
     chi_t, chi_u = rows
     w = ctx.p.omega
     ob = ctx.omega_bar
@@ -301,13 +302,14 @@ def _theta_value(ctx, pref, r, s, lam, mu, eps, dp, h, ys, rows):
     c = np.exp(log_c)
     summand = conv * c * f_sum
     value = const * (1j ** (r + s)) * h * h * summand.sum()
+    scale = h * h * np.abs(summand).sum()
 
     # boundary monitors: top/bottom rows of each line and of the sum
     a_abs, b_abs, c_abs = np.abs(a_vec), np.abs(b_vec), np.abs(c)
     hi, lo = c_abs[n - 1:], c_abs[:n]
     tail = h * ((a_abs[-1] * (b_abs @ hi) + b_abs[-1] * (a_abs @ hi)) / dp
                 + (a_abs[0] * (b_abs @ lo) + b_abs[0] * (a_abs @ lo)) / TWO_PI)
-    return pref * value, abs(pref) * float(tail)
+    return pref * value, abs(pref) * float(tail), abs(pref) * scale
 
 
 clear_connector_cache = clear_value_cache   # one memo with the chains

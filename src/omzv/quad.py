@@ -17,12 +17,13 @@ Re t = -eps with x = Im t.
 
 Each kernel is evaluated once per integral on the fine grid, and the
 measure kernel, which does not depend on omega, once per grid
-(`chain_tables`).  The step-doubled estimate runs on the grid of step
-2h, the fine grid with every other node dropped (trapezoid grids nest).
-Its chain rides through the fine pass as a second row that is zero at
-the odd nodes, so each stage is one convolution of both rows against
-the fine tables (`chain_pass`).  A diff table shared by several stages
-keeps its hull and last tilted FFTs for the next one (`_Operand`).
+(`chain_tables`).  The error estimate compares the fine grid with the
+grids of step 2h and 4h, the fine grid with every other and every
+fourth node kept (trapezoid grids nest).  Their chains ride through the
+fine pass as two more rows, zero off their nodes, so each stage is one
+convolution of all three rows against the fine tables (`chain_pass`).
+A diff table shared by several stages keeps its hull and last tilted
+FFTs for the next one (`_Operand`).
 
 Every chain kernel is a product of powers of e^x/(1 - e^x) and
 1/(1 - e^x); `geometric_factor` evaluates them without overflow and
@@ -32,15 +33,18 @@ Uniform (trapezoid) steps are spectrally accurate for these integrands:
 the error decays like exp(-2*pi*d/h) where d is the width of the
 analyticity strip, in practice the contour-to-pole distance.  Every
 grid is built by one rule (`_chain_grid`) from the strip width, the
-decay rates on both sides and a bound on the oscillation frequency.
-Error estimates come from step doubling plus the finisher's boundary-
-tail monitors and are deliberately conservative.
+decay rates on both sides and a bound on the oscillation frequency, and
+sized so that the fine grid itself meets the tolerance.  The three
+levels extrapolate that geometric decay to the fine grid's own error,
+floored at the rounding of the finisher's sum, plus the finisher's
+boundary-tail monitors; a grid whose estimate misses the tolerance is
+refined by halving its step (`_chain_integral`).
 """
 
 import copy
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -62,7 +66,7 @@ TWO_PI = 2.0 * math.pi
 # Grid constants.  They enter every value, so fingerprint() names them.
 _MARGIN = 6.0          # additive truncation margin
 _STRIP_SAFETY = 0.8    # usable fraction of the pole distance
-_SHARPNESS = 2.2       # grid-step log factor (step doubling headroom)
+_SHARPNESS = 1.4       # grid-step log factor: error ~ rel_tol^_SHARPNESS
 # Budgets.  They only decide whether an evaluation raises QuadError,
 # never its value, so they stay out of the fingerprint.
 _MAX_DIM = 6
@@ -221,6 +225,7 @@ def measure_kernel(delta):
     return geometric_factor(-TWO_PI * 1j * np.asarray(delta), 1, 0)
 
 
+@lru_cache(maxsize=256)
 def _fast_len(n):
     """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT handles fast."""
     best = 1 << max(0, n - 1).bit_length()
@@ -371,7 +376,8 @@ def _tilted_fft(x, lx, t, size):
 class _Operand:
     """A kernel table as the second operand of `_tilted_convolve`: its
     values, their log-magnitude, its upper hull (made when first used)
-    and the tilted FFTs of its last convolution, keyed by (tilt, size).
+    and the tilted FFTs of its last convolution, keyed by (tilt, window
+    start, window stop, transform length).
     A table convolved at several stages takes its logarithm and hull
     once, and an FFT again only at a tilt its last convolution did not
     use; keeping no older FFTs bounds the memory.  Integrals sharing one
@@ -409,6 +415,10 @@ def _tilted_convolve(a, b, lo, hi):
     bridged size.  Non-finite inputs give NaN outputs; nothing is
     masked.
 
+    A block of L outputs start..stop reads b only at start-n+1..stop:
+    each block transforms that window, at the shortest length that keeps
+    its outputs free of wrap-around (n + L - 1 in a chain, not 2n - 1).
+
     The rows share the tilt plan of the first one, which must not
     vanish where the others do not (an all-zero first row gives zeros):
     per tilt, one FFT of all rows against the shared FFT of b, and each
@@ -427,21 +437,21 @@ def _tilted_convolve(a, b, lo, hi):
     if la0.max() == -np.inf or b.top == -np.inf:
         return np.zeros(shape, dtype=complex)
     n, nb = a.shape[-1], len(b.vals)
-    size = _fast_len(max(hi, n, nb, n + nb - 1 - lo))
     out = np.empty(shape, dtype=complex)
     plan = _tilt_plan(_upper_hull(la0), b.hull, lo, hi)
-    keys = [(t, size) for t, _, _ in plan]
-    b.ffts = {k: b.ffts[k] for k in keys if k in b.ffts}
-    for key, (t, start, stop) in zip(keys, plan):
+    old, b.ffts = b.ffts, {}
+    for t, start, stop in plan:
+        m0, m1 = max(0, start - n + 1), min(nb, stop + 1)
+        size = _fast_len(max(n, stop + 1 - m0, n + m1 - 1 - start))
+        key = (t, m0, m1, size)
+        fb = b.ffts[key] = old.pop(key, None) or _tilted_fft(
+            b.vals[m0:m1], b.log[m0:m1], t, size)
         fa, sa = _tilted_fft(a, la, t, size)
-        fb = b.ffts.get(key)
-        if fb is None:
-            fb = b.ffts[key] = _tilted_fft(b.vals, b.log, t, size)
         fa *= fb[0]
         np.fft.ifft(fa, out=fa)
-        ks = np.arange(start, stop + 1)
-        out[..., start - lo:stop + 1 - lo] = (fa[..., start:stop + 1]
-                                             * np.exp(sa + fb[1] - t * ks))
+        j, L = start - m0, stop + 1 - start
+        out[..., start - lo:stop + 1 - lo] = (
+            fa[..., j:j + L] * np.exp(sa + fb[1] - t * np.arange(j, j + L)))
     return out
 
 
@@ -476,8 +486,8 @@ def _chain_grid(eps, cfg, decay, nstages, pole_dist=None, freq=0.0,
     nu = freq + chirp * max(ym, yp)
     if nu > 0.0:
         h = 1.0 / (1.0 / h + nu / math.pi)
-    nm = int(math.ceil(ym / h / 2.0)) * 2
-    npl = int(math.ceil(yp / h / 2.0)) * 2
+    nm = int(math.ceil(ym / h / 4.0)) * 4
+    npl = int(math.ceil(yp / h / 4.0)) * 4
     if nm + npl + 1 > _MAX_CHAIN_NODES:
         raise QuadError("chain grid above node budget", nodes=nm + npl + 1)
     ys = h * np.arange(-nm, npl + 1)
@@ -544,55 +554,81 @@ def chain_tables(chains, eps, h, ys):
 
 def chain_pass(table, h):
     """Run the convolution chain on one chain's kernel tables (from
-    `chain_tables`) with grid step h, and with it the chain of the
-    nested grid of step 2h.
+    `chain_tables`) with grid step h, and with it the chains of the
+    nested grids of step 2h and 4h.
 
-    The coarse chain is a second row on the fine grid, zero at the odd
-    nodes.  n - 1 is even, so the even outputs of its convolution with
-    the fine diff table take only the even differences, the table of
-    step 2h: they are the coarse chain's stage.  Both rows share one
+    The coarse chains are two more rows on the fine grid, zeroed before
+    each convolution off the even nodes and off every fourth node (what
+    they hold there otherwise is never read).  n - 1 is a multiple of 4, so
+    the outputs of their convolution with the fine diff table on those
+    nodes take only the differences on them, the tables of step 2h and
+    4h: they are the coarse chains' stages.  All rows share one
     logarithm, hull and tilt plan per stage (`_tilted_convolve`) and are
     multiplied by the same cum values, as chi * c() in that operand
     order: a complex product rounds differently with its operands
     swapped, and the fine row rounds as the one-row chain does.  Up to
-    the first convolution the coarse chain is every other fine value,
-    so its row starts there, and a chain of depth 1 has the fine row
-    for both.
+    the first convolution the coarse chains are subsamples of the fine
+    one, so their rows start there, and a chain of depth 1 has the fine
+    row for all three.
 
-    Returns (chi, chi_c), the stage-r rows on the line Re T_r = -r*eps;
-    chi_c[::2] is the chain of step 2h.
+    Returns the three stage-r rows on the line Re T_r = -r*eps; row l
+    taken at every 2^l-th node is the chain of step 2^l h.
     """
     chi = table[0][0]
     n = len(chi)
-    steps = np.array([[h], [2.0 * h]])
+    steps = h * np.array([[1.0], [2.0], [4.0]])
     for a, (d, c) in enumerate(table):
-        if a == 1:
-            chi = np.array([chi, chi])
-            chi[1, 1::2] = 0.0
         if a:
+            chi = np.array([chi] * 3) if a == 1 else chi
+            chi[1:, 1::2] = chi[2, 2::4] = 0.0
             chi = _tilted_convolve(chi, d, n - 1, 2 * n - 1) * steps
-            chi[1, 1::2] = 0.0
         if c is not None:
             chi = chi * c()
-    return (chi, chi) if chi.ndim == 1 else (chi[0], chi[1])
+    return (chi, chi, chi) if chi.ndim == 1 else tuple(chi)
 
 
 def _chain_integral(chains, eps, cfg, h, ys, finish, **meta):
-    """One or more chains (lists of ChainStage) on the grid (h, ys), and
-    the one step-doubled error estimate.  finish(h, ys, rows) -> (value,
-    tail) turns the chains' last rows into the integral and a bound on
-    its boundary tails; it runs on the fine rows and on those of step 2h
-    (`chain_pass`), and err = |V_h - V_2h| + tail + abs_tol.  A value
-    or estimate that is not finite raises QuadError (detail stage
-    "fine" or "coarse").  meta gains the grid's eps, h, nodes and U."""
-    rows = [chain_pass(t, h) for t in chain_tables(chains, eps, h, ys)]
-    nodes = len(ys)
-    value, tail = finish(h, ys, [fine for fine, _ in rows])
-    _require_finite(value, tail, nodes=nodes, stage="fine")
-    value_c, _ = finish(2 * h, ys[::2], [coarse[::2] for _, coarse in rows])
-    err = abs(value - value_c) + tail + cfg.abs_tol
-    _require_finite(value_c, err, nodes=nodes, stage="coarse")
-    meta.update(eps=eps, h=h, nodes=nodes, U=(float(-ys[0]), float(ys[-1])))
+    """One or more chains (lists of ChainStage) on the grid (h, ys),
+    refined until their error estimate meets the tolerance.
+
+    finish(h, ys, rows) -> (value, tail, scale) turns the chains' last
+    rows into the integral, a bound on its boundary tails and the sum of
+    the magnitudes it added up, on the rows of step h, 2h and 4h
+    (`chain_pass`).  With e2 = |V_h - V_2h| and e4 = |V_2h - V_4h|, the
+    estimate e2 (e2/e4)^2 is the error of V_h for a trapezoid error
+    A e^{-c/h}; it is e2 when e4 <= e2.  Floored at 1e-13 of the fine
+    scale (the rounding of the convolutions and the sum), it gives err =
+    max(estimate, floor) + tail + abs_tol.  While err exceeds max(abs_tol,
+    rel_tol |V_h|) and the estimate is its largest part, h is halved on
+    the same span, or QuadError raised past _MAX_CHAIN_NODES.  A value
+    or estimate that is not finite raises QuadError (detail stage "fine"
+    or "coarse").  meta gains the grid's eps, h, nodes and U, and the
+    number of halvings, refinements."""
+    nm = int(round(-ys[0] / h))
+    refinements = 0
+    while True:
+        rows = [chain_pass(t, h) for t in chain_tables(chains, eps, h, ys)]
+        nodes = len(ys)
+        value, tail, scale = finish(h, ys, [r[0] for r in rows])
+        _require_finite(value, tail, nodes=nodes, stage="fine")
+        v2, v4 = (finish(m * h, ys[::m], [r[l][::m] for r in rows])[0]
+                  for l, m in ((1, 2), (2, 4)))
+        e2, e4 = abs(value - v2), abs(v2 - v4)
+        est = e2 * (e2 / e4) ** 2 if e4 > e2 else e2
+        floor = 1e-13 * scale
+        err = max(est, floor) + tail + cfg.abs_tol
+        _require_finite(v2 + v4, err, nodes=nodes, stage="coarse")
+        if not (err > max(cfg.abs_tol, cfg.rel_tol * abs(value))
+                and est > max(floor, tail + cfg.abs_tol)):
+            break
+        if 2 * nodes - 1 > _MAX_CHAIN_NODES:
+            raise QuadError("chain refinement above node budget",
+                            nodes=2 * nodes - 1, err=err)
+        h, nm = 0.5 * h, 2 * nm
+        ys = h * np.arange(-nm, 2 * nodes - 1 - nm)
+        refinements += 1
+    meta.update(eps=eps, h=h, nodes=nodes, U=(float(-ys[0]), float(ys[-1])),
+                refinements=refinements)
     return EvalResult(value, err, meta)
 
 
@@ -614,7 +650,9 @@ def chain_line_integral(stages, eps, cfg=None, *, decay, pole_dist=None,
 
     def finish(h, ys, rows):
         chi = rows[0]
+        mag = np.abs(chi)
         return (pref * h * chi.sum(),
-                abs(prefactor) * (abs(chi[0]) / dm + abs(chi[-1]) / dp))
+                abs(prefactor) * (mag[0] / dm + mag[-1] / dp),
+                abs(prefactor) * h * mag.sum())
 
     return _chain_integral([stages], eps, cfg, h, ys, finish, dim=r)

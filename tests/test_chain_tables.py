@@ -1,13 +1,14 @@
 """Kernel tables: each kernel of a chain is evaluated once per integral,
-on the fine grid, and later stages and the step-doubled chain, a second
-row of the fine pass, reuse those values.  The evaluate-per-pass chain,
-with its own compact pass on the grid of step 2h, is kept here as the
-reference.  Values must match it bit for bit.  Error estimates must
-match it to 1e-12 of the value: they take the step-2h value, which the
-zero-stuffed row rounds differently from the compact pass.  The
-measure kernel's difference table is made once per grid and shared by
-every integral on it, and the tilt plans are chosen at block ends; both
-keep every bit."""
+on the fine grid, and later stages and the chains of step 2h and 4h,
+two more rows of the fine pass, reuse those values.  The
+evaluate-per-pass chain, with its own compact passes on the grids of
+step 2h and 4h, is kept here as the reference, with the three-level
+estimate and its refinement written out again.  Values must match it
+bit for bit.  Error estimates must match it to 1e-12 of the value: they
+take the coarse values, which the zero-stuffed rows round differently
+from the compact passes.  The measure kernel's difference table is made
+once per grid and shared by every integral on it, and the tilt plans
+are chosen at block ends; both keep every bit."""
 
 import math
 import sys
@@ -49,19 +50,40 @@ def reference_chain_pass(stages, eps, h, ys):
     return chi
 
 
+def reference_integral(cfg, h, ys, finish):
+    """finish(h, ys) -> (value, tail, scale) at steps h, 2h and 4h, the
+    error estimate e2 (e2/e4)^2 (e2 when e4 <= e2) floored at 1e-13 of
+    the scale, and h halved on the same span while the estimate is the
+    largest part of an error above the tolerance."""
+    while True:
+        (value, tail, scale), (v2, _, _), (v4, _, _) = (
+            finish(m * h, ys[::m]) for m in (1, 2, 4))
+        e2, e4 = abs(value - v2), abs(v2 - v4)
+        est = e2 * (e2 / e4) ** 2 if e4 > e2 else e2
+        floor = 1e-13 * scale
+        err = max(est, floor) + tail + cfg.abs_tol
+        if (err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
+                or est <= max(floor, tail + cfg.abs_tol)):
+            return quad.EvalResult(value, err, {"nodes": len(ys)})
+        nm, n = int(round(-ys[0] / h)), len(ys)
+        h = 0.5 * h
+        ys = h * np.arange(-2 * nm, 2 * n - 1 - 2 * nm)
+
+
 def reference_chain_line_integral(stages, eps, cfg=None, *, decay,
                                   pole_dist=None, prefactor=1.0, freq=0.0):
     cfg = cfg or quad.DEFAULT_CONFIG
     r = len(stages)
     dm, dp = float(decay[0]), float(decay[1])
     h, ys = quad._chain_grid(eps, cfg, (dm, dp), r, pole_dist, freq)
-    chi = reference_chain_pass(stages, eps, h, ys)
-    value = complex(prefactor) * (1j ** r) * h * chi.sum()
-    tail = abs(prefactor) * (abs(chi[0]) / dm + abs(chi[-1]) / dp)
-    chi_c = reference_chain_pass(stages, eps, 2 * h, ys[::2])
-    value_c = complex(prefactor) * (1j ** r) * (2 * h) * chi_c.sum()
-    err = abs(value - value_c) + tail + cfg.abs_tol
-    return quad.EvalResult(value, err, {"nodes": len(ys)})
+
+    def finish(h, ys):
+        chi = reference_chain_pass(stages, eps, h, ys)
+        return (complex(prefactor) * (1j ** r) * h * chi.sum(),
+                abs(prefactor) * (abs(chi[0]) / dm + abs(chi[-1]) / dp),
+                abs(prefactor) * h * np.abs(chi).sum())
+
+    return reference_integral(cfg, h, ys, finish)
 
 
 def reference_connected_integral(k, l, op, ctx, cfg, eps):
@@ -77,14 +99,13 @@ def reference_connected_integral(k, l, op, ctx, cfg, eps):
     stages = (ohno._prefix_stages(k, lam, mu, p),
               ohno._prefix_stages(l, lam, mu, p))
     pref = p.hbar_value ** (sum(k) + sum(l))
-    fine, tail = ohno._theta_value(
-        ctx, pref, r, s, lam, mu, eps, dp, h, ys,
-        [reference_chain_pass(st, eps, h, ys) for st in stages])
-    coarse, _ = ohno._theta_value(
-        ctx, pref, r, s, lam, mu, eps, dp, 2 * h, ys[::2],
-        [reference_chain_pass(st, eps, 2 * h, ys[::2]) for st in stages])
-    err = abs(fine - coarse) + tail + cfg.abs_tol
-    return quad.EvalResult(fine, err)
+
+    def finish(h, ys):
+        return ohno._theta_value(
+            ctx, pref, r, s, lam, mu, eps, dp, h, ys,
+            [reference_chain_pass(st, eps, h, ys) for st in stages])
+
+    return reference_integral(cfg, h, ys, finish)
 
 
 def value_bits(res):
@@ -122,6 +143,23 @@ def test_zeta_matches_evaluate_per_pass(monkeypatch, w, k):
     p = OmegaParam(w)
     got, ref = fresh_and_reference(monkeypatch, omega,
                                    lambda: zeta_omega(k, p))
+    assert_matches(got, ref)
+
+
+def test_refined_grid_matches_evaluate_per_pass(cfg):
+    """A grid refined twice, sized by a pole-distance hint five times the
+    real one, keeps the bits of the evaluate-per-pass chain on the
+    halved grids."""
+    a1, a2 = 0.3 + 0.2j, 0.2 + 0.3j
+    stages = [ChainStage(cum=lambda t: np.exp(a1 * t)),
+              ChainStage(cum=lambda t: np.exp(a2 * t))]
+    kw = dict(decay=(TWO_PI, 0.3), pole_dist=1.0)
+    clear_value_cache()
+    got = chain_line_integral(stages, 0.2, cfg, **kw)
+    ref = reference_chain_line_integral(stages, 0.2, cfg, **kw)
+    clear_value_cache()
+    assert got.meta["refinements"] == 2
+    assert got.meta["nodes"] == ref.meta["nodes"]
     assert_matches(got, ref)
 
 
@@ -241,6 +279,31 @@ def test_reused_operand_matches_fresh():
     assert all(op.ffts[k] is reused[k] for k in reused)
 
 
+def test_block_transforms_span_their_lags(monkeypatch):
+    """Each tilt block of L chain outputs reads n + L - 1 differences of
+    the table and transforms just those, at _fast_len(n + L - 1) instead
+    of the _fast_len(2n - 1) of the whole convolution; the operand keeps
+    each FFT by tilt, window and length."""
+    n = 300
+    y = np.linspace(-8.0, 8.0, n)
+    yd = np.linspace(-16.0, 16.0, 2 * n - 1)
+    table = np.exp(-3.0 * np.abs(yd) + 2.0j * yd) / (1.0 + yd * yd)
+    first = np.exp(-6.0 * np.abs(y) + 1j * y) * np.cos(4.0 * y)
+    plans = []
+    plan = quad._tilt_plan
+    monkeypatch.setattr(quad, "_tilt_plan",
+                        lambda *args: plans.append(plan(*args)) or plans[-1])
+    op = quad._Operand(table)
+    quad._tilted_convolve(first, op, n - 1, 2 * n - 1)
+    [blocks] = plans
+    assert len(blocks) > 1
+    sizes = [quad._fast_len(n + stop - start) for _, start, stop in blocks]
+    assert set(op.ffts) == {
+        (t, start - n + 1, min(2 * n - 1, stop + 1), size)
+        for (t, start, stop), size in zip(blocks, sizes)}
+    assert sum(sizes) < len(blocks) * quad._fast_len(2 * n - 1)
+
+
 # ---------------------------------------------------------------------------
 # The measure table of a grid, shared by every integral on it
 
@@ -287,7 +350,7 @@ def test_grid_memo_stays_within_its_bound(monkeypatch, cfg):
     stages = [ChainStage(cum=lambda t: np.exp(0.3j * t)), ChainStage()]
     clear_value_cache()
     made = []
-    for eps in np.linspace(0.1, 0.3, 60):
+    for eps in np.linspace(0.1, 0.3, 100):
         res = chain_line_integral(stages, float(eps), cfg,
                                   decay=(TWO_PI, 1.0))
         made.append(2 * res.meta["nodes"] - 1)

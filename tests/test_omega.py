@@ -163,16 +163,20 @@ OMEGA1_VALUES = [
 
 
 @pytest.mark.parametrize("text,want", OMEGA1_VALUES)
-def test_omega1_constants(p1, fast_cfg, text, want):
-    res = Z_omega_monomial(parse_amonomial(text), p1, fast_cfg)
+def test_omega1_constants(p1, text, want):
+    """Asked for 1e-10 of values up to 13, well inside the 1e-8 checked."""
+    cfg = QuadConfig(rel_tol=1e-10, abs_tol=1e-10)
+    res = Z_omega_monomial(parse_amonomial(text), p1, cfg)
     assert abs(res.value - want) < 1e-8
 
 
 def test_zeta_omega1():
     """zeta_w(2) = (pi^2/6)(1 - w^2) - i pi w, -i pi at w = 1: the error
-    estimate must bound the error, which is at rounding level."""
+    estimate must bound the error, which is at rounding level when the
+    grid is asked for it."""
+    cfg = QuadConfig(rel_tol=1e-14, abs_tol=1e-14)
     for w in (0.05, 0.3, 0.6, 1.0, 1.3, 1.4, 1.7, 1.9, 1.99):
-        res = zeta_omega((2,), OmegaParam(w))
+        res = zeta_omega((2,), OmegaParam(w), cfg)
         err = abs(res.value - (PI ** 2 / 6.0 * (1.0 - w * w) - 1j * PI * w))
         assert err <= 1e-13
         assert err <= res.err_estimate
@@ -189,6 +193,52 @@ def test_zeta_22_closed_form(w):
             - hb ** 3 / 16.0 + 3.0 / 640.0 * hb ** 4)
     res = zeta_omega((2, 2), OmegaParam(w))
     assert abs(res.value - want) <= res.err_estimate
+
+
+def closed_form(k, omega):
+    """zeta_w(2) = zeta(2) - hb/2 + hb^2/24 and zeta_w(2,2) = zeta(2,2)
+    - (zeta(2)/2) hb + ((zeta(2) + 1)/8) hb^2 - hb^3/16 + (3/640) hb^4,
+    with hb = 2 pi i w and zeta(2,2) = pi^4/120."""
+    hb = TWO_PI * 1j * omega
+    z2 = PI ** 2 / 6.0
+    if k == (2,):
+        return z2 - hb / 2.0 + hb ** 2 / 24.0
+    return (PI ** 4 / 120.0 - z2 / 2.0 * hb + (z2 + 1.0) / 8.0 * hb ** 2
+            - hb ** 3 / 16.0 + 3.0 / 640.0 * hb ** 4)
+
+
+@pytest.mark.parametrize("w", [0.05, 0.3, 1.0, 1.4, 1.9, 1.99])
+@pytest.mark.parametrize("k", [(2,), (2, 2)])
+def test_estimates_are_honest_and_tight(cfg, k, w):
+    """Against the closed forms the error estimate bounds the error and
+    exceeds it, or the rounding floor 1e-13 |value| and abs_tol, by at
+    most 10^3.  The step-doubled estimate was 2e4 to 8e6 times the
+    error here."""
+    res = zeta_omega(k, OmegaParam(w), cfg)
+    error = abs(res.value - closed_form(k, w))
+    floor = max(cfg.abs_tol, 1e-13 * abs(res.value))
+    assert error <= res.err_estimate <= 1e3 * max(error, floor)
+
+
+def zeta_at_offset(k, omega, eps, cfg=None):
+    """zeta_w(k) as `zeta_omega` computes it, on the contour stack at
+    offset eps instead of the default one."""
+    p = OmegaParam(omega)
+    return chain_line_integral(
+        [ChainStage(cum=(lambda t, e=e: kernel_e(e, t, p))) for e in k],
+        eps, cfg, decay=(TWO_PI, decay_hint(omega)))
+
+
+@pytest.mark.parametrize("omega", [0.3, 1.0, 1.9])
+@pytest.mark.parametrize("k", [(3,), (1, 2), (2, 3), (1, 2, 2),
+                               (1, 1, 2, 3)])
+def test_two_offsets_agree_within_estimates(k, omega):
+    """By Cauchy the value does not depend on the offset, so the stacks at
+    eps and 0.7 eps are two independent grids for one value: they differ
+    by at most the sum of their estimates."""
+    eps = contour_offset(omega, len(k))[0]
+    a, b = (zeta_at_offset(k, omega, e) for e in (eps, 0.7 * eps))
+    assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate
 
 
 def quarter_eps(omega, depth):
@@ -222,7 +272,8 @@ def mp_zeta_depth1(k, omega):
 def test_zeta_depth1_matches_mpmath(k, omega):
     """The first three overflowed e^{2 pi i w t}-powers on the grid and
     came out NaN before the kernel was written sign by sign."""
-    res = zeta_omega((k,), OmegaParam(omega))
+    res = zeta_omega((k,), OmegaParam(omega),
+                     QuadConfig(rel_tol=1e-13, abs_tol=1e-13))
     ref = mp_zeta_depth1(k, omega)
     assert abs(res.value - ref) <= res.err_estimate
     assert abs(res.value - ref) < 1e-12 * max(1.0, abs(ref))

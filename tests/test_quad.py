@@ -57,6 +57,44 @@ def test_line_is_eps_independent(cfg):
     assert max(abs(v - vals[0]) for v in vals) < 1e-10
 
 
+def lemma_chain(a1, a2):
+    """Cumulative kernels e^{a1 T1} e^{a2 T2}, their decay rates and the
+    value 1/((e^{a1+a2}-1)(e^{a2}-1)) of their chain."""
+    stages = [ChainStage(cum=lambda t: np.exp(a1 * t)),
+              ChainStage(cum=lambda t: np.exp(a2 * t))]
+    exact = 1.0 / ((cmath.exp(a1 + a2) - 1.0) * (cmath.exp(a2) - 1.0))
+    return stages, (TWO_PI, min(a2.imag, (a1 + a2).imag)), exact
+
+
+def test_coarse_grid_is_refined(cfg):
+    """A pole-distance hint five times the real one sizes a grid far too
+    coarse for the tolerance.  Its step is halved on the same span until
+    the estimate meets the tolerance, meta counts the halvings, and the
+    value meets the kernel lemma within its estimate."""
+    stages, decay, exact = lemma_chain(0.3 + 0.2j, 0.2 + 0.3j)
+    h, ys = quad._chain_grid(0.2, cfg, decay, 2, pole_dist=1.0)
+    res = chain_line_integral(stages, 0.2, cfg, decay=decay, pole_dist=1.0)
+    assert res.meta["refinements"] == 2
+    assert res.meta["h"] == h / 4
+    assert res.meta["nodes"] == 4 * len(ys) - 3
+    assert res.meta["U"] == (-ys[0], ys[-1])
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
+    assert abs(res.value - exact) <= res.err_estimate <= tol
+    plain = chain_line_integral(stages, 0.2, cfg, decay=decay)
+    assert plain.meta["refinements"] == 0
+
+
+def test_refinement_beyond_budget_raises(monkeypatch, cfg):
+    """A halving that would take the grid past the node budget raises
+    QuadError instead of returning an estimate above the tolerance."""
+    stages, decay, _ = lemma_chain(0.3 + 0.2j, 0.2 + 0.3j)
+    _, ys = quad._chain_grid(0.2, cfg, decay, 2, pole_dist=1.0)
+    monkeypatch.setattr(quad, "_MAX_CHAIN_NODES", 2 * len(ys))
+    with pytest.raises(QuadError, match="refinement") as info:
+        chain_line_integral(stages, 0.2, cfg, decay=decay, pole_dist=1.0)
+    assert info.value.detail["nodes"] == 4 * len(ys) - 3
+
+
 @pytest.mark.parametrize("a1, a2", [(0.3 + 0.2j, 0.2 + 0.3j),
                                     (-0.4 + 0.1j, 0.1 + 0.5j)])
 def test_chain_kernel_lemma_depth2(cfg, a1, a2):
@@ -133,9 +171,10 @@ def test_zero_stuffed_row_is_the_coarse_convolution(lo, hi):
 
 @pytest.mark.parametrize("depth", [1, 2, 4, 6])
 def test_one_convolution_and_hull_per_stage(monkeypatch, cfg, depth):
-    """The step-doubled chain rides in the fine pass: a depth-r chain
-    makes r - 1 convolutions and takes r - 1 hulls of chi (the shared
-    diff table adds one hull of its own, of length 2n - 1)."""
+    """The chains of step 2h and 4h ride in the fine pass: a depth-r
+    chain makes r - 1 convolutions of its three rows and takes r - 1
+    hulls of chi (the shared diff table adds one hull of its own, of
+    length 2n - 1)."""
     convs, hulls = [], []
     tilted, hull = quad._tilted_convolve, quad._upper_hull
     monkeypatch.setattr(quad, "_tilted_convolve",
@@ -147,7 +186,8 @@ def test_one_convolution_and_hull_per_stage(monkeypatch, cfg, depth):
               for a in range(1, depth + 1)]
     res = chain_line_integral(stages, 0.05, cfg, decay=(TWO_PI, 0.1))
     n = res.meta["nodes"]
-    assert convs == [(2, n)] * (depth - 1)
+    assert res.meta["refinements"] == 0
+    assert convs == [(3, n)] * (depth - 1)
     assert hulls.count(n) == depth - 1
     assert len(hulls) == depth - 1 + (depth > 1)
 
@@ -320,4 +360,4 @@ def test_config_fingerprint_tracks_settings():
     assert QuadConfig(abs_tol=1e-9).fingerprint() != base.fingerprint()
     # the grid constants stay in the text, so changing one changes the
     # keys of the value store
-    assert base.fingerprint() == "r1e-09,a1e-12,m6,s0.8,q2.2"
+    assert base.fingerprint() == "r1e-09,a1e-12,m6,s0.8,q1.4"

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from omzv import (AMonomial, APoly, HPoly, HbarLaurent, XSeries,
                   dual_index, harmonic, index_to_e_word,
                   monomials_up_to_weight, parse_amonomial, parse_apoly,
-                  parse_hpoly, parse_index, satoh_residual, shuffle, sigma,
+                  parse_index, satoh_residual, shuffle, sigma,
                   sigma_monomial)
 from omzv import words
-from omzv.words import E, G
+from omzv.words import E, G, parse_hpoly
 
 H = HbarLaurent.h
 
