@@ -22,8 +22,8 @@ grids of step 2h and 4h, the fine grid with every other and every
 fourth node kept (trapezoid grids nest).  Their chains ride through the
 fine pass as two more rows, zero off their nodes, so each stage is one
 convolution of all three rows against the fine tables (`chain_pass`).
-A diff table shared by several stages keeps its hull and last tilted
-FFTs for the next one (`_Operand`).
+A diff table is one read-only `_Operand`, whose logarithm and hull serve
+every stage and every integral that reads it.
 
 Every chain kernel is a product of powers of e^x/(1 - e^x) and
 1/(1 - e^x); `geometric_factor` evaluates them without overflow and
@@ -41,7 +41,6 @@ boundary-tail monitors; a grid whose estimate misses the tolerance is
 refined by halving its step (`_chain_integral`).
 """
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -374,21 +373,18 @@ def _tilted_fft(x, lx, t, size):
 
 
 class _Operand:
-    """A kernel table as the second operand of `_tilted_convolve`: its
-    values, their log-magnitude, its upper hull (made when first used)
-    and the tilted FFTs of its last convolution, keyed by (tilt, window
-    start, window stop, transform length).
-    A table convolved at several stages takes its logarithm and hull
-    once, and an FFT again only at a tilt its last convolution did not
-    use; keeping no older FFTs bounds the memory.  Integrals sharing one
-    memoised table hold copies with FFTs of their own (`_measure_operand`)."""
+    """A kernel table as the second operand of `_tilted_convolve`, read
+    only: its values, their log-magnitude and its maximum top, and its
+    upper hull (made when first used).  A table convolved at several
+    stages, or by every integral on a grid (`_measure_operand`), takes
+    its logarithm and hull once; no convolution writes to it."""
 
     def __init__(self, vals):
-        self.vals = vals
+        self.vals = vals.view()
         with np.errstate(divide="ignore", invalid="ignore"):
             self.log = np.log(np.abs(vals))
+        self.vals.flags.writeable = self.log.flags.writeable = False
         self.top = self.log.max()
-        self.ffts = {}
 
     @cached_property
     def hull(self):
@@ -397,8 +393,8 @@ class _Operand:
 
 def _tilted_convolve(a, b, lo, hi):
     """Entries lo..hi-1 of the full linear convolution of a, an array or
-    a stack of rows, with b (an array or an `_Operand`, whose FFTs are
-    reused and replaced).
+    a stack of rows, with b (an array or an `_Operand`, which is only
+    read).
 
     Computed by FFT of the tilted inputs a_i e^{t i} and b_m e^{t m},
     each scaled to unit maximum, and untilted by e^{-t k} afterwards: a
@@ -439,19 +435,16 @@ def _tilted_convolve(a, b, lo, hi):
     n, nb = a.shape[-1], len(b.vals)
     out = np.empty(shape, dtype=complex)
     plan = _tilt_plan(_upper_hull(la0), b.hull, lo, hi)
-    old, b.ffts = b.ffts, {}
     for t, start, stop in plan:
         m0, m1 = max(0, start - n + 1), min(nb, stop + 1)
         size = _fast_len(max(n, stop + 1 - m0, n + m1 - 1 - start))
-        key = (t, m0, m1, size)
-        fb = b.ffts[key] = old.pop(key, None) or _tilted_fft(
-            b.vals[m0:m1], b.log[m0:m1], t, size)
+        fb, sb = _tilted_fft(b.vals[m0:m1], b.log[m0:m1], t, size)
         fa, sa = _tilted_fft(a, la, t, size)
-        fa *= fb[0]
+        fa *= fb
         np.fft.ifft(fa, out=fa)
         j, L = start - m0, stop + 1 - start
         out[..., start - lo:stop + 1 - lo] = (
-            fa[..., j:j + L] * np.exp(sa + fb[1] - t * np.arange(j, j + L)))
+            fa[..., j:j + L] * np.exp(sa + sb - t * np.arange(j, j + L)))
     return out
 
 
@@ -499,19 +492,22 @@ def _chain_grid(eps, cfg, decay, nstages, pole_dist=None, freq=0.0,
 _MEASURE_MEMO = LRU(1 << 17, weight=lambda op: len(op.vals))
 
 
-def _measure_operand(eps, h, dgrid):
-    """The measure kernel's `_Operand` on the differences dgrid of the
-    grid (eps, h), the same for every omega: evaluated, its hull made
-    and memoised on the grid's first use; a copy with no FFTs."""
-    key = (eps, h, len(dgrid))
+def _diff_grid(eps, h, n):
+    """The 2n-1 differences -eps + i h k, |k| < n, of a grid of n nodes."""
+    return (-eps) + 1j * (h * np.arange(-(n - 1), n))
+
+
+def _measure_operand(eps, h, n):
+    """The measure kernel's `_Operand` on the differences of the grid
+    (eps, h) of n nodes, the same for every omega: evaluated, its hull
+    made and memoised on the grid's first use, and read by every integral
+    on the grid."""
+    key = (eps, h, 2 * n - 1)
     op = _MEASURE_MEMO.get(key)
     if op is None:
-        op = _Operand(measure_kernel(dgrid))
-        op.vals.flags.writeable = False
-        op.hull                     # made once, for every copy
+        op = _Operand(measure_kernel(_diff_grid(eps, h, n)))
+        op.hull                     # made once, before any integral reads it
         _MEASURE_MEMO.put(key, op)
-    op = copy.copy(op)
-    op.ffts = {}
     return op
 
 
@@ -520,23 +516,23 @@ def chain_tables(chains, eps, h, ys):
     grid (h, ys), every kernel evaluated once.
 
     Each distinct diff kernel of a stage after the first is one
-    `_Operand` on the 2n-1 differences h*k, |k| < n, shared by every
-    stage and chain that uses it; the measure kernel's (diff None) is
-    shared by every integral on the grid (`_measure_operand`).  A first
-    stage's diff kernel is the slice of that table on its line, which
-    holds exactly the same values h*k, or else is evaluated on the line
-    alone.  Stage a's cum kernel becomes a call that evaluates it on the
-    line Re T = -a*eps when the pass reaches the stage, so that one
+    read-only `_Operand` on the 2n-1 differences h*k, |k| < n (formed
+    only for a table that is evaluated), shared by every stage and chain
+    that uses it; the measure kernel's (diff None) is the grid's one
+    operand, shared by every integral on it (`_measure_operand`).  A
+    first stage's diff kernel is the slice of that table on its line,
+    which holds exactly the same values h*k, or else is evaluated on the
+    line alone.  Stage a's cum kernel becomes a call that evaluates it on
+    the line Re T = -a*eps when the pass reaches the stage, so that one
     full-length cum table is held at a time.  Returns one list of (diff,
     cum) pairs per chain, cum None for the kernel 1.
     """
     n = len(ys)
     first = n - 1 - int(round(-ys[0] / h))
-    ops = dict.fromkeys(st.diff for stages in chains for st in stages[1:])
-    if ops:
-        dgrid = (-eps) + 1j * (h * np.arange(-(n - 1), n))
-        ops = {d: _measure_operand(eps, h, dgrid) if d is None
-               else _Operand(d(dgrid)) for d in ops}
+    ops = {d: _measure_operand(eps, h, n) if d is None
+           else _Operand(d(_diff_grid(eps, h, n)))
+           for d in dict.fromkeys(st.diff for stages in chains
+                                  for st in stages[1:])}
     lines = {}
     out = []
     for stages in chains:

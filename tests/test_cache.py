@@ -1,10 +1,18 @@
 """Bounded memo: eviction order, thread safety and recomputation after
 eviction."""
 
+import ast
+import importlib
+import inspect
+import math
+import pkgutil
 import sys
 import threading
+from pathlib import Path
 
-from omzv import OmegaParam, Z_omega, cache, parse_apoly, zeta_omega
+import omzv
+from omzv import (GammaContext, OmegaParam, Z_omega, cache, parse_apoly,
+                  zeta_omega)
 from omzv.omega import clear_value_cache
 
 
@@ -96,3 +104,63 @@ def test_store_keys_are_the_printed_monomials(tmp_path, monkeypatch):
     assert {rec["expr"] for _, _, rec in store.entries.values()} == want
     reloaded = cache.ValueCache(tmp_path / "values.jsonl")
     assert {rec["expr"] for _, _, rec in reloaded.entries.values()} == want
+
+
+def source_cache_sites():
+    """Every call of lru_cache or LRU, and every bare lru_cache decorator,
+    in the package's source, as (file, line); and every use of
+    functools.cache, which has no bound."""
+    sites, unbounded = [], []
+    for path in sorted(Path(omzv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                unbounded += [(path.name, node.lineno) for alias in node.names
+                              if alias.name == "cache"]
+            if (isinstance(node, ast.Attribute) and node.attr == "cache"
+                    and getattr(node.value, "id", None) == "functools"):
+                unbounded.append((path.name, node.lineno))
+            for dec in getattr(node, "decorator_list", []):
+                if (not isinstance(dec, ast.Call) and getattr(
+                        dec, "id", getattr(dec, "attr", None)) == "lru_cache"):
+                    sites.append((path.name, dec.lineno))
+            if isinstance(node, ast.Call):
+                f = node.func
+                if getattr(f, "id", getattr(f, "attr", None)) in ("lru_cache",
+                                                                  "LRU"):
+                    sites.append((path.name, node.lineno))
+    return sites, unbounded
+
+
+def live_caches():
+    """The lru_cache functions and LRU maps of the package, each once:
+    those held by its modules and classes, and GammaContext's line
+    cache."""
+    found = {}
+    for info in pkgutil.iter_modules(omzv.__path__):
+        module = importlib.import_module("omzv." + info.name)
+        values = list(vars(module).values())
+        for cls in [v for v in values if inspect.isclass(v)]:
+            values += [getattr(v, "__func__", v) for v in vars(cls).values()]
+        for v in values:
+            if isinstance(v, cache.LRU) or (
+                    hasattr(v, "cache_parameters")
+                    and v.__module__.startswith("omzv")):
+                found[id(v)] = v
+    line_cache = GammaContext(OmegaParam(1.0)).line_cache
+    found[id(line_cache)] = line_cache
+    return list(found.values())
+
+
+def test_every_cache_has_a_finite_bound():
+    """Each lru_cache and LRU of the package has a finite bound, and the
+    walk over its modules, classes and GammaContext finds as many caches
+    as its source makes, so a new cache is either seen here or fails the
+    count."""
+    sites, unbounded = source_cache_sites()
+    assert unbounded == []
+    caches = live_caches()
+    assert len(caches) == len(sites)
+    for c in caches:
+        bound = (c.maxsize if isinstance(c, cache.LRU)
+                 else c.cache_parameters()["maxsize"])
+        assert isinstance(bound, int) and 0 < bound < math.inf, c

@@ -254,9 +254,9 @@ def test_depth1_evaluates_its_line_only(cfg):
 # Reusable kernel operand
 
 def test_reused_operand_matches_fresh():
-    """An operand keeps its hull and the last convolution's tilted FFTs;
-    convolving it again gives the fresh operand's output bit for bit,
-    whether its tilts repeat (same magnitudes) or move."""
+    """An operand keeps its logarithm and hull; convolving it again gives
+    the fresh operand's output bit for bit, whether the call repeats,
+    its tilts repeat (same magnitudes) or they move."""
     n = 300
     y = np.linspace(-8.0, 8.0, n)
     yd = np.linspace(-16.0, 16.0, 2 * n - 1)
@@ -266,41 +266,40 @@ def test_reused_operand_matches_fresh():
     moved = np.exp(2.0 * y - 0.5j * y * y) * np.exp(-0.2 * y * y)
     op = quad._Operand(table)
     quad._tilted_convolve(first, op, n - 1, 2 * n - 1)
-    kept = dict(op.ffts)
-    assert kept
-    for a in (same_tilts, moved, first):
+    for a in (first, same_tilts, moved, first):
         got = quad._tilted_convolve(a, op, n - 1, 2 * n - 1)
         fresh = quad._tilted_convolve(a, table, n - 1, 2 * n - 1)
         assert got.tobytes() == fresh.tobytes()
-    # the tilts of `first` repeat for `same_tilts`: served from the cache
-    quad._tilted_convolve(first, op, n - 1, 2 * n - 1)
-    reused = dict(op.ffts)
-    quad._tilted_convolve(same_tilts, op, n - 1, 2 * n - 1)
-    assert all(op.ffts[k] is reused[k] for k in reused)
 
 
 def test_block_transforms_span_their_lags(monkeypatch):
     """Each tilt block of L chain outputs reads n + L - 1 differences of
     the table and transforms just those, at _fast_len(n + L - 1) instead
-    of the _fast_len(2n - 1) of the whole convolution; the operand keeps
-    each FFT by tilt, window and length."""
+    of the _fast_len(2n - 1) of the whole convolution: the table's
+    transforms are taken of those windows at those lengths."""
     n = 300
     y = np.linspace(-8.0, 8.0, n)
     yd = np.linspace(-16.0, 16.0, 2 * n - 1)
     table = np.exp(-3.0 * np.abs(yd) + 2.0j * yd) / (1.0 + yd * yd)
     first = np.exp(-6.0 * np.abs(y) + 1j * y) * np.cos(4.0 * y)
-    plans = []
-    plan = quad._tilt_plan
+    plans, windows = [], []
+    plan, fft = quad._tilt_plan, quad._tilted_fft
     monkeypatch.setattr(quad, "_tilt_plan",
                         lambda *args: plans.append(plan(*args)) or plans[-1])
-    op = quad._Operand(table)
-    quad._tilted_convolve(first, op, n - 1, 2 * n - 1)
+
+    def spy(x, lx, t, size):
+        if np.shares_memory(x, table):
+            windows.append((t, len(x), size))
+        return fft(x, lx, t, size)
+
+    monkeypatch.setattr(quad, "_tilted_fft", spy)
+    quad._tilted_convolve(first, quad._Operand(table), n - 1, 2 * n - 1)
     [blocks] = plans
     assert len(blocks) > 1
     sizes = [quad._fast_len(n + stop - start) for _, start, stop in blocks]
-    assert set(op.ffts) == {
-        (t, start - n + 1, min(2 * n - 1, stop + 1), size)
-        for (t, start, stop), size in zip(blocks, sizes)}
+    assert windows == [
+        (t, min(2 * n - 1, stop + 1) - (start - n + 1), size)
+        for (t, start, stop), size in zip(blocks, sizes)]
     assert sum(sizes) < len(blocks) * quad._fast_len(2 * n - 1)
 
 
@@ -367,12 +366,47 @@ def test_grid_memo_stays_within_its_bound(monkeypatch, cfg):
     assert len(memo) == 0 and memo.total == 0
 
 
+def operand_state(op):
+    """The operand's attributes, each with its length where it has one,
+    so that a container filled in place shows up."""
+    return {name: (value, len(value) if hasattr(value, "__len__") else None)
+            for name, value in vars(op).items()}
+
+
+def test_grid_operand_is_shared_and_read_only(monkeypatch, cfg):
+    """Two integrals on one grid convolve the memo's own measure operand,
+    not a copy of it; its values and logarithm cannot be written, and
+    neither integral adds, replaces or fills any of its attributes."""
+    eps, decay = 0.2, (TWO_PI, 0.9)
+    h, ys = quad._chain_grid(eps, cfg, decay, 3)
+    clear_value_cache()
+    op = quad._measure_operand(eps, h, len(ys))
+    before = operand_state(op)
+    assert set(before) == {"vals", "log", "top", "hull"}
+    assert not op.vals.flags.writeable and not op.log.flags.writeable
+    seen = []
+    convolve = quad._tilted_convolve
+    monkeypatch.setattr(quad, "_tilted_convolve",
+                        lambda a, b, lo, hi: seen.append(b)
+                        or convolve(a, b, lo, hi))
+    for c in (0.2j, 0.1 + 0.5j):
+        chain_line_integral([ChainStage(cum=lambda t, c=c: np.exp(c * t)),
+                             ChainStage(), ChainStage()], eps, cfg,
+                            decay=decay)
+    clear_value_cache()
+    assert len(seen) == 4 and all(b is op for b in seen)
+    after = operand_state(op)
+    assert after.keys() == before.keys()
+    for name, (value, size) in before.items():
+        assert after[name][0] is value and after[name][1] == size
+
+
 def test_threads_on_one_grid_keep_bits(cfg):
     """Threads evaluating chains on one grid, more of them than cores and
     all starting on a cold memo with a short switch interval, give the
-    bits of one thread: each integral convolves a copy of the shared
-    table with FFTs of its own.  The memo's total stays the sum of the
-    tables it holds."""
+    bits of one thread: every integral reads the grid's one read-only
+    measure operand.  The memo's total stays the sum of the tables it
+    holds."""
     def chains():
         return [[ChainStage(cum=lambda t, c=c: np.exp(c * t)),
                  ChainStage(cum=lambda t, c=c: np.exp(0.5 * c * t)),
