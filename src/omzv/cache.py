@@ -117,14 +117,12 @@ class ValueCache:
                 fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
         os.replace(tmp, self.path)
 
-    def get(self, expr, omega_repr, fingerprint):
-        hit = self.entries.get(cache_key(expr, omega_repr, fingerprint))
-        if hit is None:
-            return None
-        return hit[0], hit[1]
+    def get(self, key):
+        """(value, err) stored under `key` (a `cache_key`), or None."""
+        hit = self.entries.get(key)
+        return None if hit is None else hit[:2]
 
-    def put(self, expr, omega_repr, fingerprint, value, err):
-        key = cache_key(expr, omega_repr, fingerprint)
+    def put(self, key, expr, omega_repr, fingerprint, value, err):
         if key in self.entries:
             return
         value = complex(value)
@@ -175,7 +173,8 @@ def memoized(expr, omega, cfg, compute, meta=None):
     if res is not None:
         return res
     store = _ACTIVE
-    hit = store.get(*triple) if store is not None else None
+    key = cache_key(*triple) if store is not None else None
+    hit = store.get(key) if key else None
     if hit is not None:
         from .quad import EvalResult   # quad imports this module's LRU
         res = EvalResult(hit[0], hit[1], dict(meta or {}, cached=True))
@@ -183,6 +182,6 @@ def memoized(expr, omega, cfg, compute, meta=None):
         res = compute()
         res.meta.update(meta or {})
         if store is not None:
-            store.put(*triple, res.value, res.err_estimate)
+            store.put(key, *triple, res.value, res.err_estimate)
     _memo.put(triple, res)
     return res

@@ -11,7 +11,8 @@ win over both.
 Exit codes: 0 success, 1 failed check, 2 parse or usage error,
 3 non-admissible argument (bad index, pole, deformation out of range)
 or a quadrature that cannot be carried out (QuadError; verify still
-reports every check, with a suite that raised as one failed check).
+reports every check, and each check that read a value that raised
+fails with its own error).
 """
 
 import cmath

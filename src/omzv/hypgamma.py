@@ -54,12 +54,12 @@ __all__ = [
 LINE_CACHE_SIZE = 256
 
 
-@dataclass
+@dataclass(eq=False)
 class GammaContext:
     """Evaluation context: the deformation parameter p and the
     quadrature tolerances cfg, plus the cache of log G lines that the
     connector fills, bounded to LINE_CACHE_SIZE lines (least recently
-    used ones are dropped)."""
+    used ones are dropped).  Hashed by identity: a value key names it."""
 
     p: object
     cfg: QuadConfig = field(default_factory=QuadConfig)

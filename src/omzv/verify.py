@@ -1,17 +1,18 @@
 """Verification suites: named checks with both sides, residual, and
 tolerance.
 
-Each suite returns a list of CheckRecord.  A record compares two
-independently computed sides of one identity; batteries over many
-exact cases are folded into a single record whose residual is the
-failure count or the worst case.  Suite contents and record names are
-fixed, so two runs at the same configuration produce the same report
-up to the fields that vary between identical runs: the top-level
-`timestamp` and `runtime_s` and each check's `runtime_s`.  Nothing else
-in the report may differ.
+Each suite is a plan: a list of Checks, each naming the values its two
+sides read and the rule that judges them.  Batteries over many exact
+cases are folded into a single check whose residual is the failure
+count or the worst case.  Suite contents and record names are fixed,
+so two runs at the same configuration produce the same report up to
+the fields that vary between identical runs: the top-level `timestamp`
+and `runtime_s` and each check's `runtime_s`.
 """
 
+import functools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -23,9 +24,9 @@ from .ncseries import XSeries, tau
 from .ohno import (OhnoParams, double_ohno_sum, initial_relation,
                    ohno_generating, ohno_series, omega_Omega,
                    saalschutz_check, transport_relation)
-from .omega import OmegaParam, Z_omega, Z_omega_monomial, zeta_omega
+from .omega import OmegaParam, Z_omega_monomial, zeta_omega
 from .qseries import QParam, mzv, z_q, z_q_monomial
-from .quad import QuadConfig, QuadError, _worst
+from .quad import EvalResult, QuadConfig, QuadError, _worst
 from .words import (APoly, dual_index, harmonic, monomials_up_to_weight,
                     satoh_residual, shuffle, sigma, sigma_monomial)
 
@@ -46,19 +47,123 @@ class CheckRecord:
     error: str = ""
 
 
-def _record(name, anchor, lhs, rhs, tolerance, t0,
-            residual=None, relative=False, passed=None):
-    lhs = complex(lhs)
-    rhs = complex(rhs)
-    if residual is None:
-        residual = abs(lhs - rhs)
-        if relative:
-            residual /= max(abs(rhs), 1e-300)
-    if passed is None:
-        passed = residual <= tolerance
-    return CheckRecord(name, anchor, lhs, rhs, float(residual),
-                       float(tolerance), bool(passed),
-                       time.perf_counter() - t0)
+def _abs(lhs, rhs):
+    return abs(lhs - rhs)
+
+
+def _rel(lhs, rhs):
+    return abs(lhs - rhs) / max(abs(rhs), 1e-300)
+
+
+def _first(lhs, rhs):
+    """The lhs itself: a battery's failure count or worst case."""
+    return lhs.real
+
+
+@dataclass(frozen=True)
+class Check:
+    """One identity of a plan.  Each side is a pair (f, keys): f of the
+    values that keys name, an EvalResult or a number.  A key is a call
+    (g, *args), evaluated once per run as g(*args); its arguments carry
+    the omega and QuadConfig (or the GammaContext) it runs at.  tol is a
+    number or a rule tol(lhs, rhs) of the sides; the check passes if
+    cmp(resid(lhs value, rhs value), tol).  A check at its own
+    configuration names its fingerprint."""
+    name: str
+    anchor: str
+    lhs: tuple
+    rhs: tuple = (float, ())    # 0.0
+    tol: object = 0.0
+    resid: object = _abs
+    cmp: object = operator.le
+    fingerprint: str = ""
+
+
+def _judge(chk, table, fingerprint):
+    """The record of one check, its values read from `table` after
+    evaluating there those it lacks; a QuadError is kept as the value."""
+    t0 = time.perf_counter()
+    keys = chk.lhs[1] + chk.rhs[1]
+    for key in keys:
+        if key not in table:
+            try:
+                table[key] = key[0](*key[1:])
+            except QuadError as exc:    # kept without the failed frames
+                table[key] = exc.with_traceback(None)
+    failed = [table[k] for k in keys if isinstance(table[k], QuadError)]
+    if failed:
+        lhs = rhs = complex(math.nan, math.nan)
+        residual, error = math.nan, str(failed[0])
+        tol = math.nan if callable(chk.tol) else chk.tol
+    else:
+        a, b = (f(*(table[k] for k in ks)) for f, ks in (chk.lhs, chk.rhs))
+        lhs, rhs = (complex(getattr(s, "value", s)) for s in (a, b))
+        tol = chk.tol(a, b) if callable(chk.tol) else chk.tol
+        residual, error = float(chk.resid(lhs, rhs)), ""
+    return CheckRecord(chk.name, chk.anchor, lhs, rhs, residual, float(tol),
+                       bool(chk.cmp(residual, tol)), time.perf_counter() - t0,
+                       chk.fingerprint or fingerprint, error)
+
+
+def _suite(plan):
+    """The suite judging the checks of plan(omega, cfg, max_weight,
+    order, seed, tol), with values from `table` (a fresh one if None)."""
+    @functools.wraps(plan)
+    def run(omega, cfg, max_weight, order, seed, tol, table=None):
+        table = {} if table is None else table
+        return [_judge(chk, table, cfg.fingerprint())
+                for chk in plan(omega, cfg, max_weight, order, seed, tol)]
+    return run
+
+
+# ---------------------------------------------------------------------------
+# Sides and tolerance rules
+
+def _one(*call):
+    """The side that is the value of one call."""
+    return (lambda value: value, (call,))
+
+
+def _part(i, *call):
+    """The side that is item i of a call's result."""
+    return (operator.itemgetter(i), (call,))
+
+
+def _halves(*call):
+    """The two sides of a call returning (lhs, rhs)."""
+    return _part(0, *call), _part(1, *call)
+
+
+def _sum(a, b):
+    """Two values added, with their estimates."""
+    return EvalResult(a.value + b.value, a.err_estimate + b.err_estimate)
+
+
+def _product(z1, z2):
+    return EvalResult(z1.value * z2.value,
+                      abs(z1.value) * z2.err_estimate
+                      + abs(z2.value) * z1.err_estimate
+                      + z1.err_estimate * z2.err_estimate)
+
+
+def _poly(poly, p, cfg):
+    """The side Z_w(poly): its monomials' values combined in `poly.t`
+    order, as Z_omega adds them."""
+    poly = APoly.of(poly)
+    coeffs = [c.eval(p.hbar_value) for c in poly.t.values()]
+    return (lambda *zs: EvalResult.combine(zip(coeffs, zs)),
+            tuple((Z_omega_monomial, m, p, cfg) for m in poly.t))
+
+
+def _err_rule(tol, floor, factor=1.0):
+    """tol if given, else the rule max(floor, factor * the two sides'
+    summed error estimates)."""
+    return tol if tol is not None else (
+        lambda a, b: max(floor, factor * (a.err_estimate + b.err_estimate)))
+
+
+def _text(k):
+    return ",".join(map(str, k))
 
 
 def _monomials(max_weight):
@@ -73,203 +178,161 @@ def _pairs(max_weight):
             if m1.weight + m2.weight <= max_weight + 1]
 
 
-def _identity_tol(tol, err):
-    """Tolerance of a two-sided identity whose sides carry the combined
-    error estimate err: tol if given, else 5 err, at least 1e-6."""
-    return tol if tol is not None else max(1e-6, 5.0 * err)
-
-
-def _prod_err(z1, z2):
-    return (abs(z1.value) * z2.err_estimate
-            + abs(z2.value) * z1.err_estimate
-            + z1.err_estimate * z2.err_estimate)
-
-
 # ---------------------------------------------------------------------------
 # Exact algebra and the q-series oracle
 
+def _sh(m1, m2):
+    return shuffle(m1.to_hpoly(), m2.to_hpoly())
+
+
+def _ha(m1, m2):
+    return harmonic(APoly.monomial(m1), APoly.monomial(m2))
+
+
+def _count(bad, cases):
+    """The side counting the cases where bad(*case) holds."""
+    return (lambda: float(sum(1 for c in cases if bad(*c))), ())
+
+
+def _q_products(pairs, qp):
+    """The worst |Z_q(u sh_h v) - Z_q(u) Z_q(v)|, |Z_q(u *_h v) - Z_q(u)
+    Z_q(v)| and |Z_q(u sh_h v) - Z_q(u *_h v)| over the pairs."""
+    d_sh, d_ha, d_ds = [], [], []
+    for m1, m2 in pairs:
+        prod = z_q_monomial(m1, qp).value * z_q_monomial(m2, qp).value
+        sh, ha = z_q(_sh(m1, m2), qp), z_q(_ha(m1, m2), qp)
+        d_sh.append(abs(sh.value - prod))
+        d_ha.append(abs(ha.value - prod))
+        d_ds.append(abs(sh.value - ha.value))
+    return _worst(d_sh), _worst(d_ha), _worst(d_ds)
+
+
+@_suite
 def suite_algebra(omega, cfg, max_weight, order, seed, tol):
-    out = []
+    A = APoly.monomial
     mons = _monomials(max_weight)
-    pairs = [(m1, m2) for i, m1 in enumerate(mons) for m2 in mons[i:]]
-
-    t0 = time.perf_counter()
-    bad = sum(1 for m1, m2 in pairs
-              if not satoh_residual(APoly.monomial(m1),
-                                    APoly.monomial(m2)).is_zero())
-    out.append(_record("satoh-zero", "u *_h v = sigma(sigma(u) sh_h sigma(v))",
-                       bad, 0, 0.0, t0, residual=float(bad)))
-
-    t0 = time.perf_counter()
     small = _pairs(max_weight)
-    bad = sum(1 for m1, m2 in small
-              if shuffle(m1.to_hpoly(), m2.to_hpoly())
-              != shuffle(m2.to_hpoly(), m1.to_hpoly()))
-    out.append(_record("shuffle-commutative", "u sh_h v = v sh_h u",
-                       bad, 0, 0.0, t0, residual=float(bad)))
-
-    t0 = time.perf_counter()
-    bad = sum(1 for m1, m2 in small
-              if harmonic(APoly.monomial(m1), APoly.monomial(m2))
-              != harmonic(APoly.monomial(m2), APoly.monomial(m1)))
-    out.append(_record("harmonic-commutative", "u *_h v = v *_h u",
-                       bad, 0, 0.0, t0, residual=float(bad)))
-
     triples = [(m1, m2, m3)
                for i, m1 in enumerate(mons)
                for j, m2 in enumerate(mons[i:], i)
                for m3 in mons[j:]
                if m1.weight + m2.weight + m3.weight <= max_weight + 1]
-    t0 = time.perf_counter()
-    bad = sum(1 for m1, m2, m3 in triples
-              if shuffle(shuffle(m1.to_hpoly(), m2.to_hpoly()), m3.to_hpoly())
-              != shuffle(m1.to_hpoly(), shuffle(m2.to_hpoly(), m3.to_hpoly())))
-    out.append(_record("shuffle-associative",
-                       "(u sh_h v) sh_h w = u sh_h (v sh_h w)",
-                       bad, 0, 0.0, t0, residual=float(bad)))
-    t0 = time.perf_counter()
-    bad = 0
-    for m1, m2, m3 in triples:
-        a1, a2, a3 = (APoly.monomial(m) for m in (m1, m2, m3))
-        if harmonic(harmonic(a1, a2), a3) != harmonic(a1, harmonic(a2, a3)):
-            bad += 1
-    out.append(_record("harmonic-associative",
-                       "(u *_h v) *_h w = u *_h (v *_h w)",
-                       bad, 0, 0.0, t0, residual=float(bad)))
-
-    t0 = time.perf_counter()
-    bad = sum(1 for m in mons
-              if sigma(sigma(m.to_hpoly())) != m.to_hpoly())
-    out.append(_record("sigma-involution", "sigma(sigma(u)) = u",
-                       bad, 0, 0.0, t0, residual=float(bad)))
-
-    t0 = time.perf_counter()
-    bad = sum(1 for m in mons if APoly.from_hpoly(sigma(m.to_hpoly()))
-              != APoly.monomial(sigma_monomial(m)))
-    out.append(_record("sigma-block-form",
-                       "sigma reverses and swaps the (alpha, beta) blocks",
-                       bad, 0, 0.0, t0, residual=float(bad)))
-
-    t0 = time.perf_counter()
-    idx = [k + (last,)
-           for total in range(2, 7)
+    idx = [k + (last,) for total in range(2, 7)
            for last in range(2, total + 1)
            for k in _compositions_of(total - last)]
-    bad = sum(1 for k in idx if dual_index(dual_index(k)) != k)
-    out.append(_record("dual-involution", "(k_dual)_dual = k",
-                       bad, 0, 0.0, t0, residual=float(bad)))
+    singles = [(m,) for m in mons]
+    exact = [
+        ("satoh-zero", "u *_h v = sigma(sigma(u) sh_h sigma(v))",
+         [(m1, m2) for i, m1 in enumerate(mons) for m2 in mons[i:]],
+         lambda m1, m2: not satoh_residual(A(m1), A(m2)).is_zero()),
+        ("shuffle-commutative", "u sh_h v = v sh_h u", small,
+         lambda m1, m2: _sh(m1, m2) != _sh(m2, m1)),
+        ("harmonic-commutative", "u *_h v = v *_h u", small,
+         lambda m1, m2: _ha(m1, m2) != _ha(m2, m1)),
+        ("shuffle-associative", "(u sh_h v) sh_h w = u sh_h (v sh_h w)",
+         triples, lambda m1, m2, m3: (shuffle(_sh(m1, m2), m3.to_hpoly())
+                                      != shuffle(m1.to_hpoly(), _sh(m2, m3)))),
+        ("harmonic-associative", "(u *_h v) *_h w = u *_h (v *_h w)",
+         triples, lambda m1, m2, m3: (harmonic(_ha(m1, m2), A(m3))
+                                      != harmonic(A(m1), _ha(m2, m3)))),
+        ("sigma-involution", "sigma(sigma(u)) = u", singles,
+         lambda m: sigma(sigma(m.to_hpoly())) != m.to_hpoly()),
+        ("sigma-block-form",
+         "sigma reverses and swaps the (alpha, beta) blocks", singles,
+         lambda m: (APoly.from_hpoly(sigma(m.to_hpoly()))
+                    != A(sigma_monomial(m)))),
+        ("dual-involution", "(k_dual)_dual = k", [(k,) for k in idx],
+         lambda k: dual_index(dual_index(k)) != k),
+    ]
+    plan = [Check(name, anchor, _count(bad, cases), resid=_first)
+            for name, anchor, cases, bad in exact]
 
     qp = QParam()
     qtol = tol if tol is not None else 1e-8
-    t0 = time.perf_counter()
-    worst = _worst(abs(z_q_monomial(m, qp).value
-                       - z_q_monomial(sigma_monomial(m), qp).value)
-                   for m in mons)
-    out.append(_record("q-duality", "Z_q(sigma(m)) = Z_q(m)",
-                       worst, 0, qtol, t0, residual=worst))
-
-    t0 = time.perf_counter()
-    d_sh, d_ha, d_ds = [], [], []
-    for m1, m2 in small:
-        prod = z_q_monomial(m1, qp).value * z_q_monomial(m2, qp).value
-        sh = z_q(shuffle(m1.to_hpoly(), m2.to_hpoly()), qp)
-        ha = z_q(harmonic(APoly.monomial(m1), APoly.monomial(m2)), qp)
-        d_sh.append(abs(sh.value - prod))
-        d_ha.append(abs(ha.value - prod))
-        d_ds.append(abs(sh.value - ha.value))
-    worst_sh, worst_ha, worst_ds = _worst(d_sh), _worst(d_ha), _worst(d_ds)
-    out.append(_record("q-shuffle", "Z_q(u sh_h v) = Z_q(u) Z_q(v)",
-                       worst_sh, 0, qtol, t0, residual=worst_sh))
-    out.append(_record("q-harmonic", "Z_q(u *_h v) = Z_q(u) Z_q(v)",
-                       worst_ha, 0, qtol, time.perf_counter(),
-                       residual=worst_ha))
-    out.append(_record("q-double-shuffle", "Z_q(u sh_h v) = Z_q(u *_h v)",
-                       worst_ds, 0, qtol, time.perf_counter(),
-                       residual=worst_ds))
-    return out
+    plan.append(Check(
+        "q-duality", "Z_q(sigma(m)) = Z_q(m)",
+        (lambda: _worst(abs(z_q_monomial(m, qp).value
+                            - z_q_monomial(sigma_monomial(m), qp).value)
+                        for m in mons), ()),
+        tol=qtol, resid=_first))
+    battery = (_q_products, tuple(small), qp)
+    plan += [Check(name, anchor, _part(i, *battery), tol=qtol, resid=_first)
+             for i, (name, anchor) in enumerate((
+                 ("q-shuffle", "Z_q(u sh_h v) = Z_q(u) Z_q(v)"),
+                 ("q-harmonic", "Z_q(u *_h v) = Z_q(u) Z_q(v)"),
+                 ("q-double-shuffle", "Z_q(u sh_h v) = Z_q(u *_h v)")))]
+    return plan
 
 
 def _compositions_of(total):
     """All compositions of `total` into positive parts (empty for 0)."""
-    if total == 0:
-        return [()]
-    out = []
-    for first in range(1, total + 1):
-        for rest in _compositions_of(total - first):
-            out.append((first,) + rest)
-    return out
+    return [()] if total == 0 else [
+        (first,) + rest for first in range(1, total + 1)
+        for rest in _compositions_of(total - first)]
 
 
 # ---------------------------------------------------------------------------
 # Contour-integral batteries
 
+@_suite
 def suite_duality(omega, cfg, max_weight, order, seed, tol):
     p = OmegaParam(omega)
-    out = []
-    for m in _monomials(max_weight):
-        t0 = time.perf_counter()
-        a = Z_omega_monomial(m, p, cfg)
-        b = Z_omega_monomial(sigma_monomial(m), p, cfg)
-        t = _identity_tol(tol, a.err_estimate + b.err_estimate)
-        out.append(_record("duality %s" % (m,), "Z_w(sigma(m)) = Z_w(m)",
-                           b.value, a.value, t, t0))
-    for k in ((3,), (4,), (1, 3), (2, 2)):
-        t0 = time.perf_counter()
-        a = zeta_omega(k, p, cfg)
-        b = zeta_omega(dual_index(k), p, cfg)
-        t = _identity_tol(tol, a.err_estimate + b.err_estimate)
-        out.append(_record("zeta-duality %s" % ",".join(map(str, k)),
-                           "zeta_w(k_dual) = zeta_w(k)",
-                           b.value, a.value, t, t0))
-    return out
+    rule = _err_rule(tol, 1e-6, 5.0)
+    plan = [Check("duality %s" % (m,), "Z_w(sigma(m)) = Z_w(m)",
+                  _one(Z_omega_monomial, sigma_monomial(m), p, cfg),
+                  _one(Z_omega_monomial, m, p, cfg), rule)
+            for m in _monomials(max_weight)]
+    plan += [Check("zeta-duality %s" % _text(k), "zeta_w(k_dual) = zeta_w(k)",
+                   _one(zeta_omega, dual_index(k), p, cfg),
+                   _one(zeta_omega, k, p, cfg), rule)
+             for k in ((3,), (4,), (1, 3), (2, 2))]
+    return plan
 
 
-def _product_suite(kind, omega, cfg, max_weight, tol):
-    p = OmegaParam(omega)
-    out = []
-    for m1, m2 in _pairs(max_weight):
-        t0 = time.perf_counter()
-        z1 = Z_omega_monomial(m1, p, cfg)
-        z2 = Z_omega_monomial(m2, p, cfg)
-        prod = z1.value * z2.value
-        perr = _prod_err(z1, z2)
-        name = "%s %s | %s" % (kind, m1, m2)
-        if kind == "shuffle":
-            lhs = Z_omega(shuffle(m1.to_hpoly(), m2.to_hpoly()), p, cfg)
-            t = _identity_tol(tol, lhs.err_estimate + perr)
-            out.append(_record(name, "Z_w(u sh_h v) = Z_w(u) Z_w(v)",
-                               lhs.value, prod, t, t0))
-        elif kind == "harmonic":
-            lhs = Z_omega(harmonic(APoly.monomial(m1), APoly.monomial(m2)),
-                          p, cfg)
-            t = _identity_tol(tol, lhs.err_estimate + perr)
-            out.append(_record(name, "Z_w(u *_h v) = Z_w(u) Z_w(v)",
-                               lhs.value, prod, t, t0))
-        else:
-            sh = Z_omega(shuffle(m1.to_hpoly(), m2.to_hpoly()), p, cfg)
-            ha = Z_omega(harmonic(APoly.monomial(m1), APoly.monomial(m2)),
-                         p, cfg)
-            t = _identity_tol(tol, sh.err_estimate + ha.err_estimate)
-            out.append(_record(name, "Z_w(u sh_h v) = Z_w(u *_h v)",
-                               sh.value, ha.value, t, t0))
-    return out
+def _product_suite(kind, left, right, anchor):
+    """The battery over `_pairs`: Z_w of left(m1, m2) against Z_w of
+    right(m1, m2), or against Z_w(m1) Z_w(m2) if right is None."""
+    @_suite
+    def suite(omega, cfg, max_weight, order, seed, tol):
+        p = OmegaParam(omega)
+        rule = _err_rule(tol, 1e-6, 5.0)
+        return [Check("%s %s | %s" % (kind, m1, m2), anchor,
+                      _poly(left(m1, m2), p, cfg),
+                      _poly(right(m1, m2), p, cfg) if right else
+                      (_product, ((Z_omega_monomial, m1, p, cfg),
+                                  (Z_omega_monomial, m2, p, cfg))),
+                      rule)
+                for m1, m2 in _pairs(max_weight)]
+    return suite
 
 
-def suite_shuffle(omega, cfg, max_weight, order, seed, tol):
-    return _product_suite("shuffle", omega, cfg, max_weight, tol)
-
-
-def suite_harmonic(omega, cfg, max_weight, order, seed, tol):
-    return _product_suite("harmonic", omega, cfg, max_weight, tol)
-
-
-def suite_double_shuffle(omega, cfg, max_weight, order, seed, tol):
-    return _product_suite("double-shuffle", omega, cfg, max_weight, tol)
+suite_shuffle = _product_suite("shuffle", _sh, None,
+                               "Z_w(u sh_h v) = Z_w(u) Z_w(v)")
+suite_harmonic = _product_suite("harmonic", _ha, None,
+                                "Z_w(u *_h v) = Z_w(u) Z_w(v)")
+suite_double_shuffle = _product_suite("double-shuffle", _sh, _ha,
+                                      "Z_w(u sh_h v) = Z_w(u *_h v)")
 
 
 # ---------------------------------------------------------------------------
 # Hyperbolic gamma
 
+def _gamma_worst(f, rows, ctx):
+    """The side reading log G at the points of every row (z, u, ...):
+    the worst of f(z, log G(u), ...) over the rows."""
+    n = len(rows[0]) - 1
+    keys = tuple((log_G, u, ctx) for row in rows for u in row[1:])
+    return (lambda *logs: _worst(f(row[0], *logs[n * i:n * i + n])
+                                 for i, row in enumerate(rows)), keys)
+
+
+def _shift_ratio(c, d):
+    """|G(z)/G(z - shift) / (-2i sinh(c z + d)) - 1| from the two logs."""
+    return lambda z, a, b: abs(np.exp(a - b) / (-2j * np.sinh(c * z + d))
+                               - 1.0)
+
+
+@_suite
 def suite_gamma(omega, cfg, max_weight, order, seed, tol):
     p = OmegaParam(omega)
     ctx = GammaContext(p, cfg=cfg)
@@ -279,46 +342,33 @@ def suite_gamma(omega, cfg, max_weight, order, seed, tol):
     ims = s0 * np.array([-0.8, -0.4, 0.0, 0.4, 0.8])
     grid = [re + 1j * im for re in res for im in ims]
     t_exact = tol if tol is not None else 1e-8
-    out = []
-
-    t0 = time.perf_counter()
-    worst = _worst(abs(np.exp(log_G(z, ctx) + log_G(-z, ctx)) - 1.0)
-                   for z in grid)
-    out.append(_record("gamma-reflection", "G(z) G(-z) = 1",
-                       worst, 0, t_exact, t0, residual=worst))
-
-    t0 = time.perf_counter()
-    worst = _worst(
-        abs(np.exp(log_G(z, ctx) - log_G(z - 1j, ctx))
-            / (-2j * np.sinh(math.pi * w * z + 1j * math.pi * (1.0 - w) / 2))
-            - 1.0) for z in grid)
-    out.append(_record("gamma-shift-period-1",
-                       "G(z)/G(z - i) = -2i sinh(pi w z + pi i (1-w)/2)",
-                       worst, 0, t_exact, t0, residual=worst))
-
-    t0 = time.perf_counter()
-    worst = _worst(
-        abs(np.exp(log_G(z, ctx) - log_G(z - 1j / w, ctx))
-            / (-2j * np.sinh(math.pi * z + 1j * math.pi * (1.0 - 1.0 / w) / 2))
-            - 1.0) for z in grid)
-    out.append(_record("gamma-shift-period-1/w",
-                       "G(z)/G(z - i/w) = -2i sinh(pi z + pi i (1-1/w)/2)",
-                       worst, 0, t_exact, t0, residual=worst))
-
-    t0 = time.perf_counter()
     thr = _far_threshold(w)
     # just inside the far-field switch, so the strip quadrature is what
     # gets compared against the quadratic asymptotic
     far = [sgn * x + 1j * im for x in (0.45 * thr, 0.7 * thr, thr - 0.2)
            for im in (0.0, 0.3 * s0) for sgn in (1.0, -1.0)]
-    worst = _worst(abs(np.exp(log_G(z, ctx)
-                              - complex(_log_G_far(np.asarray(z), w))) - 1.0)
-                   for z in far)
-    out.append(_record(
+    plan = [Check(name, anchor, _gamma_worst(
+                      f, [(z, z, partner(z)) for z in grid], ctx),
+                  tol=t_exact, resid=_first)
+            for name, anchor, partner, f in (
+                ("gamma-reflection", "G(z) G(-z) = 1", operator.neg,
+                 lambda z, a, b: abs(np.exp(a + b) - 1.0)),
+                ("gamma-shift-period-1",
+                 "G(z)/G(z - i) = -2i sinh(pi w z + pi i (1-w)/2)",
+                 lambda z: z - 1j,
+                 _shift_ratio(math.pi * w, 1j * math.pi * (1.0 - w) / 2)),
+                ("gamma-shift-period-1/w",
+                 "G(z)/G(z - i/w) = -2i sinh(pi z + pi i (1-1/w)/2)",
+                 lambda z: z - 1j / w,
+                 _shift_ratio(math.pi, 1j * math.pi * (1.0 - 1.0 / w) / 2)))]
+    plan.append(Check(
         "gamma-asymptotic",
         "log G(z) ~ -i sgn(Re z)(pi w z^2/2 + pi(w + 1/w)/24)",
-        worst, 0, tol if tol is not None else 1e-3, t0, residual=worst))
-    return out
+        _gamma_worst(lambda z, a: abs(
+            np.exp(a - complex(_log_G_far(np.asarray(z), w))) - 1.0),
+            [(z, z) for z in far], ctx),
+        tol=tol if tol is not None else 1e-3, resid=_first))
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -337,20 +387,15 @@ def saalschutz_points(ob):
     ]
 
 
+@_suite
 def suite_saalschutz(omega, cfg, max_weight, order, seed, tol):
-    p = OmegaParam(omega)
-    ctx = GammaContext(p, cfg=cfg)
+    ctx = GammaContext(OmegaParam(omega), cfg=cfg)
     t = tol if tol is not None else 1e-5
-    out = []
-    for i, us in enumerate(saalschutz_points(ctx.omega_bar), 1):
-        t0 = time.perf_counter()
-        lhs, rhs = saalschutz_check(*us, ctx)
-        out.append(_record(
-            "saalschutz point %d" % i,
-            "int e^{(4i ob - S) pi i w u} G(u-u4)G(u-u5)"
-            "/(G(u+u1)G(u+u2)) du = closed product",
-            lhs.value, rhs, t, t0, relative=True))
-    return out
+    return [Check("saalschutz point %d" % i,
+                  "int e^{(4i ob - S) pi i w u} G(u-u4)G(u-u5)"
+                  "/(G(u+u1)G(u+u2)) du = closed product",
+                  *_halves(saalschutz_check, *us, ctx), t, _rel)
+            for i, us in enumerate(saalschutz_points(ctx.omega_bar), 1)]
 
 
 _OHNO_POINTS = [
@@ -360,154 +405,116 @@ _OHNO_POINTS = [
 ]
 
 
+@_suite
 def suite_ohno(omega, cfg, max_weight, order, seed, tol):
     p = OmegaParam(omega)
     ctx = GammaContext(p, cfg=cfg)
     t_rel = tol if tol is not None else 1e-4
-    out = []
-    for k in ((1,), (2,)):
-        for i, (lam, mu) in enumerate(_OHNO_POINTS, 1):
-            t0 = time.perf_counter()
-            op = OhnoParams(lam=lam, mu=mu)
-            lhs, rhs = initial_relation(k, op, ctx)
-            out.append(_record(
-                "initial k=(%s) point %d" % (",".join(map(str, k)), i),
-                "I(k, (1) | lam, mu) = d(lam, mu) O(k_up | lam, mu)",
-                lhs.value, rhs.value, t_rel, t0, relative=True))
+    initial = [(k, i, (initial_relation, k, OhnoParams(lam=lam, mu=mu), ctx))
+               for k in ((1,), (2,))
+               for i, (lam, mu) in enumerate(_OHNO_POINTS, 1)]
+    plan = [Check("initial k=(%s) point %d" % (_text(k), i),
+                  "I(k, (1) | lam, mu) = d(lam, mu) O(k_up | lam, mu)",
+                  *_halves(*call), t_rel, _rel)
+            for k, i, call in initial]
 
-    t0 = time.perf_counter()
     op = OhnoParams(lam=0.003 + 0.001j, mu=-0.002 + 0.0025j)
-    gen = ohno_generating((2,), op, p, cfg)
-    ser = ohno_series((2,), op, order, p, cfg)
-    t = tol if tol is not None else max(
-        1e-9, gen.err_estimate + ser.err_estimate)
-    out.append(_record(
+    plan.append(Check(
         "generating-vs-series k=(2)",
         "O(k | lam, mu) = sum_{m+n<=order} O_{m,n}(k) lam_hat^m mu_hat^n",
-        gen.value, ser.value, t, t0))
+        _one(ohno_generating, (2,), op, p, cfg),
+        _one(ohno_series, (2,), op, order, p, cfg), _err_rule(tol, 1e-9)))
 
-    t0 = time.perf_counter()
     # only the single-direction row is self-dual; mixed cells need the
     # tau correction layers checked by the extended-do suite.  Cells of
     # 2.4e3 near omega = 2 need rel_tol 1e-9 for a 1e-6 residual.
     row_cfg = QuadConfig(min(cfg.rel_tol, 1e-9), cfg.abs_tol)
-    diff = _worst(abs(double_ohno_sum((3,), m, 0, p, row_cfg).value
-                      - double_ohno_sum((1, 2), m, 0, p, row_cfg).value)
-                  for m in range(order + 1))
-    t = tol if tol is not None else 1e-6
-    out.append(_record("ohno-row-duality (3) vs (1,2)",
-                       "O_{m,0}(k) = O_{m,0}(k_dual)",
-                       diff, 0, t, t0, residual=diff))
-    out[-1].fingerprint = row_cfg.fingerprint()
-    return out
+    plan.append(Check(
+        "ohno-row-duality (3) vs (1,2)", "O_{m,0}(k) = O_{m,0}(k_dual)",
+        (lambda *v: _worst(abs(a.value - b.value)
+                           for a, b in zip(v[::2], v[1::2])),
+         tuple((double_ohno_sum, k, m, 0, p, row_cfg)
+               for m in range(order + 1) for k in ((3,), (1, 2)))),
+        tol=tol if tol is not None else 1e-6, resid=_first,
+        fingerprint=row_cfg.fingerprint()))
+    return plan
 
 
+@_suite
 def suite_transport(omega, cfg, max_weight, order, seed, tol):
-    p = OmegaParam(omega)
-    ctx = GammaContext(p, cfg=cfg)
+    ctx = GammaContext(OmegaParam(omega), cfg=cfg)
     rng = random.Random(seed)
-    rad = 0.006 + 0.006 * rng.random()
-    ang = 2.0 * math.pi * rng.random()
-    lam = rad * complex(math.cos(ang), math.sin(ang))
-    rad = 0.006 + 0.006 * rng.random()
-    ang = 2.0 * math.pi * rng.random()
-    mu = rad * complex(math.cos(ang), math.sin(ang))
-    op = OhnoParams(lam=lam, mu=mu)
+
+    def point():
+        rad = 0.006 + 0.006 * rng.random()
+        ang = 2.0 * math.pi * rng.random()
+        return rad * complex(math.cos(ang), math.sin(ang))
+    op = OhnoParams(lam=point(), mu=point())
     t = tol if tol is not None else 1e-4
-    out = []
     anchors = {
         1: "I(k_right, l) = I(k, l_up) + lam_hat mu_hat I(k_right_up, l_up)",
         2: "I(k_up, l) = I(k, l_right) - lam_hat mu_hat I(k_up, l_right_up)",
     }
-    for variant in (1, 2):
-        for k in ((1,), (2,)):
-            for l in ((1,), (2,)):
-                t0 = time.perf_counter()
-                lhs, rhs = transport_relation(k, l, op, ctx, variant=variant)
-                out.append(_record(
-                    "transport v%d k=(%s) l=(%s)"
-                    % (variant, ",".join(map(str, k)), ",".join(map(str, l))),
-                    anchors[variant], lhs.value, rhs.value, t, t0,
-                    relative=True))
-    return out
+    return [Check("transport v%d k=(%s) l=(%s)" % (v, _text(k), _text(l)),
+                  anchors[v], *_halves(transport_relation, k, l, op, ctx, v),
+                  t, _rel)
+            for v in (1, 2) for k in ((1,), (2,)) for l in ((1,), (2,))]
 
 
+@_suite
 def suite_extended_do(omega, cfg, max_weight, order, seed, tol):
     p = OmegaParam(omega)
-    out = []
-    t0 = time.perf_counter()
-    a = zeta_omega((4,), p, cfg)
-    b = zeta_omega((1, 3), p, cfg)
-    c = zeta_omega((2, 2), p, cfg)
-    t = tol if tol is not None else 1e-6
-    out.append(_record("zeta sum rule (4)=(1,3)+(2,2)",
-                       "zeta_w(4) = zeta_w(1,3) + zeta_w(2,2)",
-                       a.value, b.value + c.value, t, t0))
-
-    t0 = time.perf_counter()
     x, y = XSeries.word("x"), XSeries.word("y")
-    lhs_word = y * x * x
-    rhs_word = y * tau(x, order) * x
-    ta = omega_Omega(lhs_word, order, p, cfg)
-    tb = omega_Omega(rhs_word, order, p, cfg)
-    diff = ta.max_abs_diff(tb)
-    t = tol if tol is not None else 1e-5
-    out.append(_record("omega-table y x x vs y tau(x) x",
-                       "Omega(y w x) = Omega(y tau(w) x)",
-                       diff, 0, t, t0, residual=diff))
-    return out
+    return [
+        Check("zeta sum rule (4)=(1,3)+(2,2)",
+              "zeta_w(4) = zeta_w(1,3) + zeta_w(2,2)",
+              _one(zeta_omega, (4,), p, cfg),
+              (_sum, ((zeta_omega, (1, 3), p, cfg),
+                      (zeta_omega, (2, 2), p, cfg))),
+              tol if tol is not None else 1e-6),
+        Check("omega-table y x x vs y tau(x) x",
+              "Omega(y w x) = Omega(y tau(w) x)",
+              (lambda ta, tb: ta.max_abs_diff(tb),
+               ((omega_Omega, y * x * x, order, p, cfg),
+                (omega_Omega, y * tau(x, order) * x, order, p, cfg))),
+              tol=tol if tol is not None else 1e-5, resid=_first),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Classical limit
 
+@_suite
 def suite_limit(omega, cfg, max_weight, order, seed, tol):
     steps = (0.2, 0.1, 0.05, 0.02)
     pi26 = math.pi ** 2 / 6.0
     g1 = _monomials(1)[0]
-    gaps = []
-    mags = []
-    for w in steps:
-        p = OmegaParam(w)
-        gaps.append(abs(zeta_omega((2,), p, cfg).value - pi26))
-        mags.append(abs(p.hbar_value
-                        * Z_omega_monomial(g1, p, cfg).value))
-    out = []
-    for i in range(len(steps) - 1):
-        t0 = time.perf_counter()
-        out.append(_record(
-            "zeta2-limit step %g->%g" % (steps[i], steps[i + 1]),
-            "|zeta_w(2) - pi^2/6| decreases as w -> 0",
-            gaps[i + 1], gaps[i], 0.0, t0,
-            residual=gaps[i + 1] - gaps[i], passed=gaps[i + 1] < gaps[i]))
-        out.append(_record(
-            "hbar-g1-limit step %g->%g" % (steps[i], steps[i + 1]),
-            "|Z_w(h g_1)| decreases as w -> 0",
-            mags[i + 1], mags[i], 0.0, t0,
-            residual=mags[i + 1] - mags[i], passed=mags[i + 1] < mags[i]))
-    t0 = time.perf_counter()
-    out.append(_record("zeta2-limit final gap (documented)",
-                       "|zeta_w(2) - pi^2/6| at the smallest w",
-                       gaps[-1], 0, 1.0, t0, residual=gaps[-1]))
-    out.append(_record("hbar-g1-limit final gap (documented)",
-                       "|Z_w(h g_1)| at the smallest w",
-                       mags[-1], 0, 1.0, t0, residual=mags[-1]))
+    ps = [OmegaParam(w) for w in steps]
+    series = (
+        ("zeta2-limit", "|zeta_w(2) - pi^2/6|",
+         [(lambda z: abs(z.value - pi26), ((zeta_omega, (2,), p, cfg),))
+          for p in ps]),
+        ("hbar-g1-limit", "|Z_w(h g_1)|",
+         [(lambda z, p=p: abs(p.hbar_value * z.value),
+           ((Z_omega_monomial, g1, p, cfg),)) for p in ps]))
+    plan = [Check("%s step %g->%g" % (name, steps[i], steps[i + 1]),
+                  gap + " decreases as w -> 0", sides[i + 1], sides[i],
+                  resid=lambda lhs, rhs: (lhs - rhs).real, cmp=operator.lt)
+            for i in range(len(steps) - 1) for name, gap, sides in series]
+    plan += [Check(name + " final gap (documented)",
+                   gap + " at the smallest w", sides[-1], tol=1.0,
+                   resid=_first)
+             for name, gap, sides in series]
 
     n = 100_000
-    t0 = time.perf_counter()
-    a, b = mzv((1, 2), n), mzv((3,), n)
-    t = tol if tol is not None else 5.0 * (a.err_estimate + b.err_estimate)
-    out.append(_record("mzv-oracle 1,2=3", "zeta(1,2) = zeta(3)",
-                       a.value, b.value, t, t0))
-    t0 = time.perf_counter()
-    a = mzv((4,), n)
-    b, c = mzv((1, 3), n), mzv((2, 2), n)
-    t = tol if tol is not None else 5.0 * (a.err_estimate + b.err_estimate
-                                           + c.err_estimate)
-    out.append(_record("mzv-oracle 4=1,3+2,2",
-                       "zeta(4) = zeta(1,3) + zeta(2,2)",
-                       a.value, b.value + c.value, t, t0))
-    return out
+    plan += [Check("mzv-oracle 1,2=3", "zeta(1,2) = zeta(3)",
+                   _one(mzv, (1, 2), n), _one(mzv, (3,), n),
+                   _err_rule(tol, 0.0, 5.0)),
+             Check("mzv-oracle 4=1,3+2,2", "zeta(4) = zeta(1,3) + zeta(2,2)",
+                   _one(mzv, (4,), n),
+                   (_sum, ((mzv, (1, 3), n), (mzv, (2, 2), n))),
+                   _err_rule(tol, 0.0, 5.0))]
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -542,22 +549,14 @@ def run_suite(name, omega=1.0, cfg=None, max_weight=4, order=2, seed=0,
     (rel_tol 1e-7 and abs_tol 1e-9 for the connector suites, the
     default QuadConfig() for the rest), and each record carries the
     fingerprint of the configuration it ran at (a check that asks for
-    more accuracy than its suite names its own).  A suite that raises
-    QuadError yields one failed record whose `error` holds the message;
-    the others still run."""
+    more accuracy than its suite names its own).  The suites share one
+    value table, so each distinct value is evaluated once per run; a
+    value that raises QuadError fails exactly the checks that read it,
+    each with the message as its `error`, and no other."""
     if name != "all" and name not in SUITES:
         raise KeyError("unknown suite %r" % name)
-    out = []
+    table, out = {}, []
     for key in (SUITES if name == "all" else (name,)):
         scfg = cfg or _SUITE_CFG.get(key, QuadConfig())
-        t0 = time.perf_counter()
-        try:
-            records = SUITES[key](omega, scfg, max_weight, order, seed, tol)
-        except QuadError as exc:
-            records = [_record(key, "the suite raised QuadError", math.nan,
-                               math.nan, 0.0, t0, residual=math.nan)]
-            records[0].error = str(exc)
-        for rec in records:
-            rec.fingerprint = rec.fingerprint or scfg.fingerprint()
-        out.extend(records)
+        out += SUITES[key](omega, scfg, max_weight, order, seed, tol, table)
     return out

@@ -106,6 +106,31 @@ def test_store_keys_are_the_printed_monomials(tmp_path, monkeypatch):
     assert {rec["expr"] for _, _, rec in reloaded.entries.values()} == want
 
 
+def test_store_key_is_hashed_once_per_fresh_value(tmp_path, monkeypatch):
+    """A fresh value hashes its store key once, for the lookup and the
+    write together; a memo hit hashes nothing."""
+    calls = []
+    cache_key = cache.cache_key
+
+    def spy(*triple):
+        calls.append(triple)
+        return cache_key(*triple)
+
+    monkeypatch.setattr(cache, "cache_key", spy)
+    monkeypatch.setattr(cache, "_memo", cache.LRU(8))
+    store = cache.ValueCache(tmp_path / "values.jsonl")
+    monkeypatch.setattr(cache, "_ACTIVE", store)
+    p = OmegaParam(0.8)
+    zeta_omega((2,), p)
+    assert len(calls) == 1 and len(store) == 1
+    zeta_omega((2,), p)
+    assert len(calls) == 1
+    zeta_omega((3,), p)
+    assert len(calls) == 2 and len(store) == 2
+    reloaded = cache.ValueCache(tmp_path / "values.jsonl")
+    assert reloaded.entries.keys() == store.entries.keys()
+
+
 def source_cache_sites():
     """Every call of lru_cache or LRU, and every bare lru_cache decorator,
     in the package's source, as (file, line); and every use of

@@ -14,6 +14,7 @@ from omzv.ohno import clear_connector_cache
 from omzv.omega import clear_value_cache
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "verify_algebra.json"
+GOLDEN_ALL = pathlib.Path(__file__).parent / "data" / "verify_all_w1.json"
 
 VOLATILE_TOP = ("timestamp", "runtime_s")
 VOLATILE_CHECK = ("runtime_s",)
@@ -109,13 +110,18 @@ def test_eval_quad_error_is_exit_3(runner):
 def test_verify_quad_error_is_exit_3(runner):
     res = runner.invoke(cli, ["verify", "shuffle", "--omega", "0.0005"])
     assert res.exit_code == 3
-    # the report is still written, with the error as one failed check,
-    # and is strict JSON: its NaN residual is written as null
+    # the report is still written and is strict JSON: every check reads
+    # a value beyond the node budget, so each fails with its own error,
+    # NaN sides and a NaN residual, written as null
     report = json.loads(res.output, parse_constant=_reject_constant)
-    failed = [c for c in report["checks"] if not c["pass"]]
-    assert len(failed) == 1 and report["summary"]["failed"] == 1
-    assert "node budget" in failed[0]["error"]
-    assert failed[0]["residual"] is None
+    checks = report["checks"]
+    assert len(checks) > 1
+    assert report["summary"] == {"total": len(checks), "passed": 0,
+                                 "failed": len(checks)}
+    for c in checks:
+        assert not c["pass"] and "node budget" in c["error"]
+        assert c["residual"] is None
+        assert c["lhs"] == c["rhs"] == [None, None]
 
 
 def _reject_constant(name):
@@ -174,6 +180,26 @@ def test_verify_algebra_matches_golden(runner, tmp_path):
         assert got["rhs"] == pytest.approx(want["rhs"], abs=1e-12)
         assert got["residual"] == pytest.approx(want["residual"], abs=1e-12)
     assert all(c["pass"] for c in fresh["checks"])
+
+
+def test_verify_all_matches_golden(runner, tmp_path):
+    """Every suite at omega = 1 against the report of the suites as they
+    stood before they became value plans."""
+    out = tmp_path / "report.json"
+    res = runner.invoke(cli, ["verify", "all", "--out", str(out)])
+    assert res.exit_code == 0
+    fresh = strip_volatile(json.loads(out.read_text()))
+    golden = strip_volatile(json.loads(GOLDEN_ALL.read_text()))
+    assert fresh.keys() == golden.keys()
+    assert fresh["config"] == golden["config"]
+    assert fresh["summary"] == golden["summary"]
+    for got, want in zip(fresh["checks"], golden["checks"], strict=True):
+        assert got.keys() == want.keys()
+        for key in ("name", "anchor", "pass", "tolerance", "fingerprint"):
+            assert got[key] == want[key], got["name"]
+        assert got["lhs"] == pytest.approx(want["lhs"], abs=1e-12)
+        assert got["rhs"] == pytest.approx(want["rhs"], abs=1e-12)
+        assert got["residual"] == pytest.approx(want["residual"], abs=1e-12)
 
 
 def test_failed_check_is_exit_1(runner):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from omzv import (AMonomial, APoly, EvalResult, HbarLaurent, OmegaParam,
-                  QuadConfig, Z_omega, verify)
+                  QuadConfig, Z_omega, cache, verify)
 from omzv.quad import _worst
 
 
@@ -73,3 +73,45 @@ def test_monomials_print_as_text_in_messages_and_names():
         "zeta-duality 3", "zeta-duality 4", "zeta-duality 1,3",
         "zeta-duality 2,2"]
     assert all(r.passed for r in records)
+
+
+def test_connector_failure_fails_only_the_checks_that_read_it():
+    """At omega = 0.05 every connected integral overflows the float
+    range, which fails the six initial and eight transport checks, each
+    with its own error; the two ohno checks that read no connected
+    integral are judged as usual and pass."""
+    records = (verify.run_suite("ohno", 0.05)
+               + verify.run_suite("transport", 0.05))
+    assert len(records) == 16
+    passing = {"generating-vs-series k=(2)", "ohno-row-duality (3) vs (1,2)"}
+    for r in records:
+        if r.name in passing:
+            assert r.passed and not r.error and r.residual <= r.tolerance
+        else:
+            assert not r.passed
+            assert r.error == "Theta factor beyond the float range"
+            assert math.isnan(r.residual)
+            assert math.isnan(r.lhs.real) and math.isnan(r.rhs.real)
+    assert {r.name for r in records if r.passed} == passing
+
+
+def test_each_value_is_computed_once_per_run(monkeypatch):
+    """The run's value table, not the memo, dedupes: with a 4-entry memo
+    that the battery's order thrashes, each distinct value of the
+    double-shuffle battery is still computed once."""
+    computed = []
+    memoized = cache.memoized
+
+    def spy(expr, omega, cfg, compute, meta=None):
+        def counted():
+            computed.append((expr, omega, cfg))
+            return compute()
+        return memoized(expr, omega, cfg, counted, meta)
+
+    monkeypatch.setattr(cache, "_memo", cache.LRU(4))
+    monkeypatch.setattr(cache, "_ACTIVE", None)
+    monkeypatch.setattr(cache, "memoized", spy)
+    records = verify.run_suite("double-shuffle", 1.0, max_weight=3)
+    assert all(r.passed for r in records)
+    assert len(computed) > 4
+    assert len(computed) == len(set(computed))
