@@ -18,14 +18,12 @@ the classical values.  The package provides
 from .cache import ValueCache
 from .hypgamma import GammaContext, log_G
 from .ncseries import XSeries, tau, z_decompose
-from .ohno import (OhnoParams, OhnoTable, compositions, connected_expansion,
-                   connected_integral, d_norm, double_ohno_sum,
-                   initial_relation, ohno_generating, ohno_series,
-                   ohno_table, omega_Omega, saalschutz_check,
-                   transport_relation)
-from .omega import (OmegaParam, Z_omega, Z_omega_monomial,
-                    inverse_x_variable, zeta_omega)
-from .qseries import QParam, mzv, z_q, z_q_monomial
+from .ohno import (OhnoParams, OhnoTable, compositions, connected_integral,
+                   d_norm, double_ohno_sum, initial_relation,
+                   ohno_generating, ohno_series, ohno_table, omega_Omega,
+                   saalschutz_check, transport_relation)
+from .omega import OmegaParam, Z_omega, Z_omega_monomial, zeta_omega
+from .qseries import QParam, z_q, z_q_monomial
 from .quad import EvalResult, QuadConfig, QuadError
 from .verify import CheckRecord, SUITES, run_suite
 from .words import (AMonomial, APoly, HPoly, HbarLaurent,
@@ -43,11 +41,11 @@ __all__ = [
     "OmegaParam", "QParam", "QuadConfig", "QuadError", "SUITES",
     "ValueCache", "XSeries", "Z_omega", "Z_omega_monomial",
     "compositions",
-    "connected_expansion", "connected_integral", "d_norm",
+    "connected_integral", "d_norm",
     "double_ohno_sum", "dual_index", "harmonic",
     "index_to_e_word",
-    "initial_relation", "inverse_x_variable", "log_G",
-    "monomials_up_to_weight", "mzv", "ohno_generating", "ohno_series",
+    "initial_relation", "log_G",
+    "monomials_up_to_weight", "ohno_generating", "ohno_series",
     "ohno_table", "omega_Omega", "parse_amonomial", "parse_apoly",
     "parse_index",
     "run_suite",

@@ -48,9 +48,9 @@ __all__ = [
     "log_G",
 ]
 
-# Lines held by a context's line cache.  One connected expansion of
-# order 2 at omega = 0.6 and rel_tol 1e-7 keeps 204 lines (10.8 MB), the
-# tier-1 tests at most 166 (7.0 MB) in one context.
+# Lines held by a context's line cache.  The tests' connected expansion
+# of order 2 at omega = 0.6 and rel_tol 1e-7 keeps 204 lines (10.8 MB),
+# the tier-1 tests at most 166 (7.0 MB) in one context.
 LINE_CACHE_SIZE = 256
 
 

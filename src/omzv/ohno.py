@@ -13,9 +13,9 @@ Three layers:
     Omega(y w x) = Omega(y tau(w) x) is the extended double Ohno
     relation.
 
-Each coefficient table, O_{m,n}(k), Omega and the connected integral's
-Z_{m,n}, is an `OhnoTable`: a dict (m, n) -> EvalResult whose cells are
-summed by `EvalResult.combine`.  The connector functions take a
+Each coefficient table, O_{m,n}(k) and Omega, is an `OhnoTable`: a
+dict (m, n) -> EvalResult whose cells are summed by
+`EvalResult.combine`.  The connector functions take a
 `GammaContext` and compute everything, chains and log G lines, at its
 `cfg`, the configuration the memo and the store key their values by.
 
@@ -36,8 +36,7 @@ import numpy as np
 from . import cache as _cache
 from .hypgamma import log_G, log_G_line
 from .ncseries import z_decompose
-from .omega import (clear_value_cache, contour_offset, inverse_x_variable,
-                    zeta_omega)
+from .omega import clear_value_cache, contour_offset, zeta_omega
 from .quad import (TWO_PI, ChainStage, EvalResult, QuadConfig, QuadError,
                    cexpm1, chain_line_integral, geometric_factor,
                    _chain_grid, _chain_integral, _tilted_convolve, _worst)
@@ -57,7 +56,6 @@ __all__ = [
     "saalschutz_check",
     "ohno_table",
     "omega_Omega",
-    "connected_expansion",
     "clear_connector_cache",
 ]
 
@@ -486,41 +484,3 @@ def omega_Omega(w, order, p, cfg=None):
             terms.setdefault((m + j, n + j), []).append((complex(q), cell))
     return OhnoTable({cell: EvalResult.combine(pairs)
                       for cell, pairs in terms.items()})
-
-
-def connected_expansion(k, l, order, ctx, radius=None):
-    """Coefficients Z_{m,n} of I(k, l | lam, mu)/d(lam, mu) as a series
-    in the hatted variables: the trapezoid rule (a 2-D FFT) on the torus
-    of radius radius/2 in both, checked against the torus of radius
-    `radius`."""
-    if not 0 <= order <= 2:
-        raise ValueError("order must be >= 0 and <= 2, the expansion depth")
-    w = ctx.p.omega
-    if radius is None:
-        radius = min(1.0, 1.0 / w) / (16.0 * (len(k) + len(l) + 4))
-    npts = order + 3
-
-    def coeffs(rho):
-        # The npts x npts grid of roots of unity makes the monomials
-        # orthogonal, so truncation enters only through aliasing at
-        # exponent gap npts; two radii expose that error directly.
-        hats = rho * np.exp(2j * math.pi * np.arange(npts) / npts)
-        vals = np.empty((npts, npts), dtype=complex)
-        errpt = 0.0
-        for i, lh in enumerate(hats):
-            lam = complex(inverse_x_variable(lh, w))
-            for j, mh in enumerate(hats):
-                mu = complex(inverse_x_variable(mh, w))
-                conn = connected_integral(k, l, OhnoParams(lam, mu), ctx)
-                dd = d_norm(lam, mu, ctx)
-                vals[i, j] = conn.value / dd
-                errpt = max(errpt, conn.err_estimate / abs(dd))
-        m, n = np.indices(vals.shape)
-        return np.fft.fft2(vals) / npts ** 2 / rho ** (m + n), errpt
-
-    c_wide, _ = coeffs(radius)
-    c, errpt = coeffs(radius / 2.0)
-    return OhnoTable({
-        (m, n): EvalResult(c[m, n], abs(c[m, n] - c_wide[m, n])
-                           + errpt / max((radius / 2.0) ** (m + n), 1e-30))
-        for m in range(order + 1) for n in range(order + 1 - m)})

@@ -24,10 +24,6 @@ Re T_a = -a*eps of the cumulative points T_a = t_1 + ... + t_a, with
 the offset eps of `contour_offset`: by Cauchy the value does not depend on
 eps inside the pole-free region, so eps is chosen to hold the stack as
 far from every kernel pole as the geometry allows.
-
-The generating functions of these values are power series in the
-hatted variable (e^{2 pi i omega x} - 1)/(2 pi i omega);
-`inverse_x_variable` maps it back to x.
 """
 
 import math
@@ -47,7 +43,6 @@ __all__ = [
     "Z_omega_monomial",
     "Z_omega",
     "zeta_omega",
-    "inverse_x_variable",
     "clear_value_cache",
 ]
 
@@ -246,13 +241,3 @@ def zeta_omega(k, p, cfg=None):
 
     return _cache.memoized("zeta " + ",".join(str(e) for e in k), p.omega,
                            cfg, compute, {"index": k})
-
-
-# ---------------------------------------------------------------------------
-# Generating-function variables
-
-def inverse_x_variable(xhat, omega):
-    """Solve (e^{2 pi i w x} - 1)/(2 pi i w) = xhat for x (principal
-    branch; valid for small |xhat|)."""
-    w = TWO_PI * 1j * omega
-    return np.log(1.0 + w * xhat) / w

@@ -9,8 +9,7 @@ and to an admissible monomial u_1 ... u_r the nested sum over
 0 < m_1 < ... < m_r of prod_a F_q(u_a | m_a); the parameter h acts as
 multiplication by 1 - q.  These sums satisfy the same product and
 duality identities as the contour-integral model and serve as a cheap
-independent oracle.  Classical multiple zeta values (increasing-index
-convention) are provided for limit checks.
+independent oracle.
 """
 
 from dataclasses import dataclass
@@ -18,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quad import EvalResult
-from .words import APoly, AMonomial, check_index
+from .words import APoly, AMonomial
 
-__all__ = ["QParam", "z_q_monomial", "z_q", "mzv"]
+__all__ = ["QParam", "z_q_monomial", "z_q"]
 
 
 @dataclass(frozen=True)
@@ -79,24 +78,3 @@ def z_q(arg, p):
         [(coeff.eval(1.0 - p.q), z_q_monomial(mono, p))
          for mono, coeff in arg.t.items()],
         {"q": p.q, "n_terms": p.n_terms})
-
-
-def mzv(k, n_terms=10_000):
-    """Truncated multiple zeta value sum_{0<m_1<...<m_r} prod 1/m_a^{k_a}
-    (increasing-index convention, last entry >= 2), with a crude integral
-    tail bound."""
-    k = check_index(k)
-    ms = np.arange(1, n_terms + 1, dtype=float)
-    part = ms ** (-float(k[0]))
-    prev_total = 1.0
-    for e in k[1:]:
-        csum = np.cumsum(part)
-        prev_total = float(csum[-1])
-        prefix = np.concatenate(([0.0], csum[:-1]))
-        part = ms ** (-float(e)) * prefix
-    value = float(np.sum(part))
-    # tail over m_r > N with inner sums bounded by their running total
-    # (doubled for their own tails) and sum_{m>N} m^-k <= N^(1-k)/(k-1)
-    kr = k[-1]
-    tail = 2.0 * max(prev_total, 1.0) * n_terms ** (1 - kr) / (kr - 1)
-    return EvalResult(value + 0.0j, tail, {"n_terms": n_terms})

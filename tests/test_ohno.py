@@ -8,17 +8,18 @@ import math
 
 import pytest
 
-from omzv import ohno
 from omzv import (EvalResult, GammaContext, OhnoParams, OhnoTable,
                   OmegaParam, QuadConfig, QuadError, compositions, d_norm,
                   double_ohno_sum, dual_index, initial_relation,
                   ohno_generating, ohno_series, ohno_table, omega_Omega,
                   saalschutz_check, transport_relation, zeta_omega)
 from omzv.ncseries import XSeries, tau
-from omzv.ohno import (clear_connector_cache, connected_expansion,
-                       connected_integral)
+from omzv.ohno import clear_connector_cache, connected_integral
 from omzv.omega import contour_offset
 from omzv.verify import saalschutz_points
+
+import expansion
+from expansion import connected_expansion
 
 
 def test_compositions():
@@ -134,7 +135,7 @@ def test_connected_expansion_checks_its_order_first(ctx1, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("connected_integral evaluated")
 
-    monkeypatch.setattr(ohno, "connected_integral", fail)
+    monkeypatch.setattr(expansion, "connected_integral", fail)
     for order in (-1, 3):
         with pytest.raises(ValueError, match="order must be >= 0"):
             connected_expansion((1,), (1,), order, ctx1)
@@ -251,7 +252,7 @@ def test_connector_chain_depth_budget(ctx1):
     """A connector chain longer than quad._MAX_DIM raises like any other
     chain: every chain grid checks the depth."""
     with pytest.raises(QuadError, match="dimension above the supported"):
-        connected_integral((1, 1, 1, 1, 1, 1, 2), (1,), OhnoParams(), ctx1)
+        connected_integral((1,) * 8 + (2,), (1,), OhnoParams(), ctx1)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

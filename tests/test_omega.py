@@ -10,9 +10,10 @@ import pytest
 from omzv import (AMonomial, HPoly, HbarLaurent, OmegaParam, QuadConfig,
                   QuadError, Z_omega, Z_omega_monomial, dual_index,
                   index_to_e_word, parse_amonomial, zeta_omega)
-from omzv.omega import (clear_value_cache, contour_offset, decay_hint,
-                        inverse_x_variable, kernel_e)
+from omzv.omega import clear_value_cache, contour_offset, decay_hint, kernel_e
 from omzv.quad import ChainStage, cexpm1, chain_line_integral
+
+from expansion import inverse_x_variable
 
 PI = math.pi
 H = HbarLaurent.h
@@ -231,14 +232,34 @@ def zeta_at_offset(k, omega, eps, cfg=None):
 
 @pytest.mark.parametrize("omega", [0.3, 1.0, 1.9])
 @pytest.mark.parametrize("k", [(3,), (1, 2), (2, 3), (1, 2, 2),
-                               (1, 1, 2, 3)])
+                               (1, 1, 2, 3), (1, 1, 1, 1, 1, 1, 2),
+                               (2, 1, 3, 1, 1, 1, 2), (2, 2, 2, 2, 2, 2, 2),
+                               (1, 1, 1, 1, 1, 1, 1, 2),
+                               (1, 2, 1, 1, 2, 1, 1, 3),
+                               (3, 1, 2, 1, 1, 2, 1, 2)])
 def test_two_offsets_agree_within_estimates(k, omega):
     """By Cauchy the value does not depend on the offset, so the stacks at
     eps and 0.7 eps are two independent grids for one value: they differ
-    by at most the sum of their estimates."""
+    by at most the sum of their estimates.  That holds to depth 8, the
+    deepest chain quad._MAX_DIM admits (at most 0.41 of the sum here);
+    from depth 9 on the fixed rounding floor of the estimate no longer
+    covers the difference."""
     eps = contour_offset(omega, len(k))[0]
     a, b = (zeta_at_offset(k, omega, e) for e in (eps, 0.7 * eps))
     assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate
+
+
+@pytest.mark.parametrize("omega", [0.005, 0.02])
+def test_limit_identities_hold_near_zero(cfg, omega):
+    """zeta(1,2) = zeta(3) and zeta(4) = zeta(1,3) + zeta(2,2) hold for
+    the deformed values at every omega (duality and the sum formula), so
+    also close to the classical limit, within the summed estimates."""
+    p = OmegaParam(omega)
+    a, b = zeta_omega((1, 2), p, cfg), zeta_omega((3,), p, cfg)
+    assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate
+    c, d, e = (zeta_omega(k, p, cfg) for k in ((4,), (1, 3), (2, 2)))
+    assert (abs(c.value - d.value - e.value)
+            <= c.err_estimate + d.err_estimate + e.err_estimate)
 
 
 def quarter_eps(omega, depth):

@@ -1,12 +1,9 @@
 """q-model sums: independent oracle values, products, sigma duality."""
 
-import math
-
 import pytest
 
 from omzv import (AMonomial, APoly, HPoly, HbarLaurent, QParam, harmonic,
-                  mzv, parse_amonomial, shuffle, sigma_monomial, z_q,
-                  z_q_monomial)
+                  parse_amonomial, shuffle, sigma_monomial, z_q, z_q_monomial)
 from omzv.words import monomials_up_to_weight
 
 H = HbarLaurent.h
@@ -83,21 +80,3 @@ def test_rejections():
         QParam(n_terms=0)
     with pytest.raises(TypeError):
         z_q_monomial("G2", QParam())
-
-
-def test_mzv_zeta2():
-    r = mzv((2,))
-    assert abs(r.value - math.pi ** 2 / 6.0) <= r.err_estimate
-
-
-def test_mzv_euler_identity():
-    # zeta(1,2) = zeta(3) in the increasing-index convention
-    a, b = mzv((1, 2)), mzv((3,))
-    assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate
-
-
-def test_mzv_rejects_divergent():
-    with pytest.raises(ValueError):
-        mzv((2, 1))
-    with pytest.raises(ValueError):
-        mzv(())
