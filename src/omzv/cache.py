@@ -9,10 +9,11 @@ it to both.  A CLI run with --cache thereby reuses values across
 processes.
 
 The store is a JSON-lines file, one entry per line, keyed by a hash of
-the triple.  Readers are tolerant: a corrupt line, or one whose value
-or error is not finite, is dropped with a warning and the file is
-rewritten without it, so the value is recomputed and stored again on
-the next request.  Single-writer access is assumed.
+the triple.  Readers are tolerant: a corrupt line, one whose key is
+not a string, or one whose value or error is not finite, is dropped
+with a warning and the file is rewritten without it, so the value is
+recomputed and stored again on the next request.  Single-writer
+access is assumed.
 """
 
 import cmath
@@ -34,7 +35,8 @@ MEMO_SIZE = 1024
 class LRU:
     """Map of entries weighing at most `maxsize` in all (weight(value)
     each, 1 by default) that drops the least recently used ones to fit;
-    a heavier value is not kept.  Safe to share between threads."""
+    a value heavier than `maxsize` is not kept and drops no other entry.
+    Safe to share between threads."""
 
     def __init__(self, maxsize, weight=None):
         self.maxsize = maxsize
@@ -55,6 +57,8 @@ class LRU:
         with self._lock:
             if key in self._d:
                 self.total -= self.weight(self._d.pop(key))
+            if w > self.maxsize:
+                return
             self._d[key] = value
             self.total += w
             while self.total > self.maxsize:
@@ -96,6 +100,8 @@ class ValueCache:
                 try:
                     rec = json.loads(line)
                     key = rec["key"]
+                    if not isinstance(key, str):
+                        raise TypeError("key is not a string")
                     val = complex(rec["value"][0], rec["value"][1])
                     err = float(rec["err"])
                     if not (cmath.isfinite(val) and math.isfinite(err)):

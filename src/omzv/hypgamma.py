@@ -34,7 +34,6 @@ line shares one shift schedule, so evaluation is vectorized over Re z.
 """
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +84,7 @@ _CHIRP_MIN = 24
 # Trapezoid nodes per half-line beyond which the strip sum is refused.
 _MAX_NODES = 100_000
 # Functional-equation steps beyond which a shift path is refused: its
-# walk is a scalar loop, and its terms fill (steps x points) blocks.
+# terms fill (steps x points) blocks.
 _MAX_SHIFTS = 100_000
 
 
@@ -245,8 +244,9 @@ def log_G_line(re, im, ctx):
 
     The shift path takes big steps max(1, 1/w) while they end at or
     above -s0 (s0 the core band), then small ones min(1, 1/w) into the
-    band.  Its length is counted in closed form first, and a path of
-    more than _MAX_SHIFTS steps, like a non-finite argument, raises."""
+    band.  Its length is counted in closed form, and a path of more than
+    _MAX_SHIFTS steps, like a non-finite argument, raises; the path
+    walked is the counted one, its heights subtracted step by step."""
     re = np.atleast_1d(np.asarray(re, dtype=float))
     if not (math.isfinite(im) and np.isfinite(re).all()):
         raise QuadError("non-finite argument of log G", im=im)
@@ -261,19 +261,16 @@ def log_G_line(re, im, ctx):
     if n_big + n_small > _MAX_SHIFTS:
         raise QuadError("shift path of log G above step budget",
                         steps=n_big + n_small)
-    ys, scales = array("d"), array("d")     # Im zeta, scale of each step
-    im_cur = float(im)
-    while im_cur > s0 + 1e-12:
-        step = big if im_cur - big >= -s0 - 1e-12 else small
-        im_cur -= step
-        ys.append(im_cur + ctx.omega_bar)
-        scales.append(math.pi * w if step == 1.0 else math.pi)
+    steps = np.repeat([big, small], [n_big, n_small])
+    path = np.subtract.accumulate(np.concatenate([[float(im)], steps]))
+    im_cur = float(path[-1])
+    ys = path[1:] + ctx.omega_bar                   # Im zeta of each step
+    scales = np.where(steps == 1.0, math.pi * w, math.pi)
     # terms in blocks of 2^14 values (or one step), summed in path order
     acc = 0.0
     rows = max(1, (1 << 14) // re.size)
     for j in range(0, len(ys), rows):
-        y = np.frombuffer(ys)[j:j + rows, None]
-        zeta = np.frombuffer(scales)[j:j + rows, None] * (re + 1j * y)
+        zeta = scales[j:j + rows, None] * (re + 1j * ys[j:j + rows, None])
         # one 1-d call is faster than a 2-d one
         block = _log_m2i_sinh(zeta.ravel()).reshape(zeta.shape)
         block[0] += acc

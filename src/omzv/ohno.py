@@ -29,7 +29,7 @@ finishes the shared chain pass (`quad._chain_integral`) of both chains.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -60,8 +60,6 @@ __all__ = [
 ]
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # log of the largest float
-# Bound of the composition memo; tier-1 holds at most 9 entries.
-_COMPOSITIONS_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,6 @@ class OhnoTable(dict):
 # ---------------------------------------------------------------------------
 # Composition sums
 
-@lru_cache(maxsize=_COMPOSITIONS_CACHE_SIZE)
 def compositions(total, parts):
     """All tuples of `parts` non-negative integers summing to `total`,
     in lexicographic order."""

@@ -213,7 +213,7 @@ def _chain_value(stages, p, cfg):
         decay=(TWO_PI, decay_hint(p.omega)))
 
 
-def Z_omega(arg, p, cfg=None, mode="reduced"):
+def Z_omega(arg, p, cfg=None):
     """Linear extension over the admissible span; the coefficient ring
     Q[h] acts through h = 2 pi i omega.  Errors add up."""
     cfg = cfg or QuadConfig()
@@ -224,9 +224,9 @@ def Z_omega(arg, p, cfg=None, mode="reduced"):
         if not coeff.is_polynomial():
             raise ValueError("coefficient of %s has h^-1 terms" % (mono,))
     return EvalResult.combine(
-        [(coeff.eval(p.hbar_value), Z_omega_monomial(mono, p, cfg, mode))
+        [(coeff.eval(p.hbar_value), Z_omega_monomial(mono, p, cfg))
          for mono, coeff in arg.t.items()],
-        {"omega": p.omega, "mode": mode})
+        {"omega": p.omega, "mode": "reduced"})
 
 
 def zeta_omega(k, p, cfg=None):

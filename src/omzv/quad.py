@@ -15,13 +15,13 @@ tilt (`_tilted_convolve`), O(n log n) per stage.  A single line is the
 depth-1 chain, and an integral over the real axis is the line
 Re t = -eps with x = Im t.
 
-Each kernel is evaluated once per integral on the fine grid, and the
-measure kernel, which does not depend on omega, once per grid
-(`chain_tables`).  The error estimate compares the fine grid with the
-grids of step 2h and 4h, the fine grid with every other and every
-fourth node kept (trapezoid grids nest).  Their chains ride through the
-fine pass as two more rows, zero off their nodes, so each stage is one
-convolution of all three rows against the fine tables (`chain_pass`).
+One pass (`chain_rows`) evaluates each kernel once per integral on the
+fine grid, and the measure kernel, which does not depend on omega, once
+per grid.  The error estimate compares the fine grid with the grids of
+step 2h and 4h, the fine grid with every other and every fourth node
+kept (trapezoid grids nest).  Their chains ride through the fine pass as
+two more rows, zero off their nodes, so each stage is one convolution
+of all three rows against the fine tables.
 A diff table is one read-only `_Operand`, whose logarithm and hull serve
 every stage and every integral that reads it.
 
@@ -515,21 +515,35 @@ def _measure_operand(eps, h, n):
     return op
 
 
-def chain_tables(chains, eps, h, ys):
-    """Kernel tables of one or more chains (lists of ChainStage) on the
-    grid (h, ys), every kernel evaluated once.
+def chain_rows(chains, eps, h, ys):
+    """The chains (lists of ChainStage) on the grid (h, ys), each with
+    the chains of the nested grids of step 2h and 4h, every kernel
+    evaluated once.
 
     Each distinct diff kernel of a stage after the first is one
-    read-only `_Operand` on the 2n-1 differences h*k, |k| < n (formed
-    only for a table that is evaluated), shared by every stage and chain
-    that uses it; the measure kernel's (diff None) is the grid's one
-    operand, shared by every integral on it (`_measure_operand`).  A
-    first stage's diff kernel is the slice of that table on its line,
-    which holds exactly the same values h*k, or else is evaluated on the
-    line alone.  Stage a's cum kernel becomes a call that evaluates it on
-    the line Re T = -a*eps when the pass reaches the stage, so that one
-    full-length cum table is held at a time.  Returns one list of (diff,
-    cum) pairs per chain, cum None for the kernel 1.
+    read-only `_Operand` on the 2n-1 differences h*k, |k| < n, shared by
+    every stage and chain that uses it; the measure kernel's (diff None)
+    is the grid's one operand, shared by every integral on it
+    (`_measure_operand`).  A first stage's diff kernel is the slice of
+    that table on its line, which holds exactly the same values, or else
+    is evaluated on the line alone.  Stage a's cum kernel is evaluated
+    on the line Re T = -a*eps when the pass reaches it, so that one
+    full-length cum table is held at a time.
+
+    The coarse chains are two more rows on the fine grid, zeroed before
+    each convolution off the even nodes and off every fourth node (what
+    they hold there is never read).  n - 1 is a multiple of 4, so their
+    outputs on those nodes take only the differences on them, the tables
+    of step 2h and 4h.  All rows share one logarithm, hull and tilt plan
+    per stage (`_tilted_convolve`) and are multiplied by the same cum
+    values, as chi * cum in that operand order: a complex product rounds
+    differently with its operands swapped, and the fine row rounds as
+    the one-row chain does.  The coarse rows start at the first
+    convolution (before it they are subsamples of the fine row), and a
+    chain of depth 1 has the fine row for all three.
+
+    Returns per chain the three stage-r rows on the line Re T_r =
+    -r*eps; row l at every 2^l-th node is the chain of step 2^l h.
     """
     n = len(ys)
     first = n - 1 - int(round(-ys[0] / h))
@@ -538,53 +552,24 @@ def chain_tables(chains, eps, h, ys):
            for d in dict.fromkeys(st.diff for stages in chains
                                   for st in stages[1:])}
     lines = {}
+    steps = h * np.array([[1.0], [2.0], [4.0]])
     out = []
     for stages in chains:
         d = stages[0].diff
         if d not in lines:
             lines[d] = (ops[d].vals[first:first + n] if d in ops else
                         (measure_kernel if d is None else d)((-eps) + 1j * ys))
-        table = []
+        chi = lines[d]
         for a, st in enumerate(stages, start=1):
-            cum = st.cum and (lambda k=st.cum, z0=-a * eps: k(z0 + 1j * ys))
-            table.append((lines[d] if a == 1 else ops[st.diff], cum))
-        out.append(table)
+            if a > 1:
+                chi = np.array([chi] * 3) if a == 2 else chi
+                chi[1:, 1::2] = chi[2, 2::4] = 0.0
+                chi = _tilted_convolve(chi, ops[st.diff], n - 1,
+                                       2 * n - 1) * steps
+            if st.cum is not None:
+                chi = chi * st.cum(-a * eps + 1j * ys)
+        out.append((chi, chi, chi) if chi.ndim == 1 else tuple(chi))
     return out
-
-
-def chain_pass(table, h):
-    """Run the convolution chain on one chain's kernel tables (from
-    `chain_tables`) with grid step h, and with it the chains of the
-    nested grids of step 2h and 4h.
-
-    The coarse chains are two more rows on the fine grid, zeroed before
-    each convolution off the even nodes and off every fourth node (what
-    they hold there otherwise is never read).  n - 1 is a multiple of 4, so
-    the outputs of their convolution with the fine diff table on those
-    nodes take only the differences on them, the tables of step 2h and
-    4h: they are the coarse chains' stages.  All rows share one
-    logarithm, hull and tilt plan per stage (`_tilted_convolve`) and are
-    multiplied by the same cum values, as chi * c() in that operand
-    order: a complex product rounds differently with its operands
-    swapped, and the fine row rounds as the one-row chain does.  Up to
-    the first convolution the coarse chains are subsamples of the fine
-    one, so their rows start there, and a chain of depth 1 has the fine
-    row for all three.
-
-    Returns the three stage-r rows on the line Re T_r = -r*eps; row l
-    taken at every 2^l-th node is the chain of step 2^l h.
-    """
-    chi = table[0][0]
-    n = len(chi)
-    steps = h * np.array([[1.0], [2.0], [4.0]])
-    for a, (d, c) in enumerate(table):
-        if a:
-            chi = np.array([chi] * 3) if a == 1 else chi
-            chi[1:, 1::2] = chi[2, 2::4] = 0.0
-            chi = _tilted_convolve(chi, d, n - 1, 2 * n - 1) * steps
-        if c is not None:
-            chi = chi * c()
-    return (chi, chi, chi) if chi.ndim == 1 else tuple(chi)
 
 
 def _chain_integral(chains, eps, cfg, h, ys, finish, **meta):
@@ -594,7 +579,7 @@ def _chain_integral(chains, eps, cfg, h, ys, finish, **meta):
     finish(h, ys, rows) -> (value, tail, scale) turns the chains' last
     rows into the integral, a bound on its boundary tails and the sum of
     the magnitudes it added up, on the rows of step h, 2h and 4h
-    (`chain_pass`).  With e2 = |V_h - V_2h| and e4 = |V_2h - V_4h|, the
+    (`chain_rows`).  With e2 = |V_h - V_2h| and e4 = |V_2h - V_4h|, the
     estimate e2 (e2/e4)^2 is the error of V_h for a trapezoid error
     A e^{-c/h}; it is e2 when e4 <= e2.  Floored at 1e-13 of the fine
     scale (the rounding of the convolutions and the sum), it gives err =
@@ -607,7 +592,7 @@ def _chain_integral(chains, eps, cfg, h, ys, finish, **meta):
     nm = int(round(-ys[0] / h))
     refinements = 0
     while True:
-        rows = [chain_pass(t, h) for t in chain_tables(chains, eps, h, ys)]
+        rows = chain_rows(chains, eps, h, ys)
         nodes = len(ys)
         value, tail, scale = finish(h, ys, [r[0] for r in rows])
         _require_finite(value, tail, nodes=nodes, stage="fine")

@@ -55,11 +55,6 @@ def _rel(lhs, rhs):
     return abs(lhs - rhs) / max(abs(rhs), 1e-300)
 
 
-def _first(lhs, rhs):
-    """The lhs itself: a battery's failure count or worst case."""
-    return lhs.real
-
-
 @dataclass(frozen=True)
 class Check:
     """One identity of a plan.  Each side is a pair (f, keys): f of the
@@ -132,11 +127,6 @@ def _part(i, *call):
 def _halves(*call):
     """The two sides of a call returning (lhs, rhs)."""
     return _part(0, *call), _part(1, *call)
-
-
-def _sum(a, b):
-    """Two values added, with their estimates."""
-    return EvalResult(a.value + b.value, a.err_estimate + b.err_estimate)
 
 
 def _product(z1, z2):
@@ -244,7 +234,7 @@ def suite_algebra(omega, cfg, max_weight, order, seed, tol):
         ("dual-involution", "(k_dual)_dual = k", [(k,) for k in idx],
          lambda k: dual_index(dual_index(k)) != k),
     ]
-    plan = [Check(name, anchor, _count(bad, cases), resid=_first)
+    plan = [Check(name, anchor, _count(bad, cases))
             for name, anchor, cases, bad in exact]
 
     qp = QParam()
@@ -254,9 +244,9 @@ def suite_algebra(omega, cfg, max_weight, order, seed, tol):
         (lambda: _worst(abs(z_q_monomial(m, qp).value
                             - z_q_monomial(sigma_monomial(m), qp).value)
                         for m in mons), ()),
-        tol=qtol, resid=_first))
+        tol=qtol))
     battery = (_q_products, tuple(small), qp)
-    plan += [Check(name, anchor, _part(i, *battery), tol=qtol, resid=_first)
+    plan += [Check(name, anchor, _part(i, *battery), tol=qtol)
              for i, (name, anchor) in enumerate((
                  ("q-shuffle", "Z_q(u sh_h v) = Z_q(u) Z_q(v)"),
                  ("q-harmonic", "Z_q(u *_h v) = Z_q(u) Z_q(v)"),
@@ -349,7 +339,7 @@ def suite_gamma(omega, cfg, max_weight, order, seed, tol):
            for im in (0.0, 0.3 * s0) for sgn in (1.0, -1.0)]
     plan = [Check(name, anchor, _gamma_worst(
                       f, [(z, z, partner(z)) for z in grid], ctx),
-                  tol=t_exact, resid=_first)
+                  tol=t_exact)
             for name, anchor, partner, f in (
                 ("gamma-reflection", "G(z) G(-z) = 1", operator.neg,
                  lambda z, a, b: abs(np.exp(a + b) - 1.0)),
@@ -367,7 +357,7 @@ def suite_gamma(omega, cfg, max_weight, order, seed, tol):
         _gamma_worst(lambda z, a: abs(
             np.exp(a - complex(_log_G_far(np.asarray(z), w))) - 1.0),
             [(z, z) for z in far], ctx),
-        tol=tol if tol is not None else 1e-3, resid=_first))
+        tol=tol if tol is not None else 1e-3))
     return plan
 
 
@@ -435,7 +425,7 @@ def suite_ohno(omega, cfg, max_weight, order, seed, tol):
                            for a, b in zip(v[::2], v[1::2])),
          tuple((double_ohno_sum, k, m, 0, p, row_cfg)
                for m in range(order + 1) for k in ((3,), (1, 2)))),
-        tol=tol if tol is not None else 1e-6, resid=_first,
+        tol=tol if tol is not None else 1e-6,
         fingerprint=row_cfg.fingerprint()))
     return plan
 
@@ -469,15 +459,15 @@ def suite_extended_do(omega, cfg, max_weight, order, seed, tol):
         Check("zeta sum rule (4)=(1,3)+(2,2)",
               "zeta_w(4) = zeta_w(1,3) + zeta_w(2,2)",
               _one(zeta_omega, (4,), p, cfg),
-              (_sum, ((zeta_omega, (1, 3), p, cfg),
-                      (zeta_omega, (2, 2), p, cfg))),
+              (lambda a, b: EvalResult.combine([(1, a), (1, b)]),
+               ((zeta_omega, (1, 3), p, cfg), (zeta_omega, (2, 2), p, cfg))),
               tol if tol is not None else 1e-6),
         Check("omega-table y x x vs y tau(x) x",
               "Omega(y w x) = Omega(y tau(w) x)",
               (lambda ta, tb: ta.max_abs_diff(tb),
                ((omega_Omega, y * x * x, order, p, cfg),
                 (omega_Omega, y * tau(x, order) * x, order, p, cfg))),
-              tol=tol if tol is not None else 1e-5, resid=_first),
+              tol=tol if tol is not None else 1e-5),
     ]
 
 
@@ -502,8 +492,7 @@ def suite_limit(omega, cfg, max_weight, order, seed, tol):
                    resid=lambda lhs, rhs: (lhs - rhs).real, cmp=operator.lt)
              for i in range(len(steps) - 1) for name, gap, sides in series]
             + [Check(name + " final gap (documented)",
-                     gap + " at the smallest w", sides[-1], tol=1.0,
-                     resid=_first)
+                     gap + " at the smallest w", sides[-1], tol=1.0)
                for name, gap, sides in series])
 
 
@@ -531,15 +520,14 @@ _SUITE_CFG = dict.fromkeys(("saalschutz", "ohno", "transport"),
                            QuadConfig(rel_tol=1e-7, abs_tol=1e-9))
 
 
-def run_suite(name, omega=1.0, cfg=None, max_weight=4, order=2, seed=0,
-              tol=None):
+def run_suite(name, omega=1.0, max_weight=4, order=2, seed=0, tol=None):
     """Run one named suite (or "all") and return its CheckRecords.
 
-    Each suite runs at cfg if given, else at its own configuration
-    (rel_tol 1e-7 and abs_tol 1e-9 for the connector suites, the
-    default QuadConfig() for the rest), and each record carries the
-    fingerprint of the configuration it ran at (a check that asks for
-    more accuracy than its suite names its own).  The suites share one
+    Each suite runs at its own configuration (rel_tol 1e-7 and abs_tol
+    1e-9 for the connector suites, the default QuadConfig() for the
+    rest), and each record carries the fingerprint of the configuration
+    it ran at (a check that asks for more accuracy than its suite names
+    its own).  The suites share one
     value table, so each distinct value is evaluated once per run; a
     value that raises QuadError fails exactly the checks that read it,
     each with the message as its `error`, and no other."""
@@ -547,6 +535,6 @@ def run_suite(name, omega=1.0, cfg=None, max_weight=4, order=2, seed=0,
         raise KeyError("unknown suite %r" % name)
     table, out = {}, []
     for key in (SUITES if name == "all" else (name,)):
-        scfg = cfg or _SUITE_CFG.get(key, QuadConfig())
+        scfg = _SUITE_CFG.get(key, QuadConfig())
         out += SUITES[key](omega, scfg, max_weight, order, seed, tol, table)
     return out

@@ -727,9 +727,9 @@ def parse_amonomial(text):
 # ---------------------------------------------------------------------------
 # Enumeration
 
-def monomials_up_to_weight(w_max, admissible_only=True):
-    """All A-monomials of weight <= w_max (admissible ones by default),
-    sorted by weight then canonically.  Includes the empty monomial."""
+def monomials_up_to_weight(w_max):
+    """All admissible A-monomials of weight <= w_max, sorted by weight
+    then canonically.  Includes the empty monomial."""
     out = [AMonomial()]
     frontier = [AMonomial()]
     for _ in range(w_max):
@@ -740,6 +740,5 @@ def monomials_up_to_weight(w_max, admissible_only=True):
                     new.append(AMonomial(m + (k,)))
         frontier = new
         out.extend(new)
-    if admissible_only:
-        out = [m for m in out if m.is_admissible()]
+    out = [m for m in out if m.is_admissible()]
     return sorted(out, key=lambda m: (m.weight, m._order()))

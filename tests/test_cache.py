@@ -4,11 +4,14 @@ eviction."""
 import ast
 import importlib
 import inspect
+import json
 import math
 import pkgutil
 import sys
 import threading
 from pathlib import Path
+
+import pytest
 
 import omzv
 from omzv import (GammaContext, OmegaParam, Z_omega, cache, parse_apoly,
@@ -25,6 +28,21 @@ def test_lru_drops_least_recently_used():
     assert len(memo) == 2
     assert memo.get("b") is None
     assert memo.get("a") == 1 and memo.get("c") == 3
+
+
+def test_lru_refuses_only_an_oversize_value():
+    """A value heavier than the whole bound is not kept, and it drops
+    only an older entry under its own key, no other."""
+    memo = cache.LRU(10, weight=len)
+    memo.put("a", "xx")
+    memo.put("b", "yyy")
+    memo.put("big", "z" * 11)
+    assert memo.get("big") is None
+    assert memo.get("a") == "xx" and memo.get("b") == "yyy"
+    assert len(memo) == 2 and memo.total == 5
+    memo.put("a", "w" * 11)
+    assert memo.get("a") is None and memo.get("b") == "yyy"
+    assert len(memo) == 1 and memo.total == 3
 
 
 def test_lru_shared_between_threads():
@@ -129,6 +147,23 @@ def test_store_key_is_hashed_once_per_fresh_value(tmp_path, monkeypatch):
     assert len(calls) == 2 and len(store) == 2
     reloaded = cache.ValueCache(tmp_path / "values.jsonl")
     assert reloaded.entries.keys() == store.entries.keys()
+
+
+def test_store_drops_entries_whose_key_is_not_a_string(tmp_path):
+    """A store line whose key is a list, an object or a number is
+    dropped as corrupt with a warning, and the file is rewritten with
+    the good entries only."""
+    path = tmp_path / "values.jsonl"
+    good = {"key": "k", "expr": "zeta 2", "omega": "1.0", "fp": "f",
+            "value": [1.5, 0.25], "err": 1e-12}
+    bad = [dict(good, key=key) for key in (["k"], {"k": 1}, 7)]
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in [good] + bad))
+    with pytest.warns(UserWarning, match="dropped 3 corrupt entries"):
+        store = cache.ValueCache(path)
+    assert store.dropped == 3
+    assert store.get("k") == (1.5 + 0.25j, 1e-12)
+    assert [json.loads(line)["key"] for line in
+            path.read_text().splitlines()] == ["k"]
 
 
 def source_cache_sites():

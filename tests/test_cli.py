@@ -292,6 +292,8 @@ def test_cache_survives_corruption(runner, tmp_path):
 
     lines = store.read_text().splitlines()
     lines.insert(0, "{not json")
+    lines.insert(1, json.dumps({"key": ["k"], "value": [0.0, 0.0],
+                                "err": 0.0}))
     store.write_text("\n".join(lines) + "\n")
 
     fresh_memos()

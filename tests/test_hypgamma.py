@@ -220,13 +220,23 @@ def test_unbounded_shift_path_raises(omega, z):
 
 @pytest.mark.parametrize("omega, im, steps", [(1.0, 100.25, 100),
                                                (0.5, 200.25, 100),
-                                               (1.6, 100.0, 100)])
+                                               (1.6, 100.0, 100),
+                                               (0.3, 9.5, 5),
+                                               (0.6, 2.166666666666667, 2)])
 def test_shift_path_count_is_exact(monkeypatch, omega, im, steps):
     """The closed-form count is the length of the walk: a path of
-    exactly the budget runs, a budget one step shorter refuses it."""
+    exactly the budget runs and walks that many steps (one term per
+    step and point), a budget one step shorter refuses it.  The last
+    two heights end a big step on the core band's lower edge, where a
+    walk with its own stopping rule took fewer steps than the count."""
     ctx = make_ctx(omega)
+    walked = []
+    terms = hypgamma._log_m2i_sinh
+    monkeypatch.setattr(hypgamma, "_log_m2i_sinh",
+                        lambda v: walked.append(np.size(v)) or terms(v))
     monkeypatch.setattr(hypgamma, "_MAX_SHIFTS", steps)
     assert np.isfinite(log_G_line(np.array([0.3]), im, ctx)).all()
+    assert sum(walked) == steps
     monkeypatch.setattr(hypgamma, "_MAX_SHIFTS", steps - 1)
     with pytest.raises(QuadError, match="step budget"):
         log_G_line(np.array([0.3]), im, ctx)

@@ -569,8 +569,18 @@ def test_parse_inverts_the_printer(p, a):
     assert parse_apoly(str(a)) == a
 
 
+def all_monomials(max_weight):
+    """Every A-monomial of weight <= max_weight, admissible or not (E
+    weighs 1, G(k) weighs k), sorted by weight then canonically."""
+    out = [AMonomial()]
+    for m in out:                   # extended while it is walked
+        out += [AMonomial(m + (k,)) for k in range(max_weight - m.weight + 1)
+                if m.weight + (k or 1) <= max_weight]
+    return sorted(out, key=lambda m: (m.weight, m._order()))
+
+
 def test_to_hpoly_matches_reference():
-    mons = monomials_up_to_weight(6, admissible_only=False)
+    mons = all_monomials(6)
     assert len(mons) > 100 and not all(m.is_admissible() for m in mons)
     for m in mons:
         assert m.to_hpoly().t == ref_to_hpoly(m).t
