@@ -30,14 +30,18 @@ Python ints; a Fraction appears only where one is put in (a p/q in
 parsed text, or a non-integral rational passed by a caller).
 
 The products run on flat term dicts {(key, e): c}, key an a/b string
-(shuffle) or an A-monomial (harmonic), e the power of h.  The public
-functions flatten their HPoly/APoly arguments and group the result into
-HbarLaurent coefficients once, at return; `harmonic` and
-`APoly.from_hpoly` wrap the plain index tuples they make as AMonomials
-without checking them again.  The kernels are graded: their memos keep
-{key: count}, and `_product` puts the term k of k1 * k2 at
-h^(grade(k1) + grade(k2) - grade(k)), grade the length (shuffle) or the
-number of E's (harmonic); a final run of b peels whole.
+(shuffle) or an A-monomial (harmonic), e the power of h.  The kernels
+are graded: their memos keep {key: count}, summed with plain dict
+updates as counts never cancel, and `_product` puts the term k of
+k1 * k2 at h^(grade(k1) + grade(k2) - grade(k)), grade the length
+(shuffle) or the number of E's (harmonic); a final run of b peels
+whole.  One kernel call's keys are distinct, so `shuffle` and
+`harmonic` write a product of one-term arguments as {key: coefficient}
+at once; only longer arguments merge flat terms and group them.  A
+coefficient c*h^e of one power comes from the bounded table `_hpow`,
+shared by every result (an HbarLaurent is never changed), so no
+coefficient is made per term.  `harmonic` and `APoly.from_hpoly` wrap
+plain index tuples as AMonomials without checking them again.
 
 `parse_hpoly` and `parse_apoly` invert the one printer, `_LinComb.__str__`:
 
@@ -52,6 +56,7 @@ must be followed by a factor or a letter.
 """
 
 import functools
+import itertools
 import re
 from fractions import Fraction
 
@@ -80,8 +85,11 @@ __all__ = [
 # Bounds of the word-product memos, about twice what `omzv verify algebra
 # --max-weight 5` holds (15,170 and 8,878); tier-1 holds 20,938 and 9,582,
 # one algebra benchmark pass 5,149-5,275 and 1,957-2,035 (seeds 11-31).
+# The table of shared coefficients c*h^e holds 84 there, 201 at weight 6
+# and 220-224 in a benchmark pass; its bound is about four times that.
 _SHUFFLE_CACHE_SIZE = 32768
 _HARMONIC_CACHE_SIZE = 16384
+_HPOW_CACHE_SIZE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +146,13 @@ class _LinComb:
 
     @classmethod
     def _of(cls, x):
-        return x
+        """x as a `cls`: a number or an HbarLaurent times the unit key."""
+        if isinstance(x, cls):
+            return x
+        if isinstance(x, (int, Fraction, HbarLaurent)):
+            return cls({cls._UNIT: x})
+        raise TypeError("expected %s or a scalar, got %s"
+                        % (cls.__name__, type(x).__name__))
 
     @classmethod
     def zero(cls):
@@ -258,6 +272,13 @@ _H = HbarLaurent.h()
 _ONE = HbarLaurent.one()
 
 
+@functools.lru_cache(maxsize=_HPOW_CACHE_SIZE)
+def _hpow(e, c):
+    """c * h^e as one shared HbarLaurent; an integral Fraction c, equal
+    to and hashed as its int, finds the int's entry and is stored as it."""
+    return HbarLaurent._make({e: _rational(c)})
+
+
 # ---------------------------------------------------------------------------
 # Polynomials in the free letters a, b
 #
@@ -280,6 +301,7 @@ class HPoly(_LinComb):
 
     __slots__ = ()
     _UNIT = ""
+    _wrap = str
     _key = staticmethod(_ab_word)
     _coeff = staticmethod(HbarLaurent.of)
     _key_str = staticmethod(word_to_str)
@@ -303,22 +325,33 @@ def _flat(p):
 
 
 def _grouped(cls, t):
-    """Inverse of `_flat`: t as a `cls` with HbarLaurent coefficients."""
-    out = {}
+    """Inverse of `_flat`: t as a `cls` with HbarLaurent coefficients, its
+    keys made by `cls._wrap`."""
+    out, wrap = {}, cls._wrap
     for (k, e), c in t.items():
-        out.setdefault(k, {})[e] = c
-    return cls._make({k: HbarLaurent._make(q) for k, q in out.items()})
+        k = wrap(k)
+        q = out.get(k)
+        out[k] = _hpow(e, c) if q is None else q + _hpow(e, c)
+    return cls._make(out)
 
 
-def _product(kernel, grade, f1, f2):
-    """Bilinear extension of a graded word kernel to flat term dicts."""
+def _product(kernel, grade, f1, f2, cls=None):
+    """Bilinear extension of a graded word kernel to flat term dicts, as
+    flat terms or, given `cls`, as a `cls`; one kernel call's keys are
+    distinct, so a product of one-term arguments merges nothing."""
     t = {}
     for (k1, e1), c1 in f1.items():
         for (k2, e2), c2 in f2.items():
             c, s = c1 * c2, e1 + e2 + grade(k1) + grade(k2)
-            _merge(t, (((k, s - grade(k)), q * c)
-                       for k, q in kernel(k1, k2).items()))
-    return t
+            terms = kernel(k1, k2).items()
+            if len(f1) == len(f2) == 1:
+                if cls is None:
+                    return {(k, s - grade(k)): n * c for k, n in terms}
+                wrap = cls._wrap
+                return cls._make({wrap(k): _hpow(s - grade(k), n * c)
+                                  for k, n in terms})
+            _merge(t, (((k, s - grade(k)), n * c) for k, n in terms))
+    return t if cls is None else _grouped(cls, t)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +361,8 @@ def _product(kernel, grade, f1, f2):
 #   w*1 = 1*w = w
 #   (u b^m) sh w'    = (u sh w') b^m      (w1's run first, then w2's)
 #   (w a) sh (w' a)  = (w a sh w' + w sh w' a + (w sh w')) a
-# Memo values are shared, so a merge into one starts from a copy.
+# Memo values are shared and never changed; the counts are positive, so
+# a merge of them drops nothing.
 
 @functools.lru_cache(maxsize=_SHUFFLE_CACHE_SIZE)
 def _shuffle_terms(w1, w2):
@@ -338,17 +372,18 @@ def _shuffle_terms(w1, w2):
     run = w1[len(u):] or w2[len(v):]
     if run:
         t = _shuffle_terms(u, w2) if u != w1 else _shuffle_terms(w1, v)
-    else:
-        run, t = "a", dict(_shuffle_terms(w1[:-1], w2))
-        _merge(t, _shuffle_terms(w1, w2[:-1]).items())
-        _merge(t, _shuffle_terms(w1[:-1], w2[:-1]).items())
-    return {w + run: c for w, c in t.items()}
+        return {w + run: c for w, c in t.items()}
+    t = dict(_shuffle_terms(w1[:-1], w2))
+    for w, c in itertools.chain(_shuffle_terms(w1, w2[:-1]).items(),
+                                _shuffle_terms(w1[:-1], w2[:-1]).items()):
+        t[w] = t.get(w, 0) + c
+    return {w + "a": c for w, c in t.items()}
 
 
 def shuffle(p1, p2):
     """Bilinear extension of the word shuffle to HPoly arguments."""
-    return _grouped(HPoly, _product(_shuffle_terms, len, _flat(p1),
-                                    _flat(p2)))
+    return _product(_shuffle_terms, len, _flat(HPoly._of(p1)),
+                    _flat(HPoly._of(p2)), HPoly)
 
 
 # ---------------------------------------------------------------------------
@@ -380,21 +415,22 @@ class AMonomial(tuple):
         return m
 
     def _order(self):
-        """Canonical order: by length, then by letter indices."""
+        """Canonical order of a monomial or a plain tuple: by length,
+        then by letter indices."""
         return (len(self), tuple(self))
 
     # all four, or the tuple order (by indices alone) would fill the rest
     def __lt__(self, other):
-        return self._order() < other._order()
+        return self._order() < AMonomial._order(other)
 
     def __le__(self, other):
-        return self._order() <= other._order()
+        return self._order() <= AMonomial._order(other)
 
     def __gt__(self, other):
-        return self._order() > other._order()
+        return self._order() > AMonomial._order(other)
 
     def __ge__(self, other):
-        return self._order() >= other._order()
+        return self._order() >= AMonomial._order(other)
 
     @property
     def weight(self):
@@ -444,6 +480,8 @@ class APoly(_LinComb):
 
     __slots__ = ()
     _UNIT = AMonomial()
+    # a plain index tuple as a monomial, unchecked
+    _wrap = functools.partial(tuple.__new__, AMonomial)
     _coeff = staticmethod(HbarLaurent.of)
     _key_str = str
     _sort_key = staticmethod(AMonomial._order)
@@ -478,10 +516,10 @@ class APoly(_LinComb):
         terms in canonical order: each maximal block b a^k becomes G(k),
         a bare b becomes h^-1 * E."""
         t = {}
-        for (w, e), c in _flat(p).items():
+        for (w, e), c in _flat(HPoly._of(p)).items():
             if w and w[0] != "b":
                 raise ValueError("word %r does not start with b" % w)
-            m = tuple.__new__(AMonomial, map(len, w.split("b")[1:]))
+            m = tuple(map(len, w.split("b")[1:]))
             t[m, e - m.count(0)] = c
         return APoly._make(dict(_grouped(APoly, t).items_sorted()))
 
@@ -503,9 +541,11 @@ def _harmonic_terms(l1, l2):
         return {l1 + l2: 1}
     u, v, w = l1[-1:], l2[-1:], (l1[-1] + l2[-1],)
     t = {m + u: c for m, c in _harmonic_terms(l1[:-1], l2).items()}
-    _merge(t, ((m + v, c) for m, c in _harmonic_terms(l1, l2[:-1]).items()))
-    _merge(t, ((m + w, c)
-               for m, c in _harmonic_terms(l1[:-1], l2[:-1]).items()))
+    for x, sub in ((v, _harmonic_terms(l1, l2[:-1])),
+                   (w, _harmonic_terms(l1[:-1], l2[:-1]))):
+        for m, c in sub.items():
+            m += x
+            t[m] = t.get(m, 0) + c
     return t
 
 
@@ -524,9 +564,8 @@ def _ab_terms(t):
 
 def harmonic(p1, p2):
     """Bilinear extension of the harmonic product to APoly arguments."""
-    t = _product(_harmonic_terms, _e_count, _flat(p1), _flat(p2))
-    return _grouped(APoly, {(tuple.__new__(AMonomial, m), e): c
-                            for (m, e), c in t.items()})
+    return _product(_harmonic_terms, _e_count, _flat(APoly._of(p1)),
+                    _flat(APoly._of(p2)), APoly)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +584,7 @@ def sigma(p):
     """Antiautomorphism: reverse each word, swap a <-> b, and multiply the
     coefficient by h**(#a - #b).  sigma is Q[h,h^-1]-linear and an
     involution."""
-    return _grouped(HPoly, _sigma_terms(_flat(p)))
+    return _grouped(HPoly, _sigma_terms(_flat(HPoly._of(p))))
 
 
 def sigma_monomial(m):
@@ -563,8 +602,7 @@ def satoh_residual(p1, p2):
     monomials with h-polynomial coefficients; the result is identically
     zero.  Both sides are compared as flat a/b terms.
     """
-    a1 = p1 if isinstance(p1, APoly) else APoly.from_hpoly(p1)
-    a2 = p2 if isinstance(p2, APoly) else APoly.from_hpoly(p2)
+    a1, a2 = APoly.of(p1), APoly.of(p2)
     for ap in (a1, a2):
         for m, c in ap.t.items():
             if not m.is_admissible():
@@ -575,6 +613,8 @@ def satoh_residual(p1, p2):
     t = _ab_terms(_product(_harmonic_terms, _e_count, f1, f2))
     s1, s2 = (_sigma_terms(_ab_terms(f)) for f in (f1, f2))
     sh = _sigma_terms(_product(_shuffle_terms, len, s1, s2))
+    if t == sh:
+        return HPoly()
     _merge(t, ((k, -c) for k, c in sh.items()))
     return _grouped(HPoly, t)
 
@@ -586,8 +626,9 @@ def check_index(k, admissible=True):
     """k as a tuple of integers >= 1, non-empty; when `admissible`, also
     with last entry >= 2, the condition for the nested sums and
     integrals to converge.  Raises ValueError otherwise."""
-    k = tuple(int(e) for e in k)
-    if not k or any(e < 1 for e in k):
+    entries = tuple(k)
+    k = tuple(int(e) for e in entries)
+    if k != entries or not k or any(e < 1 for e in k):
         raise ValueError("index entries must be integers >= 1")
     if admissible and k[-1] < 2:
         raise ValueError("index %r is not admissible (last entry must be "

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 from click.testing import CliRunner
 
+import omzv
 from omzv import OmegaParam, zeta_omega
 from omzv.cli import cli
 from omzv.ohno import clear_connector_cache
@@ -200,6 +204,19 @@ def test_verify_all_matches_golden(runner, tmp_path):
         assert got["lhs"] == pytest.approx(want["lhs"], abs=1e-12)
         assert got["rhs"] == pytest.approx(want["rhs"], abs=1e-12)
         assert got["residual"] == pytest.approx(want["residual"], abs=1e-12)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    """`python -m omzv` is the command line tool."""
+    src = str(pathlib.Path(omzv.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = tmp_path / "report.json"
+    res = subprocess.run([sys.executable, "-m", "omzv", "verify", "algebra",
+                          "--max-weight", "2", "--out", str(out)],
+                         env=env, capture_output=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(out.read_text())["summary"]["failed"] == 0
 
 
 def test_failed_check_is_exit_1(runner):

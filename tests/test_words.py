@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omzv import (AMonomial, APoly, HPoly, HbarLaurent, XSeries,
+from omzv import (AMonomial, APoly, HPoly, HbarLaurent, OmegaParam, XSeries,
                   dual_index, harmonic, index_to_e_word,
-                  monomials_up_to_weight, parse_amonomial, parse_apoly,
-                  parse_index, satoh_residual, shuffle, sigma,
-                  sigma_monomial)
+                  monomials_up_to_weight, ohno_table, parse_amonomial,
+                  parse_apoly, parse_index, satoh_residual, shuffle, sigma,
+                  sigma_monomial, zeta_omega)
 from omzv import words
-from omzv.words import E, G, parse_hpoly
+from omzv.words import E, G, check_index, parse_hpoly
 
 H = HbarLaurent.h
 
@@ -194,6 +194,133 @@ def test_graded_kernels_match_the_letter_kernels_in_order():
     assert _terms_in_order(harmonic(a, a)) == _grouped_in_order(want)
 
 
+# -- the previous product path -----------------------------------------------
+#
+# The products as they ran on flat term dicts, merged by `_merge` and
+# grouped at return, over the memo kernels of omzv.words: the one-pass
+# products must give the same keys and coefficients in the same order,
+# of the same types except that an integral Fraction is now an int.
+
+def _old_merge(t, pairs):
+    for k, c in pairs:
+        s = t.get(k)
+        s = c if s is None else s + c
+        if s:
+            t[k] = s
+        else:
+            t.pop(k, None)
+    return t
+
+
+def _old_flat(p):
+    return {(k, e): c for k, q in p.t.items() for e, c in q.t.items()}
+
+
+def _old_grouped(cls, t):
+    out = {}
+    for (k, e), c in t.items():
+        out.setdefault(k, {})[e] = c
+    return cls._make({k: HbarLaurent._make(q) for k, q in out.items()})
+
+
+def _old_product(kernel, grade, f1, f2):
+    t = {}
+    for (k1, e1), c1 in f1.items():
+        for (k2, e2), c2 in f2.items():
+            c, s = c1 * c2, e1 + e2 + grade(k1) + grade(k2)
+            _old_merge(t, (((k, s - grade(k)), q * c)
+                           for k, q in kernel(k1, k2).items()))
+    return t
+
+
+def _old_ab_terms(t):
+    return {("".join(["b" + "a" * k for k in m]), e + m.count(0)): c
+            for (m, e), c in t.items()}
+
+
+def old_shuffle(p1, p2):
+    return _old_grouped(HPoly, _old_product(
+        words._shuffle_terms, len, _old_flat(p1), _old_flat(p2)))
+
+
+def old_harmonic(p1, p2):
+    t = _old_product(words._harmonic_terms, lambda m: m.count(0),
+                     _old_flat(p1), _old_flat(p2))
+    return _old_grouped(APoly, {(tuple.__new__(AMonomial, m), e): c
+                                for (m, e), c in t.items()})
+
+
+def old_sigma(p):
+    swap = str.maketrans("ab", "ba")
+    return _old_grouped(HPoly, {
+        (w[::-1].translate(swap), e + 2 * w.count("a") - len(w)): c
+        for (w, e), c in _old_flat(p).items()})
+
+
+def old_to_hpoly(a):
+    return _old_grouped(HPoly, _old_ab_terms(_old_flat(a)))
+
+
+def old_from_hpoly(p):
+    t = {}
+    for (w, e), c in _old_flat(p).items():
+        m = tuple.__new__(AMonomial, map(len, w.split("b")[1:]))
+        t[m, e - m.count(0)] = c
+    return APoly._make(dict(_old_grouped(APoly, t).items_sorted()))
+
+
+def _typed_terms(p, normal=False):
+    """The terms of p in order with the types of their keys and values;
+    `normal` first takes an integral Fraction to its int."""
+    terms = _terms_in_order(p)
+    if normal:
+        terms = [(k, int(c) if c == int(c) else c) for k, c in terms]
+    return terms, [(type(k), type(c)) for (k, _), c in terms]
+
+
+def assert_same_as_old(h1, h2, a1, a2, normal=False):
+    """Both products, then the unary maps on their first arguments."""
+    pairs = [(shuffle(h1, h2), old_shuffle(h1, h2)),
+             (harmonic(a1, a2), old_harmonic(a1, a2)),
+             (sigma(h1), old_sigma(h1)), (a1.to_hpoly(), old_to_hpoly(a1))]
+    if all(w[:1] in ("", "b") for w in h1.t):
+        pairs.append((APoly.from_hpoly(h1), old_from_hpoly(h1)))
+    for new, old in pairs:
+        assert _typed_terms(new) == _typed_terms(old, normal)
+
+
+def test_products_match_the_previous_path_on_the_battery():
+    """The 4,005 monomial pairs of the weight <= 5 battery; the unary maps
+    on each monomial, and on its products with the word b b a and with
+    E G2, sums of many terms."""
+    mons = monomials_up_to_weight(5)
+    for m1, m2 in itertools.combinations_with_replacement(mons, 2):
+        assert_same_as_old(m1.to_hpoly(), m2.to_hpoly(),
+                           APoly.monomial(m1), APoly.monomial(m2))
+    for m in mons:
+        sh = shuffle(m.to_hpoly(), HPoly({"bba": 1}))
+        ha = harmonic(APoly.monomial(m), APoly({(0, 2): 1}))
+        assert _typed_terms(sigma(sh)) == _typed_terms(old_sigma(sh))
+        assert (_typed_terms(APoly.from_hpoly(sh))
+                == _typed_terms(old_from_hpoly(sh)))
+        assert _typed_terms(ha.to_hpoly()) == _typed_terms(old_to_hpoly(ha))
+
+
+def test_shared_coefficients_stay_unchanged():
+    """Results share their one-power coefficients; arithmetic on one
+    result changes no coefficient of another."""
+    h1, h2 = (parse_amonomial(s).to_hpoly() for s in ("E G2 G1", "G1 G2"))
+    p, q = shuffle(h1, h2), shuffle(h2, h1)
+    assert all(q.t[w] is c for w, c in p.t.items())
+    before = [(w, dict(c.t)) for w, c in q.t.items()]
+    made = [p + p, p - q, p * p, -p, p + 1, p * 2, p * HPoly.word("b")]
+    for c in p.t.values():
+        made += [c + c, c - c, c * c, -c, c * H(1), 2 * c, 1 - c]
+    assert [(w, dict(c.t)) for w, c in q.t.items()] == before
+    assert words._hpow(3, Fraction(6, 2)) is words._hpow(3, 3)
+    assert type(words._hpow(3, 3).t[3]) is int
+
+
 def test_kernel_memos_stay_small():
     """The weight <= 4 Satoh battery on cleared memos: the letter-by-letter
     kernels traced a peak of 9.6 MiB, the graded ones 6.3 MiB."""
@@ -255,6 +382,58 @@ def test_parsed_fraction_stays_fraction():
     # an integral p/q is stored as an int
     assert type(parse_hpoly("4/2 b").t["b"].t[0]) is int
     assert str(parse_hpoly("-1/2*h b a + 3 b")) == "3*b - 1/2*h*b a"
+
+
+def test_integral_fraction_products_are_int():
+    """Products whose Fraction coefficients multiply to an integer hold
+    an int, as every constructor would."""
+    polys = [harmonic(parse_apoly("2/3 G1"), parse_apoly("3/2 G2")),
+             shuffle(parse_hpoly("2/3 b"), parse_hpoly("3/2 a")),
+             shuffle(parse_hpoly("2/3 b + 4/3 a"), parse_hpoly("3/2 a + 3 b")),
+             harmonic(parse_apoly("1/2 G1 + 1/2 E G1"), parse_apoly("2 G1"))]
+    rationals = [q for p in polys for c in p.t.values() for q in c.t.values()]
+    assert len(rationals) > 10
+    assert all(type(q) is int for q in rationals)
+
+
+def test_scalar_operands():
+    """A number or an HbarLaurent is that multiple of the unit; any other
+    operand is a TypeError."""
+    a = HPoly.word("a")
+    assert a + 1 == HPoly({"a": 1, "": 1})
+    assert a - Fraction(1, 2) == HPoly({"a": 1, "": Fraction(-1, 2)})
+    assert a * 2 == HPoly.word("a", 2) and a * H(1) == HPoly.word("a", H(1))
+    assert APoly.one() + 1 == APoly.monomial(AMonomial(), 2)
+    assert shuffle(HPoly.word("ab"), 2) == HPoly.word("ab", 2)
+    assert harmonic(APoly.one(), H(-1)) == APoly.monomial((), H(-1))
+    for bad in ("a", 1.5, None, [1]):
+        with pytest.raises(TypeError):
+            a + bad
+        with pytest.raises(TypeError):
+            APoly.one() + bad
+    for f, x, bad in ((shuffle, a, "ab"), (harmonic, APoly.one(), a),
+                      (satoh_residual, APoly.one(), "G2")):
+        with pytest.raises(TypeError):
+            f(x, bad)
+    with pytest.raises(TypeError):
+        sigma(APoly.one())
+    # a plain tuple is ordered as the monomial it equals
+    assert AMonomial((1,)) < (2,) and AMonomial((3,)) < (1, 1)
+    assert (1, 1) > AMonomial((3,)) and AMonomial((1, 1)) >= (3,)
+    assert sorted([(1, 1), AMonomial((3,))]) == [(3,), (1, 1)]
+
+
+def test_check_index_rejects_non_integral_entries():
+    assert check_index((2.0, 3)) == (2, 3)
+    assert type(check_index((2.0,))[0]) is int
+    for bad in ((2.7,), (1, Fraction(5, 2)), (1, 2.5)):
+        with pytest.raises(ValueError):
+            check_index(bad)
+    p = OmegaParam(1.0)
+    with pytest.raises(ValueError):
+        zeta_omega((2.7,), p)
+    with pytest.raises(ValueError):
+        ohno_table((2.5,), 1, p)
 
 
 # -- shuffle ----------------------------------------------------------------
@@ -560,6 +739,15 @@ def test_kernels_match_reference_on_polys(h1, h2, a1, a2):
             == ref_shuffle(h1 + h2, h1 - h2).t)
     assert (harmonic(a1 + a2, a1 - a2).t
             == ref_harmonic(a1 + a2, a1 - a2).t)
+
+
+@given(hpolys, hpolys, apolys, apolys)
+@settings(max_examples=40, deadline=None)
+def test_products_match_the_previous_path_on_polys(h1, h2, a1, a2):
+    """Signed, Fraction and h^-1 coefficients; in a product of a sum and
+    a difference the cross terms cancel."""
+    assert_same_as_old(h1, h2, a1, a2, normal=True)
+    assert_same_as_old(h1 + h2, h1 - h2, a1 + a2, a1 - a2, normal=True)
 
 
 @given(hpolys, apolys)
