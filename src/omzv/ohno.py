@@ -320,10 +320,7 @@ def connected_integral(k, l, op, ctx, eps=None):
     the hbar prefactor as finisher, at the tolerance `ctx.cfg`; a chain
     may not exceed _MAX_DIM.
     """
-    k = tuple(int(e) for e in k)
-    l = tuple(int(e) for e in l)
-    if not k or not l or min(k) < 1 or min(l) < 1:
-        raise QuadError("index entries must be >= 1", k=k, l=l)
+    k, l = check_index(k, admissible=False), check_index(l, admissible=False)
     cfg = ctx.cfg
     p = ctx.p
     w = p.omega

@@ -35,13 +35,15 @@ are graded: their memos keep {key: count}, summed with plain dict
 updates as counts never cancel, and `_product` puts the term k of
 k1 * k2 at h^(grade(k1) + grade(k2) - grade(k)), grade the length
 (shuffle) or the number of E's (harmonic); a final run of b peels
-whole.  One kernel call's keys are distinct, so `shuffle` and
-`harmonic` write a product of one-term arguments as {key: coefficient}
-at once; only longer arguments merge flat terms and group them.  A
-coefficient c*h^e of one power comes from the bounded table `_hpow`,
-shared by every result (an HbarLaurent is never changed), so no
-coefficient is made per term.  `harmonic` and `APoly.from_hpoly` wrap
-plain index tuples as AMonomials without checking them again.
+whole.  A kernel extends the keys of its sub-results through the
+bounded identity table of its suffix (`_TABLES`), so each distinct word
+or monomial is one shared object: the harmonic keys are AMonomials made
+once, and no product wraps a key.  One kernel call's keys are distinct,
+so `shuffle` and `harmonic` write a product of one-term arguments as
+{key: coefficient} at once; only longer arguments merge flat terms and
+group them.  A coefficient c*h^e of one power comes from the bounded
+table `_hpow`, shared by every result (an HbarLaurent is never
+changed), so no coefficient is made per term.
 
 `parse_hpoly` and `parse_apoly` invert the one printer, `_LinComb.__str__`:
 
@@ -83,13 +85,19 @@ __all__ = [
 ]
 
 # Bounds of the word-product memos, about twice what `omzv verify algebra
-# --max-weight 5` holds (15,170 and 8,878); tier-1 holds 20,938 and 9,582,
-# one algebra benchmark pass 5,149-5,275 and 1,957-2,035 (seeds 11-31).
+# --max-weight 5` holds (15,170 and 8,878); tier-1 at most 21,286 and 8,929,
+# one algebra benchmark pass 5,059-5,299 and 1,920-2,065 (seeds 11-31).
 # The table of shared coefficients c*h^e holds 84 there, 201 at weight 6
-# and 220-224 in a benchmark pass; its bound is about four times that.
+# and 206-237 in a benchmark pass; its bound is about four times that.
 _SHUFFLE_CACHE_SIZE = 32768
 _HARMONIC_CACHE_SIZE = 16384
 _HPOW_CACHE_SIZE = 1024
+# Keys per identity table, and tables: a benchmark pass fills 17 suffix
+# tables with 20,931-23,339 keys (the largest 8,505) and the sigma table
+# with 5,514-6,179, `verify algebra` 34,769 and 10,890 at --max-weight 5
+# and 207,660 in 20 tables (the largest 46,279) and 31,709 at 6.
+_TABLE_SIZE = 65536
+_TABLE_COUNT = 64
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +105,12 @@ _HPOW_CACHE_SIZE = 1024
 
 def _merge(t, pairs):
     """Add the (key, coefficient) pairs into the term dict t, dropping the
-    zero sums; returns t."""
+    zero sums and storing an integral Fraction as its int; returns t."""
     for k, c in pairs:
         s = t.get(k)
         s = c if s is None else s + c
         if s:
-            t[k] = s
+            t[k] = _rational(s) if type(s) is Fraction else s
         else:
             t.pop(k, None)
     return t
@@ -279,6 +287,27 @@ def _hpow(e, c):
     return HbarLaurent._make({e: _rational(c)})
 
 
+class _Tables(dict):
+    """Identity tables, each filled by its caller: {key: key + x} for a
+    suffix x a kernel appends (a run of a/b letters, or a letter index),
+    and {monomial: (sigma word, shift)} under `sigma`.  `of` empties one
+    of `maxsize` keys, all at `count`: a clear costs sharing, no value."""
+
+    __slots__ = ()
+    maxsize, count = _TABLE_SIZE, _TABLE_COUNT
+
+    def of(self, x):
+        t = self.get(x)
+        if t is None or len(t) >= self.maxsize:
+            if len(self) >= self.count:
+                self.clear()
+            t = self[x] = {}
+        return t
+
+
+_TABLES = _Tables()
+
+
 # ---------------------------------------------------------------------------
 # Polynomials in the free letters a, b
 #
@@ -301,7 +330,6 @@ class HPoly(_LinComb):
 
     __slots__ = ()
     _UNIT = ""
-    _wrap = str
     _key = staticmethod(_ab_word)
     _coeff = staticmethod(HbarLaurent.of)
     _key_str = staticmethod(word_to_str)
@@ -325,11 +353,9 @@ def _flat(p):
 
 
 def _grouped(cls, t):
-    """Inverse of `_flat`: t as a `cls` with HbarLaurent coefficients, its
-    keys made by `cls._wrap`."""
-    out, wrap = {}, cls._wrap
+    """Inverse of `_flat`: t as a `cls` with HbarLaurent coefficients."""
+    out = {}
     for (k, e), c in t.items():
-        k = wrap(k)
         q = out.get(k)
         out[k] = _hpow(e, c) if q is None else q + _hpow(e, c)
     return cls._make(out)
@@ -347,8 +373,7 @@ def _product(kernel, grade, f1, f2, cls=None):
             if len(f1) == len(f2) == 1:
                 if cls is None:
                     return {(k, s - grade(k)): n * c for k, n in terms}
-                wrap = cls._wrap
-                return cls._make({wrap(k): _hpow(s - grade(k), n * c)
+                return cls._make({k: _hpow(s - grade(k), n * c)
                                   for k, n in terms})
             _merge(t, (((k, s - grade(k)), n * c) for k, n in terms))
     return t if cls is None else _grouped(cls, t)
@@ -372,12 +397,14 @@ def _shuffle_terms(w1, w2):
     run = w1[len(u):] or w2[len(v):]
     if run:
         t = _shuffle_terms(u, w2) if u != w1 else _shuffle_terms(w1, v)
-        return {w + run: c for w, c in t.items()}
-    t = dict(_shuffle_terms(w1[:-1], w2))
-    for w, c in itertools.chain(_shuffle_terms(w1, w2[:-1]).items(),
-                                _shuffle_terms(w1[:-1], w2[:-1]).items()):
-        t[w] = t.get(w, 0) + c
-    return {w + "a": c for w, c in t.items()}
+    else:
+        run, t = "a", dict(_shuffle_terms(w1[:-1], w2))
+        for w, c in itertools.chain(_shuffle_terms(w1, w2[:-1]).items(),
+                                    _shuffle_terms(w1[:-1], w2[:-1]).items()):
+            t[w] = t.get(w, 0) + c
+    nxt = _TABLES.of(run)
+    return {nxt.get(w) or nxt.setdefault(w, w + run): c
+            for w, c in t.items()}
 
 
 def shuffle(p1, p2):
@@ -480,8 +507,6 @@ class APoly(_LinComb):
 
     __slots__ = ()
     _UNIT = AMonomial()
-    # a plain index tuple as a monomial, unchecked
-    _wrap = functools.partial(tuple.__new__, AMonomial)
     _coeff = staticmethod(HbarLaurent.of)
     _key_str = str
     _sort_key = staticmethod(AMonomial._order)
@@ -519,12 +544,20 @@ class APoly(_LinComb):
         for (w, e), c in _flat(HPoly._of(p)).items():
             if w and w[0] != "b":
                 raise ValueError("word %r does not start with b" % w)
-            m = tuple(map(len, w.split("b")[1:]))
+            m = _amono(map(len, w.split("b")[1:]))
             t[m, e - m.count(0)] = c
         return APoly._make(dict(_grouped(APoly, t).items_sorted()))
 
     def to_hpoly(self):
-        return _grouped(HPoly, _ab_terms(_flat(self)))
+        """Each monomial m at h^e as the word b a^k1 ... b a^kr of m at
+        h^(e + #E); distinct monomials have distinct words."""
+        return _grouped(HPoly, {("".join(["b" + "a" * k for k in m]),
+                                 e + m.count(0)): c
+                                for (m, e), c in _flat(self).items()})
+
+
+# a plain index tuple as a monomial, unchecked
+_amono = functools.partial(tuple.__new__, AMonomial)
 
 
 # ---------------------------------------------------------------------------
@@ -538,13 +571,16 @@ class APoly(_LinComb):
 @functools.lru_cache(maxsize=_HARMONIC_CACHE_SIZE)
 def _harmonic_terms(l1, l2):
     if not l1 or not l2:
-        return {l1 + l2: 1}
-    u, v, w = l1[-1:], l2[-1:], (l1[-1] + l2[-1],)
-    t = {m + u: c for m, c in _harmonic_terms(l1[:-1], l2).items()}
+        return {_amono(l1 + l2): 1}
+    u, v = l1[-1], l2[-1]
+    nxt = _TABLES.of(u)
+    t = {nxt.get(m) or nxt.setdefault(m, _amono(m + (u,))): c
+         for m, c in _harmonic_terms(l1[:-1], l2).items()}
     for x, sub in ((v, _harmonic_terms(l1, l2[:-1])),
-                   (w, _harmonic_terms(l1[:-1], l2[:-1]))):
+                   (u + v, _harmonic_terms(l1[:-1], l2[:-1]))):
+        nxt = _TABLES.of(x)
         for m, c in sub.items():
-            m += x
+            m = nxt.get(m) or nxt.setdefault(m, _amono(m + (x,)))
             t[m] = t.get(m, 0) + c
     return t
 
@@ -552,14 +588,6 @@ def _harmonic_terms(l1, l2):
 def _e_count(m):
     """The grade of the harmonic kernel: the number of E's in m."""
     return m.count(0)
-
-
-def _ab_terms(t):
-    """Flat A-monomial terms as flat a/b terms: (m, e) becomes the word
-    b a^k1 ... b a^kr of m at h^(e + #E).  Distinct monomials have
-    distinct words."""
-    return {("".join(["b" + "a" * k for k in m]), e + m.count(0)): c
-            for (m, e), c in t.items()}
 
 
 def harmonic(p1, p2):
@@ -578,6 +606,25 @@ def _sigma_terms(t):
     """`sigma` on flat a/b terms."""
     return {(w[::-1].translate(_SWAP), e + 2 * w.count("a") - len(w)): c
             for (w, e), c in t.items()}
+
+
+def _sigma_harmonic(f1, f2):
+    """The flat harmonic product of flat terms f1, f2 with each monomial m
+    at h^e as its sigma word b^kr a ... b^k1 a at h^(e + #E + |m| - len m),
+    |m| the index sum: word and |m| - len m from the table `sigma`."""
+    sw, t = _TABLES.of(sigma), {}
+    for (k1, e1), c1 in f1.items():
+        for (k2, e2), c2 in f2.items():
+            s, c, u = e1 + e2 + k1.count(0) + k2.count(0), c1 * c2, {}
+            for m, n in _harmonic_terms(k1, k2).items():
+                w, d = sw.get(m) or sw.setdefault(m, (
+                    "a".join(["b" * k for k in reversed(m)]) + "a" if m
+                    else "", sum(m) - len(m)))
+                u[w, s + d] = n * c
+            if len(f1) == len(f2) == 1:
+                return u
+            _merge(t, u.items())
+    return t
 
 
 def sigma(p):
@@ -600,7 +647,8 @@ def satoh_residual(p1, p2):
 
     Both arguments (HPoly or APoly) must lie in the span of admissible
     monomials with h-polynomial coefficients; the result is identically
-    zero.  Both sides are compared as flat a/b terms.
+    zero.  The harmonic side, as sigma words, meets the shuffle as it comes
+    out; only a residual that does not vanish goes back through sigma.
     """
     a1, a2 = APoly.of(p1), APoly.of(p2)
     for ap in (a1, a2):
@@ -610,13 +658,13 @@ def satoh_residual(p1, p2):
             if not c.is_polynomial():
                 raise ValueError("argument has h^-1 terms after rewriting")
     f1, f2 = _flat(a1), _flat(a2)
-    t = _ab_terms(_product(_harmonic_terms, _e_count, f1, f2))
-    s1, s2 = (_sigma_terms(_ab_terms(f)) for f in (f1, f2))
-    sh = _sigma_terms(_product(_shuffle_terms, len, s1, s2))
+    t, one = _sigma_harmonic(f1, f2), _flat(APoly.one())
+    sh = _product(_shuffle_terms, len, _sigma_harmonic(f1, one),
+                  _sigma_harmonic(f2, one))
     if t == sh:
         return HPoly()
     _merge(t, ((k, -c) for k, c in sh.items()))
-    return _grouped(HPoly, t)
+    return _grouped(HPoly, _sigma_terms(t))
 
 
 # ---------------------------------------------------------------------------

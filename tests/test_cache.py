@@ -15,7 +15,7 @@ import pytest
 
 import omzv
 from omzv import (GammaContext, OmegaParam, Z_omega, cache, parse_apoly,
-                  zeta_omega)
+                  words, zeta_omega)
 from omzv.omega import clear_value_cache
 
 
@@ -167,9 +167,9 @@ def test_store_drops_entries_whose_key_is_not_a_string(tmp_path):
 
 
 def source_cache_sites():
-    """Every call of lru_cache or LRU, and every bare lru_cache decorator,
-    in the package's source, as (file, line); and every use of
-    functools.cache, which has no bound."""
+    """Every call of lru_cache, LRU or words._Tables, and every bare
+    lru_cache decorator, in the package's source, as (file, line); and
+    every use of functools.cache, which has no bound."""
     sites, unbounded = [], []
     for path in sorted(Path(omzv.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -185,16 +185,16 @@ def source_cache_sites():
                     sites.append((path.name, dec.lineno))
             if isinstance(node, ast.Call):
                 f = node.func
-                if getattr(f, "id", getattr(f, "attr", None)) in ("lru_cache",
-                                                                  "LRU"):
+                if getattr(f, "id", getattr(f, "attr", None)) in (
+                        "lru_cache", "LRU", "_Tables"):
                     sites.append((path.name, node.lineno))
     return sites, unbounded
 
 
 def live_caches():
-    """The lru_cache functions and LRU maps of the package, each once:
-    those held by its modules and classes, and GammaContext's line
-    cache."""
+    """The lru_cache functions, LRU maps and successor-table registries
+    of the package, each once: those held by its modules and classes,
+    and GammaContext's line cache."""
     found = {}
     for info in pkgutil.iter_modules(omzv.__path__):
         module = importlib.import_module("omzv." + info.name)
@@ -202,7 +202,7 @@ def live_caches():
         for cls in [v for v in values if inspect.isclass(v)]:
             values += [getattr(v, "__func__", v) for v in vars(cls).values()]
         for v in values:
-            if isinstance(v, cache.LRU) or (
+            if isinstance(v, (cache.LRU, words._Tables)) or (
                     hasattr(v, "cache_parameters")
                     and v.__module__.startswith("omzv")):
                 found[id(v)] = v
@@ -212,15 +212,24 @@ def live_caches():
 
 
 def test_every_cache_has_a_finite_bound():
-    """Each lru_cache and LRU of the package has a finite bound, and the
+    """Each lru_cache and LRU of the package has a finite bound, and so
+    has each successor table of a registry, in size and in number; the
     walk over its modules, classes and GammaContext finds as many caches
     as its source makes, so a new cache is either seen here or fails the
     count."""
+    words._shuffle_terms.__wrapped__("ab", "ba")    # a kernel fills a table
     sites, unbounded = source_cache_sites()
     assert unbounded == []
     caches = live_caches()
     assert len(caches) == len(sites)
     for c in caches:
-        bound = (c.maxsize if isinstance(c, cache.LRU)
-                 else c.cache_parameters()["maxsize"])
-        assert isinstance(bound, int) and 0 < bound < math.inf, c
+        if isinstance(c, words._Tables):
+            bounds = [c.maxsize, c.count]
+            assert 0 < len(c) <= c.count
+            assert all(type(t) is dict for t in c.values())
+        elif isinstance(c, cache.LRU):
+            bounds = [c.maxsize]
+        else:
+            bounds = [c.cache_parameters()["maxsize"]]
+        for bound in bounds:
+            assert isinstance(bound, int) and 0 < bound < math.inf, c

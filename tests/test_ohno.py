@@ -203,6 +203,17 @@ def test_connected_integral_region_guards(ctx1, fast_cfg):
                            eps=0.9)
 
 
+def test_connected_integral_rejects_non_integral_entries(ctx1):
+    """An entry is an integer >= 1, checked before any quadrature: (2.7,)
+    used to be read as (2,)."""
+    for k, l in (((2.7,), (1,)), ((1,), (1, 2.5)), ((0,), (1,)), ((), (1,)),
+                 ((1,), ("2",))):
+        with pytest.raises(ValueError):
+            connected_integral(k, l, OhnoParams(), ctx1)
+    assert connected_integral((2.0,), (1,), OhnoParams(), ctx1) is \
+        connected_integral((2,), (1,), OhnoParams(), ctx1)
+
+
 @pytest.mark.parametrize("omega", [0.3, 1.0, 1.4, 1.9])
 def test_contour_offset_does_not_move_values(fast_cfg, omega):
     """By Cauchy the integrals do not depend on the offset inside the

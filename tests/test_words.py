@@ -321,13 +321,82 @@ def test_shared_coefficients_stay_unchanged():
     assert type(words._hpow(3, 3).t[3]) is int
 
 
-def test_kernel_memos_stay_small():
-    """The weight <= 4 Satoh battery on cleared memos: the letter-by-letter
-    kernels traced a peak of 9.6 MiB, the graded ones 6.3 MiB."""
-    mons = monomials_up_to_weight(4)
-    assert len(mons) == 34
+def _clear_kernels():
     words._shuffle_terms.cache_clear()
     words._harmonic_terms.cache_clear()
+    words._TABLES.clear()
+
+
+def test_products_share_their_keys():
+    """A key of a kernel's memo is made once: the products of a battery
+    pair in both orders hold the very same key objects."""
+    _clear_kernels()
+    mons = [m for m in monomials_up_to_weight(5) if len(m) > 1]
+    for m1, m2 in zip(mons, reversed(mons)):
+        a1, a2 = APoly.monomial(m1), APoly.monomial(m2)
+        h1, h2 = m1.to_hpoly(), m2.to_hpoly()
+        for p, q in ((harmonic(a1, a2), harmonic(a2, a1)),
+                     (shuffle(h1, h2), shuffle(h2, h1))):
+            same = {k: k for k in q.t}
+            assert len(p.t) > 2 and all(same[k] is k for k in p.t)
+
+
+@pytest.mark.parametrize("maxsize, count", [(1, 1), (3, 2)])
+def test_products_do_not_depend_on_the_tables(monkeypatch, maxsize, count):
+    """Tables bounded to a few keys are emptied again and again: every
+    product of the weight <= 4 battery keeps the reference terms, in
+    order and of the same types, and every Satoh residual vanishes."""
+    monkeypatch.setattr(words._Tables, "maxsize", maxsize)
+    monkeypatch.setattr(words._Tables, "count", count)
+    _clear_kernels()
+    try:
+        mons = monomials_up_to_weight(4)
+        for m1, m2 in itertools.product(mons, repeat=2):
+            a1, a2 = APoly.monomial(m1), APoly.monomial(m2)
+            h1, h2 = m1.to_hpoly(), m2.to_hpoly()
+            for got, kernel, f1, f2, key in (
+                    (harmonic(a1, a2), ref_harmonic_terms, _old_flat(a1),
+                     _old_flat(a2), AMonomial),
+                    (shuffle(h1, h2), ref_shuffle_terms, _old_flat(h1),
+                     _old_flat(h2), str)):
+                terms, types = _typed_terms(got)
+                assert terms == _grouped_in_order(ref_product(kernel, f1, f2))
+                assert set(types) == {(key, int)}
+            assert satoh_residual(a1, a2).is_zero()
+            assert len(words._TABLES) <= count
+    finally:
+        _clear_kernels()
+
+
+def test_satoh_residual_that_does_not_vanish(monkeypatch):
+    """With the harmonic kernel made to drop one term of the top product,
+    the residual is that product minus sigma(sigma(p1) sh sigma(p2)), as
+    the public maps build it."""
+    m1, m2 = parse_amonomial("E G2 G1"), parse_amonomial("G1 E G2")
+    kernel = words._harmonic_terms
+
+    def dropped(l1, l2):
+        t = kernel(l1, l2)
+        return dict(list(t.items())[:-1]) if (l1, l2) == (m1, m2) else t
+
+    monkeypatch.setattr(words, "_harmonic_terms", dropped)
+    a1, a2 = APoly.monomial(m1), APoly.monomial(m2)
+    got = satoh_residual(a1, a2)
+    want = (harmonic(a1, a2).to_hpoly()
+            - sigma(shuffle(sigma(m1.to_hpoly()), sigma(m2.to_hpoly()))))
+    assert not got.is_zero() and got == want
+    assert len(got.t) == 1
+    monkeypatch.undo()
+    assert satoh_residual(a1, a2).is_zero()
+
+
+def test_kernel_memos_stay_small():
+    """The weight <= 4 Satoh battery on cleared memos and tables: the
+    letter-by-letter kernels traced a peak of 9.6 MiB, the graded ones
+    6.2 MiB, the graded ones with shared keys 3.1 MiB."""
+    mons = monomials_up_to_weight(4)
+    assert len(mons) == 34
+    _clear_kernels()
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -342,7 +411,7 @@ def test_kernel_memos_stay_small():
     finally:
         if started:
             tracemalloc.stop()
-    assert peak <= 7.2 * 2 ** 20
+    assert peak <= 4.5 * 2 ** 20
     if sys.implementation.name == "cpython":
         # a memo value of str keys and int counts is no work for the GC
         assert not gc.is_tracked(words._shuffle_terms("baab", "baa"))
@@ -385,8 +454,8 @@ def test_parsed_fraction_stays_fraction():
 
 
 def test_integral_fraction_products_are_int():
-    """Products whose Fraction coefficients multiply to an integer hold
-    an int, as every constructor would."""
+    """Products, sums and differences whose Fraction coefficients give an
+    integer hold an int, as every constructor would."""
     polys = [harmonic(parse_apoly("2/3 G1"), parse_apoly("3/2 G2")),
              shuffle(parse_hpoly("2/3 b"), parse_hpoly("3/2 a")),
              shuffle(parse_hpoly("2/3 b + 4/3 a"), parse_hpoly("3/2 a + 3 b")),
@@ -394,6 +463,12 @@ def test_integral_fraction_products_are_int():
     rationals = [q for p in polys for c in p.t.values() for q in c.t.values()]
     assert len(rationals) > 10
     assert all(type(q) is int for q in rationals)
+    # so do sums, differences and word products
+    half = H(0, Fraction(1, 2))
+    for x in (half + half, H(0, Fraction(3, 2)) - half, half * H(1, 2)):
+        assert [type(q) for q in x.t.values()] == [int]
+    p = parse_hpoly("1/2 b") * parse_hpoly("2 a")
+    assert p == HPoly.word("ba") and type(p.t["ba"].t[0]) is int
 
 
 def test_scalar_operands():
