@@ -8,11 +8,13 @@ the classical values.  The package provides
     over exact h-polynomial coefficients,
   * the contour-quadrature engine and the evaluation maps Z_w and
     zeta_w,
-  * a truncated q-series model as an independent oracle,
+  * a truncated q-series model as an independent oracle (`omzv.qseries`),
   * the hyperbolic gamma function and the connected integral behind
     the double Ohno relations,
-  * verification suites and a persistent value cache, both wired into
-    the command line tool `omzv`.
+  * verification suites (`omzv.verify`) and a persistent value cache,
+    both wired into the command line tool `omzv`.
+
+The package does not import those two modules; import names from them.
 """
 
 from .cache import ValueCache
@@ -23,9 +25,7 @@ from .ohno import (OhnoParams, OhnoTable, compositions, connected_integral,
                    ohno_generating, ohno_series, ohno_table, omega_Omega,
                    saalschutz_check, transport_relation)
 from .omega import OmegaParam, Z_omega, Z_omega_monomial, zeta_omega
-from .qseries import QParam, z_q, z_q_monomial
 from .quad import EvalResult, QuadConfig, QuadError
-from .verify import CheckRecord, SUITES, run_suite
 from .words import (AMonomial, APoly, HPoly, HbarLaurent,
                     dual_index, harmonic, index_to_e_word,
                     monomials_up_to_weight, parse_amonomial, parse_apoly,
@@ -37,8 +37,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "AMonomial", "APoly", "HPoly", "HbarLaurent",
-    "CheckRecord", "EvalResult", "GammaContext", "OhnoParams", "OhnoTable",
-    "OmegaParam", "QParam", "QuadConfig", "QuadError", "SUITES",
+    "EvalResult", "GammaContext", "OhnoParams", "OhnoTable",
+    "OmegaParam", "QuadConfig", "QuadError",
     "ValueCache", "XSeries", "Z_omega", "Z_omega_monomial",
     "compositions",
     "connected_integral", "d_norm",
@@ -48,9 +48,8 @@ __all__ = [
     "monomials_up_to_weight", "ohno_generating", "ohno_series",
     "ohno_table", "omega_Omega", "parse_amonomial", "parse_apoly",
     "parse_index",
-    "run_suite",
     "saalschutz_check", "satoh_residual", "shuffle", "sigma",
     "sigma_monomial", "tau",
-    "transport_relation", "z_decompose", "z_q", "z_q_monomial",
+    "transport_relation", "z_decompose",
     "zeta_omega",
 ]

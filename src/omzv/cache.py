@@ -8,16 +8,16 @@ installed with `install`, and otherwise computes the value and writes
 it to both.  A CLI run with --cache thereby reuses values across
 processes.
 
-The store is a JSON-lines file, one entry per line, keyed by a hash of
-the triple.  Readers are tolerant: a corrupt line, one whose key is
-not a string, or one whose value or error is not finite, is dropped
-with a warning and the file is rewritten without it, so the value is
-recomputed and stored again on the next request.  Single-writer
-access is assumed.
+The store is a JSON-lines file, one entry per line, keyed by the
+triple in its string fields "expr", "omega" and "fp" (a "key" field,
+the hash of the triple in older stores, is ignored).  `put` refuses a
+non-finite value, and readers are tolerant: a corrupt line, one whose
+key field is not a string, or one whose value or error is not finite,
+is dropped with a warning and the file is rewritten without it, so the
+value is recomputed and stored again.  Single-writer access is assumed.
 """
 
 import cmath
-import hashlib
 import json
 import math
 import os
@@ -27,6 +27,8 @@ from collections import OrderedDict
 
 __all__ = ["LRU", "ValueCache", "install", "memoized", "clear_memo"]
 
+# Record fields that hold the triple, in its order.
+_KEY_FIELDS = ("expr", "omega", "fp")
 # Entries of the process-wide memo.  One chains benchmark pass holds
 # about 70, the tier-1 tests at most 83 at a time.
 MEMO_SIZE = 1024
@@ -74,12 +76,6 @@ class LRU:
             return len(self._d)
 
 
-def cache_key(expr, omega_repr, fingerprint):
-    blob = json.dumps([expr, omega_repr, fingerprint],
-                      separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 class ValueCache:
     """Read-through / write-back store of (complex value, error) pairs."""
 
@@ -99,9 +95,9 @@ class ValueCache:
                     continue
                 try:
                     rec = json.loads(line)
-                    key = rec["key"]
-                    if not isinstance(key, str):
-                        raise TypeError("key is not a string")
+                    key = tuple(rec[field] for field in _KEY_FIELDS)
+                    if not all(isinstance(part, str) for part in key):
+                        raise TypeError("key is not three strings")
                     val = complex(rec["value"][0], rec["value"][1])
                     err = float(rec["err"])
                     if not (cmath.isfinite(val) and math.isfinite(err)):
@@ -124,23 +120,20 @@ class ValueCache:
         os.replace(tmp, self.path)
 
     def get(self, key):
-        """(value, err) stored under `key` (a `cache_key`), or None."""
+        """(value, err) stored under `key`, the (expression text,
+        repr(omega), quadrature fingerprint) triple, or None."""
         hit = self.entries.get(key)
         return None if hit is None else hit[:2]
 
-    def put(self, key, expr, omega_repr, fingerprint, value, err):
+    def put(self, key, value, err):
         if key in self.entries:
             return
-        value = complex(value)
-        rec = {
-            "key": key,
-            "expr": expr,
-            "omega": omega_repr,
-            "fp": fingerprint,
-            "value": [value.real, value.imag],
-            "err": float(err),
-        }
-        self.entries[key] = (value, float(err), rec)
+        value, err = complex(value), float(err)
+        if not (cmath.isfinite(value) and math.isfinite(err)):
+            raise ValueError("non-finite value not stored: %r" % (key,))
+        rec = dict(zip(_KEY_FIELDS, key), value=[value.real, value.imag],
+                   err=err)
+        self.entries[key] = (value, err, rec)
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
@@ -179,8 +172,7 @@ def memoized(expr, omega, cfg, compute, meta=None):
     if res is not None:
         return res
     store = _ACTIVE
-    key = cache_key(*triple) if store is not None else None
-    hit = store.get(key) if key else None
+    hit = store.get(triple) if store is not None else None
     if hit is not None:
         from .quad import EvalResult   # quad imports this module's LRU
         res = EvalResult(hit[0], hit[1], dict(meta or {}, cached=True))
@@ -188,6 +180,6 @@ def memoized(expr, omega, cfg, compute, meta=None):
         res = compute()
         res.meta.update(meta or {})
         if store is not None:
-            store.put(key, *triple, res.value, res.err_estimate)
+            store.put(triple, res.value, res.err_estimate)
     _memo.put(triple, res)
     return res

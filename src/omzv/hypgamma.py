@@ -246,14 +246,19 @@ def log_G_line(re, im, ctx):
     above -s0 (s0 the core band), then small ones min(1, 1/w) into the
     band.  Its length is counted in closed form, and a path of more than
     _MAX_SHIFTS steps, like a non-finite argument, raises; the path
-    walked is the counted one, its heights subtracted step by step."""
+    walked is the counted one, its heights subtracted step by step.
+    So does a line whose far-field term pi w x^2 / 2 overflows."""
     re = np.atleast_1d(np.asarray(re, dtype=float))
     if not (math.isfinite(im) and np.isfinite(re).all()):
         raise QuadError("non-finite argument of log G", im=im)
+    w = ctx.p.omega
+    xmax = float(np.abs(re).max(initial=0.0))
+    # multiplied in _log_G_far's order: inf here exactly where it overflows
+    if math.isinf(0.5 * math.pi * w * xmax * xmax):
+        raise QuadError("log G beyond the float range", x=xmax)
     s0 = ctx.core_band
     if im < -s0:
         return -log_G_line(-re, -im, ctx)
-    w = ctx.p.omega
     big, small = max(1.0, 1.0 / w), min(1.0, 1.0 / w)
     top = max(big - s0, s0)
     n_big = math.floor((im - top) / big) + 1 if im >= top else 0
@@ -289,13 +294,14 @@ def log_G_line(re, im, ctx):
 
 def log_G(z, ctx):
     """log G at scalar or array arguments (principal-branch pieces
-    summed along the shift path; consumers exponentiate)."""
+    summed along the shift path; consumers exponentiate).  Raises
+    QuadError where log_G_line does, log G beyond the float range included."""
     scalar = np.isscalar(z) or np.asarray(z).ndim == 0
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     flat = zs.ravel()
     res = np.empty(flat.shape, dtype=complex)
-    for im in np.unique(flat.imag):
+    for im in sorted(set(flat.imag.tolist())):
         sel = flat.imag == im
-        res[sel] = log_G_line(flat[sel].real, float(im), ctx)
+        res[sel] = log_G_line(flat[sel].real, im, ctx)
     out = res.reshape(zs.shape)
     return complex(out.flat[0]) if scalar else out

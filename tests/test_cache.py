@@ -2,6 +2,7 @@
 eviction."""
 
 import ast
+import hashlib
 import importlib
 import inspect
 import json
@@ -9,13 +10,14 @@ import math
 import pkgutil
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
 
 import omzv
-from omzv import (GammaContext, OmegaParam, Z_omega, cache, parse_apoly,
-                  words, zeta_omega)
+from omzv import (GammaContext, OmegaParam, QuadConfig, Z_omega, cache,
+                  parse_apoly, words, zeta_omega)
 from omzv.omega import clear_value_cache
 
 
@@ -124,46 +126,98 @@ def test_store_keys_are_the_printed_monomials(tmp_path, monkeypatch):
     assert {rec["expr"] for _, _, rec in reloaded.entries.values()} == want
 
 
-def test_store_key_is_hashed_once_per_fresh_value(tmp_path, monkeypatch):
-    """A fresh value hashes its store key once, for the lookup and the
-    write together; a memo hit hashes nothing."""
+def test_store_is_read_and_written_once_per_fresh_value(tmp_path,
+                                                       monkeypatch):
+    """A fresh value looks the store up once and writes it once, under
+    its (expr, omega, fingerprint) triple; a memo hit touches the store
+    not at all."""
     calls = []
-    cache_key = cache.cache_key
+    for name in ("get", "put"):
+        method = getattr(cache.ValueCache, name)
 
-    def spy(*triple):
-        calls.append(triple)
-        return cache_key(*triple)
+        def spy(self, key, *rest, name=name, method=method):
+            calls.append((name, key))
+            return method(self, key, *rest)
 
-    monkeypatch.setattr(cache, "cache_key", spy)
+        monkeypatch.setattr(cache.ValueCache, name, spy)
     monkeypatch.setattr(cache, "_memo", cache.LRU(8))
     store = cache.ValueCache(tmp_path / "values.jsonl")
     monkeypatch.setattr(cache, "_ACTIVE", store)
     p = OmegaParam(0.8)
     zeta_omega((2,), p)
-    assert len(calls) == 1 and len(store) == 1
+    assert [name for name, _ in calls] == ["get", "put"]
+    key = calls[0][1]
+    assert key == calls[1][1] and key[:2] == ("zeta 2", repr(0.8))
+    assert len(store) == 1
     zeta_omega((2,), p)
-    assert len(calls) == 1
+    assert len(calls) == 2
     zeta_omega((3,), p)
-    assert len(calls) == 2 and len(store) == 2
+    assert [name for name, _ in calls[2:]] == ["get", "put"]
+    assert len(store) == 2
     reloaded = cache.ValueCache(tmp_path / "values.jsonl")
     assert reloaded.entries.keys() == store.entries.keys()
 
 
 def test_store_drops_entries_whose_key_is_not_a_string(tmp_path):
-    """A store line whose key is a list, an object or a number is
-    dropped as corrupt with a warning, and the file is rewritten with
-    the good entries only."""
+    """A store line whose expr, omega or fp is a list, an object or a
+    number is dropped as corrupt with a warning, and the file is
+    rewritten with the good entries only."""
     path = tmp_path / "values.jsonl"
-    good = {"key": "k", "expr": "zeta 2", "omega": "1.0", "fp": "f",
+    good = {"expr": "zeta 2", "omega": "1.0", "fp": "f",
             "value": [1.5, 0.25], "err": 1e-12}
-    bad = [dict(good, key=key) for key in (["k"], {"k": 1}, 7)]
+    bad = [dict(good, expr=["zeta 2"]), dict(good, omega={"w": 1.0}),
+           dict(good, fp=7)]
     path.write_text("".join(json.dumps(rec) + "\n" for rec in [good] + bad))
     with pytest.warns(UserWarning, match="dropped 3 corrupt entries"):
         store = cache.ValueCache(path)
     assert store.dropped == 3
-    assert store.get("k") == (1.5 + 0.25j, 1e-12)
-    assert [json.loads(line)["key"] for line in
-            path.read_text().splitlines()] == ["k"]
+    assert store.get(("zeta 2", "1.0", "f")) == (1.5 + 0.25j, 1e-12)
+    assert [json.loads(line) for line in
+            path.read_text().splitlines()] == [good]
+
+
+def test_store_with_hashed_keys_is_served(tmp_path, monkeypatch):
+    """A store whose lines also carry a "key" of 64 hex digits, the
+    SHA-256 of the triple that keyed stores before the triple itself
+    did, loads without a warning and serves its values from the store:
+    bit for bit, with cached=True, and nothing written."""
+    monkeypatch.setattr(cache, "_memo", cache.LRU(8))
+    monkeypatch.setattr(cache, "_ACTIVE", None)
+    p = OmegaParam(0.8)
+    fresh = zeta_omega((2,), p)
+    triple = ["zeta 2", repr(0.8), QuadConfig().fingerprint()]
+    rec = {"key": hashlib.sha256(json.dumps(
+               triple, separators=(",", ":")).encode()).hexdigest(),
+           "expr": triple[0], "omega": triple[1], "fp": triple[2],
+           "value": [fresh.value.real, fresh.value.imag],
+           "err": fresh.err_estimate}
+    assert len(rec["key"]) == 64
+    path = tmp_path / "values.jsonl"
+    path.write_text(json.dumps(rec, separators=(",", ":")) + "\n")
+    stored = path.read_bytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        store = cache.ValueCache(path)
+    monkeypatch.setattr(cache, "_ACTIVE", store)
+    cache.clear_memo()
+    served = zeta_omega((2,), p)
+    assert served.meta["cached"] is True
+    assert served.value.real.hex() == fresh.value.real.hex()
+    assert served.value.imag.hex() == fresh.value.imag.hex()
+    assert served.err_estimate.hex() == fresh.err_estimate.hex()
+    assert path.read_bytes() == stored
+
+
+@pytest.mark.parametrize("value, err", [(complex(math.nan, 0.0), 1e-12),
+                                        (complex(0.5, math.inf), 1e-12),
+                                        (0.5 + 0.25j, math.nan)])
+def test_store_refuses_a_non_finite_value(tmp_path, value, err):
+    """The loader drops a non-finite entry, so `put` never writes one."""
+    path = tmp_path / "values.jsonl"
+    store = cache.ValueCache(path)
+    with pytest.raises(ValueError, match="non-finite"):
+        store.put(("zeta 2", "1.0", "f"), value, err)
+    assert len(store) == 0 and not path.exists()
 
 
 def source_cache_sites():

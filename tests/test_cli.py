@@ -251,6 +251,23 @@ def test_far_gamma_point_is_exit_3_at_once(runner):
     assert time.perf_counter() - t0 < 5.0
 
 
+def test_gamma_beyond_the_float_range_is_exit_3_and_not_stored(tmp_path):
+    """log G of 1e200 overflows: the command exits 3 with the error and
+    no numpy warning on stderr, and writes no store entry (it printed
+    [null, null] and stored [NaN, -Infinity])."""
+    src = str(pathlib.Path(omzv.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    store = tmp_path / "values.jsonl"
+    res = subprocess.run([sys.executable, "-m", "omzv", "gamma", "1e200",
+                          "--cache", str(store)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 3, res.stdout
+    assert res.stdout == ""
+    assert res.stderr.strip() == "Error: log G beyond the float range"
+    assert not store.exists()
+
+
 def test_ohno_verb(runner):
     res = runner.invoke(cli, ["ohno", "2", "--order", "1"])
     assert res.exit_code == 0

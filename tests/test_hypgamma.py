@@ -3,6 +3,7 @@ dense sums, reflection, quasi-periods, far field, poles."""
 
 import math
 import time
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -216,6 +217,21 @@ def test_unbounded_shift_path_raises(omega, z):
     has more than 10^5 steps, raises at once instead of walking it."""
     with pytest.raises(QuadError):
         log_G(z, make_ctx(omega))
+
+
+@pytest.mark.parametrize("omega, z", [(1.0, 1e200), (1.0, -1e160),
+                                      (1.0, 1.1e154 + 0.3j),
+                                      (1.99, -7.7e153 - 40j), (0.05, 1e308)])
+def test_log_G_beyond_the_float_range_raises(omega, z):
+    """Far out on the real axis the far-field term pi w x^2 / 2
+    overflows: log G raises QuadError, with no numpy warning, where it
+    returned NaN and warned.  A point inside the range stays finite."""
+    ctx = make_ctx(omega)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadError, match="float range"):
+            log_G(z, ctx)
+        assert np.isfinite(log_G(-1e153 + 0.3j, ctx))
 
 
 @pytest.mark.parametrize("omega, im, steps", [(1.0, 100.25, 100),

@@ -2,8 +2,9 @@
 
 import pytest
 
-from omzv import (AMonomial, APoly, HPoly, HbarLaurent, QParam, harmonic,
-                  parse_amonomial, shuffle, sigma_monomial, z_q, z_q_monomial)
+from omzv import (AMonomial, APoly, HPoly, HbarLaurent, harmonic,
+                  parse_amonomial, shuffle, sigma_monomial)
+from omzv.qseries import QParam, z_q, z_q_monomial
 from omzv.words import monomials_up_to_weight
 
 H = HbarLaurent.h
