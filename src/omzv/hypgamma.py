@@ -273,7 +273,7 @@ def log_G_line(re, im, ctx):
     scales = np.where(steps == 1.0, math.pi * w, math.pi)
     # terms in blocks of 2^14 values (or one step), summed in path order
     acc = 0.0
-    rows = max(1, (1 << 14) // re.size)
+    rows = max(1, (1 << 14) // max(1, re.size))
     for j in range(0, len(ys), rows):
         zeta = scales[j:j + rows, None] * (re + 1j * ys[j:j + rows, None])
         # one 1-d call is faster than a 2-d one

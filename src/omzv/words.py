@@ -31,14 +31,15 @@ parsed text, or a non-integral rational passed by a caller).
 
 The products run on flat term dicts {(key, e): c}, key an a/b string
 (shuffle) or an A-monomial (harmonic), e the power of h.  The kernels
-are graded: their memos keep {key: count}, summed with plain dict
-updates as counts never cancel, and `_product` puts the term k of
-k1 * k2 at h^(grade(k1) + grade(k2) - grade(k)), grade the length
-(shuffle) or the number of E's (harmonic); a final run of b peels
-whole.  A kernel extends the keys of its sub-results through the
-bounded identity table of its suffix (`_TABLES`), so each distinct word
-or monomial is one shared object: the harmonic keys are AMonomials made
-once, and no product wraps a key.  One kernel call's keys are distinct,
+are graded: a memo value is a pair (keys, counts) of exact-size tuples,
+summed in a plain dict as counts never cancel, and `_product` puts the
+term k of k1 * k2 at h^(grade(k1) + grade(k2) - grade(k)), grade the
+length (shuffle) or the number of E's (harmonic).  A final run of b
+peels whole, so the shuffle memo keeps only merge nodes, words that end
+in a or are empty.  A kernel extends the keys of its sub-results through
+the bounded identity table of its suffix (`_TABLES`), so each distinct
+word or monomial is one shared object: the harmonic keys are AMonomials
+made once, and no product wraps a key.  One kernel call's keys are distinct,
 so `shuffle` and `harmonic` write a product of one-term arguments as
 {key: coefficient} at once; only longer arguments merge flat terms and
 group them.  A coefficient c*h^e of one power comes from the bounded
@@ -58,7 +59,6 @@ must be followed by a factor or a letter.
 """
 
 import functools
-import itertools
 import re
 from fractions import Fraction
 
@@ -84,18 +84,20 @@ __all__ = [
     "monomials_up_to_weight",
 ]
 
-# Bounds of the word-product memos, about twice what `omzv verify algebra
-# --max-weight 5` holds (15,170 and 8,878); tier-1 at most 21,286 and 8,929,
-# one algebra benchmark pass 5,059-5,299 and 1,920-2,065 (seeds 11-31).
-# The table of shared coefficients c*h^e holds 84 there, 201 at weight 6
-# and 206-237 in a benchmark pass; its bound is about four times that.
+# Bounds of the word-product memos, in entries: a benchmark pass holds
+# 2,029-2,055 shuffle merge nodes and 1,957-1,973 harmonic pairs (seeds
+# 11-31), `omzv verify algebra` 5,856 and 8,878 at --max-weight 5 and
+# fills both at 6 (39,597 and 60,123 keys), tier-1 at most 10,230 and
+# 9,656.  Shared coefficients c*h^e: 220-226 a pass, 84 and 201 at weight
+# 5 and 6; tier-1's sums of many coefficients fill the bound (first in
+# test_graded_kernels_match_the_letter_kernels_in_order).
 _SHUFFLE_CACHE_SIZE = 32768
 _HARMONIC_CACHE_SIZE = 16384
 _HPOW_CACHE_SIZE = 1024
-# Keys per identity table, and tables: a benchmark pass fills 17 suffix
-# tables with 20,931-23,339 keys (the largest 8,505) and the sigma table
-# with 5,514-6,179, `verify algebra` 34,769 and 10,890 at --max-weight 5
-# and 207,660 in 20 tables (the largest 46,279) and 31,709 at 6.
+# Keys per identity table, and tables: a benchmark pass 15,750-16,110 in
+# 22 suffix tables (the largest 3,818) and 5,786-5,909 in sigma's, verify
+# algebra 24,346 in 22 and 10,890 at weight 5, 167,431 in 26 (the largest
+# 46,279) and 31,709 at 6, tier-1 at most 49,048 keys in 33 tables.
 _TABLE_SIZE = 65536
 _TABLE_COUNT = 64
 
@@ -369,7 +371,7 @@ def _product(kernel, grade, f1, f2, cls=None):
     for (k1, e1), c1 in f1.items():
         for (k2, e2), c2 in f2.items():
             c, s = c1 * c2, e1 + e2 + grade(k1) + grade(k2)
-            terms = kernel(k1, k2).items()
+            terms = zip(*kernel(k1, k2))
             if len(f1) == len(f2) == 1:
                 if cls is None:
                     return {(k, s - grade(k)): n * c for k, n in terms}
@@ -384,27 +386,31 @@ def _product(kernel, grade, f1, f2, cls=None):
 #
 # Recursion on last letters, the h of a merge left to `_product`:
 #   w*1 = 1*w = w
-#   (u b^m) sh w'    = (u sh w') b^m      (w1's run first, then w2's)
-#   (w a) sh (w' a)  = (w a sh w' + w sh w' a + (w sh w')) a
-# Memo values are shared and never changed; the counts are positive, so
-# a merge of them drops nothing.
+#   (u b^m) sh (v b^n) = (u sh v) b^(m+n)
+#   (w a) sh (w' a)    = (w a sh w' + w sh w' a + (w sh w')) a
+# The memo keeps the merge nodes, whose words end in a or are empty; its
+# values are shared and never changed.
+
+def _shuffle_terms(w1, w2, end=""):
+    """The shuffle of w1, w2, then `end`, as (keys, counts)."""
+    u, v = w1.rstrip("b"), w2.rstrip("b")
+    run = w1[len(u):] + w2[len(v):] + end
+    keys, counts = _shuffle_merge(u, v)
+    if run:
+        nxt = _TABLES.of(run)
+        keys = [nxt.get(w) or nxt.setdefault(w, w + run) for w in keys]
+    return keys, counts
+
 
 @functools.lru_cache(maxsize=_SHUFFLE_CACHE_SIZE)
-def _shuffle_terms(w1, w2):
+def _shuffle_merge(w1, w2):
     if not w1 or not w2:
-        return {w1 + w2: 1}
-    u, v = w1.rstrip("b"), w2.rstrip("b")
-    run = w1[len(u):] or w2[len(v):]
-    if run:
-        t = _shuffle_terms(u, w2) if u != w1 else _shuffle_terms(w1, v)
-    else:
-        run, t = "a", dict(_shuffle_terms(w1[:-1], w2))
-        for w, c in itertools.chain(_shuffle_terms(w1, w2[:-1]).items(),
-                                    _shuffle_terms(w1[:-1], w2[:-1]).items()):
+        return (w1 + w2,), (1,)
+    t = {}
+    for u, v in ((w1[:-1], w2), (w1, w2[:-1]), (w1[:-1], w2[:-1])):
+        for w, c in zip(*_shuffle_terms(u, v, "a")):
             t[w] = t.get(w, 0) + c
-    nxt = _TABLES.of(run)
-    return {nxt.get(w) or nxt.setdefault(w, w + run): c
-            for w, c in t.items()}
+    return tuple(t), tuple(t.values())
 
 
 def shuffle(p1, p2):
@@ -571,18 +577,19 @@ _amono = functools.partial(tuple.__new__, AMonomial)
 @functools.lru_cache(maxsize=_HARMONIC_CACHE_SIZE)
 def _harmonic_terms(l1, l2):
     if not l1 or not l2:
-        return {_amono(l1 + l2): 1}
+        return (_amono(l1 + l2),), (1,)
     u, v = l1[-1], l2[-1]
     nxt = _TABLES.of(u)
+    keys, counts = _harmonic_terms(l1[:-1], l2)
     t = {nxt.get(m) or nxt.setdefault(m, _amono(m + (u,))): c
-         for m, c in _harmonic_terms(l1[:-1], l2).items()}
-    for x, sub in ((v, _harmonic_terms(l1, l2[:-1])),
-                   (u + v, _harmonic_terms(l1[:-1], l2[:-1]))):
+         for m, c in zip(keys, counts)}
+    for x, (keys, counts) in ((v, _harmonic_terms(l1, l2[:-1])),
+                              (u + v, _harmonic_terms(l1[:-1], l2[:-1]))):
         nxt = _TABLES.of(x)
-        for m, c in sub.items():
+        for m, c in zip(keys, counts):
             m = nxt.get(m) or nxt.setdefault(m, _amono(m + (x,)))
             t[m] = t.get(m, 0) + c
-    return t
+    return tuple(t), tuple(t.values())
 
 
 def _e_count(m):
@@ -616,7 +623,7 @@ def _sigma_harmonic(f1, f2):
     for (k1, e1), c1 in f1.items():
         for (k2, e2), c2 in f2.items():
             s, c, u = e1 + e2 + k1.count(0) + k2.count(0), c1 * c2, {}
-            for m, n in _harmonic_terms(k1, k2).items():
+            for m, n in zip(*_harmonic_terms(k1, k2)):
                 w, d = sw.get(m) or sw.setdefault(m, (
                     "a".join(["b" * k for k in reversed(m)]) + "a" if m
                     else "", sum(m) - len(m)))

@@ -271,7 +271,7 @@ def test_every_cache_has_a_finite_bound():
     walk over its modules, classes and GammaContext finds as many caches
     as its source makes, so a new cache is either seen here or fails the
     count."""
-    words._shuffle_terms.__wrapped__("ab", "ba")    # a kernel fills a table
+    words._shuffle_merge.__wrapped__("ba", "ba")    # a kernel fills a table
     sites, unbounded = source_cache_sites()
     assert unbounded == []
     caches = live_caches()

@@ -258,6 +258,17 @@ def test_shift_path_count_is_exact(monkeypatch, omega, im, steps):
         log_G_line(np.array([0.3]), im, ctx)
 
 
+@pytest.mark.parametrize("omega", [0.3, 1.0, 1.7])
+def test_log_G_line_of_an_empty_line(omega):
+    """An empty line gives an empty complex array at a height inside the
+    core band and at heights whose shift path walks down to the band
+    (above it) or, reflected, up to it (below it)."""
+    ctx = make_ctx(omega)
+    for im in (0.25 * ctx.core_band, 40.25, -40.25):
+        got = log_G_line(np.array([]), im, ctx)
+        assert got.dtype == complex and got.shape == (0,)
+
+
 def stepwise_log_G_line(re, im, ctx, one_call=False):
     """log_G_line as the walk down its shift path, one step at a time:
     each step's term from its own call (or, with one_call, all terms

@@ -182,7 +182,7 @@ def test_graded_kernels_match_the_letter_kernels_in_order():
         grade = l1.count(0) + l2.count(0)
         want = [(m, c) for (m, e), c in ref_harmonic_terms(l1, l2).items()
                 if e == grade - m.count(0)]
-        assert list(words._harmonic_terms(l1, l2).items()) == want
+        assert list(zip(*words._harmonic_terms(l1, l2))) == want
     h = HPoly({w: i + 1 for i, w in enumerate(ab_words)})
     f = {(w, 0): i + 1 for i, w in enumerate(ab_words)}
     want = ref_product(ref_shuffle_terms, f, f)
@@ -229,7 +229,7 @@ def _old_product(kernel, grade, f1, f2):
         for (k2, e2), c2 in f2.items():
             c, s = c1 * c2, e1 + e2 + grade(k1) + grade(k2)
             _old_merge(t, (((k, s - grade(k)), q * c)
-                           for k, q in kernel(k1, k2).items()))
+                           for k, q in zip(*kernel(k1, k2))))
     return t
 
 
@@ -322,7 +322,7 @@ def test_shared_coefficients_stay_unchanged():
 
 
 def _clear_kernels():
-    words._shuffle_terms.cache_clear()
+    words._shuffle_merge.cache_clear()
     words._harmonic_terms.cache_clear()
     words._TABLES.clear()
 
@@ -376,8 +376,10 @@ def test_satoh_residual_that_does_not_vanish(monkeypatch):
     kernel = words._harmonic_terms
 
     def dropped(l1, l2):
-        t = kernel(l1, l2)
-        return dict(list(t.items())[:-1]) if (l1, l2) == (m1, m2) else t
+        keys, counts = kernel(l1, l2)
+        if (l1, l2) == (m1, m2):
+            return keys[:-1], counts[:-1]
+        return keys, counts
 
     monkeypatch.setattr(words, "_harmonic_terms", dropped)
     a1, a2 = APoly.monomial(m1), APoly.monomial(m2)
@@ -393,7 +395,8 @@ def test_satoh_residual_that_does_not_vanish(monkeypatch):
 def test_kernel_memos_stay_small():
     """The weight <= 4 Satoh battery on cleared memos and tables: the
     letter-by-letter kernels traced a peak of 9.6 MiB, the graded ones
-    6.2 MiB, the graded ones with shared keys 3.1 MiB."""
+    6.2 MiB, the graded ones with shared keys 3.3 MiB, and with a memo
+    of merge nodes and values of exact-size tuples 1.9 MiB."""
     mons = monomials_up_to_weight(4)
     assert len(mons) == 34
     _clear_kernels()
@@ -411,10 +414,32 @@ def test_kernel_memos_stay_small():
     finally:
         if started:
             tracemalloc.stop()
-    assert peak <= 4.5 * 2 ** 20
+    assert peak <= 2.5 * 2 ** 20
     if sys.implementation.name == "cpython":
         # a memo value of str keys and int counts is no work for the GC
-        assert not gc.is_tracked(words._shuffle_terms("baab", "baa"))
+        value = words._shuffle_merge("baaba", "baa")
+        gc.collect()
+        assert not any(map(gc.is_tracked, (value, *value)))
+
+
+def test_shuffle_memo_keeps_merge_nodes_only(monkeypatch):
+    """After the weight <= 5 battery of shuffles and Satoh residuals on a
+    cleared memo, each key of the shuffle memo is two words that end in a
+    or are empty: a final run of b peels off before the memo."""
+    _clear_kernels()
+    memo, keys = words._shuffle_merge, set()
+
+    def spy(w1, w2):
+        keys.add((w1, w2))
+        return memo(w1, w2)
+
+    monkeypatch.setattr(words, "_shuffle_merge", spy)
+    mons = monomials_up_to_weight(5)
+    for m1, m2 in itertools.combinations_with_replacement(mons, 2):
+        shuffle(m1.to_hpoly(), m2.to_hpoly())
+        assert satoh_residual(APoly.monomial(m1), APoly.monomial(m2)).is_zero()
+    assert len(keys) == memo.cache_info().currsize      # no key evicted
+    assert all(w[-1:] in ("", "a") for key in keys for w in key)
 
 
 # -- coefficient ring -------------------------------------------------------
