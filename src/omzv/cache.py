@@ -83,6 +83,7 @@ class ValueCache:
         self.path = str(path)
         self.entries = {}
         self.dropped = 0
+        self._fh = None
         self._load()
 
     def _load(self):
@@ -134,10 +135,17 @@ class ValueCache:
         rec = dict(zip(_KEY_FIELDS, key), value=[value.real, value.imag],
                    err=err)
         self.entries[key] = (value, err, rec)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+        if self._fh is None or self._fh.closed:
+            self._fh = open(self.path, "a", buffering=1, encoding="utf-8")
+        self._fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+
+    def close(self):
+        """Close the append handle that the first `put` opened."""
+        if self._fh:
+            self._fh.close()
 
     def clear(self):
+        self.close()
         self.entries.clear()
         if os.path.exists(self.path):
             os.remove(self.path)
@@ -152,6 +160,8 @@ _ACTIVE = None
 def install(store):
     """Make `store` (a ValueCache or None) the process-wide cache."""
     global _ACTIVE
+    if _ACTIVE not in (None, store):
+        _ACTIVE.close()             # the store it replaces
     _ACTIVE = store
 
 

@@ -131,6 +131,7 @@ def _install_cache(path):
     """Install the store at `path`, or none when --cache is absent, so a
     store from an earlier in-process invocation is never reused."""
     cache_mod.install(cache_mod.ValueCache(path) if path else None)
+    click.get_current_context().call_on_close(lambda: cache_mod.install(None))
 
 
 def _quad_config(tol):

@@ -310,6 +310,18 @@ def _theta_value(ctx, pref, r, s, lam, mu, eps, dp, h, ys, rows):
 clear_connector_cache = clear_value_cache   # one memo with the chains
 
 
+def _connector_grid(cfg, w, r, s, lam, mu, eps):
+    """(dp, h, ys): upward decay rate and grid of a connected integral."""
+    d0 = min(eps, min(1.0, 1.0 / w) - (r + s) * eps) - _shift_margin(lam, mu)
+    if d0 <= 1e-3:
+        raise QuadError("contour too close to a kernel pole", dist=d0)
+    # Theta decays like exp(-2 pi w eps (s Im T + r Im U)); the step also
+    # resolves the cross-phase chirp, of local frequency pi*w*|Im U|
+    dp = TWO_PI * w * eps * min(r, s)
+    return (dp,) + _chain_grid(eps, cfg, (TWO_PI, dp), max(r, s),
+                               pole_dist=d0, chirp=math.pi * w)
+
+
 def connected_integral(k, l, op, ctx, eps=None):
     """I(k, l | lam, mu): two J chains joined by the Theta coupling.
 
@@ -336,15 +348,7 @@ def connected_integral(k, l, op, ctx, eps=None):
                         eps=eps)
 
     def compute():
-        d0 = (min(eps, min(1.0, 1.0 / w) - (r + s) * eps)
-              - _shift_margin(lam, mu))
-        if d0 <= 1e-3:
-            raise QuadError("contour too close to a kernel pole", dist=d0)
-        # the step also resolves the cross-phase chirp, whose local
-        # frequency pi*w*|Im U| grows linearly with the extent
-        dp = 1.6 * math.pi * w * eps * min(r, s)
-        h, ys = _chain_grid(eps, cfg, (TWO_PI, dp), max(r, s), pole_dist=d0,
-                            chirp=math.pi * w)
+        dp, h, ys = _connector_grid(cfg, w, r, s, lam, mu, eps)
         theta = partial(_theta_value, ctx, p.hbar_value ** (sum(k) + sum(l)),
                         r, s, lam, mu, eps, dp)
         return _chain_integral([_prefix_stages(k, lam, mu, p),

@@ -30,11 +30,11 @@ Every chain kernel is a product of powers of e^x/(1 - e^x) and
 raises QuadError at their poles.
 
 Uniform (trapezoid) steps are spectrally accurate for these integrands:
-the error decays like exp(-2*pi*d/h) where d is the width of the
-analyticity strip, in practice the contour-to-pole distance.  Every
-grid is built by one rule (`_chain_grid`) from the strip width, the
-decay rates on both sides and a bound on the oscillation frequency, and
-sized so that the fine grid itself meets the tolerance.  The three
+the error decays like exp(nu*d - 2*pi*d/h), d the width of the
+analyticity strip (the contour-to-pole distance) and nu a bound on the
+integrand's angular frequency, as in `hypgamma._trapezoid_nodes`.  One
+rule (`_chain_grid`) sizes every grid from d, nu and the decay rates on
+both sides so that the fine grid itself meets the tolerance.  The three
 levels extrapolate that geometric decay to the fine grid's own error,
 floored at the rounding of the finisher's sum, plus the finisher's
 boundary-tail monitors; a grid whose estimate misses the tolerance is
@@ -460,10 +460,10 @@ def _chain_grid(eps, cfg, decay, nstages, pole_dist=None, freq=0.0,
     Im t = -inf and +inf.  The minus side gets one guard band, the plus
     side one per stage after the first, for kernels that do not decay
     upward until a later stage does.  The step resolves the pole
-    distance (pole_dist, default eps) and an oscillation of angular
-    frequency at most freq + chirp*|Im t| along the grid, whose growth
-    across the strip it must outrun.  QuadError for more than _MAX_DIM
-    stages or a decay rate that is not positive.
+    distance d (pole_dist, default eps) and an oscillation of angular
+    frequency at most nu = freq + chirp*|Im t| along the grid: the error
+    e^{nu d - 2 pi d/h} is e^{-L} at 1/h = L/(2 pi d) + nu/(2 pi).
+    QuadError for more than _MAX_DIM stages or a decay rate not > 0.
     """
     if nstages > _MAX_DIM:
         raise QuadError("dimension above the supported maximum",
@@ -482,7 +482,7 @@ def _chain_grid(eps, cfg, decay, nstages, pole_dist=None, freq=0.0,
     yp = ltol / dp + _MARGIN + guard * max(0, nstages - 1)
     nu = freq + chirp * max(ym, yp)
     if nu > 0.0:
-        h = 1.0 / (1.0 / h + nu / math.pi)
+        h = 1.0 / (1.0 / h + nu / TWO_PI)
     nm = int(math.ceil(ym / h / 4.0)) * 4
     npl = int(math.ceil(yp / h / 4.0)) * 4
     if nm + npl + 1 > _MAX_CHAIN_NODES:

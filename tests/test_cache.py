@@ -93,12 +93,20 @@ def test_evicted_value_is_recomputed_bit_identically(monkeypatch):
     clear_value_cache()
 
 
-def test_result_types_agree_across_routes(tmp_path, monkeypatch):
+@pytest.fixture
+def store(tmp_path, monkeypatch):
+    """A store at tmp_path / "values.jsonl", installed on an empty memo
+    and closed at teardown."""
+    monkeypatch.setattr(cache, "_memo", cache.LRU(8))
+    store = cache.ValueCache(tmp_path / "values.jsonl")
+    monkeypatch.setattr(cache, "_ACTIVE", store)
+    yield store
+    store.close()
+
+
+def test_result_types_agree_across_routes(store):
     """A fresh value, a memo hit and a store hit are Python complex and
     float with the same bits."""
-    monkeypatch.setattr(cache, "_memo", cache.LRU(8))
-    monkeypatch.setattr(cache, "_ACTIVE",
-                        cache.ValueCache(tmp_path / "values.jsonl"))
     p = OmegaParam(0.8)
     fresh = zeta_omega((2,), p)
     memo = zeta_omega((2,), p)
@@ -113,12 +121,9 @@ def test_result_types_agree_across_routes(tmp_path, monkeypatch):
         assert res.err_estimate.hex() == fresh.err_estimate.hex()
 
 
-def test_store_keys_are_the_printed_monomials(tmp_path, monkeypatch):
+def test_store_keys_are_the_printed_monomials(tmp_path, store):
     """A sum writes one store entry per monomial, named by the printed
     monomial and the route: stores already written are keyed so."""
-    monkeypatch.setattr(cache, "_memo", cache.LRU(8))
-    store = cache.ValueCache(tmp_path / "values.jsonl")
-    monkeypatch.setattr(cache, "_ACTIVE", store)
     Z_omega(parse_apoly("E G2 + 2 G1 G3"), OmegaParam(0.8))
     want = {"mono E G2 reduced", "mono G1 G3 reduced"}
     assert {rec["expr"] for _, _, rec in store.entries.values()} == want
@@ -126,7 +131,7 @@ def test_store_keys_are_the_printed_monomials(tmp_path, monkeypatch):
     assert {rec["expr"] for _, _, rec in reloaded.entries.values()} == want
 
 
-def test_store_is_read_and_written_once_per_fresh_value(tmp_path,
+def test_store_is_read_and_written_once_per_fresh_value(tmp_path, store,
                                                        monkeypatch):
     """A fresh value looks the store up once and writes it once, under
     its (expr, omega, fingerprint) triple; a memo hit touches the store
@@ -140,9 +145,6 @@ def test_store_is_read_and_written_once_per_fresh_value(tmp_path,
             return method(self, key, *rest)
 
         monkeypatch.setattr(cache.ValueCache, name, spy)
-    monkeypatch.setattr(cache, "_memo", cache.LRU(8))
-    store = cache.ValueCache(tmp_path / "values.jsonl")
-    monkeypatch.setattr(cache, "_ACTIVE", store)
     p = OmegaParam(0.8)
     zeta_omega((2,), p)
     assert [name for name, _ in calls] == ["get", "put"]
@@ -206,6 +208,44 @@ def test_store_with_hashed_keys_is_served(tmp_path, monkeypatch):
     assert served.value.imag.hex() == fresh.value.imag.hex()
     assert served.err_estimate.hex() == fresh.err_estimate.hex()
     assert path.read_bytes() == stored
+
+
+def test_store_appends_through_one_handle(tmp_path, monkeypatch):
+    """Ten puts open the store file once and flush each line: a second
+    store on the path reads every one while the first is open.  close,
+    clear and installing another store close the handle, and a put
+    after close opens it again."""
+    appends = []
+
+    def spy(path, mode="r", *args, **kw):
+        fh = open(path, mode, *args, **kw)
+        if mode == "a":
+            appends.append(fh)
+        return fh
+
+    monkeypatch.setattr(cache, "open", spy, raising=False)
+    monkeypatch.setattr(cache, "_ACTIVE", None)
+    path = tmp_path / "values.jsonl"
+    first = cache.ValueCache(path)
+    for n in range(10):
+        first.put(("zeta %d" % (n + 2), "0.8", "f"), n + 0.5j, 1e-12)
+    assert len(appends) == 1 and not appends[0].closed
+    second = cache.ValueCache(path)
+    assert len(second) == 10
+    assert all(second.get(key) == first.get(key) for key in first.entries)
+    first.close()
+    assert appends[0].closed
+    first.put(("zeta 12", "0.8", "f"), 1.5, 1e-12)
+    cache.install(first)
+    cache.install(first)
+    assert len(appends) == 2 and not appends[1].closed
+    cache.install(second)
+    assert appends[1].closed
+    second.put(("zeta 13", "0.8", "f"), 2.5, 1e-12)
+    second.clear()
+    assert appends[2].closed and not path.exists()
+    cache.install(None)
+    assert len(appends) == 3
 
 
 @pytest.mark.parametrize("value, err", [(complex(math.nan, 0.0), 1e-12),

@@ -91,11 +91,7 @@ def reference_connected_integral(k, l, op, ctx, cfg, eps):
     w = p.omega
     r, s = len(k), len(l)
     lam, mu = complex(op.lam), complex(op.mu)
-    d0 = (min(eps, min(1.0, 1.0 / w) - (r + s) * eps)
-          - ohno._shift_margin(lam, mu))
-    dp = 1.6 * math.pi * w * eps * min(r, s)
-    h, ys = quad._chain_grid(eps, cfg, (TWO_PI, dp), max(r, s),
-                             pole_dist=d0, chirp=math.pi * w)
+    dp, h, ys = ohno._connector_grid(cfg, w, r, s, lam, mu, eps)
     stages = (ohno._prefix_stages(k, lam, mu, p),
               ohno._prefix_stages(l, lam, mu, p))
     pref = p.hbar_value ** (sum(k) + sum(l))

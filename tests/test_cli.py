@@ -381,6 +381,31 @@ def test_gamma_cache_round_trip(runner, tmp_path):
     assert r1 == r2
 
 
+def test_each_verb_closes_its_store(runner, tmp_path, monkeypatch):
+    """eval, gamma, ohno and verify each write their fresh values
+    through one handle, which is closed when the verb ends, and leave
+    no store installed."""
+    appends = []
+
+    def spy(path, mode="r", *args, **kw):
+        fh = open(path, mode, *args, **kw)
+        if mode == "a":
+            appends.append(fh)
+        return fh
+
+    monkeypatch.setattr(omzv.cache, "open", spy, raising=False)
+    for n, args in enumerate([["eval", "zeta", "2"], ["gamma", "0.2+0.3i"],
+                              ["ohno", "2", "--order", "0"],
+                              ["verify", "duality", "--max-weight", "2"]]):
+        store = tmp_path / ("values-%d.jsonl" % n)
+        fresh_memos()
+        res = runner.invoke(cli, args + ["--cache", str(store)])
+        assert res.exit_code == 0, args
+        assert len(appends) == n + 1 and appends[n].closed, args
+        assert omzv.cache._ACTIVE is None
+        assert store.read_text().count("\n") >= 1
+
+
 def test_cache_clear(runner, tmp_path):
     store = tmp_path / "values.jsonl"
     fresh_memos()

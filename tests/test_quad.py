@@ -8,7 +8,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from omzv import OmegaParam, QuadConfig, QuadError, ohno, quad, zeta_omega
+from omzv import (GammaContext, OhnoParams, OmegaParam, QuadConfig,
+                  QuadError, connected_integral, ohno, quad, zeta_omega)
 from omzv.omega import clear_value_cache
 from omzv.quad import ChainStage, chain_line_integral, geometric_factor
 
@@ -64,6 +65,55 @@ def lemma_chain(a1, a2):
               ChainStage(cum=lambda t: np.exp(a2 * t))]
     exact = 1.0 / ((cmath.exp(a1 + a2) - 1.0) * (cmath.exp(a2) - 1.0))
     return stages, (TWO_PI, min(a2.imag, (a1 + a2).imag)), exact
+
+
+# Fine-grid nodes of (1);(1), (2);(1) and (1,2);(1) at rel_tol 1e-7 and
+# 1e-9, at lam = mu = 0 and at a deformation point.  With the step rule
+# 1/h + nu/pi and the decay rate 1.6 pi w eps min(r, s) they were 1.7-1.9
+# times as many.
+CONNECTOR_NODES = {
+    0.3: [(3177, 3737), (3177, 3737), (5009, 5881),
+          (3205, 3777), (3205, 3777), (5069, 5957)],
+    1.0: [(1553, 1809), (1553, 1809), (2505, 2905),
+          (1565, 1829), (1565, 1829), (2537, 2941)],
+    1.9: [(2945, 3433), (2945, 3433), (4757, 5513),
+          (3001, 3505), (3001, 3505), (4865, 5649)]}
+
+
+@pytest.mark.parametrize("omega", sorted(CONNECTOR_NODES))
+def test_connector_grid_is_sized_by_its_oscillation_and_decay(omega):
+    """The connector's step adds nu/(2 pi) to 1/h for the cross-phase
+    chirp of frequency nu, and its upward decay rate is the Theta
+    asymptotics' 2 pi w eps min(r, s).  Those grids need no refinement,
+    and each value lies within its estimate plus that of a rel_tol 1e-13
+    reference."""
+    p = OmegaParam(omega)
+    ref_ctx = GammaContext(p, cfg=QuadConfig(rel_tol=1e-13, abs_tol=1e-15))
+    ctxs = [GammaContext(p, cfg=QuadConfig(rel_tol=tol))
+            for tol in (1e-7, 1e-9)]
+    clear_value_cache()
+    nodes = []
+    for op in (OhnoParams(), OhnoParams(0.003 + 0.001j, -0.002 + 0.0025j)):
+        for k, l in (((1,), (1,)), ((2,), (1,)), ((1, 2), (1,))):
+            ref = connected_integral(k, l, op, ref_ctx)
+            got = [connected_integral(k, l, op, ctx) for ctx in ctxs]
+            for res in got:
+                assert res.meta["refinements"] == 0
+                assert (abs(res.value - ref.value)
+                        <= res.err_estimate + ref.err_estimate), (k, l, op)
+            nodes.append(tuple(res.meta["nodes"] for res in got))
+    assert nodes == CONNECTOR_NODES[omega]
+
+
+@pytest.mark.parametrize("omega, depth, nodes", [(0.6, 1, 513), (1.0, 2, 729),
+                                                 (1.0, 6, 2617),
+                                                 (1.4, 4, 2025)])
+def test_zeta_grids_have_no_oscillation_term(omega, depth, nodes):
+    """Zeta chains pass no frequency, so the connector's step rule
+    leaves their grids as they were."""
+    clear_value_cache()
+    res = zeta_omega((1,) * (depth - 1) + (2,), OmegaParam(omega))
+    assert res.meta["nodes"] == nodes
 
 
 def test_coarse_grid_is_refined(cfg):
