@@ -167,9 +167,16 @@ def install(store):
 
 _memo = LRU(MEMO_SIZE)
 
+# The connector's log G lines (`ohno._descending_log_line`), read-only,
+# keyed by (omega, cfg, x0, h, n, height).  2^19 points (8.4 MB) hold the
+# order-2 expansion at omega 0.6 (102 lines, 210,522 points), `verify all`
+# at omega 0.3/1/1.9 (23 lines, <= 81,507) and any tier-1 test (373,807).
+_LINE_MEMO = LRU(1 << 19, weight=len)
+
 
 def clear_memo():
     _memo.clear()
+    _LINE_MEMO.clear()
 
 
 def memoized(expr, omega, cfg, compute, meta=None):

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cache import LRU
 from .quad import QuadConfig, QuadError, _log_target, cexpm1
 
 __all__ = [
@@ -47,24 +46,15 @@ __all__ = [
     "log_G",
 ]
 
-# Lines held by a context's line cache.  The tests' connected expansion
-# of order 2 at omega = 0.6 and rel_tol 1e-7 reads 306 lines (5.9 MB),
-# the tier-1 tests at most 258 (4.3 MB) in one context.
-LINE_CACHE_SIZE = 256
 
-
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class GammaContext:
     """Evaluation context: the deformation parameter p and the
-    quadrature tolerances cfg, plus the cache of log G lines that the
-    connector fills, bounded to LINE_CACHE_SIZE lines (least recently
-    used ones are dropped).  Hashed by identity: a value key names it."""
+    quadrature tolerances cfg.  A plain value: contexts with equal p and
+    cfg are equal and hash equal."""
 
     p: object
     cfg: QuadConfig = field(default_factory=QuadConfig)
-
-    def __post_init__(self):
-        self.line_cache = LRU(LINE_CACHE_SIZE)
 
     @property
     def omega_bar(self):

@@ -17,14 +17,14 @@ Each coefficient table, O_{m,n}(k) and Omega, is an `OhnoTable`: a
 dict (m, n) -> EvalResult whose cells are summed by
 `EvalResult.combine`.  The connector functions take a
 `GammaContext` and compute everything, chains and log G lines, at its
-`cfg`, the configuration the memo and the store key their values by.
+`cfg`, by which the memos and the store key their values and lines.
 
 The Theta stage couples the two chain lines only through the sum
 T + U and the cross phase e^{-pi i w T U}.  On a shared uniform grid
 the sum part is a discrete convolution, and the cross phase splits
-into per-line chirps times a chirp on the sum grid, so the double sum
+into per-line chirps times a chirp on the sum grid, so each grid level
 costs one tilted FFT convolution instead of a dense double loop.  It
-finishes the shared chain pass (`quad._chain_integral`) of both chains.
+finishes the shared chain pass (`quad._chain_integral`) once per grid.
 """
 
 import math
@@ -38,7 +38,7 @@ from .hypgamma import log_G, log_G_line
 from .ncseries import z_decompose
 from .omega import clear_value_cache, contour_offset, zeta_omega
 from .quad import (TWO_PI, ChainStage, EvalResult, QuadConfig, QuadError,
-                   cexpm1, chain_line_integral, geometric_factor,
+                   STEPS, cexpm1, chain_line_integral, geometric_factor,
                    _chain_grid, _chain_integral, _tilted_convolve, _worst)
 from .words import check_index
 
@@ -234,17 +234,15 @@ def _descending_log_line(ctx, tops, h, shift, height):
     """log G(i(ob + line + shift)) where line = -a*eps + i*ys runs over
     a grid with imaginary parts `tops` (ascending, spacing h); the G
     argument then has fixed height and descending real part.  The
-    ascending G line is memoized on the context; a step-doubled grid is
-    a subsample of its fine parent, so it is served by slicing."""
+    ascending G line is kept, read-only, in the process-wide line memo."""
     n = len(tops)
     x0 = -float(tops[-1]) - shift.imag
-    key = (x0, float(h), n, float(height))
-    hit = ctx.line_cache.get(key)
+    key = (ctx.p.omega, ctx.cfg, x0, float(h), n, float(height))
+    hit = _cache._LINE_MEMO.get(key)
     if hit is None:
-        parent = ctx.line_cache.get((x0, 0.5 * key[1], 2 * n - 1, key[3]))
-        hit = (parent[::2] if parent is not None
-               else log_G_line(x0 + h * np.arange(n), height, ctx))
-        ctx.line_cache.put(key, hit)
+        hit = log_G_line(x0 + h * np.arange(n), height, ctx)
+        hit.flags.writeable = False
+        _cache._LINE_MEMO.put(key, hit)
     return hit[::-1]
 
 
@@ -259,13 +257,12 @@ def _prefix_stages(k, lam, mu, p):
 
 
 def _theta_value(ctx, pref, r, s, lam, mu, eps, dp, h, ys, rows):
-    """The Theta-coupled double sum of the chains' last rows on the grid
-    (h, ys), times pref, its boundary-tail bound and the sum of its
-    terms' magnitudes."""
-    chi_t, chi_u = rows
+    """The Theta-coupled double sum of the chains' last rows at each grid
+    level, times pref, and the fine level's boundary-tail bound and sum
+    of its terms' magnitudes (`quad._chain_integral`'s finisher).  The
+    lines and chirps are formed once on the fine grid (h, ys)."""
     w = ctx.p.omega
     ob = ctx.omega_bar
-    n = len(ys)
     both = lam + mu
 
     def log_line(a):
@@ -284,6 +281,7 @@ def _theta_value(ctx, pref, r, s, lam, mu, eps, dp, h, ys, rows):
     for name, logs in (("a", log_a), ("b", log_b), ("c", log_c)):
         if not np.max(logs.real) < _LOG_FLOAT_MAX:
             raise QuadError("Theta factor beyond the float range", factor=name)
+    exp_a, exp_b, c = np.exp(log_a), np.exp(log_b), np.exp(log_c)
 
     # cross phase e^{-pi i w T U} split into line chirps and a sum chirp
     f_t = np.exp((-math.pi * w * s * eps) * ys - 0.5j * math.pi * w * ys ** 2)
@@ -291,20 +289,23 @@ def _theta_value(ctx, pref, r, s, lam, mu, eps, dp, h, ys, rows):
     f_sum = np.exp(0.5j * math.pi * w * ysum ** 2)
     const = np.exp(-1j * math.pi * w * r * s * eps * eps)
 
-    a_vec = chi_t * np.exp(log_a) * f_t
-    b_vec = chi_u * np.exp(log_b) * f_u
-    conv = _tilted_convolve(a_vec, b_vec, 0, 2 * n - 1)
-    c = np.exp(log_c)
-    summand = conv * c * f_sum
-    value = const * (1j ** (r + s)) * h * h * summand.sum()
+    levels = []
+    for chi_t, chi_u, m in zip(*rows, STEPS):
+        a_vec = chi_t[::m] * exp_a[::m] * f_t[::m]
+        b_vec = chi_u[::m] * exp_b[::m] * f_u[::m]
+        conv = _tilted_convolve(a_vec, b_vec, 0, 2 * len(a_vec) - 1)
+        levels.append((a_vec, b_vec, conv * c[::m] * f_sum[::m]))
+    values = [pref * (const * (1j ** (r + s)) * (m * h) * (m * h) * v.sum())
+              for (_, _, v), m in zip(levels, STEPS)]
+    a_vec, b_vec, summand = levels[0]
     scale = h * h * np.abs(summand).sum()
 
     # boundary monitors: top/bottom rows of each line and of the sum
     a_abs, b_abs, c_abs = np.abs(a_vec), np.abs(b_vec), np.abs(c)
-    hi, lo = c_abs[n - 1:], c_abs[:n]
+    hi, lo = c_abs[len(ys) - 1:], c_abs[:len(ys)]
     tail = h * ((a_abs[-1] * (b_abs @ hi) + b_abs[-1] * (a_abs @ hi)) / dp
                 + (a_abs[0] * (b_abs @ lo) + b_abs[0] * (a_abs @ lo)) / TWO_PI)
-    return pref * value, abs(pref) * float(tail), abs(pref) * scale
+    return values, abs(pref) * float(tail), abs(pref) * scale
 
 
 clear_connector_cache = clear_value_cache   # one memo with the chains

@@ -154,8 +154,8 @@ def _binom_poly(delta, alpha):
 # Monomial evaluation
 
 def clear_value_cache():
-    """Empty the process-wide memo (shared with the connector) and the
-    measure-kernel tables of the chain grids."""
+    """Empty the process-wide memos (values, shared with the connector,
+    and log G lines) and the measure-kernel tables of the chain grids."""
     _cache.clear_memo()
     _MEASURE_MEMO.clear()
 

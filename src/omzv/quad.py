@@ -19,11 +19,11 @@ One pass (`chain_rows`) evaluates each kernel once per integral on the
 fine grid, and the measure kernel, which does not depend on omega, once
 per grid.  The error estimate compares the fine grid with the grids of
 step 2h and 4h, the fine grid with every other and every fourth node
-kept (trapezoid grids nest).  Their chains ride through the fine pass as
-two more rows, zero off their nodes, so each stage is one convolution
-of all three rows against the fine tables.
-A diff table is one read-only `_Operand`, whose logarithm and hull serve
-every stage and every integral that reads it.
+kept (trapezoid grids nest; `STEPS`).  Their chains ride through the
+fine pass as two more rows, zero off their nodes: each stage is one
+convolution of all three rows, and the finisher runs once per grid on
+them.  A diff table is one read-only `_Operand`, whose logarithm and
+hull serve every stage and every integral that reads it.
 
 Every chain kernel is a product of powers of e^x/(1 - e^x) and
 1/(1 - e^x); `geometric_factor` evaluates them without overflow and
@@ -74,6 +74,8 @@ _SHARPNESS = 1.4       # grid-step log factor: error ~ rel_tol^_SHARPNESS
 # of `_chain_integral`'s estimate, and some pairs differ by more.
 _MAX_DIM = 8
 _MAX_CHAIN_NODES = 200_000
+# Grid levels of the error estimate: level l keeps every STEPS[l]-th node.
+STEPS = (1, 2, 4)
 
 
 class QuadError(Exception):
@@ -543,7 +545,7 @@ def chain_rows(chains, eps, h, ys):
     chain of depth 1 has the fine row for all three.
 
     Returns per chain the three stage-r rows on the line Re T_r =
-    -r*eps; row l at every 2^l-th node is the chain of step 2^l h.
+    -r*eps; row l at every m = STEPS[l]-th node is the chain of step m*h.
     """
     n = len(ys)
     first = n - 1 - int(round(-ys[0] / h))
@@ -552,7 +554,7 @@ def chain_rows(chains, eps, h, ys):
            for d in dict.fromkeys(st.diff for stages in chains
                                   for st in stages[1:])}
     lines = {}
-    steps = h * np.array([[1.0], [2.0], [4.0]])
+    steps = h * np.array(STEPS, dtype=float)[:, None]
     out = []
     for stages in chains:
         d = stages[0].diff
@@ -576,10 +578,11 @@ def _chain_integral(chains, eps, cfg, h, ys, finish, **meta):
     """One or more chains (lists of ChainStage) on the grid (h, ys),
     refined until their error estimate meets the tolerance.
 
-    finish(h, ys, rows) -> (value, tail, scale) turns the chains' last
-    rows into the integral, a bound on its boundary tails and the sum of
-    the magnitudes it added up, on the rows of step h, 2h and 4h
-    (`chain_rows`).  With e2 = |V_h - V_2h| and e4 = |V_2h - V_4h|, the
+    finish(h, ys, rows) -> ([V_h, V_2h, V_4h], tail, scale) runs once per
+    grid on each chain's three last rows (`chain_rows`): row l at every
+    m = STEPS[l]-th node gives the value at step m*h, and the fine rows a
+    tail bound and the sum of the magnitudes added up.  With e2 = |V_h -
+    V_2h| and e4 = |V_2h - V_4h|, the
     estimate e2 (e2/e4)^2 is the error of V_h for a trapezoid error
     A e^{-c/h}; it is e2 when e4 <= e2.  Floored at 1e-13 of the fine
     scale (the rounding of the convolutions and the sum), it gives err =
@@ -594,10 +597,8 @@ def _chain_integral(chains, eps, cfg, h, ys, finish, **meta):
     while True:
         rows = chain_rows(chains, eps, h, ys)
         nodes = len(ys)
-        value, tail, scale = finish(h, ys, [r[0] for r in rows])
+        (value, v2, v4), tail, scale = finish(h, ys, rows)
         _require_finite(value, tail, nodes=nodes, stage="fine")
-        v2, v4 = (finish(m * h, ys[::m], [r[l][::m] for r in rows])[0]
-                  for l, m in ((1, 2), (2, 4)))
         e2, e4 = abs(value - v2), abs(v2 - v4)
         est = e2 * (e2 / e4) ** 2 if e4 > e2 else e2
         floor = 1e-13 * scale
@@ -634,9 +635,10 @@ def chain_line_integral(stages, eps, cfg=None, *, decay, pole_dist=None,
     pref = complex(prefactor) * (1j ** r)
 
     def finish(h, ys, rows):
-        chi = rows[0]
-        mag = np.abs(chi)
-        return (pref * h * chi.sum(),
+        (levels,) = rows
+        mag = np.abs(levels[0])
+        return ([pref * (m * h) * row[::m].sum()
+                 for row, m in zip(levels, STEPS)],
                 abs(prefactor) * (mag[0] / dm + mag[-1] / dp),
                 abs(prefactor) * h * mag.sum())
 

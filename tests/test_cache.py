@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 
 import omzv
-from omzv import (GammaContext, OmegaParam, QuadConfig, Z_omega, cache,
-                  parse_apoly, words, zeta_omega)
+from omzv import (OmegaParam, QuadConfig, Z_omega, cache, parse_apoly, words,
+                  zeta_omega)
 from omzv.omega import clear_value_cache
 
 
@@ -287,8 +287,7 @@ def source_cache_sites():
 
 def live_caches():
     """The lru_cache functions, LRU maps and successor-table registries
-    of the package, each once: those held by its modules and classes,
-    and GammaContext's line cache."""
+    of the package, each once: those held by its modules and classes."""
     found = {}
     for info in pkgutil.iter_modules(omzv.__path__):
         module = importlib.import_module("omzv." + info.name)
@@ -300,17 +299,14 @@ def live_caches():
                     hasattr(v, "cache_parameters")
                     and v.__module__.startswith("omzv")):
                 found[id(v)] = v
-    line_cache = GammaContext(OmegaParam(1.0)).line_cache
-    found[id(line_cache)] = line_cache
     return list(found.values())
 
 
 def test_every_cache_has_a_finite_bound():
     """Each lru_cache and LRU of the package has a finite bound, and so
     has each successor table of a registry, in size and in number; the
-    walk over its modules, classes and GammaContext finds as many caches
-    as its source makes, so a new cache is either seen here or fails the
-    count."""
+    walk over its modules and classes finds as many caches as its source
+    makes, so a new cache is either seen here or fails the count."""
     words._shuffle_merge.__wrapped__("ba", "ba")    # a kernel fills a table
     sites, unbounded = source_cache_sites()
     assert unbounded == []

@@ -10,6 +10,7 @@ from the compact passes.  The measure kernel's difference table is made
 once per grid and shared by every integral on it, and the tilt plans
 are chosen at block ends; both keep every bit."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -51,13 +52,12 @@ def reference_chain_pass(stages, eps, h, ys):
 
 
 def reference_integral(cfg, h, ys, finish):
-    """finish(h, ys) -> (value, tail, scale) at steps h, 2h and 4h, the
-    error estimate e2 (e2/e4)^2 (e2 when e4 <= e2) floored at 1e-13 of
-    the scale, and h halved on the same span while the estimate is the
+    """finish(h, ys) -> ([V_h, V_2h, V_4h], tail, scale) once per grid,
+    the error estimate e2 (e2/e4)^2 (e2 when e4 <= e2) floored at 1e-13
+    of the scale, and h halved on the same span while the estimate is the
     largest part of an error above the tolerance."""
     while True:
-        (value, tail, scale), (v2, _, _), (v4, _, _) = (
-            finish(m * h, ys[::m]) for m in (1, 2, 4))
+        (value, v2, v4), tail, scale = finish(h, ys)
         e2, e4 = abs(value - v2), abs(v2 - v4)
         est = e2 * (e2 / e4) ** 2 if e4 > e2 else e2
         floor = 1e-13 * scale
@@ -77,11 +77,16 @@ def reference_chain_line_integral(stages, eps, cfg=None, *, decay,
     dm, dp = float(decay[0]), float(decay[1])
     h, ys = quad._chain_grid(eps, cfg, (dm, dp), r, pole_dist, freq)
 
-    def finish(h, ys):
+    def level(h, ys):
         chi = reference_chain_pass(stages, eps, h, ys)
         return (complex(prefactor) * (1j ** r) * h * chi.sum(),
                 abs(prefactor) * (abs(chi[0]) / dm + abs(chi[-1]) / dp),
                 abs(prefactor) * h * np.abs(chi).sum())
+
+    def finish(h, ys):
+        (value, tail, scale), (v2, _, _), (v4, _, _) = (
+            level(m * h, ys[::m]) for m in (1, 2, 4))
+        return [value, v2, v4], tail, scale
 
     return reference_integral(cfg, h, ys, finish)
 
@@ -96,10 +101,16 @@ def reference_connected_integral(k, l, op, ctx, cfg, eps):
               ohno._prefix_stages(l, lam, mu, p))
     pref = p.hbar_value ** (sum(k) + sum(l))
 
+    def levels(st, h, ys):
+        # each compact pass at every m-th node of a fine-length row
+        rows = [np.zeros(len(ys), dtype=complex) for _ in range(3)]
+        for row, m in zip(rows, (1, 2, 4)):
+            row[::m] = reference_chain_pass(st, eps, m * h, ys[::m])
+        return rows
+
     def finish(h, ys):
-        return ohno._theta_value(
-            ctx, pref, r, s, lam, mu, eps, dp, h, ys,
-            [reference_chain_pass(st, eps, h, ys) for st in stages])
+        return ohno._theta_value(ctx, pref, r, s, lam, mu, eps, dp, h, ys,
+                                 [levels(st, h, ys) for st in stages])
 
     return reference_integral(cfg, h, ys, finish)
 
@@ -194,6 +205,73 @@ def test_connected_integral_matches_evaluate_per_pass(k, l):
     clear_value_cache()
     ref = reference_connected_integral(k, l, op, ctx, FAST, eps)
     assert_matches(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# The connector: Theta once per grid, log G lines in one process memo
+
+def test_theta_runs_once_per_grid_on_memoised_lines(monkeypatch):
+    """The Theta finisher runs once per grid, on all three levels.  On a
+    cleared memo (1);(1) computes its 4 log G lines (one per shift, the
+    two chains sharing theirs) and (1,2);(1) its 7; (2);(1), on the grid
+    of (1);(1), computes none.  The memo keeps read-only lines, and its
+    summed points never exceed its bound.  Bounded to two fine lines,
+    it drops the first chain's lines before the second chain reads them:
+    they are computed again, and the value keeps every bit."""
+    ctx = GammaContext(OmegaParam(1.2), cfg=FAST)
+    op = OhnoParams(lam=0.002j, mu=0.001)
+    memo = cache._LINE_MEMO
+    thetas, lines, totals = [], [], []
+    theta, line, put = ohno._theta_value, ohno.log_G_line, memo.put
+    monkeypatch.setattr(ohno, "_theta_value",
+                        lambda *a: thetas.append(a) or theta(*a))
+    monkeypatch.setattr(ohno, "log_G_line",
+                        lambda *a: lines.append(a) or line(*a))
+    monkeypatch.setattr(memo, "put", lambda key, value: (
+        put(key, value), totals.append(memo.total)))
+
+    def computed(k, l):
+        thetas.clear()
+        lines.clear()
+        res = connected_integral(k, l, op, ctx)
+        assert len(thetas) == 1 and res.meta["refinements"] == 0
+        assert [len(levels) for levels in thetas[0][-1]] == [3, 3]
+        return len(lines), res
+
+    clear_value_cache()
+    try:
+        n, first = computed((1,), (1,))
+        assert n == 4
+        assert computed((2,), (1,))[0] == 0
+        assert computed((1, 2), (1,))[0] == 7
+        stored = list(memo._d.values())
+        assert len(stored) == 11
+        assert not any(v.flags.writeable for v in stored)
+        assert memo.total == sum(map(len, stored)) <= memo.maxsize
+        assert max(totals) <= memo.maxsize
+        clear_value_cache()
+        totals.clear()
+        monkeypatch.setattr(memo, "maxsize", 2 * first.meta["nodes"])
+        n, again = computed((1,), (1,))
+        assert n == 7 and len(memo) <= 2
+        assert 0 < max(totals) <= memo.maxsize
+        assert result_bits(again) == result_bits(first)
+    finally:
+        clear_value_cache()
+
+
+def test_gamma_context_is_a_plain_value():
+    """Contexts with equal (p, cfg) are equal and hash equal, so a key
+    that names one names them all; a context holds no mutable state."""
+    a = GammaContext(OmegaParam(0.6), cfg=FAST)
+    b = GammaContext(OmegaParam(0.6), cfg=QuadConfig(rel_tol=1e-7,
+                                                      abs_tol=1e-9))
+    assert a == b and hash(a) == hash(b)
+    assert a != GammaContext(OmegaParam(0.6))
+    assert a != GammaContext(OmegaParam(0.7), cfg=FAST)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.cfg = QuadConfig()
+    assert not hasattr(a, "__dict__") or vars(a) == {"p": a.p, "cfg": a.cfg}
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,26 @@ def test_line_sum_matches_point_sums(omega):
         assert np.max(np.abs(line - points)) < 1e-12
 
 
+def test_non_uniform_line_is_summed_densely(monkeypatch):
+    """A line of more than _CHIRP_MIN points that is not uniform has no
+    step: it falls back to the dense sum, which matches per-point log G."""
+    ctx = make_ctx(0.6)
+    re = np.linspace(-2.0, 2.0, 40) ** 3 / 4.0
+    assert re.size >= _CHIRP_MIN and _uniform_step(re) is None
+    dense_sizes = []
+    dense = hypgamma._dense_sum
+    monkeypatch.setattr(hypgamma, "_dense_sum", lambda z, b, expo: (
+        dense_sizes.append(z.size), dense(z, b, expo))[1])
+    monkeypatch.setattr(hypgamma, "_chirp_sum", None)
+    s0 = ctx.core_band
+    for im in (0.3 * s0, s0 + 0.2, -s0 - 0.2):
+        dense_sizes.clear()
+        line = log_G_line(re, im, ctx)
+        assert dense_sizes == [re.size]
+        points = np.array([log_G(complex(r, im), ctx) for r in re])
+        assert np.max(np.abs(line - points)) < 1e-12
+
+
 @pytest.mark.parametrize("omega", [0.3, 1.0, 1.8])
 @pytest.mark.parametrize("x0, h, n", [(-80.0, 0.0095, 17_000),
                                       (-150.3, 0.01, 30_001)])

@@ -203,6 +203,44 @@ def test_connected_integral_region_guards(ctx1, fast_cfg):
                            eps=0.9)
 
 
+def test_generating_function_refusals(fast_cfg):
+    """ohno_generating refuses an offset outside (0, 1/(2rw)), a point
+    outside the series radius eps/(3 pi), and a contour whose pole
+    distance is at most eps/10 (at w = 0.3 the bound 1/(2w) lets eps
+    reach 0.95, a distance 1 - eps from the measure poles)."""
+    p = OmegaParam(0.3)
+    for eps in (0.0, 1.0 / 0.6, 2.0):
+        with pytest.raises(QuadError, match="contour shift outside"):
+            ohno_generating((2,), OhnoParams(), p, fast_cfg, eps=eps)
+    with pytest.raises(QuadError, match="outside the series region"):
+        ohno_generating((2,), OhnoParams(0.02, 0.0), p, fast_cfg, eps=0.15)
+    with pytest.raises(QuadError, match="too close to a kernel pole") as exc:
+        ohno_generating((2,), OhnoParams(), p, fast_cfg, eps=0.95)
+    assert exc.value.detail["dist"] <= 0.095
+
+
+def test_series_truncation_refusal(p1, fast_cfg):
+    """A point whose hatted variables reach 1/8 leaves no geometric bound
+    on the dropped tail."""
+    with pytest.raises(QuadError, match="too large for series truncation"):
+        ohno_series((2,), OhnoParams(0.2, 0.01), 0, p1, fast_cfg)
+
+
+def test_connector_pole_refusal(ctx1):
+    """lam = mu = 0.99 eps pass the holomorphy guard, but their sum moves
+    the sum line's pole across the contour."""
+    eps = contour_offset(1.0, 2, "connector")[0]
+    with pytest.raises(QuadError, match="too close to a kernel pole") as exc:
+        connected_integral((1,), (1,), OhnoParams(0.99 * eps, 0.99 * eps),
+                           ctx1)
+    assert exc.value.detail["dist"] <= 1e-3
+
+
+def test_transport_relation_has_two_variants(ctx1):
+    with pytest.raises(ValueError, match="variant must be 1 or 2"):
+        transport_relation((2,), (1,), OhnoParams(), ctx1, variant=3)
+
+
 def test_connected_integral_rejects_non_integral_entries(ctx1):
     """An entry is an integer >= 1, checked before any quadrature: (2.7,)
     used to be read as (2,)."""

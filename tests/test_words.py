@@ -4,6 +4,7 @@ import functools
 import gc
 import itertools
 import pickle
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -601,10 +602,35 @@ def test_satoh_samples():
     assert satoh_residual(eg2, eg2).is_zero()
 
 
+def test_satoh_residual_vanishes_on_sums():
+    """Seeded sums of 2-4 battery monomials, with coefficients such as
+    -2, h and 1 + 3h^2, have several flat terms and take the merging
+    branch of the sigma-harmonic kernel: it gives the flat sigma of their
+    harmonic product, and the residual is zero."""
+    battery = monomials_up_to_weight(5)[1:]
+    coeffs = [-2, H(1), 1 + 3 * H(2), Fraction(1, 3), 1]
+    rng = random.Random(3817)
+    for _ in range(12):
+        a1, a2 = (APoly({m: rng.choice(coeffs)
+                         for m in rng.sample(battery, rng.randint(2, 4))})
+                  for _ in range(2))
+        f1, f2 = words._flat(a1), words._flat(a2)
+        assert len(f1) > 1 and len(f2) > 1
+        assert words._sigma_harmonic(f1, f2) == words._flat(
+            sigma(harmonic(a1, a2).to_hpoly()))
+        assert satoh_residual(a1, a2).is_zero()
+
+
 def test_satoh_rejects_inadmissible():
     b = HPoly.word("b")
     with pytest.raises(ValueError):
         satoh_residual(b, b)
+
+
+def test_satoh_rejects_negative_powers_of_h():
+    g2 = APoly.monomial(parse_amonomial("G2"))
+    with pytest.raises(ValueError, match="h\\^-1"):
+        satoh_residual(APoly.monomial(parse_amonomial("E G2"), H(-1)), g2)
 
 
 # -- rewriting --------------------------------------------------------------
