@@ -169,8 +169,8 @@ _memo = LRU(MEMO_SIZE)
 
 # The connector's log G lines (`ohno._descending_log_line`), read-only,
 # keyed by (omega, cfg, x0, h, n, height).  2^19 points (8.4 MB) hold the
-# order-2 expansion at omega 0.6 (102 lines, 210,522 points), `verify all`
-# at omega 0.3/1/1.9 (23 lines, <= 81,507) and any tier-1 test (373,807).
+# order-2 expansion at omega 0.6 (102 lines, 173,618 points), `verify all`
+# at omega 0.3/1/1.9 (23 lines, <= 71,079) and any tier-1 test (364,435).
 _LINE_MEMO = LRU(1 << 19, weight=len)
 
 

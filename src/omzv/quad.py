@@ -33,12 +33,13 @@ Uniform (trapezoid) steps are spectrally accurate for these integrands:
 the error decays like exp(nu*d - 2*pi*d/h), d the width of the
 analyticity strip (the contour-to-pole distance) and nu a bound on the
 integrand's angular frequency, as in `hypgamma._trapezoid_nodes`.  One
-rule (`_chain_grid`) sizes every grid from d, nu and the decay rates on
-both sides so that the fine grid itself meets the tolerance.  The three
-levels extrapolate that geometric decay to the fine grid's own error,
-floored at the rounding of the finisher's sum, plus the finisher's
-boundary-tail monitors; a grid whose estimate misses the tolerance is
-refined by halving its step (`_chain_integral`).
+rule (`_chain_grid`) sizes every grid from d, nu and the decay rates so
+that the fine grid itself meets the tolerance, its span covering each
+tail once: one guard band per side (Trefethen & Weideman, SIAM Review
+56, 2014).  The three levels extrapolate that geometric decay to the
+fine grid's own error, floored at the rounding of the finisher's sum,
+plus the finisher's boundary-tail monitors; a grid whose estimate misses
+the tolerance is refined by halving its step (`_chain_integral`).
 """
 
 import math
@@ -62,16 +63,15 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# Grid constants.  They enter every value, so fingerprint() names them.
-_MARGIN = 6.0          # additive truncation margin
+# Grid constants; fingerprint() names them and the span rule, "g1".
 _STRIP_SAFETY = 0.8    # usable fraction of the pole distance
 _SHARPNESS = 1.4       # grid-step log factor: error ~ rel_tol^_SHARPNESS
 # Budgets.  They only decide whether an evaluation raises QuadError,
 # never its value, so they stay out of the fingerprint.  _MAX_DIM also
 # keeps the estimates honest, not only the cost bounded: to depth 8 the
-# values at two contour offsets differ by at most 0.72 of their summed
-# estimates, but from depth 9 on rounding outgrows the fixed 1e-13 floor
-# of `_chain_integral`'s estimate, and some pairs differ by more.
+# values at two contour offsets differ by at most 0.24 of their summed
+# estimates, but deeper the rounding can outgrow the fixed 1e-13 floor
+# of `_chain_integral`'s estimate (by up to 1.3 times at depth 12).
 _MAX_DIM = 8
 _MAX_CHAIN_NODES = 200_000
 # Grid levels of the error estimate: level l keeps every STEPS[l]-th node.
@@ -96,10 +96,9 @@ class QuadConfig:
 
     def fingerprint(self):
         """Short string identifying everything that affects values: the
-        two tolerances and the grid constants."""
-        return ("r%.3g,a%.3g,m%.3g,s%.3g,q%.3g"
-                % (self.rel_tol, self.abs_tol, _MARGIN, _STRIP_SAFETY,
-                   _SHARPNESS))
+        two tolerances, the span rule and the grid constants."""
+        return ("r%.3g,a%.3g,g1,s%.3g,q%.3g"
+                % (self.rel_tol, self.abs_tol, _STRIP_SAFETY, _SHARPNESS))
 
 
 DEFAULT_CONFIG = QuadConfig()
@@ -459,13 +458,16 @@ def _chain_grid(eps, cfg, decay, nstages, pole_dist=None, freq=0.0,
     """Shared imaginary grid (h, ys) for a chain of nstages stages.
 
     decay is the (minus, plus) pair of exponential decay rates towards
-    Im t = -inf and +inf.  The minus side gets one guard band, the plus
-    side one per stage after the first, for kernels that do not decay
-    upward until a later stage does.  The step resolves the pole
-    distance d (pole_dist, default eps) and an oscillation of angular
-    frequency at most nu = freq + chirp*|Im t| along the grid: the error
-    e^{nu d - 2 pi d/h} is e^{-L} at 1/h = L/(2 pi d) + nu/(2 pi).
-    QuadError for more than _MAX_DIM stages or a decay rate not > 0.
+    Im t = -inf and +inf.  The span is l/dm + g below and l/dp + g above
+    (target e^{-l}, `_log_target`), one guard band g = l/(2 pi) per side
+    at any depth.  Below, G kernels tend to a constant and E-block
+    binomials grow: only the measure in each gap brings a row down.
+    Above, any T_a over T_r pays e^{-2 pi (T_a - T_r)}: no stage adds a
+    band.  The step resolves the pole distance d (pole_dist, default eps)
+    and an oscillation of angular frequency at most nu = freq +
+    chirp*|Im t|: the error e^{nu d - 2 pi d/h} is e^{-L} at 1/h =
+    L/(2 pi d) + nu/(2 pi).  QuadError for a decay rate not > 0 or more
+    than _MAX_DIM stages, the only use of nstages.
     """
     if nstages > _MAX_DIM:
         raise QuadError("dimension above the supported maximum",
@@ -479,9 +481,7 @@ def _chain_grid(eps, cfg, decay, nstages, pole_dist=None, freq=0.0,
     L = _SHARPNESS * math.log(1.0 / max(cfg.rel_tol, 1e-15))
     h = TWO_PI * d / L
     ltol = _log_target(cfg)
-    guard = ltol / TWO_PI
-    ym = ltol / dm + _MARGIN + guard
-    yp = ltol / dp + _MARGIN + guard * max(0, nstages - 1)
+    ym, yp = ltol / dm + ltol / TWO_PI, ltol / dp + ltol / TWO_PI
     nu = freq + chirp * max(ym, yp)
     if nu > 0.0:
         h = 1.0 / (1.0 / h + nu / TWO_PI)
@@ -494,7 +494,7 @@ def _chain_grid(eps, cfg, decay, nstages, pole_dist=None, freq=0.0,
 
 
 # Measure-kernel tables of recent grids, bounded by their summed length:
-# 2^17 entries (3 MB) hold about five depth-6 zeta grids or fifty depth-2.
+# 2^17 entries (3 MB) hold 36-97 depth-6 zeta grids or 85-130 depth-2.
 _MEASURE_MEMO = LRU(1 << 17, weight=lambda op: len(op.vals))
 
 

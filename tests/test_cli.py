@@ -139,7 +139,7 @@ def test_verify_records_each_suite_config(runner):
     report = json.loads(res.output)
     assert "fingerprint" not in report["config"]
     assert ({c["fingerprint"] for c in report["checks"]}
-            == {"r1e-07,a1e-09,m6,s0.8,q1.4"})
+            == {"r1e-07,a1e-09,g1,s0.8,q1.4"})
 
 
 @pytest.mark.parametrize("suite, omega", [("ohno", "1.99"),

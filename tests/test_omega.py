@@ -241,9 +241,9 @@ def test_two_offsets_agree_within_estimates(k, omega):
     """By Cauchy the value does not depend on the offset, so the stacks at
     eps and 0.7 eps are two independent grids for one value: they differ
     by at most the sum of their estimates.  That holds to depth 8, the
-    deepest chain quad._MAX_DIM admits (at most 0.41 of the sum here);
-    from depth 9 on the fixed rounding floor of the estimate no longer
-    covers the difference."""
+    deepest chain quad._MAX_DIM admits (at most 0.24 of the sum here);
+    deeper, the fixed rounding floor of the estimate can stop covering
+    the difference."""
     eps = contour_offset(omega, len(k))[0]
     a, b = (zeta_at_offset(k, omega, e) for e in (eps, 0.7 * eps))
     assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate

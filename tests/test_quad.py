@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 import tracemalloc
 
 import mpmath as mp
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from omzv import (GammaContext, OhnoParams, OmegaParam, QuadConfig,
-                  QuadError, connected_integral, ohno, quad, zeta_omega)
+                  QuadError, Z_omega_monomial, connected_integral, ohno,
+                  parse_amonomial, quad, zeta_omega)
 from omzv.omega import clear_value_cache
 from omzv.quad import ChainStage, chain_line_integral, geometric_factor
 
@@ -70,14 +72,15 @@ def lemma_chain(a1, a2):
 # Fine-grid nodes of (1);(1), (2);(1) and (1,2);(1) at rel_tol 1e-7 and
 # 1e-9, at lam = mu = 0 and at a deformation point.  With the step rule
 # 1/h + nu/pi and the decay rate 1.6 pi w eps min(r, s) they were 1.7-1.9
-# times as many.
+# times as many; with a fixed 6-unit margin on both sides and a plus
+# band per stage after the first, 1.08-1.36 times as many.
 CONNECTOR_NODES = {
-    0.3: [(3177, 3737), (3177, 3737), (5009, 5881),
-          (3205, 3777), (3205, 3777), (5069, 5957)],
-    1.0: [(1553, 1809), (1553, 1809), (2505, 2905),
-          (1565, 1829), (1565, 1829), (2537, 2941)],
-    1.9: [(2945, 3433), (2945, 3433), (4757, 5513),
-          (3001, 3505), (3001, 3505), (4865, 5649)]}
+    0.3: [(2941, 3465), (2941, 3465), (4417, 5201),
+          (2973, 3501), (2973, 3501), (4473, 5277)],
+    1.0: [(1301, 1517), (1301, 1517), (1841, 2153),
+          (1313, 1533), (1313, 1533), (1861, 2181)],
+    1.9: [(2469, 2881), (2469, 2881), (3489, 4081),
+          (2513, 2941), (2513, 2941), (3573, 4189)]}
 
 
 @pytest.mark.parametrize("omega", sorted(CONNECTOR_NODES))
@@ -105,15 +108,70 @@ def test_connector_grid_is_sized_by_its_oscillation_and_decay(omega):
     assert nodes == CONNECTOR_NODES[omega]
 
 
-@pytest.mark.parametrize("omega, depth, nodes", [(0.6, 1, 513), (1.0, 2, 729),
-                                                 (1.0, 6, 2617),
-                                                 (1.4, 4, 2025)])
+@pytest.mark.parametrize("omega, depth, nodes", [(0.6, 1, 421), (1.0, 2, 501),
+                                                 (1.0, 6, 1157),
+                                                 (1.4, 4, 1025)])
 def test_zeta_grids_have_no_oscillation_term(omega, depth, nodes):
     """Zeta chains pass no frequency, so the connector's step rule
-    leaves their grids as they were."""
+    leaves their grids to the pole distance and the span rule."""
     clear_value_cache()
     res = zeta_omega((1,) * (depth - 1) + (2,), OmegaParam(omega))
     assert res.meta["nodes"] == nodes
+
+
+NARROW_GRID = quad._chain_grid
+
+
+def wide_grid(eps, cfg, *args, **kwargs):
+    """`quad._chain_grid` with one more guard band on each side, at the
+    same step: the sides stay multiples of 4 nodes."""
+    h, ys = NARROW_GRID(eps, cfg, *args, **kwargs)
+    extra = 4 * math.ceil(quad._log_target(cfg) / TWO_PI / h / 4.0)
+    lo, hi = round(ys[0] / h) - extra, round(ys[-1] / h) + extra
+    return h, h * np.arange(lo, hi + 1)
+
+
+def seeded_indices(seed=2406):
+    """One admissible index per depth 1-8, entries 1-3, last >= 2."""
+    rng = random.Random(seed)
+    return [tuple(rng.randint(1, 3) for _ in range(depth - 1))
+            + (rng.randint(2, 3),) for depth in range(1, 9)]
+
+
+def narrow_and_wide(monkeypatch, evaluate):
+    """evaluate() on the chain grids and on grids one band wider per
+    side: the pair of results, each from an empty memo."""
+    clear_value_cache()
+    res = evaluate()
+    with monkeypatch.context() as m:
+        m.setattr(quad, "_chain_grid", wide_grid)
+        clear_value_cache()
+        wide = evaluate()
+    clear_value_cache()
+    assert wide.meta["nodes"] > res.meta["nodes"]
+    return res, wide
+
+
+@pytest.mark.parametrize("omega", [0.05, 0.3, 1.0, 1.9, 1.99])
+def test_zeta_spans_cover_the_tails(monkeypatch, omega):
+    """One guard band per side is enough: a span one band wider on each
+    side moves no zeta value of depth 1-8 beyond its estimate."""
+    p = OmegaParam(omega)
+    for k in seeded_indices():
+        res, wide = narrow_and_wide(monkeypatch, lambda: zeta_omega(k, p))
+        assert abs(res.value - wide.value) <= res.err_estimate, k
+
+
+@pytest.mark.parametrize("omega", [0.6, 1.0, 1.4])
+def test_monomial_spans_cover_the_tails(monkeypatch, omega):
+    """The E-block and G kernels do not decay downward: without the
+    minus band, E G1 E G1 and E G1 G1 miss their estimates here."""
+    p = OmegaParam(omega)
+    for text in ("G2 G2", "E G1 E G1", "E G1 G1", "G1 G3"):
+        mono = parse_amonomial(text)
+        res, wide = narrow_and_wide(monkeypatch,
+                                    lambda: Z_omega_monomial(mono, p))
+        assert abs(res.value - wide.value) <= res.err_estimate, text
 
 
 def test_coarse_grid_is_refined(cfg):
@@ -224,7 +282,9 @@ def test_one_convolution_and_hull_per_stage(monkeypatch, cfg, depth):
     """The chains of step 2h and 4h ride in the fine pass: a depth-r
     chain makes r - 1 convolutions of its three rows and takes r - 1
     hulls of chi (the shared diff table adds one hull of its own, of
-    length 2n - 1)."""
+    length 2n - 1).  The spans do not depend on the depth, so the memo
+    is emptied first: another depth's grid would lend its table."""
+    clear_value_cache()
     convs, hulls = [], []
     tilted, hull = quad._tilted_convolve, quad._upper_hull
     monkeypatch.setattr(quad, "_tilted_convolve",
@@ -408,6 +468,6 @@ def test_config_fingerprint_tracks_settings():
     assert base.fingerprint() == QuadConfig().fingerprint()
     assert QuadConfig(rel_tol=1e-7).fingerprint() != base.fingerprint()
     assert QuadConfig(abs_tol=1e-9).fingerprint() != base.fingerprint()
-    # the grid constants stay in the text, so changing one changes the
-    # keys of the value store
-    assert base.fingerprint() == "r1e-09,a1e-12,m6,s0.8,q1.4"
+    # the span rule and the grid constants stay in the text, so
+    # changing one changes the keys of the value store
+    assert base.fingerprint() == "r1e-09,a1e-12,g1,s0.8,q1.4"
