@@ -134,8 +134,24 @@ def _install_cache(path):
     click.get_current_context().call_on_close(lambda: cache_mod.install(None))
 
 
-def _quad_config(tol):
-    return QuadConfig(rel_tol=tol) if tol is not None else QuadConfig()
+def _evaluate(cache_path, omega, tol, parse, compute):
+    """The steps of a verb that evaluates one argument: install the store
+    (`_install_cache`), parse the argument with parse() (a ValueError is
+    a usage error, exit 2), and compute(arg, p, cfg); a ValueError or
+    QuadError there is exit 3.  Returns the argument, the result and the
+    report's config block."""
+    _install_cache(cache_path)
+    try:
+        arg = parse()
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    cfg = QuadConfig(rel_tol=tol) if tol is not None else QuadConfig()
+    try:
+        res = compute(arg, OmegaParam(omega), cfg)
+    except (ValueError, QuadError) as exc:
+        raise AdmissibilityError(str(exc))
+    return arg, res, {"omega": omega, "tol": tol,
+                      "fingerprint": cfg.fingerprint()}
 
 
 def _read_config(path):
@@ -173,25 +189,15 @@ def cli(ctx, config):
 @_evaluation_options()
 def cmd_eval(kind, expr, omega, tol, out, cache_path):
     """Evaluate zeta_w of an index ("1,3,2") or Z_w of a word ("E G2")."""
-    _install_cache(cache_path)
-    cfg = _quad_config(tol)
-    p = OmegaParam(omega)
     zeta = kind == "zeta"
-    try:
-        arg = parse_index(expr) if zeta else parse_apoly(expr)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    try:
-        res = (zeta_omega if zeta else Z_omega)(arg, p, cfg)
-    except (ValueError, QuadError) as exc:
-        raise AdmissibilityError(str(exc))
+    arg, res, config = _evaluate(
+        cache_path, omega, tol,
+        lambda: (parse_index if zeta else parse_apoly)(expr),
+        zeta_omega if zeta else Z_omega)
     parsed = ",".join(str(e) for e in arg) if zeta else str(arg)
     report = _base_report(
-        "eval", kind=kind, expr=expr, parsed=parsed,
-        config={"omega": omega, "tol": tol,
-                "fingerprint": cfg.fingerprint()},
-        value=res.value, err_estimate=res.err_estimate,
-        meta=res.meta)
+        "eval", kind=kind, expr=expr, parsed=parsed, config=config,
+        value=res.value, err_estimate=res.err_estimate, meta=res.meta)
     _emit(report, out)
 
 
@@ -248,26 +254,17 @@ def cmd_verify(ctx, suite, omega, tol, max_weight, order, seed, out,
 @_evaluation_options()
 def cmd_gamma(z, omega, tol, out, cache_path):
     """Hyperbolic gamma function at a complex point such as "0.2+0.3i"."""
-    _install_cache(cache_path)
-    zc = _complex_arg(z)
-    cfg = _quad_config(tol)
-    p = OmegaParam(omega)
-    ctx_g = GammaContext(p, cfg=cfg)
-    try:
-        res = cache_mod.memoized(
+    zc, res, config = _evaluate(
+        cache_path, omega, tol, lambda: _complex_arg(z),
+        lambda zc, p, cfg: cache_mod.memoized(
             "logG %r" % zc, p.omega, cfg,
-            lambda: EvalResult(log_G(zc, ctx_g), 0.0))
-    except QuadError as exc:
-        raise AdmissibilityError(str(exc))
+            lambda: EvalResult(log_G(zc, GammaContext(p, cfg=cfg)), 0.0)))
     lg = res.value
     value = None
     if abs(lg.real) < 700.0:
         value = cmath.exp(lg)
-    report = _base_report(
-        "gamma", z=zc,
-        config={"omega": omega, "tol": tol,
-                "fingerprint": cfg.fingerprint()},
-        log_G=lg, G=value, cached=bool(res.meta.get("cached")))
+    report = _base_report("gamma", z=zc, config=config, log_G=lg, G=value,
+                          cached=bool(res.meta.get("cached")))
     _emit(report, out)
 
 
@@ -279,24 +276,13 @@ def cmd_gamma(z, omega, tol, out, cache_path):
               help="Largest m+n in the table.")
 def cmd_ohno(index, omega, order, tol, out, cache_path):
     """Table of double Ohno sums O_{m,n}(k) for an admissible index."""
-    _install_cache(cache_path)
-    cfg = _quad_config(tol)
-    p = OmegaParam(omega)
-    try:
-        k = parse_index(index)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    try:
-        table = ohno_table(k, order, p, cfg)
-    except (ValueError, QuadError) as exc:
-        raise AdmissibilityError(str(exc))
+    k, table, config = _evaluate(
+        cache_path, omega, tol, lambda: parse_index(index),
+        lambda k, p, cfg: ohno_table(k, order, p, cfg))
     cells = [{"m": m, "n": n, "value": table[m, n].value,
               "err": table[m, n].err_estimate} for m, n in table.cells()]
-    report = _base_report(
-        "ohno", index=list(k), order=order,
-        config={"omega": omega, "tol": tol,
-                "fingerprint": cfg.fingerprint()},
-        cells=cells)
+    report = _base_report("ohno", index=list(k), order=order, config=config,
+                          cells=cells)
     _emit(report, out)
 
 

@@ -39,7 +39,7 @@ from .ncseries import z_decompose
 from .omega import clear_value_cache, contour_offset, zeta_omega
 from .quad import (TWO_PI, ChainStage, EvalResult, QuadConfig, QuadError,
                    STEPS, cexpm1, chain_line_integral, geometric_factor,
-                   _chain_grid, _chain_integral, _tilted_convolve, _worst)
+                   _chain_integral, _tilted_convolve, _worst)
 from .words import check_index
 
 __all__ = [
@@ -158,35 +158,17 @@ def _j_stages(k, lam, mu, p):
             for e in k]
 
 
-def _shift_margin(lam, mu):
-    return max(abs(complex(lam)), abs(complex(mu)),
-               abs(complex(lam) + complex(mu)))
-
-
 def ohno_generating(k, op, p, cfg=None, eps=None):
     """O(k | lam, mu): the generating integral of the double Ohno sums,
-    one J stage per index entry on the lines Re T_a = -a*eps."""
+    one J stage per entry on the stack of contour_offset(..., "generating")."""
     k = check_index(k)
     cfg = cfg or QuadConfig()
-    w = p.omega
-    r = len(k)
-    default, bound = contour_offset(w, r, "generating")
-    eps = default if eps is None else eps
-    if not 0.0 < eps < bound:
-        raise QuadError("contour shift outside (0, 1/2rw)", eps=eps)
-    radius = eps / (3.0 * math.pi)
-    if abs(complex(op.lam)) >= radius or abs(complex(op.mu)) >= radius:
-        raise QuadError("deformation point outside the series region",
-                        radius=radius)
-    stages = _j_stages(k, op.lam, op.mu, p)
-    pole = (min(eps, 1.0 - eps, 1.0 / w - r * eps)
-            - _shift_margin(op.lam, op.mu))
-    if pole <= 0.1 * eps:
-        raise QuadError("contour too close to a kernel pole", dist=pole)
-    dp = 0.8 * TWO_PI * w * (k[-1] - 1)
-    pref = p.hbar_value ** sum(k)
-    res = chain_line_integral(stages, eps, cfg, decay=(TWO_PI, dp),
-                              pole_dist=pole, prefactor=pref)
+    eps, _, pole = contour_offset(p.omega, len(k), "generating", eps,
+                                  op.lam, op.mu)
+    dp = 0.8 * TWO_PI * p.omega * (k[-1] - 1)
+    res = chain_line_integral(_j_stages(k, op.lam, op.mu, p), eps, cfg,
+                              decay=(TWO_PI, dp), pole_dist=pole,
+                              prefactor=p.hbar_value ** sum(k))
     res.meta.update(index=k, lam=complex(op.lam), mu=complex(op.mu))
     return res
 
@@ -311,50 +293,34 @@ def _theta_value(ctx, pref, r, s, lam, mu, eps, dp, h, ys, rows):
 clear_connector_cache = clear_value_cache   # one memo with the chains
 
 
-def _connector_grid(cfg, w, r, s, lam, mu, eps):
-    """(dp, h, ys): upward decay rate and grid of a connected integral."""
-    d0 = min(eps, min(1.0, 1.0 / w) - (r + s) * eps) - _shift_margin(lam, mu)
-    if d0 <= 1e-3:
-        raise QuadError("contour too close to a kernel pole", dist=d0)
-    # Theta decays like exp(-2 pi w eps (s Im T + r Im U)); the step also
-    # resolves the cross-phase chirp, of local frequency pi*w*|Im U|
-    dp = TWO_PI * w * eps * min(r, s)
-    return (dp,) + _chain_grid(eps, cfg, (TWO_PI, dp), max(r, s),
-                               pole_dist=d0, chirp=math.pi * w)
-
-
 def connected_integral(k, l, op, ctx, eps=None):
     """I(k, l | lam, mu): two J chains joined by the Theta coupling.
 
     Chain a of length r runs on Re T_a = -a*eps, likewise the second
-    chain; the Theta factor depends on (T_r, U_s) only through the sum
-    and the cross phase, evaluated by convolution on the shared grid.
-    Both chains run in `quad._chain_integral` with the Theta stage times
-    the hbar prefactor as finisher, at the tolerance `ctx.cfg`; a chain
-    may not exceed _MAX_DIM.
+    chain (`contour_offset`, geometry "connector", depth r + s); the
+    Theta factor depends on (T_r, U_s) only through the sum and the
+    cross phase, evaluated by convolution on the shared grid.  It decays
+    like exp(-2 pi w eps (s Im T + r Im U)), and the step resolves the
+    cross-phase chirp, of local frequency pi*w*|Im U|.  Both chains run
+    in `quad._chain_integral` with the Theta stage times the hbar
+    prefactor as finisher, at the tolerance `ctx.cfg`; a chain may not
+    exceed _MAX_DIM stages.
     """
     k, l = check_index(k, admissible=False), check_index(l, admissible=False)
-    cfg = ctx.cfg
-    p = ctx.p
-    w = p.omega
+    cfg, p, w = ctx.cfg, ctx.p, ctx.p.omega
     r, s = len(k), len(l)
-    default, bound = contour_offset(w, r + s, "connector")
-    eps = default if eps is None else eps
-    if not 0.0 < eps < bound:
-        raise QuadError("contour shift outside the convergence region",
-                        eps=eps)
     lam, mu = complex(op.lam), complex(op.mu)
-    if abs(lam) >= eps or abs(mu) >= eps:
-        raise QuadError("deformation point outside the holomorphy region",
-                        eps=eps)
+    eps, _, pole = contour_offset(w, r + s, "connector", eps, lam, mu)
 
     def compute():
-        dp, h, ys = _connector_grid(cfg, w, r, s, lam, mu, eps)
+        dp = TWO_PI * w * eps * min(r, s)
         theta = partial(_theta_value, ctx, p.hbar_value ** (sum(k) + sum(l)),
                         r, s, lam, mu, eps, dp)
         return _chain_integral([_prefix_stages(k, lam, mu, p),
                                 _prefix_stages(l, lam, mu, p)],
-                               eps, cfg, h, ys, theta, lam=lam, mu=mu)
+                               eps, cfg, theta, decay=(TWO_PI, dp),
+                               pole_dist=pole, chirp=math.pi * w,
+                               lam=lam, mu=mu)
 
     expr = "conn %s;%s lam=%r mu=%r eps=%r" % (
         ",".join(map(str, k)), ",".join(map(str, l)), lam, mu, float(eps))

@@ -33,8 +33,8 @@ import numpy as np
 
 from . import cache as _cache
 from .quad import (_MEASURE_MEMO, TWO_PI, ChainStage, EvalResult,
-                   QuadConfig, chain_line_integral, geometric_factor,
-                   measure_kernel)
+                   QuadConfig, QuadError, chain_line_integral,
+                   geometric_factor, measure_kernel)
 from .words import AMonomial, APoly, check_index
 
 __all__ = [
@@ -74,26 +74,30 @@ def decay_hint(omega):
     return math.pi * omega
 
 
-def contour_offset(omega, depth, geometry="zeta"):
-    """(eps, bound) for the contour stack Re T_a = -a*eps, a = 1..depth:
-    the offset, and the supremum of the offsets the integral is valid
-    for.  Below the bound the value does not depend on eps (Cauchy), and
-    the trapezoid error decays like exp(-2 pi d/h) in the smallest pole
-    distance d, so eps is where d is largest.  The measure and E-block
+def contour_offset(omega, depth, geometry="zeta", eps=None, lam=0.0, mu=0.0):
+    """(eps, bound, dist) for the contour stack Re T_a = -a*eps, a =
+    1..depth, at the deformation point (lam, mu): the offset (eps when
+    given, else the default), the supremum of the offsets the integral
+    is valid for, and the smallest distance from the stack to a kernel
+    pole.  Below the bound the value does not depend on eps (Cauchy), and
+    the trapezoid error decays like exp(-2 pi d/h) in the pole distance
+    d, so the default eps is where d is largest.  The measure and E-block
     diff kernels have poles where T_a - T_{a-1} is an integer, at eps
     and 1 - eps; the letter and J kernels where w*(T_a + nu) is (w is
     omega, nu is 0 or a deformation point lam, mu): at T = -nu, distance
     a*eps - Re nu, and at T = -nu - 1/w, distance 1/w - a*eps + Re nu.
+    A point moves them by at most m = max(|lam|, |mu|, |lam + mu|).
 
-    "zeta" (`zeta_omega`, `Z_omega`): bound min(1, 1/(depth*w)); d =
-    min(eps, 1 - eps, 1/w - depth*eps) peaks at eps* = min(1/2,
-    1/((depth+1)*w)), and eps = 0.9*eps* keeps the last line off the
-    higher-order letter poles at -1/w: the nearest pole is at eps.
+    "zeta" (`zeta_omega`, `Z_omega`; refused as "generating"): bound
+    min(1, 1/(depth*w)); d = min(eps, 1 - eps, 1/w - depth*eps) peaks at
+    eps* = min(1/2, 1/((depth+1)*w)), and eps = 0.9*eps* keeps the last
+    line off the higher-order letter poles at -1/w: the nearest is at eps.
 
     "generating" (`ohno_generating`, depth = r): the bound 1/(2*r*w)
     keeps the last line nearer T = 0 than -1/w, so that eps alone sets
     the series radius eps/(3 pi) in (lam, mu).  Below it d = min(eps,
-    1 - eps), largest at min(1/2, bound): eps = min(1/2, 0.9*bound).
+    1 - eps, 1/w - r*eps) - m, largest at min(1/2, bound): eps =
+    min(1/2, 0.9*bound).  A contour with d <= eps/10 is refused.
 
     "connector" (`connected_integral`, depth = r + s): chains of lengths
     r and s meet on the sum line S = T_r + U_s, Re S = -(r+s)*eps.  The
@@ -104,20 +108,46 @@ def contour_offset(omega, depth, geometry="zeta"):
     (1 - e^{hbar (S + lam + mu)}) zeroes of G cancel those of the log
     factor at S + lam + mu = n/w, n >= 0; the one at -1/w stays, at
     1/w - (r+s)*eps.  As 1 - eps >= 1 - (r+s)*eps, d is at least
-    min(eps, min(1, 1/w) - (r+s)*eps) - |lam + mu|.  The admitted points
-    |lam|, |mu| < eps shift by up to 2*eps: the "+2" of the bound
-    min(1, 1/w)/(r+s+2) keeps d > 0 at all of them.  Below the bound
-    d = eps at lam = mu = 0, so eps = 0.9*bound."""
+    min(eps, min(1, 1/w) - (r+s)*eps) - m.  The admitted points
+    |lam|, |mu| < eps (the holomorphy region) shift by up to 2*eps: the
+    "+2" of the bound min(1, 1/w)/(r+s+2) keeps d > 0 at all of them.
+    Below the bound d = eps at lam = mu = 0, so eps = 0.9*bound.  A
+    contour with d <= 1e-3 is refused.
+
+    QuadError for an offset outside (0, bound), a point outside the
+    geometry's region or a refused pole distance; ValueError for an
+    unknown geometry."""
+    w, lam, mu = omega, complex(lam), complex(mu)
     if geometry == "zeta":
-        return (0.9 * min(0.5, 1.0 / ((depth + 1) * omega)),
-                min(1.0, 1.0 / (depth * omega)))
-    if geometry == "generating":
-        bound = 1.0 / (2.0 * depth * omega)
-        return min(0.5, 0.9 * bound), bound
+        bound = min(1.0, 1.0 / (depth * w))
+        default = 0.9 * min(0.5, 1.0 / ((depth + 1) * w))
+    elif geometry == "generating":
+        bound = 1.0 / (2.0 * depth * w)
+        default = min(0.5, 0.9 * bound)
+    elif geometry == "connector":
+        bound = min(1.0, 1.0 / w) / (depth + 2)
+        default = 0.9 * bound
+    else:
+        raise ValueError("unknown contour geometry %r" % geometry)
+    eps = default if eps is None else eps
+    if not 0.0 < eps < bound:
+        raise QuadError("contour shift outside (0, 1/2rw)"
+                        if geometry == "generating" else
+                        "contour shift outside the convergence region",
+                        eps=eps)
+    margin = max(abs(lam), abs(mu), abs(lam + mu))
     if geometry == "connector":
-        bound = min(1.0, 1.0 / omega) / (depth + 2)
-        return 0.9 * bound, bound
-    raise ValueError("unknown contour geometry %r" % geometry)
+        region, radius, least = "holomorphy", eps, 1e-3
+        dist = min(eps, min(1.0, 1.0 / w) - depth * eps) - margin
+    else:
+        region, radius, least = "series", eps / (3.0 * math.pi), 0.1 * eps
+        dist = min(eps, 1.0 - eps, 1.0 / w - depth * eps) - margin
+    if abs(lam) >= radius or abs(mu) >= radius:
+        raise QuadError("deformation point outside the %s region" % region,
+                        radius=radius)
+    if dist <= least:
+        raise QuadError("contour too close to a kernel pole", dist=dist)
+    return eps, bound, dist
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +238,9 @@ def _reduced_stages(blocks, p):
 
 def _chain_value(stages, p, cfg):
     """The chain integral of the stages on the default contour stack."""
-    return chain_line_integral(
-        stages, contour_offset(p.omega, len(stages))[0], cfg,
-        decay=(TWO_PI, decay_hint(p.omega)))
+    eps, _, dist = contour_offset(p.omega, len(stages))
+    return chain_line_integral(stages, eps, cfg, pole_dist=dist,
+                               decay=(TWO_PI, decay_hint(p.omega)))
 
 
 def Z_omega(arg, p, cfg=None):

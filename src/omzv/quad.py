@@ -32,14 +32,15 @@ raises QuadError at their poles.
 Uniform (trapezoid) steps are spectrally accurate for these integrands:
 the error decays like exp(nu*d - 2*pi*d/h), d the width of the
 analyticity strip (the contour-to-pole distance) and nu a bound on the
-integrand's angular frequency, as in `hypgamma._trapezoid_nodes`.  One
-rule (`_chain_grid`) sizes every grid from d, nu and the decay rates so
-that the fine grid itself meets the tolerance, its span covering each
-tail once: one guard band per side (Trefethen & Weideman, SIAM Review
-56, 2014).  The three levels extrapolate that geometric decay to the
-fine grid's own error, floored at the rounding of the finisher's sum,
-plus the finisher's boundary-tail monitors; a grid whose estimate misses
-the tolerance is refined by halving its step (`_chain_integral`).
+integrand's angular frequency, as in `hypgamma._trapezoid_nodes`.
+`_chain_integral` sizes its own grid from d, nu and the decay rates its
+caller passes, by one rule (`_chain_grid`): the fine grid itself meets
+the tolerance, its span covering each tail once, one guard band per side
+(Trefethen & Weideman, SIAM Review 56, 2014).  The three levels
+extrapolate that geometric decay to the fine grid's own error, floored
+at the rounding of the finisher's sum, plus the finisher's boundary-tail
+monitors; a grid whose estimate misses the tolerance is refined by
+halving its step.
 """
 
 import math
@@ -453,9 +454,8 @@ def _tilted_convolve(a, b, lo, hi):
     return out
 
 
-def _chain_grid(eps, cfg, decay, nstages, pole_dist=None, freq=0.0,
-                chirp=0.0):
-    """Shared imaginary grid (h, ys) for a chain of nstages stages.
+def _chain_grid(eps, cfg, decay, pole_dist=None, freq=0.0, chirp=0.0):
+    """Shared imaginary grid (h, ys) of `_chain_integral`'s chains.
 
     decay is the (minus, plus) pair of exponential decay rates towards
     Im t = -inf and +inf.  The span is l/dm + g below and l/dp + g above
@@ -466,18 +466,16 @@ def _chain_grid(eps, cfg, decay, nstages, pole_dist=None, freq=0.0,
     band.  The step resolves the pole distance d (pole_dist, default eps)
     and an oscillation of angular frequency at most nu = freq +
     chirp*|Im t|: the error e^{nu d - 2 pi d/h} is e^{-L} at 1/h =
-    L/(2 pi d) + nu/(2 pi).  QuadError for a decay rate not > 0 or more
-    than _MAX_DIM stages, the only use of nstages.
+    L/(2 pi d) + nu/(2 pi).  QuadError for a decay rate or a pole
+    distance not > 0.
     """
-    if nstages > _MAX_DIM:
-        raise QuadError("dimension above the supported maximum",
-                        dim=nstages, max_dim=_MAX_DIM)
     dm, dp = float(decay[0]), float(decay[1])
     if not (dm > 0.0 and dp > 0.0):
         raise QuadError("decay hint must be positive", decay=decay)
-    d = (pole_dist if pole_dist else eps) * _STRIP_SAFETY
-    if d <= 0.0:
-        raise QuadError("pole distance must be positive", eps=eps)
+    d = (eps if pole_dist is None else pole_dist) * _STRIP_SAFETY
+    if not d > 0.0:
+        raise QuadError("pole distance must be positive",
+                        pole_dist=pole_dist, eps=eps)
     L = _SHARPNESS * math.log(1.0 / max(cfg.rel_tol, 1e-15))
     h = TWO_PI * d / L
     ltol = _log_target(cfg)
@@ -574,9 +572,12 @@ def chain_rows(chains, eps, h, ys):
     return out
 
 
-def _chain_integral(chains, eps, cfg, h, ys, finish, **meta):
-    """One or more chains (lists of ChainStage) on the grid (h, ys),
-    refined until their error estimate meets the tolerance.
+def _chain_integral(chains, eps, cfg, finish, *, decay, pole_dist=None,
+                    freq=0.0, chirp=0.0, **meta):
+    """One or more chains (lists of ChainStage) on the lines Re T_a =
+    -a*eps, on the grid `_chain_grid` sizes from decay, pole_dist, freq
+    and chirp, refined until their error estimate meets the tolerance.
+    QuadError for a chain longer than _MAX_DIM.
 
     finish(h, ys, rows) -> ([V_h, V_2h, V_4h], tail, scale) runs once per
     grid on each chain's three last rows (`chain_rows`): row l at every
@@ -592,6 +593,11 @@ def _chain_integral(chains, eps, cfg, h, ys, finish, **meta):
     or estimate that is not finite raises QuadError (detail stage "fine"
     or "coarse").  meta gains the grid's eps, h, nodes and U, and the
     number of halvings, refinements."""
+    dim = max(map(len, chains))
+    if dim > _MAX_DIM:
+        raise QuadError("dimension above the supported maximum",
+                        dim=dim, max_dim=_MAX_DIM)
+    h, ys = _chain_grid(eps, cfg, decay, pole_dist, freq, chirp)
     nm = int(round(-ys[0] / h))
     refinements = 0
     while True:
@@ -630,7 +636,6 @@ def chain_line_integral(stages, eps, cfg=None, *, decay, pole_dist=None,
     r = len(stages)
     if r == 0:
         return EvalResult(complex(prefactor), 0.0, {"dim": 0})
-    h, ys = _chain_grid(eps, cfg, decay, r, pole_dist, freq)
     dm, dp = decay
     pref = complex(prefactor) * (1j ** r)
 
@@ -642,4 +647,5 @@ def chain_line_integral(stages, eps, cfg=None, *, decay, pole_dist=None,
                 abs(prefactor) * (mag[0] / dm + mag[-1] / dp),
                 abs(prefactor) * h * mag.sum())
 
-    return _chain_integral([stages], eps, cfg, h, ys, finish, dim=r)
+    return _chain_integral([stages], eps, cfg, finish, decay=decay,
+                           pole_dist=pole_dist, freq=freq, dim=r)

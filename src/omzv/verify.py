@@ -21,9 +21,9 @@ import numpy as np
 
 from .hypgamma import GammaContext, _far_threshold, _log_G_far, log_G
 from .ncseries import XSeries, tau
-from .ohno import (OhnoParams, double_ohno_sum, initial_relation,
-                   ohno_generating, ohno_series, omega_Omega,
-                   saalschutz_check, transport_relation)
+from .ohno import (OhnoParams, compositions, double_ohno_sum,
+                   initial_relation, ohno_generating, ohno_series,
+                   omega_Omega, saalschutz_check, transport_relation)
 from .omega import OmegaParam, Z_omega_monomial, zeta_omega
 from .qseries import QParam, z_q, z_q_monomial
 from .quad import EvalResult, QuadConfig, QuadError, _worst
@@ -207,9 +207,8 @@ def suite_algebra(omega, cfg, max_weight, order, seed, tol):
                for j, m2 in enumerate(mons[i:], i)
                for m3 in mons[j:]
                if m1.weight + m2.weight + m3.weight <= max_weight + 1]
-    idx = [k + (last,) for total in range(2, 7)
-           for last in range(2, total + 1)
-           for k in _compositions_of(total - last)]
+    idx = [tuple(e + 1 for e in c) for w in range(2, 7) for r in range(1, w)
+           for c in compositions(w - r, r) if c[-1] > 0]
     singles = [(m,) for m in mons]
     exact = [
         ("satoh-zero", "u *_h v = sigma(sigma(u) sh_h sigma(v))",
@@ -252,13 +251,6 @@ def suite_algebra(omega, cfg, max_weight, order, seed, tol):
                  ("q-harmonic", "Z_q(u *_h v) = Z_q(u) Z_q(v)"),
                  ("q-double-shuffle", "Z_q(u sh_h v) = Z_q(u *_h v)")))]
     return plan
-
-
-def _compositions_of(total):
-    """All compositions of `total` into positive parts (empty for 0)."""
-    return [()] if total == 0 else [
-        (first,) + rest for first in range(1, total + 1)
-        for rest in _compositions_of(total - first)]
 
 
 # ---------------------------------------------------------------------------

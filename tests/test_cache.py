@@ -160,6 +160,17 @@ def test_store_is_read_and_written_once_per_fresh_value(tmp_path, store,
     assert reloaded.entries.keys() == store.entries.keys()
 
 
+def test_store_keeps_the_first_value_of_a_key(tmp_path):
+    """A key already stored is neither replaced nor written again."""
+    store = cache.ValueCache(tmp_path / "values.jsonl")
+    key = ("zeta 2", repr(0.8), QuadConfig().fingerprint())
+    store.put(key, 1.5 + 0.5j, 1e-12)
+    store.put(key, 2.0, 1e-9)
+    store.close()
+    assert store.get(key) == (1.5 + 0.5j, 1e-12)
+    assert len((tmp_path / "values.jsonl").read_text().splitlines()) == 1
+
+
 def test_store_drops_entries_whose_key_is_not_a_string(tmp_path):
     """A store line whose expr, omega or fp is a list, an object or a
     number is dropped as corrupt with a warning, and the file is

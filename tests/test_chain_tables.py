@@ -75,7 +75,7 @@ def reference_chain_line_integral(stages, eps, cfg=None, *, decay,
     cfg = cfg or quad.DEFAULT_CONFIG
     r = len(stages)
     dm, dp = float(decay[0]), float(decay[1])
-    h, ys = quad._chain_grid(eps, cfg, (dm, dp), r, pole_dist, freq)
+    h, ys = quad._chain_grid(eps, cfg, (dm, dp), pole_dist, freq)
 
     def level(h, ys):
         chi = reference_chain_pass(stages, eps, h, ys)
@@ -96,7 +96,10 @@ def reference_connected_integral(k, l, op, ctx, cfg, eps):
     w = p.omega
     r, s = len(k), len(l)
     lam, mu = complex(op.lam), complex(op.mu)
-    dp, h, ys = ohno._connector_grid(cfg, w, r, s, lam, mu, eps)
+    pole = omega.contour_offset(w, r + s, "connector", eps, lam, mu)[2]
+    dp = TWO_PI * w * eps * min(r, s)
+    h, ys = quad._chain_grid(eps, cfg, (TWO_PI, dp), pole,
+                             chirp=math.pi * w)
     stages = (ohno._prefix_stages(k, lam, mu, p),
               ohno._prefix_stages(l, lam, mu, p))
     pref = p.hbar_value ** (sum(k) + sum(l))
@@ -452,7 +455,7 @@ def test_grid_operand_is_shared_and_read_only(monkeypatch, cfg):
     not a copy of it; its values and logarithm cannot be written, and
     neither integral adds, replaces or fills any of its attributes."""
     eps, decay = 0.2, (TWO_PI, 0.9)
-    h, ys = quad._chain_grid(eps, cfg, decay, 3)
+    h, ys = quad._chain_grid(eps, cfg, decay)
     clear_value_cache()
     op = quad._measure_operand(eps, h, len(ys))
     before = operand_state(op)

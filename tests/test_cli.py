@@ -62,6 +62,8 @@ def test_parse_error_is_exit_2(runner):
     for text in ["b q a", "", "G2 +", "+ G2", "G2 -", "2*", "1/0 G2"]:
         res = runner.invoke(cli, ["eval", "word", text])
         assert res.exit_code == 2, (text, res.output)
+    res = runner.invoke(cli, ["ohno", "1,x"])
+    assert res.exit_code == 2, res.output
 
 
 @pytest.mark.parametrize("args", [
@@ -431,6 +433,10 @@ def test_config_file_defaults(runner, tmp_path):
     res = runner.invoke(cli, ["--config", str(cfgfile), "verify", "algebra",
                               "--omega", "bad"])
     assert res.exit_code == 2
+    cfgfile.write_text("omega = 1.3\nmax-weight\n")
+    res = runner.invoke(cli, ["--config", str(cfgfile), "verify", "algebra"])
+    assert res.exit_code == 2
+    assert "expected key=value" in res.output
 
 
 def test_env_prefix(runner):

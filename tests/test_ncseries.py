@@ -112,7 +112,7 @@ def test_z_decompose():
     assert z_decompose("yxx") == (3,)
     assert z_decompose("yyx") == (1, 2)
     assert z_decompose("yxyx") == (2, 2)
-    for bad in ("", "xy", "yxy", "yz"):
+    for bad in ("", "xy", "yxy", "yz", "yzx"):
         with pytest.raises(ValueError):
             z_decompose(bad)
 

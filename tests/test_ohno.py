@@ -26,6 +26,14 @@ def test_compositions():
     assert compositions(3, 2) == ((0, 3), (1, 2), (2, 1), (3, 0))
     assert compositions(0, 2) == ((0, 0),)
     assert compositions(2, 1) == ((2,),)
+    with pytest.raises(ValueError, match="parts must be >= 1"):
+        compositions(3, 0)
+
+
+@pytest.mark.parametrize("m, n", [(-1, 0), (0, -1)])
+def test_double_ohno_sum_rejects_negative_weights(p1, m, n):
+    with pytest.raises(ValueError, match="m and n must be >= 0"):
+        double_ohno_sum((2,), m, n, p1)
 
 
 def test_table_base_cell_is_zeta(p1, fast_cfg):
@@ -125,7 +133,8 @@ def test_connector_functions_take_no_cfg():
     lambda p: ohno_table((2,), -1, p),
     lambda p: ohno_series((2,), OhnoParams(), -1, p),
     lambda p: omega_Omega(XSeries.word("yxx"), -1, p),
-], ids=["ohno_table", "ohno_series", "omega_Omega"])
+    lambda p: tau(XSeries.word("yx"), -1),
+], ids=["ohno_table", "ohno_series", "omega_Omega", "tau"])
 def test_negative_order_is_rejected(p1, build):
     with pytest.raises(ValueError, match="order must be >= 0"):
         build(p1)

@@ -407,6 +407,16 @@ def test_rejections(p1, fast_cfg):
         OmegaParam(2.0)
     with pytest.raises(ValueError):
         Z_omega_monomial(parse_amonomial("G2"), p1, fast_cfg, mode="series")
+    with pytest.raises(TypeError, match="expected AMonomial"):
+        Z_omega_monomial((2,), p1, fast_cfg)
+    with pytest.raises(ValueError, match="unknown contour geometry"):
+        contour_offset(1.0, 2, "bogus")
+
+
+def test_empty_monomial_is_exactly_one(p1, fast_cfg):
+    res = Z_omega_monomial(AMonomial(()), p1, fast_cfg)
+    assert (res.value, res.err_estimate) == (1.0, 0.0)
+    assert res.meta == {"exact": True}
 
 
 def test_r1_generating_basics():

@@ -180,7 +180,7 @@ def test_coarse_grid_is_refined(cfg):
     the estimate meets the tolerance, meta counts the halvings, and the
     value meets the kernel lemma within its estimate."""
     stages, decay, exact = lemma_chain(0.3 + 0.2j, 0.2 + 0.3j)
-    h, ys = quad._chain_grid(0.2, cfg, decay, 2, pole_dist=1.0)
+    h, ys = quad._chain_grid(0.2, cfg, decay, pole_dist=1.0)
     res = chain_line_integral(stages, 0.2, cfg, decay=decay, pole_dist=1.0)
     assert res.meta["refinements"] == 2
     assert res.meta["h"] == h / 4
@@ -196,7 +196,7 @@ def test_refinement_beyond_budget_raises(monkeypatch, cfg):
     """A halving that would take the grid past the node budget raises
     QuadError instead of returning an estimate above the tolerance."""
     stages, decay, _ = lemma_chain(0.3 + 0.2j, 0.2 + 0.3j)
-    _, ys = quad._chain_grid(0.2, cfg, decay, 2, pole_dist=1.0)
+    _, ys = quad._chain_grid(0.2, cfg, decay, pole_dist=1.0)
     monkeypatch.setattr(quad, "_MAX_CHAIN_NODES", 2 * len(ys))
     with pytest.raises(QuadError, match="refinement") as info:
         chain_line_integral(stages, 0.2, cfg, decay=decay, pole_dist=1.0)
@@ -461,6 +461,31 @@ def test_rejects_bad_decay(cfg):
     f = exp_kernel(math.pi * 1j)
     with pytest.raises((QuadError, ValueError)):
         line_integral(f, 0.25, cfg, (0.0, -1.0))
+
+
+def test_pole_on_the_contour_is_refused(cfg):
+    """pole_dist=0.0 is a pole on the contour, not "no pole distance
+    given": the grid is not sized from eps instead."""
+    with pytest.raises(QuadError, match="pole distance must be positive") \
+            as info:
+        chain_line_integral([ChainStage()], 0.25, cfg, decay=(TWO_PI, 1.0),
+                            pole_dist=0.0)
+    assert info.value.detail["pole_dist"] == 0.0
+
+
+def test_chain_of_no_stages_is_its_prefactor(cfg):
+    res = chain_line_integral([], 0.25, cfg, decay=(TWO_PI, 1.0),
+                              prefactor=2.5j)
+    assert (res.value, res.err_estimate, res.meta) == (2.5j, 0.0, {"dim": 0})
+
+
+def test_all_zero_first_row_convolves_to_zeros():
+    """The rows share the first row's tilt plan, so an all-zero first
+    row gives zeros for every row."""
+    rows = np.zeros((2, 8), dtype=complex)
+    rows[1] = 1.0
+    got = quad._tilted_convolve(rows, np.ones(8), 2, 10)
+    assert got.shape == (2, 8) and not got.any()
 
 
 def test_config_fingerprint_tracks_settings():

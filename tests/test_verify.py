@@ -9,6 +9,11 @@ from omzv import (AMonomial, APoly, EvalResult, HbarLaurent, OmegaParam,
 from omzv.quad import _worst
 
 
+def test_unknown_suite_is_a_key_error():
+    with pytest.raises(KeyError):
+        verify.run_suite("bogus")
+
+
 @pytest.mark.parametrize("values", [[math.nan, 1.0, 2.0],
                                     [1.0, math.nan, 2.0],
                                     [1.0, 2.0, math.nan]])

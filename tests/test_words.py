@@ -592,6 +592,10 @@ def test_sigma_monomial_blocks():
     assert sigma_monomial(m).blocks() == [(0, 0), (2, 2)]
     assert sigma_monomial(parse_amonomial("E G3")) == AMonomial.from_blocks(
         [(2, 1)])
+    with pytest.raises(ValueError, match="no block form"):
+        parse_amonomial("G2 E").blocks()
+    with pytest.raises(ValueError, match="must be >= 0"):
+        AMonomial.from_blocks([(1, 0), (-1, 2)])
 
 
 def test_satoh_samples():
@@ -799,6 +803,8 @@ EMPTY_TERMS = ["", "G2 +", "+ G2", "G2 -", "2*", "-"]
     (parse_apoly, "G0"),
     (parse_apoly, "E G"),
     (parse_apoly, "1/0 G2"),
+    (parse_amonomial, "G2 + G1"),
+    (parse_amonomial, "2 G2"),
 ] + [(parse, text) for text in EMPTY_TERMS
      for parse in (parse_hpoly, parse_apoly)])
 def test_parse_rejects_malformed(parse, text):
