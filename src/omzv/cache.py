@@ -158,10 +158,13 @@ _ACTIVE = None
 
 
 def install(store):
-    """Make `store` (a ValueCache or None) the process-wide cache."""
+    """Make `store` (a ValueCache or None) the process-wide cache.  A new
+    store empties the value memo, whose hits would never reach it."""
     global _ACTIVE
     if _ACTIVE not in (None, store):
         _ACTIVE.close()             # the store it replaces
+    if store not in (None, _ACTIVE):
+        _memo.clear()
     _ACTIVE = store
 
 

@@ -67,8 +67,6 @@ class GammaContext:
         return 0.5 * min(1.0, 1.0 / self.p.omega)
 
 
-# Relative margin kept to the strip boundary |Im z| = omega_bar.
-_STRIP_MARGIN = 0.05
 # Smallest line for the chirp-z sum: below it the dense sum is as fast.
 _CHIRP_MIN = 24
 # Trapezoid nodes per half-line beyond which the strip sum is refused.
@@ -161,7 +159,7 @@ def _chirp_sum(z0, h, m, b, expo):
 
 def _log_G_strip(re, im, ctx, h):
     """log G(re + i*im) inside the strip, by the trapezoid rule on the
-    strip integral.
+    strip integral, at |im| <= the core band (`log_G_line`'s shift path).
 
     The integrand f(t) = sin(2 w t z)/(2 t sinh(w t) sinh t) - z/t^2 is
     even and analytic near R, so int_0^inf f = step (f(0)/2 + sum_{n>=1}
@@ -173,9 +171,6 @@ def _log_G_strip(re, im, ctx, h):
     the mean of re - h*j, summed as deviations from re[0]: one point's
     rounding would shift every value, and a plain mean of re rounds at
     the ulp of the run's summed |re|."""
-    bound = (1.0 - _STRIP_MARGIN) * ctx.omega_bar
-    if abs(im) >= bound:
-        raise QuadError("strip violated", immax=abs(im), bound=bound)
     w = ctx.p.omega
     step, b, expo = _trapezoid_nodes(ctx, float(np.max(np.abs(re))),
                                      abs(im))

@@ -160,7 +160,8 @@ def _j_stages(k, lam, mu, p):
 
 def ohno_generating(k, op, p, cfg=None, eps=None):
     """O(k | lam, mu): the generating integral of the double Ohno sums,
-    one J stage per entry on the stack of contour_offset(..., "generating")."""
+    one J stage per entry on the stack of contour_offset(..., "generating"),
+    whose pole distance alone admits (lam, mu)."""
     k = check_index(k)
     cfg = cfg or QuadConfig()
     eps, _, pole = contour_offset(p.omega, len(k), "generating", eps,

@@ -86,18 +86,19 @@ def contour_offset(omega, depth, geometry="zeta", eps=None, lam=0.0, mu=0.0):
     and 1 - eps; the letter and J kernels where w*(T_a + nu) is (w is
     omega, nu is 0 or a deformation point lam, mu): at T = -nu, distance
     a*eps - Re nu, and at T = -nu - 1/w, distance 1/w - a*eps + Re nu.
-    A point moves them by at most m = max(|lam|, |mu|, |lam + mu|).
+    A point moves them by at most m = max(|lam|, |mu|, |lam + mu|).  The
+    pole distance alone admits a point: d <= eps/10 (1e-3 for the
+    connector) is refused.
 
-    "zeta" (`zeta_omega`, `Z_omega`; refused as "generating"): bound
-    min(1, 1/(depth*w)); d = min(eps, 1 - eps, 1/w - depth*eps) peaks at
-    eps* = min(1/2, 1/((depth+1)*w)), and eps = 0.9*eps* keeps the last
-    line off the higher-order letter poles at -1/w: the nearest is at eps.
+    "zeta" (`zeta_omega`, `Z_omega`): bound min(1, 1/(depth*w)); d =
+    min(eps, 1 - eps, 1/w - depth*eps) peaks at eps* = min(1/2,
+    1/((depth+1)*w)), and eps = 0.9*eps* keeps the last line off the
+    higher-order letter poles at -1/w: the nearest is at eps.
 
     "generating" (`ohno_generating`, depth = r): the bound 1/(2*r*w)
-    keeps the last line nearer T = 0 than -1/w, so that eps alone sets
-    the series radius eps/(3 pi) in (lam, mu).  Below it d = min(eps,
-    1 - eps, 1/w - r*eps) - m, largest at min(1/2, bound): eps =
-    min(1/2, 0.9*bound).  A contour with d <= eps/10 is refused.
+    keeps the last line over 1/(2w) - m from the J kernels' higher-order
+    poles at -nu - 1/w, so the estimate, sized by d = min(eps, 1 - eps)
+    - m, stays honest.  d is largest at eps = min(1/2, 0.9*bound).
 
     "connector" (`connected_integral`, depth = r + s): chains of lengths
     r and s meet on the sum line S = T_r + U_s, Re S = -(r+s)*eps.  The
@@ -108,15 +109,14 @@ def contour_offset(omega, depth, geometry="zeta", eps=None, lam=0.0, mu=0.0):
     (1 - e^{hbar (S + lam + mu)}) zeroes of G cancel those of the log
     factor at S + lam + mu = n/w, n >= 0; the one at -1/w stays, at
     1/w - (r+s)*eps.  As 1 - eps >= 1 - (r+s)*eps, d is at least
-    min(eps, min(1, 1/w) - (r+s)*eps) - m.  The admitted points
-    |lam|, |mu| < eps (the holomorphy region) shift by up to 2*eps: the
-    "+2" of the bound min(1, 1/w)/(r+s+2) keeps d > 0 at all of them.
-    Below the bound d = eps at lam = mu = 0, so eps = 0.9*bound.  A
-    contour with d <= 1e-3 is refused.
+    min(eps, min(1, 1/w) - (r+s)*eps) - m, which is taken as d.  As
+    d <= eps - m, every admitted point has |lam|, |mu| < eps.  These
+    shift by up to 2*eps: the "+2" of the bound min(1, 1/w)/(r+s+2)
+    keeps d > 0 at all of them.  Below the bound d = eps at lam = mu =
+    0, so eps = 0.9*bound.
 
-    QuadError for an offset outside (0, bound), a point outside the
-    geometry's region or a refused pole distance; ValueError for an
-    unknown geometry."""
+    QuadError for an offset outside (0, bound) or a refused pole
+    distance; ValueError for an unknown geometry."""
     w, lam, mu = omega, complex(lam), complex(mu)
     if geometry == "zeta":
         bound = min(1.0, 1.0 / (depth * w))
@@ -131,20 +131,15 @@ def contour_offset(omega, depth, geometry="zeta", eps=None, lam=0.0, mu=0.0):
         raise ValueError("unknown contour geometry %r" % geometry)
     eps = default if eps is None else eps
     if not 0.0 < eps < bound:
-        raise QuadError("contour shift outside (0, 1/2rw)"
-                        if geometry == "generating" else
-                        "contour shift outside the convergence region",
-                        eps=eps)
+        raise QuadError("contour shift outside (0, bound)", eps=eps,
+                        bound=bound)
     margin = max(abs(lam), abs(mu), abs(lam + mu))
     if geometry == "connector":
-        region, radius, least = "holomorphy", eps, 1e-3
+        least = 1e-3
         dist = min(eps, min(1.0, 1.0 / w) - depth * eps) - margin
     else:
-        region, radius, least = "series", eps / (3.0 * math.pi), 0.1 * eps
+        least = 0.1 * eps
         dist = min(eps, 1.0 - eps, 1.0 / w - depth * eps) - margin
-    if abs(lam) >= radius or abs(mu) >= radius:
-        raise QuadError("deformation point outside the %s region" % region,
-                        radius=radius)
     if dist <= least:
         raise QuadError("contour too close to a kernel pole", dist=dist)
     return eps, bound, dist

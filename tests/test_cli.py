@@ -147,9 +147,11 @@ def test_verify_records_each_suite_config(runner):
 @pytest.mark.parametrize("suite, omega", [("ohno", "1.99"),
                                           ("transport", "1.9")])
 def test_connector_suites_pass_near_omega_2(runner, suite, omega):
-    """With the contour offsets at 0.9 of their bounds the series region
-    holds the ohno points at w = 1.99 and the transport integrals stay
-    finite at 1.9; at half the bounds both suites exited 3."""
+    """With the contour offsets at 0.9 of their bounds the ohno points
+    are admitted at w = 1.99 and the transport integrals stay finite at
+    1.9.  At half the bounds both suites exited 3, the ohno suite by the
+    series radius eps/(3 pi), which the pole distance has since replaced
+    as the rule that admits a point."""
     res = runner.invoke(cli, ["verify", suite, "--omega", omega])
     assert res.exit_code == 0
     report = json.loads(res.output, parse_constant=_reject_constant)
@@ -317,6 +319,19 @@ def test_store_not_reused_without_cache_flag(runner, tmp_path):
     res = runner.invoke(cli, ["eval", "zeta", "3"])
     assert res.exit_code == 0
     assert store.read_bytes() == stored
+
+
+def test_memo_hit_reaches_a_store_installed_later(runner, tmp_path):
+    """A value already in the memo is written to a store installed after
+    it was computed: the store used to stay uncreated and empty."""
+    store = tmp_path / "values.jsonl"
+    fresh_memos()
+    assert runner.invoke(cli, ["eval", "zeta", "2"]).exit_code == 0
+    res = runner.invoke(cli, ["eval", "zeta", "2", "--cache", str(store)])
+    assert res.exit_code == 0
+    assert store.exists()
+    res = runner.invoke(cli, ["cache", "stats", "--cache", str(store)])
+    assert json.loads(res.output)["entries"] == 1
 
 
 def test_cache_survives_corruption(runner, tmp_path):

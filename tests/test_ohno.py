@@ -6,6 +6,7 @@ import inspect
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from omzv import (EvalResult, GammaContext, OhnoParams, OhnoTable,
@@ -213,16 +214,19 @@ def test_connected_integral_region_guards(ctx1, fast_cfg):
 
 
 def test_generating_function_refusals(fast_cfg):
-    """ohno_generating refuses an offset outside (0, 1/(2rw)), a point
-    outside the series radius eps/(3 pi), and a contour whose pole
-    distance is at most eps/10 (at w = 0.3 the bound 1/(2w) lets eps
-    reach 0.95, a distance 1 - eps from the measure poles)."""
+    """ohno_generating refuses an offset outside (0, 1/(2rw)) and a
+    contour whose pole distance is at most eps/10: a point that moves
+    the kernel poles to within eps/10 of the line ((0.14, 0) at eps =
+    0.15, distance 0.01), and at w = 0.3, where the bound 1/(2w) lets
+    eps reach 0.95, a distance 1 - eps from the measure poles."""
     p = OmegaParam(0.3)
     for eps in (0.0, 1.0 / 0.6, 2.0):
-        with pytest.raises(QuadError, match="contour shift outside"):
+        with pytest.raises(QuadError, match="contour shift outside") as exc:
             ohno_generating((2,), OhnoParams(), p, fast_cfg, eps=eps)
-    with pytest.raises(QuadError, match="outside the series region"):
-        ohno_generating((2,), OhnoParams(0.02, 0.0), p, fast_cfg, eps=0.15)
+        assert exc.value.detail["bound"] == pytest.approx(1.0 / 0.6)
+    with pytest.raises(QuadError, match="too close to a kernel pole") as exc:
+        ohno_generating((2,), OhnoParams(0.14, 0.0), p, fast_cfg, eps=0.15)
+    assert exc.value.detail["dist"] == pytest.approx(0.01)
     with pytest.raises(QuadError, match="too close to a kernel pole") as exc:
         ohno_generating((2,), OhnoParams(), p, fast_cfg, eps=0.95)
     assert exc.value.detail["dist"] <= 0.095
@@ -266,7 +270,9 @@ def test_contour_offset_does_not_move_values(fast_cfg, omega):
     """By Cauchy the integrals do not depend on the offset inside the
     pole-free region: the default offsets and the earlier ones, half the
     connector bound and min(1/2, 1/(4 r w)), agree within the two
-    estimates."""
+    estimates.  The generating points beyond the series radius eps/(3 pi)
+    of both offsets, which used to refuse them, agree too: its pole
+    distance alone admits a point."""
     ctx = GammaContext(OmegaParam(omega), cfg=fast_cfg)
     op = OhnoParams(0.004 + 0.002j, -0.003 + 0.003j)
     old = min(1.0, 1.0 / omega) / 8.0
@@ -274,10 +280,62 @@ def test_contour_offset_does_not_move_values(fast_cfg, omega):
     b = connected_integral((2,), (1,), op, ctx, eps=old)
     assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate
     assert a.meta["nodes"] < b.meta["nodes"]
-    a = ohno_generating((1, 2), op, ctx.p, fast_cfg)
-    b = ohno_generating((1, 2), op, ctx.p, fast_cfg,
-                        eps=min(0.5, 1.0 / (8.0 * omega)))
-    assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate
+    old = min(0.5, 1.0 / (8.0 * omega))
+    eps = contour_offset(omega, 2, "generating")[0]
+    small = min(eps, old)
+    far = [OhnoParams(x * small * cmath.exp(1j * turn),
+                      y * small * cmath.exp(-2j * turn))
+           for x, y in ((0.2, 0.15), (0.35, -0.25), (0.5, 0.3), (-0.3, 0.45))
+           for turn in (0.3, 1.9)]
+    radius = max(eps, old) / (3.0 * math.pi)
+    assert all(max(abs(q.lam), abs(q.mu)) >= radius for q in far)
+    for q in [op] + far:
+        a = ohno_generating((1, 2), q, ctx.p, fast_cfg)
+        b = ohno_generating((1, 2), q, ctx.p, fast_cfg, eps=old)
+        assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate
+
+
+def test_connector_admits_only_points_inside_its_offset():
+    """Every point the connector's pole distance admits has |lam|, |mu|
+    < eps, the premise of the "+2" in its offset bound, on a seeded
+    sweep of omega, depth, offset and point."""
+    rng = np.random.default_rng(2406)
+    admitted = 0
+    for _ in range(2000):
+        omega = rng.uniform(0.01, 1.99)
+        depth = int(rng.integers(2, 9))
+        eps, bound, _ = contour_offset(omega, depth, "connector")
+        if rng.random() < 0.5:
+            eps = rng.uniform(0.01, 1.0) * bound
+        lam, mu = (rng.uniform(0.0, 1.5) * eps
+                   * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+                   for _ in range(2))
+        try:
+            eps = contour_offset(omega, depth, "connector", eps, lam, mu)[0]
+        except QuadError:
+            continue
+        admitted += 1
+        assert abs(lam) < eps and abs(mu) < eps
+    assert admitted >= 200
+
+
+@pytest.mark.parametrize("omega", [0.3, 1.0, 1.9])
+def test_initial_relation_at_every_index_of_weight_5(omega):
+    """I(k, (1) | lam, mu) = d(lam, mu) O(k_up | lam, mu) for each of the
+    31 indices of weight <= 5, within the summed estimates.  At omega =
+    1.9 the series radius eps/(3 pi) used to refuse the six O(k_up) of
+    depth 4 and 5."""
+    ctx = GammaContext(OmegaParam(omega),
+                       cfg=QuadConfig(rel_tol=1e-7, abs_tol=1e-9))
+    op = OhnoParams(0.007 + 0.004j, -0.006 + 0.005j)
+    ks = [tuple(e + 1 for e in k) for weight in range(1, 6)
+          for depth in range(1, weight + 1)
+          for k in compositions(weight - depth, depth)]
+    assert len(set(ks)) == 31
+    for k in ks:
+        lhs, rhs = initial_relation(k, op, ctx)
+        assert abs(lhs.value - rhs.value) <= (lhs.err_estimate
+                                              + rhs.err_estimate), k
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
