@@ -1,20 +1,23 @@
-"""Memo and persistent value store for expensive scalar evaluations.
+"""Process memos and the persistent value store.
 
-Every memoized evaluation goes through `memoized`, keyed on the
-canonical triple (expression text, repr(omega), quadrature
-fingerprint).  It looks in the process-wide in-memory memo first, a
-bounded least-recently-used map (`LRU`), then in the persistent store
-installed with `install`, and otherwise computes the value and writes
-it to both.  A CLI run with --cache thereby reuses values across
-processes.
+Three process-wide memos, bounded least-recently-used maps (`LRU`), hold
+the values (`_memo`, MEMO_SIZE entries), the connector's log G lines
+(`_LINE_MEMO`, 2^19 points) and the measure-kernel operands of chain
+grids (`_MEASURE_MEMO`, 2^17 table entries).  Each fills through
+`LRU.get_or_make` alone; `clear_memo` empties all three.  `memoized`
+looks a value up by its triple (expression text, repr(omega),
+quadrature fingerprint) in the value memo, then in the store installed
+with `install`, else computes it and writes it to both, so a CLI run
+with --cache reuses values across processes.
 
 The store is a JSON-lines file, one entry per line, keyed by the
 triple in its string fields "expr", "omega" and "fp" (a "key" field,
 the hash of the triple in older stores, is ignored).  `put` refuses a
 non-finite value, and readers are tolerant: a corrupt line, one whose
-key field is not a string, or one whose value or error is not finite,
-is dropped with a warning and the file is rewritten without it, so the
-value is recomputed and stored again.  Single-writer access is assumed.
+key field is not a string, or whose value is not two finite JSON
+numbers or whose error is not one, is dropped with a warning and the
+file is rewritten without it, so the value is recomputed and stored
+again.  Single-writer access is assumed.
 """
 
 import cmath
@@ -47,24 +50,28 @@ class LRU:
         self._d = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, key):
+    def get_or_make(self, key, make):
+        """The value under `key`, now the most recently used, or else
+        `make()`, run outside the lock and kept unless it weighs more
+        than the bound.  If another thread filled `key` meanwhile, its
+        value is kept and returned."""
         with self._lock:
             value = self._d.get(key)
             if value is not None:
                 self._d.move_to_end(key)
-            return value
-
-    def put(self, key, value):
+                return value
+        value = make()
         w = self.weight(value)
         with self._lock:
             if key in self._d:
-                self.total -= self.weight(self._d.pop(key))
-            if w > self.maxsize:
-                return
-            self._d[key] = value
-            self.total += w
-            while self.total > self.maxsize:
-                self.total -= self.weight(self._d.popitem(last=False)[1])
+                self._d.move_to_end(key)
+                return self._d[key]
+            if w <= self.maxsize:
+                self._d[key] = value
+                self.total += w
+                while self.total > self.maxsize:
+                    self.total -= self.weight(self._d.popitem(last=False)[1])
+        return value
 
     def clear(self):
         with self._lock:
@@ -99,11 +106,14 @@ class ValueCache:
                     key = tuple(rec[field] for field in _KEY_FIELDS)
                     if not all(isinstance(part, str) for part in key):
                         raise TypeError("key is not three strings")
-                    val = complex(rec["value"][0], rec["value"][1])
-                    err = float(rec["err"])
+                    val, err = rec["value"], rec["err"]
+                    if not (type(val) is list and len(val) == 2 and all(
+                            type(x) in (int, float) for x in val + [err])):
+                        raise TypeError("value or err not JSON numbers")
+                    val, err = complex(*val), float(err)
                     if not (cmath.isfinite(val) and math.isfinite(err)):
                         raise ValueError("non-finite entry")
-                except (ValueError, KeyError, TypeError, IndexError):
+                except (ValueError, KeyError, TypeError, OverflowError):
                     self.dropped += 1
                     continue
                 self.entries[key] = (val, err, rec)
@@ -176,10 +186,17 @@ _memo = LRU(MEMO_SIZE)
 # at omega 0.3/1/1.9 (23 lines, <= 71,079) and any tier-1 test (364,435).
 _LINE_MEMO = LRU(1 << 19, weight=len)
 
+# Measure-kernel operands of recent grids (`quad._measure_operand`),
+# keyed by (eps, h, 2n - 1) and bounded by their summed table length:
+# 2^17 entries (3 MB) hold 36-97 depth-6 zeta grids or 85-130 depth-2.
+_MEASURE_MEMO = LRU(1 << 17, weight=lambda op: len(op.vals))
+
 
 def clear_memo():
+    """Empty every process memo: values, log G lines and measure tables."""
     _memo.clear()
     _LINE_MEMO.clear()
+    _MEASURE_MEMO.clear()
 
 
 def memoized(expr, omega, cfg, compute, meta=None):
@@ -188,18 +205,17 @@ def memoized(expr, omega, cfg, compute, meta=None):
     installed store (meta["cached"] is then True), else computed and
     written to both.  `meta` is merged into the result's meta."""
     triple = (expr, repr(omega), cfg.fingerprint())
-    res = _memo.get(triple)
-    if res is not None:
-        return res
-    store = _ACTIVE
-    hit = store.get(triple) if store is not None else None
-    if hit is not None:
-        from .quad import EvalResult   # quad imports this module's LRU
-        res = EvalResult(hit[0], hit[1], dict(meta or {}, cached=True))
-    else:
+
+    def make():
+        store = _ACTIVE
+        hit = store.get(triple) if store is not None else None
+        if hit is not None:
+            from .quad import EvalResult   # quad imports this module
+            return EvalResult(hit[0], hit[1], dict(meta or {}, cached=True))
         res = compute()
         res.meta.update(meta or {})
         if store is not None:
             store.put(triple, res.value, res.err_estimate)
-    _memo.put(triple, res)
-    return res
+        return res
+
+    return _memo.get_or_make(triple, make)

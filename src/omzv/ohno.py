@@ -34,9 +34,10 @@ from functools import partial
 import numpy as np
 
 from . import cache as _cache
+from .cache import clear_memo as clear_connector_cache
 from .hypgamma import log_G, log_G_line
 from .ncseries import z_decompose
-from .omega import clear_value_cache, contour_offset, zeta_omega
+from .omega import contour_offset, zeta_omega
 from .quad import (TWO_PI, ChainStage, EvalResult, QuadConfig, QuadError,
                    STEPS, cexpm1, chain_line_integral, geometric_factor,
                    _chain_integral, _tilted_convolve, _worst)
@@ -221,12 +222,13 @@ def _descending_log_line(ctx, tops, h, shift, height):
     n = len(tops)
     x0 = -float(tops[-1]) - shift.imag
     key = (ctx.p.omega, ctx.cfg, x0, float(h), n, float(height))
-    hit = _cache._LINE_MEMO.get(key)
-    if hit is None:
-        hit = log_G_line(x0 + h * np.arange(n), height, ctx)
-        hit.flags.writeable = False
-        _cache._LINE_MEMO.put(key, hit)
-    return hit[::-1]
+
+    def make():
+        line = log_G_line(x0 + h * np.arange(n), height, ctx)
+        line.flags.writeable = False
+        return line
+
+    return _cache._LINE_MEMO.get_or_make(key, make)[::-1]
 
 
 def _prefix_stages(k, lam, mu, p):
@@ -289,9 +291,6 @@ def _theta_value(ctx, pref, r, s, lam, mu, eps, dp, h, ys, rows):
     tail = h * ((a_abs[-1] * (b_abs @ hi) + b_abs[-1] * (a_abs @ hi)) / dp
                 + (a_abs[0] * (b_abs @ lo) + b_abs[0] * (a_abs @ lo)) / TWO_PI)
     return values, abs(pref) * float(tail), abs(pref) * scale
-
-
-clear_connector_cache = clear_value_cache   # one memo with the chains
 
 
 def connected_integral(k, l, op, ctx, eps=None):

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cache as _cache
-from .quad import (_MEASURE_MEMO, TWO_PI, ChainStage, EvalResult,
-                   QuadConfig, QuadError, chain_line_integral,
-                   geometric_factor, measure_kernel)
+from .cache import clear_memo as clear_value_cache
+from .quad import (TWO_PI, ChainStage, EvalResult, QuadConfig, QuadError,
+                   chain_line_integral, geometric_factor, measure_kernel)
 from .words import AMonomial, APoly, check_index
 
 __all__ = [
@@ -177,13 +177,6 @@ def _binom_poly(delta, alpha):
 
 # ---------------------------------------------------------------------------
 # Monomial evaluation
-
-def clear_value_cache():
-    """Empty the process-wide memos (values, shared with the connector,
-    and log G lines) and the measure-kernel tables of the chain grids."""
-    _cache.clear_memo()
-    _MEASURE_MEMO.clear()
-
 
 def Z_omega_monomial(mono, p, cfg=None, mode="reduced"):
     """Value of one admissible monomial.  mode "reduced" collapses E

@@ -17,13 +17,14 @@ Re t = -eps with x = Im t.
 
 One pass (`chain_rows`) evaluates each kernel once per integral on the
 fine grid, and the measure kernel, which does not depend on omega, once
-per grid.  The error estimate compares the fine grid with the grids of
-step 2h and 4h, the fine grid with every other and every fourth node
-kept (trapezoid grids nest; `STEPS`).  Their chains ride through the
-fine pass as two more rows, zero off their nodes: each stage is one
-convolution of all three rows, and the finisher runs once per grid on
-them.  A diff table is one read-only `_Operand`, whose logarithm and
-hull serve every stage and every integral that reads it.
+per grid, kept in the process memo `cache._MEASURE_MEMO`.  The error
+estimate compares the fine grid with the grids of step 2h and 4h, the
+fine grid with every other and every fourth node kept (trapezoid grids
+nest; `STEPS`).  Their chains ride through the fine pass as two more
+rows, zero off their nodes: each stage is one convolution of all three
+rows, and the finisher runs once per grid on them.  A diff table is
+one read-only `_Operand`, whose logarithm and hull serve every stage and
+every integral that reads it.
 
 Every chain kernel is a product of powers of e^x/(1 - e^x) and
 1/(1 - e^x); `geometric_factor` evaluates them without overflow and
@@ -45,11 +46,11 @@ halving its step.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .cache import LRU
+from . import cache as _cache
 
 __all__ = [
     "QuadConfig",
@@ -381,20 +382,17 @@ def _tilted_fft(x, lx, t, size):
 class _Operand:
     """A kernel table as the second operand of `_tilted_convolve`, read
     only: its values, their log-magnitude and its maximum top, and its
-    upper hull (made when first used).  A table convolved at several
-    stages, or by every integral on a grid (`_measure_operand`), takes
-    its logarithm and hull once; no convolution writes to it."""
+    upper hull.  A table convolved at several stages, or by every
+    integral on a grid (`_measure_operand`), takes its logarithm and
+    hull once; no convolution writes to it."""
 
     def __init__(self, vals):
         self.vals = vals.view()
         with np.errstate(divide="ignore", invalid="ignore"):
             self.log = np.log(np.abs(vals))
+            self.hull = _upper_hull(self.log)
         self.vals.flags.writeable = self.log.flags.writeable = False
         self.top = self.log.max()
-
-    @cached_property
-    def hull(self):
-        return _upper_hull(self.log)
 
 
 def _tilted_convolve(a, b, lo, hi):
@@ -491,11 +489,6 @@ def _chain_grid(eps, cfg, decay, pole_dist=None, freq=0.0, chirp=0.0):
     return h, ys
 
 
-# Measure-kernel tables of recent grids, bounded by their summed length:
-# 2^17 entries (3 MB) hold 36-97 depth-6 zeta grids or 85-130 depth-2.
-_MEASURE_MEMO = LRU(1 << 17, weight=lambda op: len(op.vals))
-
-
 def _diff_grid(eps, h, n):
     """The 2n-1 differences -eps + i h k, |k| < n, of a grid of n nodes."""
     return (-eps) + 1j * (h * np.arange(-(n - 1), n))
@@ -503,16 +496,11 @@ def _diff_grid(eps, h, n):
 
 def _measure_operand(eps, h, n):
     """The measure kernel's `_Operand` on the differences of the grid
-    (eps, h) of n nodes, the same for every omega: evaluated, its hull
-    made and memoised on the grid's first use, and read by every integral
-    on the grid."""
-    key = (eps, h, 2 * n - 1)
-    op = _MEASURE_MEMO.get(key)
-    if op is None:
-        op = _Operand(measure_kernel(_diff_grid(eps, h, n)))
-        op.hull                     # made once, before any integral reads it
-        _MEASURE_MEMO.put(key, op)
-    return op
+    (eps, h) of n nodes, the same for every omega: made and memoised on
+    the grid's first use, and read by every integral on the grid."""
+    return _cache._MEASURE_MEMO.get_or_make(
+        (eps, h, 2 * n - 1),
+        lambda: _Operand(measure_kernel(_diff_grid(eps, h, n))))
 
 
 def chain_rows(chains, eps, h, ys):

@@ -10,6 +10,7 @@ the fields that vary between identical runs: the top-level `timestamp`
 and `runtime_s` and each check's `runtime_s`.
 """
 
+import bisect
 import functools
 import math
 import operator
@@ -202,11 +203,13 @@ def suite_algebra(omega, cfg, max_weight, order, seed, tol):
     A = APoly.monomial
     mons = _monomials(max_weight)
     small = _pairs(max_weight)
-    triples = [(m1, m2, m3)
+    # mons ascends in weight (so w2 <= w3): fit(w) ends those of weight <= w
+    ws = [m.weight for m in mons]
+    fit = functools.partial(bisect.bisect_right, ws)
+    triples = [(m1, mons[j], m3)
                for i, m1 in enumerate(mons)
-               for j, m2 in enumerate(mons[i:], i)
-               for m3 in mons[j:]
-               if m1.weight + m2.weight + m3.weight <= max_weight + 1]
+               for j in range(i, fit((max_weight + 1 - m1.weight) // 2))
+               for m3 in mons[j:fit(max_weight + 1 - m1.weight - ws[j])]]
     idx = [tuple(e + 1 for e in c) for w in range(2, 7) for r in range(1, w)
            for c in compositions(w - r, r) if c[-1] > 0]
     singles = [(m,) for m in mons]

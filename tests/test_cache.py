@@ -21,34 +21,65 @@ from omzv import (OmegaParam, QuadConfig, Z_omega, cache, parse_apoly, words,
 from omzv.omega import clear_value_cache
 
 
+def fill(memo, key, value):
+    """memo.get_or_make with a maker that returns `value`."""
+    return memo.get_or_make(key, lambda: value)
+
+
 def test_lru_drops_least_recently_used():
     memo = cache.LRU(2)
-    memo.put("a", 1)
-    memo.put("b", 2)
-    assert memo.get("a") == 1      # "b" is now the least recently used
-    memo.put("c", 3)
-    assert len(memo) == 2
-    assert memo.get("b") is None
-    assert memo.get("a") == 1 and memo.get("c") == 3
+    fill(memo, "a", 1)
+    fill(memo, "b", 2)
+    assert fill(memo, "a", None) == 1   # "b" is now the least recently used
+    fill(memo, "c", 3)
+    assert list(memo._d) == ["a", "c"]
+    assert fill(memo, "a", None) == 1 and fill(memo, "c", None) == 3
+    assert fill(memo, "b", 4) == 4      # dropped, so made again
 
 
 def test_lru_refuses_only_an_oversize_value():
-    """A value heavier than the whole bound is not kept, and it drops
-    only an older entry under its own key, no other."""
+    """A value heavier than the whole bound is returned but not kept,
+    and it drops no other entry; a value made while its key was filled
+    leaves the entry under that key in place."""
     memo = cache.LRU(10, weight=len)
-    memo.put("a", "xx")
-    memo.put("b", "yyy")
-    memo.put("big", "z" * 11)
-    assert memo.get("big") is None
-    assert memo.get("a") == "xx" and memo.get("b") == "yyy"
+    fill(memo, "a", "xx")
+    fill(memo, "b", "yyy")
+    assert fill(memo, "big", "z" * 11) == "z" * 11
+    assert "big" not in memo._d
+    assert fill(memo, "a", None) == "xx" and fill(memo, "b", None) == "yyy"
     assert len(memo) == 2 and memo.total == 5
-    memo.put("a", "w" * 11)
-    assert memo.get("a") is None and memo.get("b") == "yyy"
-    assert len(memo) == 1 and memo.total == 3
+    got = memo.get_or_make("c", lambda: fill(memo, "c", "cc") and "w" * 11)
+    assert got == "cc" and fill(memo, "b", None) == "yyy"
+    assert len(memo) == 3 and memo.total == 7
+
+
+def test_get_or_make_calls_make_only_on_a_miss():
+    """A hit does not call make.  make runs outside the lock: a make
+    that fills the same map, under another key or its own, returns (in
+    a thread, so that a held lock fails the test instead of hanging it),
+    and the value filled under its own key is the one kept."""
+    memo = cache.LRU(8)
+    calls = []
+    assert memo.get_or_make("a", lambda: calls.append("a") or 1) == 1
+    assert memo.get_or_make("a", lambda: calls.append("again") or 2) == 1
+    assert calls == ["a"]
+    got = []
+
+    def nested():
+        got.append(memo.get_or_make(
+            "d", lambda: memo.get_or_make("b", lambda: 2) + fill(memo, "c", 3)))
+        got.append(memo.get_or_make("e", lambda: fill(memo, "e", 6) + 1))
+
+    t = threading.Thread(target=nested, daemon=True)
+    t.start()
+    t.join(timeout=30)
+    assert not t.is_alive() and got == [5, 6]
+    assert list(memo._d.items()) == [("a", 1), ("b", 2), ("c", 3), ("d", 5),
+                                     ("e", 6)]
 
 
 def test_lru_shared_between_threads():
-    """Concurrent puts and gets on a full map neither raise nor let it
+    """Concurrent fills and hits on a full map neither raise nor let it
     grow past its bound."""
     memo = cache.LRU(8)
     errors = []
@@ -56,8 +87,8 @@ def test_lru_shared_between_threads():
     def work(offset):
         try:
             for i in range(3000):
-                memo.put((offset, i % 13), i)
-                memo.get((offset + 1, i % 11))
+                fill(memo, (offset, i % 13), i)
+                fill(memo, (offset + 1, i % 11), i)
                 assert len(memo) <= 8
         except Exception as exc:   # reported by the main thread
             errors.append(exc)
@@ -74,7 +105,7 @@ def test_lru_shared_between_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(memo) == 8
+    assert len(memo) == 8 and memo.total == 8
 
 
 def test_evicted_value_is_recomputed_bit_identically(monkeypatch):
@@ -187,6 +218,42 @@ def test_store_drops_entries_whose_key_is_not_a_string(tmp_path):
     assert store.get(("zeta 2", "1.0", "f")) == (1.5 + 0.25j, 1e-12)
     assert [json.loads(line) for line in
             path.read_text().splitlines()] == [good]
+
+
+def test_store_drops_values_that_are_not_two_numbers(tmp_path, monkeypatch):
+    """A stored value is a list of exactly two JSON numbers and its error
+    one number: booleans, which Python would read as 1, 0 and 0.0, a
+    third number and an integer beyond the float range are corrupt.
+    Each such line is dropped with a warning, the file is rewritten
+    without it, and its value is computed again."""
+    monkeypatch.setattr(cache, "_memo", cache.LRU(8))
+    monkeypatch.setattr(cache, "_ACTIVE", None)
+    p = OmegaParam(0.8)
+    fp = QuadConfig().fingerprint()
+    fresh = {k: zeta_omega((k,), p) for k in (2, 3, 4, 5)}
+    bad = [dict(value=[True, False], err=1e-12),
+           dict(value=[1.5, 0.25], err=False),
+           dict(value=[1.5, 0.25, 0.0], err=1e-12),
+           dict(value=[10 ** 400, 0], err=1e-12)]
+    path = tmp_path / "values.jsonl"
+    path.write_text("".join(
+        json.dumps(dict(rec, expr="zeta %d" % k, omega=repr(0.8), fp=fp))
+        + "\n" for k, rec in zip(fresh, bad)))
+    with pytest.warns(UserWarning, match="dropped 4 corrupt entries"):
+        store = cache.ValueCache(path)
+    assert store.dropped == 4 and len(store) == 0
+    assert path.read_text() == ""
+    monkeypatch.setattr(cache, "_ACTIVE", store)
+    cache.clear_memo()
+    try:
+        for k, want in fresh.items():
+            got = zeta_omega((k,), p)
+            assert not got.meta.get("cached")
+            assert got.value == want.value
+            assert got.err_estimate == want.err_estimate
+    finally:
+        store.close()
+    assert len(cache.ValueCache(path)) == 4
 
 
 def test_store_with_hashed_keys_is_served(tmp_path, monkeypatch):
@@ -334,3 +401,25 @@ def test_every_cache_has_a_finite_bound():
             bounds = [c.cache_parameters()["maxsize"]]
         for bound in bounds:
             assert isinstance(bound, int) and 0 < bound < math.inf, c
+
+
+def test_clear_memo_empties_every_process_memo():
+    """A zeta value, a reduced monomial and a connected integral fill the
+    value, measure-table and log G line memos; `cache.clear_memo`, which
+    is also `omega.clear_value_cache` and `ohno.clear_connector_cache`,
+    then leaves every LRU map of the package empty."""
+    from omzv import (GammaContext, OhnoParams, Z_omega_monomial,
+                      connected_integral, ohno, omega, parse_amonomial)
+    cfg = QuadConfig(rel_tol=1e-7, abs_tol=1e-9)
+    cache.clear_memo()
+    zeta_omega((1, 2), OmegaParam(0.8), cfg)
+    Z_omega_monomial(parse_amonomial("E G2"), OmegaParam(0.8), cfg)
+    connected_integral((1,), (1,), OhnoParams(lam=0.002j, mu=0.001),
+                       GammaContext(OmegaParam(1.2), cfg=cfg))
+    memos = [c for c in live_caches() if isinstance(c, cache.LRU)]
+    assert len(memos) == 3
+    assert all(len(m) and m.total for m in memos)
+    cache.clear_memo()
+    assert all(len(m) == 0 and m.total == 0 for m in memos)
+    assert omega.clear_value_cache is ohno.clear_connector_cache
+    assert ohno.clear_connector_cache is cache.clear_memo

@@ -225,13 +225,13 @@ def test_theta_runs_once_per_grid_on_memoised_lines(monkeypatch):
     op = OhnoParams(lam=0.002j, mu=0.001)
     memo = cache._LINE_MEMO
     thetas, lines, totals = [], [], []
-    theta, line, put = ohno._theta_value, ohno.log_G_line, memo.put
+    theta, line, fill = ohno._theta_value, ohno.log_G_line, memo.get_or_make
     monkeypatch.setattr(ohno, "_theta_value",
                         lambda *a: thetas.append(a) or theta(*a))
     monkeypatch.setattr(ohno, "log_G_line",
                         lambda *a: lines.append(a) or line(*a))
-    monkeypatch.setattr(memo, "put", lambda key, value: (
-        put(key, value), totals.append(memo.total)))
+    monkeypatch.setattr(memo, "get_or_make", lambda key, make: (
+        fill(key, make), totals.append(memo.total))[0])
 
     def computed(k, l):
         thetas.clear()
@@ -406,8 +406,8 @@ def test_warm_grid_memo_keeps_bits(monkeypatch, kind, fn):
     run evaluates no measure kernel on the chain grid."""
     clear_value_cache()
     cold = fn()
-    assert len(quad._MEASURE_MEMO)
-    cache.clear_memo()
+    assert len(cache._MEASURE_MEMO)
+    cache._memo.clear()
     calls = {}
     monkeypatch.setattr(quad, "measure_kernel",
                         counted(measure_kernel, calls, "measure"))
@@ -422,7 +422,7 @@ def test_grid_memo_stays_within_its_bound(monkeypatch, cfg):
     summed table length is within the bound and is the sum of the kept
     tables, and the oldest grids are the ones dropped.  A table longer
     than the bound is not kept."""
-    memo = quad._MEASURE_MEMO
+    memo = cache._MEASURE_MEMO
     stages = [ChainStage(cum=lambda t: np.exp(0.3j * t)), ChainStage()]
     clear_value_cache()
     made = []
@@ -517,7 +517,7 @@ def test_threads_on_one_grid_keep_bits(cfg):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    memo = quad._MEASURE_MEMO
+    memo = cache._MEASURE_MEMO
     assert memo.total == sum(len(op.vals) for op in memo._d.values())
     clear_value_cache()
     assert got == [want] * workers
