@@ -203,7 +203,8 @@ def cmd_eval(kind, expr, omega, tol, out, cache_path):
 
 @cli.command("verify")
 @click.argument("suite", type=click.Choice(SUITE_NAMES + ("all",)))
-@_evaluation_options("Override the per-check tolerances.")
+@_evaluation_options("Replace every check's tolerance, except the exact "
+                     "counts of `algebra` and the `limit` checks.")
 @click.option("--max-weight", type=click.IntRange(min=0), default=4,
               show_default=True,
               help="Weight cap for the monomial batteries.")

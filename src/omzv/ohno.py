@@ -27,6 +27,7 @@ costs one tilted FFT convolution instead of a dense double loop.  It
 finishes the shared chain pass (`quad._chain_integral`) once per grid.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -69,6 +70,11 @@ class OhnoParams:
     lam: complex = 0.0 + 0.0j
     mu: complex = 0.0 + 0.0j
 
+    def __post_init__(self):
+        for name in ("lam", "mu"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite" % name)
+
 
 class OhnoTable(dict):
     """Coefficient table: a dict (m, n) -> EvalResult.  `coeffs` and
@@ -101,6 +107,8 @@ def compositions(total, parts):
     in lexicographic order."""
     if parts < 1:
         raise ValueError("parts must be >= 1")
+    if total < 0:
+        raise ValueError("total must be >= 0")
     if parts == 1:
         return ((total,),)
     return tuple((first,) + rest for first in range(total + 1)

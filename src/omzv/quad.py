@@ -96,6 +96,12 @@ class QuadConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
 
+    def __post_init__(self):
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be finite and > 0")
+        if not 0.0 <= self.abs_tol < math.inf:
+            raise ValueError("abs_tol must be finite and >= 0")
+
     def fingerprint(self):
         """Short string identifying everything that affects values: the
         two tolerances, the span rule and the grid constants."""

@@ -8,6 +8,10 @@ count or the worst case.  Suite contents and record names are fixed,
 so two runs at the same configuration produce the same report up to
 the fields that vary between identical runs: the top-level `timestamp`
 and `runtime_s` and each check's `runtime_s`.
+
+A plan writes each check's tolerance; a run's `tol` (`omzv verify
+--tol`) replaces it in every check but the `fixed` ones, the exact
+counts of `algebra` and the `limit` checks, which keep their own.
 """
 
 import bisect
@@ -62,9 +66,9 @@ class Check:
     values that keys name, an EvalResult or a number.  A key is a call
     (g, *args), evaluated once per run as g(*args); its arguments carry
     the omega and QuadConfig (or the GammaContext) it runs at.  tol is a
-    number or a rule tol(lhs, rhs) of the sides; the check passes if
-    cmp(resid(lhs value, rhs value), tol).  A check at its own
-    configuration names its fingerprint."""
+    number or a rule tol(lhs, rhs) of the sides, replaced by a run's tol
+    unless fixed; the check passes if cmp(resid(lhs value, rhs value),
+    tol).  A check at its own configuration names its fingerprint."""
     name: str
     anchor: str
     lhs: tuple
@@ -73,12 +77,15 @@ class Check:
     resid: object = _abs
     cmp: object = operator.le
     fingerprint: str = ""
+    fixed: bool = False
 
 
-def _judge(chk, table, fingerprint):
-    """The record of one check, its values read from `table` after
-    evaluating there those it lacks; a QuadError is kept as the value."""
+def _judge(chk, table, fingerprint, tol):
+    """The record of one check under the run's tol (see Check), its
+    values read from `table` after evaluating there those it lacks; a
+    QuadError is kept as the value."""
     t0 = time.perf_counter()
+    rule = chk.tol if tol is None or chk.fixed else tol
     keys = chk.lhs[1] + chk.rhs[1]
     for key in keys:
         if key not in table:
@@ -90,26 +97,15 @@ def _judge(chk, table, fingerprint):
     if failed:
         lhs = rhs = complex(math.nan, math.nan)
         residual, error = math.nan, str(failed[0])
-        tol = math.nan if callable(chk.tol) else chk.tol
+        tol = math.nan if callable(rule) else rule
     else:
         a, b = (f(*(table[k] for k in ks)) for f, ks in (chk.lhs, chk.rhs))
         lhs, rhs = (complex(getattr(s, "value", s)) for s in (a, b))
-        tol = chk.tol(a, b) if callable(chk.tol) else chk.tol
+        tol = rule(a, b) if callable(rule) else rule
         residual, error = float(chk.resid(lhs, rhs)), ""
     return CheckRecord(chk.name, chk.anchor, lhs, rhs, residual, float(tol),
                        bool(chk.cmp(residual, tol)), time.perf_counter() - t0,
                        chk.fingerprint or fingerprint, error)
-
-
-def _suite(plan):
-    """The suite judging the checks of plan(omega, cfg, max_weight,
-    order, seed, tol), with values from `table` (a fresh one if None)."""
-    @functools.wraps(plan)
-    def run(omega, cfg, max_weight, order, seed, tol, table=None):
-        table = {} if table is None else table
-        return [_judge(chk, table, cfg.fingerprint())
-                for chk in plan(omega, cfg, max_weight, order, seed, tol)]
-    return run
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +142,10 @@ def _poly(poly, p, cfg):
             tuple((Z_omega_monomial, m, p, cfg) for m in poly.t))
 
 
-def _err_rule(tol, floor, factor=1.0):
-    """tol if given, else the rule max(floor, factor * the two sides'
-    summed error estimates)."""
-    return tol if tol is not None else (
-        lambda a, b: max(floor, factor * (a.err_estimate + b.err_estimate)))
+def _err_rule(floor, factor=1.0):
+    """The rule max(floor, factor * the two sides' summed error
+    estimates)."""
+    return lambda a, b: max(floor, factor * (a.err_estimate + b.err_estimate))
 
 
 def _text(k):
@@ -198,8 +193,7 @@ def _q_products(pairs, qp):
     return _worst(d_sh), _worst(d_ha), _worst(d_ds)
 
 
-@_suite
-def suite_algebra(omega, cfg, max_weight, order, seed, tol):
+def suite_algebra(omega, cfg, max_weight, order, seed):
     A = APoly.monomial
     mons = _monomials(max_weight)
     small = _pairs(max_weight)
@@ -236,19 +230,17 @@ def suite_algebra(omega, cfg, max_weight, order, seed, tol):
         ("dual-involution", "(k_dual)_dual = k", [(k,) for k in idx],
          lambda k: dual_index(dual_index(k)) != k),
     ]
-    plan = [Check(name, anchor, _count(bad, cases))
+    plan = [Check(name, anchor, _count(bad, cases), fixed=True)
             for name, anchor, cases, bad in exact]
 
     qp = QParam()
-    qtol = tol if tol is not None else 1e-8
     plan.append(Check(
         "q-duality", "Z_q(sigma(m)) = Z_q(m)",
         (lambda: _worst(abs(z_q_monomial(m, qp).value
                             - z_q_monomial(sigma_monomial(m), qp).value)
-                        for m in mons), ()),
-        tol=qtol))
+                        for m in mons), ()), tol=1e-8))
     battery = (_q_products, tuple(small), qp)
-    plan += [Check(name, anchor, _part(i, *battery), tol=qtol)
+    plan += [Check(name, anchor, _part(i, *battery), tol=1e-8)
              for i, (name, anchor) in enumerate((
                  ("q-shuffle", "Z_q(u sh_h v) = Z_q(u) Z_q(v)"),
                  ("q-harmonic", "Z_q(u *_h v) = Z_q(u) Z_q(v)"),
@@ -259,10 +251,9 @@ def suite_algebra(omega, cfg, max_weight, order, seed, tol):
 # ---------------------------------------------------------------------------
 # Contour-integral batteries
 
-@_suite
-def suite_duality(omega, cfg, max_weight, order, seed, tol):
+def suite_duality(omega, cfg, max_weight, order, seed):
     p = OmegaParam(omega)
-    rule = _err_rule(tol, 1e-6, 5.0)
+    rule = _err_rule(1e-6, 5.0)
     plan = [Check("duality %s" % (m,), "Z_w(sigma(m)) = Z_w(m)",
                   _one(Z_omega_monomial, sigma_monomial(m), p, cfg),
                   _one(Z_omega_monomial, m, p, cfg), rule)
@@ -277,16 +268,14 @@ def suite_duality(omega, cfg, max_weight, order, seed, tol):
 def _product_suite(kind, left, right, anchor):
     """The battery over `_pairs`: Z_w of left(m1, m2) against Z_w of
     right(m1, m2), or against Z_w(m1) Z_w(m2) if right is None."""
-    @_suite
-    def suite(omega, cfg, max_weight, order, seed, tol):
+    def suite(omega, cfg, max_weight, order, seed):
         p = OmegaParam(omega)
-        rule = _err_rule(tol, 1e-6, 5.0)
         return [Check("%s %s | %s" % (kind, m1, m2), anchor,
                       _poly(left(m1, m2), p, cfg),
                       _poly(right(m1, m2), p, cfg) if right else
                       (_product, ((Z_omega_monomial, m1, p, cfg),
                                   (Z_omega_monomial, m2, p, cfg))),
-                      rule)
+                      _err_rule(1e-6, 5.0))
                 for m1, m2 in _pairs(max_weight)]
     return suite
 
@@ -317,8 +306,7 @@ def _shift_ratio(c, d):
                                - 1.0)
 
 
-@_suite
-def suite_gamma(omega, cfg, max_weight, order, seed, tol):
+def suite_gamma(omega, cfg, max_weight, order, seed):
     p = OmegaParam(omega)
     ctx = GammaContext(p, cfg=cfg)
     w = p.omega
@@ -326,15 +314,13 @@ def suite_gamma(omega, cfg, max_weight, order, seed, tol):
     res = np.array([-1.7, -0.8, 0.25, 0.9, 1.8])
     ims = s0 * np.array([-0.8, -0.4, 0.0, 0.4, 0.8])
     grid = [re + 1j * im for re in res for im in ims]
-    t_exact = tol if tol is not None else 1e-8
     thr = _far_threshold(w)
     # just inside the far-field switch, so the strip quadrature is what
     # gets compared against the quadratic asymptotic
     far = [sgn * x + 1j * im for x in (0.45 * thr, 0.7 * thr, thr - 0.2)
            for im in (0.0, 0.3 * s0) for sgn in (1.0, -1.0)]
     plan = [Check(name, anchor, _gamma_worst(
-                      f, [(z, z, partner(z)) for z in grid], ctx),
-                  tol=t_exact)
+                      f, [(z, z, partner(z)) for z in grid], ctx), tol=1e-8)
             for name, anchor, partner, f in (
                 ("gamma-reflection", "G(z) G(-z) = 1", operator.neg,
                  lambda z, a, b: abs(np.exp(a + b) - 1.0)),
@@ -351,8 +337,7 @@ def suite_gamma(omega, cfg, max_weight, order, seed, tol):
         "log G(z) ~ -i sgn(Re z)(pi w z^2/2 + pi(w + 1/w)/24)",
         _gamma_worst(lambda z, a: abs(
             np.exp(a - complex(_log_G_far(np.asarray(z), w))) - 1.0),
-            [(z, z) for z in far], ctx),
-        tol=tol if tol is not None else 1e-3))
+            [(z, z) for z in far], ctx), tol=1e-3))
     return plan
 
 
@@ -372,14 +357,12 @@ def saalschutz_points(ob):
     ]
 
 
-@_suite
-def suite_saalschutz(omega, cfg, max_weight, order, seed, tol):
+def suite_saalschutz(omega, cfg, max_weight, order, seed):
     ctx = GammaContext(OmegaParam(omega), cfg=cfg)
-    t = tol if tol is not None else 1e-5
     return [Check("saalschutz point %d" % i,
                   "int e^{(4i ob - S) pi i w u} G(u-u4)G(u-u5)"
                   "/(G(u+u1)G(u+u2)) du = closed product",
-                  *_halves(saalschutz_check, *us, ctx), t, _rel)
+                  *_halves(saalschutz_check, *us, ctx), 1e-5, _rel)
             for i, us in enumerate(saalschutz_points(ctx.omega_bar), 1)]
 
 
@@ -390,17 +373,15 @@ _OHNO_POINTS = [
 ]
 
 
-@_suite
-def suite_ohno(omega, cfg, max_weight, order, seed, tol):
+def suite_ohno(omega, cfg, max_weight, order, seed):
     p = OmegaParam(omega)
     ctx = GammaContext(p, cfg=cfg)
-    t_rel = tol if tol is not None else 1e-4
     initial = [(k, i, (initial_relation, k, OhnoParams(lam=lam, mu=mu), ctx))
                for k in ((1,), (2,))
                for i, (lam, mu) in enumerate(_OHNO_POINTS, 1)]
     plan = [Check("initial k=(%s) point %d" % (_text(k), i),
                   "I(k, (1) | lam, mu) = d(lam, mu) O(k_up | lam, mu)",
-                  *_halves(*call), t_rel, _rel)
+                  *_halves(*call), 1e-4, _rel)
             for k, i, call in initial]
 
     op = OhnoParams(lam=0.003 + 0.001j, mu=-0.002 + 0.0025j)
@@ -408,7 +389,7 @@ def suite_ohno(omega, cfg, max_weight, order, seed, tol):
         "generating-vs-series k=(2)",
         "O(k | lam, mu) = sum_{m+n<=order} O_{m,n}(k) lam_hat^m mu_hat^n",
         _one(ohno_generating, (2,), op, p, cfg),
-        _one(ohno_series, (2,), op, order, p, cfg), _err_rule(tol, 1e-9)))
+        _one(ohno_series, (2,), op, order, p, cfg), _err_rule(1e-9)))
 
     # only the single-direction row is self-dual; mixed cells need the
     # tau correction layers checked by the extended-do suite.  Cells of
@@ -420,13 +401,11 @@ def suite_ohno(omega, cfg, max_weight, order, seed, tol):
                            for a, b in zip(v[::2], v[1::2])),
          tuple((double_ohno_sum, k, m, 0, p, row_cfg)
                for m in range(order + 1) for k in ((3,), (1, 2)))),
-        tol=tol if tol is not None else 1e-6,
-        fingerprint=row_cfg.fingerprint()))
+        tol=1e-6, fingerprint=row_cfg.fingerprint()))
     return plan
 
 
-@_suite
-def suite_transport(omega, cfg, max_weight, order, seed, tol):
+def suite_transport(omega, cfg, max_weight, order, seed):
     ctx = GammaContext(OmegaParam(omega), cfg=cfg)
     rng = random.Random(seed)
 
@@ -435,19 +414,17 @@ def suite_transport(omega, cfg, max_weight, order, seed, tol):
         ang = 2.0 * math.pi * rng.random()
         return rad * complex(math.cos(ang), math.sin(ang))
     op = OhnoParams(lam=point(), mu=point())
-    t = tol if tol is not None else 1e-4
     anchors = {
         1: "I(k_right, l) = I(k, l_up) + lam_hat mu_hat I(k_right_up, l_up)",
         2: "I(k_up, l) = I(k, l_right) - lam_hat mu_hat I(k_up, l_right_up)",
     }
     return [Check("transport v%d k=(%s) l=(%s)" % (v, _text(k), _text(l)),
                   anchors[v], *_halves(transport_relation, k, l, op, ctx, v),
-                  t, _rel)
+                  1e-4, _rel)
             for v in (1, 2) for k in ((1,), (2,)) for l in ((1,), (2,))]
 
 
-@_suite
-def suite_extended_do(omega, cfg, max_weight, order, seed, tol):
+def suite_extended_do(omega, cfg, max_weight, order, seed):
     p = OmegaParam(omega)
     x, y = XSeries.word("x"), XSeries.word("y")
     return [
@@ -456,21 +433,20 @@ def suite_extended_do(omega, cfg, max_weight, order, seed, tol):
               _one(zeta_omega, (4,), p, cfg),
               (lambda a, b: EvalResult.combine([(1, a), (1, b)]),
                ((zeta_omega, (1, 3), p, cfg), (zeta_omega, (2, 2), p, cfg))),
-              tol if tol is not None else 1e-6),
+              1e-6),
         Check("omega-table y x x vs y tau(x) x",
               "Omega(y w x) = Omega(y tau(w) x)",
               (lambda ta, tb: ta.max_abs_diff(tb),
                ((omega_Omega, y * x * x, order, p, cfg),
                 (omega_Omega, y * tau(x, order) * x, order, p, cfg))),
-              tol=tol if tol is not None else 1e-5),
+              tol=1e-5),
     ]
 
 
 # ---------------------------------------------------------------------------
 # Classical limit
 
-@_suite
-def suite_limit(omega, cfg, max_weight, order, seed, tol):
+def suite_limit(omega, cfg, max_weight, order, seed):
     steps = (0.2, 0.1, 0.05, 0.02)
     pi26 = math.pi ** 2 / 6.0
     g1 = _monomials(1)[0]
@@ -484,10 +460,12 @@ def suite_limit(omega, cfg, max_weight, order, seed, tol):
            ((Z_omega_monomial, g1, p, cfg),)) for p in ps]))
     return ([Check("%s step %g->%g" % (name, steps[i], steps[i + 1]),
                    gap + " decreases as w -> 0", sides[i + 1], sides[i],
-                   resid=lambda lhs, rhs: (lhs - rhs).real, cmp=operator.lt)
+                   resid=lambda lhs, rhs: (lhs - rhs).real, cmp=operator.lt,
+                   fixed=True)
              for i in range(len(steps) - 1) for name, gap, sides in series]
             + [Check(name + " final gap (documented)",
-                     gap + " at the smallest w", sides[-1], tol=1.0)
+                     gap + " at the smallest w", sides[-1], tol=1.0,
+                     fixed=True)
                for name, gap, sides in series])
 
 
@@ -518,6 +496,10 @@ _SUITE_CFG = dict.fromkeys(("saalschutz", "ohno", "transport"),
 def run_suite(name, omega=1.0, max_weight=4, order=2, seed=0, tol=None):
     """Run one named suite (or "all") and return its CheckRecords.
 
+    Each suite is a plan, SUITES[name](omega, cfg, max_weight, order,
+    seed) -> [Check]; its checks are judged here, tol (if given)
+    replacing the tolerance of each that is not `fixed`.
+
     Each suite runs at its own configuration (rel_tol 1e-7 and abs_tol
     1e-9 for the connector suites, the default QuadConfig() for the
     rest), and each record carries the fingerprint of the configuration
@@ -531,5 +513,6 @@ def run_suite(name, omega=1.0, max_weight=4, order=2, seed=0, tol=None):
     table, out = {}, []
     for key in (SUITES if name == "all" else (name,)):
         scfg = _SUITE_CFG.get(key, QuadConfig())
-        out += SUITES[key](omega, scfg, max_weight, order, seed, tol, table)
+        out += [_judge(chk, table, scfg.fingerprint(), tol)
+                for chk in SUITES[key](omega, scfg, max_weight, order, seed)]
     return out

@@ -29,6 +29,21 @@ def test_compositions():
     assert compositions(2, 1) == ((2,),)
     with pytest.raises(ValueError, match="parts must be >= 1"):
         compositions(3, 0)
+    for parts in (1, 2):
+        with pytest.raises(ValueError, match="total must be >= 0"):
+            compositions(-1, parts)
+
+
+@pytest.mark.parametrize("field", ["lam", "mu"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(0.0, math.nan),
+                                 complex(math.inf, 0.0)])
+def test_ohno_params_refuse_a_non_finite_point(field, bad):
+    """A NaN or infinite lam or mu is refused where the point is made,
+    as OmegaParam refuses a bad omega: the truncation guard's max drops
+    a NaN, and the series would return NaN."""
+    with pytest.raises(ValueError, match="%s must be finite" % field):
+        OhnoParams(**{field: bad})
 
 
 @pytest.mark.parametrize("m, n", [(-1, 0), (0, -1)])

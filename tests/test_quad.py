@@ -488,6 +488,19 @@ def test_all_zero_first_row_convolves_to_zeros():
     assert got.shape == (2, 8) and not got.any()
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("rel_tol", -1.0), ("rel_tol", 0.0), ("rel_tol", math.nan),
+    ("rel_tol", math.inf), ("abs_tol", -1e-12), ("abs_tol", math.nan),
+    ("abs_tol", math.inf)])
+def test_config_refuses_tolerances_outside_their_domain(field, bad):
+    """A tolerance no grid can meet is refused when the config is made,
+    instead of a value that claims it (rel_tol -1) or a crash inside the
+    grid sizing (rel_tol NaN); abs_tol 0 is a valid target."""
+    with pytest.raises(ValueError, match=field):
+        QuadConfig(**{field: bad})
+    assert QuadConfig(abs_tol=0.0).abs_tol == 0.0
+
+
 def test_config_fingerprint_tracks_settings():
     base = QuadConfig()
     assert base.fingerprint() == QuadConfig().fingerprint()

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from omzv import (AMonomial, APoly, EvalResult, HbarLaurent, OmegaParam,
-                  QuadConfig, Z_omega, cache, verify)
+                  Z_omega, cache, verify)
 from omzv.quad import _worst
 
 
@@ -38,13 +38,13 @@ def test_one_nan_case_fails_the_check(monkeypatch, position):
 
     monkeypatch.setattr(verify, "z_q", spy)
     target = 0
-    verify.suite_algebra(1.0, QuadConfig(), 2, 2, 0, None)
+    verify.run_suite("algebra", 1.0, max_weight=2)
     pairs = len(calls) // 2
     index = {"first": 0, "middle": pairs // 2, "last": pairs - 1}[position]
     # z_q is called for the shuffle side, then the harmonic side
     calls.clear()
     target = 2 * index + 1
-    records = verify.suite_algebra(1.0, QuadConfig(), 2, 2, 0, None)
+    records = verify.run_suite("algebra", 1.0, max_weight=2)
     by_name = {r.name: r for r in records}
     for name in ("q-shuffle", "q-double-shuffle"):
         assert math.isnan(by_name[name].residual)
@@ -57,9 +57,31 @@ def test_satoh_zero_at_weight_5():
     unordered pair of the 88 non-empty admissible monomials."""
     mons = verify._monomials(5)
     assert len(mons) * (len(mons) + 1) // 2 == 3916
-    records = verify.suite_algebra(1.0, QuadConfig(), 5, 2, 0, None)
+    records = verify.run_suite("algebra", 1.0, max_weight=5)
     satoh, = [r for r in records if r.name == "satoh-zero"]
     assert satoh.passed and satoh.residual == 0.0
+
+
+def test_tol_replaces_every_tolerance_but_the_fixed_ones():
+    """A run's tol changes only tolerances: the names, both sides and
+    the residuals of `all` stay, in order.  Every tolerance becomes tol
+    except those of the 16 fixed checks, the exact counts of `algebra`
+    and the `limit` steps (0) and final gaps (1)."""
+    plain = verify.run_suite("all", 1.0, max_weight=2)
+    over = verify.run_suite("all", 1.0, max_weight=2, tol=1e-3)
+    assert ([(r.name, r.lhs, r.rhs, r.residual) for r in over]
+            == [(r.name, r.lhs, r.rhs, r.residual) for r in plain])
+    exact = ["satoh-zero", "shuffle-commutative", "harmonic-commutative",
+             "shuffle-associative", "harmonic-associative",
+             "sigma-involution", "sigma-block-form", "dual-involution"]
+    limit = [r.name for r in plain if "-limit " in r.name]
+    assert len(limit) == 8
+    fixed = {name: 1.0 if "final gap" in name else 0.0
+             for name in exact + limit}
+    assert [r.tolerance for r in plain if r.name in fixed] == [
+        fixed[r.name] for r in plain if r.name in fixed]
+    assert [r.tolerance for r in over] == [fixed.get(r.name, 1e-3)
+                                           for r in over]
 
 
 def test_monomials_print_as_text_in_messages_and_names():
