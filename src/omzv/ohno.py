@@ -93,7 +93,7 @@ class OhnoTable(dict):
 
     def max_abs_diff(self, other):
         """Largest |difference| over the union of cells, a missing cell
-        counting as 0; NaN if any difference is."""
+        counting as 0; NaN if any difference is or there are none."""
         a, b = self.coeffs, other.coeffs
         return _worst(abs(a.get(c, 0j) - b.get(c, 0j))
                       for c in a.keys() | b.keys())

@@ -35,7 +35,7 @@ from . import cache as _cache
 from .cache import clear_memo as clear_value_cache
 from .quad import (TWO_PI, ChainStage, EvalResult, QuadConfig, QuadError,
                    chain_line_integral, geometric_factor, measure_kernel)
-from .words import AMonomial, APoly, check_index
+from .words import AMonomial, admissible_span, check_index
 
 __all__ = [
     "OmegaParam",
@@ -235,12 +235,7 @@ def Z_omega(arg, p, cfg=None):
     """Linear extension over the admissible span; the coefficient ring
     Q[h] acts through h = 2 pi i omega.  Errors add up."""
     cfg = cfg or QuadConfig()
-    arg = APoly.of(arg)
-    for mono, coeff in arg.t.items():
-        if not mono.is_admissible():
-            raise ValueError("monomial %s not admissible" % (mono,))
-        if not coeff.is_polynomial():
-            raise ValueError("coefficient of %s has h^-1 terms" % (mono,))
+    arg = admissible_span(arg)
     return EvalResult.combine(
         [(coeff.eval(p.hbar_value), Z_omega_monomial(mono, p, cfg))
          for mono, coeff in arg.t.items()],

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quad import EvalResult
-from .words import APoly, AMonomial
+from .words import AMonomial, admissible_span
 
 __all__ = ["QParam", "z_q_monomial", "z_q"]
 
@@ -72,8 +72,9 @@ def z_q_monomial(mono, p):
 
 
 def z_q(arg, p):
-    """Sum evaluation extended linearly, h acting as 1 - q."""
-    arg = APoly.of(arg)
+    """Sum evaluation extended linearly over the admissible span, h
+    acting as 1 - q."""
+    arg = admissible_span(arg)
     return EvalResult.combine(
         [(coeff.eval(1.0 - p.q), z_q_monomial(mono, p))
          for mono, coeff in arg.t.items()],

@@ -148,13 +148,14 @@ def _require_finite(value, err, **detail):
 
 
 def _worst(values):
-    """The largest of the non-negative `values` (0.0 if there are none),
-    or NaN if any is NaN: the builtin max keeps its current best when it
-    meets a NaN, so a NaN case would drop out of a worst-case check."""
+    """The largest of the non-negative `values`, or NaN if there are
+    none or any is NaN: the builtin max keeps its current best when it
+    meets a NaN, so a NaN case would drop out of a worst-case check, and
+    a worst case over no cases checks nothing."""
     values = [float(v) for v in values]
     if any(map(math.isnan, values)):
         return math.nan
-    return max(values, default=0.0)
+    return max(values, default=math.nan)
 
 
 def _log_target(cfg):

@@ -4,10 +4,11 @@ tolerance.
 Each suite is a plan: a list of Checks, each naming the values its two
 sides read and the rule that judges them.  Batteries over many exact
 cases are folded into a single check whose residual is the failure
-count or the worst case.  Suite contents and record names are fixed,
-so two runs at the same configuration produce the same report up to
-the fields that vary between identical runs: the top-level `timestamp`
-and `runtime_s` and each check's `runtime_s`.
+count or the worst case, NaN over no cases.  `run_suite` judges each
+check into the report row that `omzv verify` prints.  Suite contents
+and check names are fixed, so two runs at the same configuration give
+the same report up to the fields that vary between identical runs: the
+top-level `timestamp` and `runtime_s` and each row's `runtime_s`.
 
 A plan writes each check's tolerance; a run's `tol` (`omzv verify
 --tol`) replaces it in every check but the `fixed` ones, the exact
@@ -35,21 +36,7 @@ from .quad import EvalResult, QuadConfig, QuadError, _worst
 from .words import (APoly, dual_index, harmonic, monomials_up_to_weight,
                     satoh_residual, shuffle, sigma, sigma_monomial)
 
-__all__ = ["CheckRecord", "SUITES", "run_suite"]
-
-
-@dataclass
-class CheckRecord:
-    name: str
-    anchor: str
-    lhs: complex
-    rhs: complex
-    residual: float
-    tolerance: float
-    passed: bool
-    runtime: float
-    fingerprint: str = ""
-    error: str = ""
+__all__ = ["SUITES", "run_suite"]
 
 
 def _abs(lhs, rhs):
@@ -81,9 +68,9 @@ class Check:
 
 
 def _judge(chk, table, fingerprint, tol):
-    """The record of one check under the run's tol (see Check), its
-    values read from `table` after evaluating there those it lacks; a
-    QuadError is kept as the value."""
+    """The report row of one check under the run's tol (see Check and
+    run_suite), its values read from `table` after evaluating there
+    those it lacks; a QuadError is kept as the value."""
     t0 = time.perf_counter()
     rule = chk.tol if tol is None or chk.fixed else tol
     keys = chk.lhs[1] + chk.rhs[1]
@@ -96,16 +83,19 @@ def _judge(chk, table, fingerprint, tol):
     failed = [table[k] for k in keys if isinstance(table[k], QuadError)]
     if failed:
         lhs = rhs = complex(math.nan, math.nan)
-        residual, error = math.nan, str(failed[0])
+        residual = math.nan
         tol = math.nan if callable(rule) else rule
     else:
         a, b = (f(*(table[k] for k in ks)) for f, ks in (chk.lhs, chk.rhs))
         lhs, rhs = (complex(getattr(s, "value", s)) for s in (a, b))
         tol = rule(a, b) if callable(rule) else rule
-        residual, error = float(chk.resid(lhs, rhs)), ""
-    return CheckRecord(chk.name, chk.anchor, lhs, rhs, residual, float(tol),
-                       bool(chk.cmp(residual, tol)), time.perf_counter() - t0,
-                       chk.fingerprint or fingerprint, error)
+        residual = float(chk.resid(lhs, rhs))
+    return {"name": chk.name, "anchor": chk.anchor, "lhs": lhs, "rhs": rhs,
+            "residual": residual, "tolerance": float(tol),
+            "pass": bool(chk.cmp(residual, tol)),
+            "fingerprint": chk.fingerprint or fingerprint,
+            "runtime_s": round(time.perf_counter() - t0, 6),
+            **({"error": str(failed[0])} if failed else {})}
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +166,9 @@ def _ha(m1, m2):
 
 
 def _count(bad, cases):
-    """The side counting the cases where bad(*case) holds."""
-    return (lambda: float(sum(1 for c in cases if bad(*c))), ())
+    """The side counting the cases where bad(*case) holds, NaN over none."""
+    return (lambda: float(sum(1 for c in cases if bad(*c)))
+            if cases else math.nan, ())
 
 
 def _q_products(pairs, qp):
@@ -494,7 +485,10 @@ _SUITE_CFG = dict.fromkeys(("saalschutz", "ohno", "transport"),
 
 
 def run_suite(name, omega=1.0, max_weight=4, order=2, seed=0, tol=None):
-    """Run one named suite (or "all") and return its CheckRecords.
+    """Run one named suite (or "all") and return its report rows: per
+    check a dict of name, anchor, lhs, rhs, residual, tolerance, pass,
+    fingerprint and runtime_s, in that order, then `error` only if a
+    value the check read failed.  `omzv verify` prints them as they are.
 
     Each suite is a plan, SUITES[name](omega, cfg, max_weight, order,
     seed) -> [Check]; its checks are judged here, tol (if given)
@@ -510,6 +504,8 @@ def run_suite(name, omega=1.0, max_weight=4, order=2, seed=0, tol=None):
     each with the message as its `error`, and no other."""
     if name != "all" and name not in SUITES:
         raise KeyError("unknown suite %r" % name)
+    if max_weight < 1:
+        raise ValueError("max_weight must be >= 1")
     table, out = {}, []
     for key in (SUITES if name == "all" else (name,)):
         scfg = _SUITE_CFG.get(key, QuadConfig())

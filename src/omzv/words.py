@@ -19,7 +19,9 @@ empty) sequence of letters not ending in E, when its last index is not
 with one power of h for each E that the sum loses.  The map sigma
 (reverse the word, send a -> h*b and b -> h^-1 * a) is an
 antiautomorphism exchanging the two products; the defect of that
-exchange is `satoh_residual`, which must vanish identically.  All
+exchange is `satoh_residual`, which must vanish identically.  Its
+domain and that of Z_omega and z_q, the admissible monomials with
+h-polynomial coefficients, has one gate: `admissible_span`.  All
 arithmetic in this module is exact.
 
 Laurent polynomials, a/b-word polynomials and A-monomial polynomials
@@ -46,7 +48,7 @@ group them.  A coefficient c*h^e of one power comes from the bounded
 table `_hpow`, shared by every result (an HbarLaurent is never
 changed), so no coefficient is made per term.
 
-`parse_hpoly` and `parse_apoly` invert the one printer, `_LinComb.__str__`:
+`_parse` (`parse_apoly` for an APoly) inverts the printer `_LinComb.__str__`:
 
     sum    := term (("+" | "-") term)*
     term   := "-"* factor* letter*          (not empty)
@@ -74,11 +76,11 @@ __all__ = [
     "sigma",
     "sigma_monomial",
     "satoh_residual",
+    "admissible_span",
     "check_index",
     "index_to_e_word",
     "dual_index",
     "parse_index",
-    "parse_hpoly",
     "parse_apoly",
     "parse_amonomial",
     "monomials_up_to_weight",
@@ -649,6 +651,19 @@ def sigma_monomial(m):
         [(beta, alpha) for alpha, beta in reversed(m.blocks())])
 
 
+def admissible_span(p):
+    """p (HPoly or APoly) as an APoly of admissible monomials with
+    h-polynomial coefficients, the domain of Z_omega, z_q and
+    satoh_residual; ValueError naming the first term outside it."""
+    p = APoly.of(p)
+    for m, c in p.t.items():
+        if not m.is_admissible():
+            raise ValueError("monomial %s not admissible" % (m,))
+        if not c.is_polynomial():
+            raise ValueError("coefficient of %s has h^-1 terms" % (m,))
+    return p
+
+
 def satoh_residual(p1, p2):
     """p1 * p2 - sigma(sigma(p1) sh sigma(p2)) as an HPoly.
 
@@ -657,14 +672,7 @@ def satoh_residual(p1, p2):
     zero.  The harmonic side, as sigma words, meets the shuffle as it comes
     out; only a residual that does not vanish goes back through sigma.
     """
-    a1, a2 = APoly.of(p1), APoly.of(p2)
-    for ap in (a1, a2):
-        for m, c in ap.t.items():
-            if not m.is_admissible():
-                raise ValueError("argument not in the admissible span")
-            if not c.is_polynomial():
-                raise ValueError("argument has h^-1 terms after rewriting")
-    f1, f2 = _flat(a1), _flat(a2)
+    f1, f2 = _flat(admissible_span(p1)), _flat(admissible_span(p2))
     t, one = _sigma_harmonic(f1, f2), _flat(APoly.one())
     sh = _product(_shuffle_terms, len, _sigma_harmonic(f1, one),
                   _sigma_harmonic(f2, one))
@@ -797,11 +805,6 @@ def _a_letter(t):
     if t[0] != "G" or len(t) == 1:
         raise ValueError("unknown letter %r" % t)
     return G(int(t[1:]))
-
-
-def parse_hpoly(text):
-    """The HPoly printed as `text`."""
-    return _parse(text, HPoly, _ab_word, "".join)
 
 
 def parse_apoly(text):

@@ -78,10 +78,11 @@ def test_parse_error_is_exit_2(runner):
     ["verify", "algebra", "--tol", "nan"],
     ["gamma", "0.2", "--tol", "0"],
     ["ohno", "2", "--tol", "-inf"],
+    ["verify", "algebra", "--max-weight", "0"],
 ])
 def test_bad_numeric_option_is_exit_2(runner, args):
-    """Negative orders and weights, and tolerances that are not finite
-    and > 0, are usage errors, before any work is done."""
+    """Negative orders, weights below 1, and tolerances that are not
+    finite and > 0, are usage errors, before any work is done."""
     res = runner.invoke(cli, args)
     assert res.exit_code == 2, res.output
 

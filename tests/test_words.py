@@ -14,12 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omzv import (AMonomial, APoly, HPoly, HbarLaurent, OmegaParam, XSeries,
-                  dual_index, harmonic, index_to_e_word,
+                  Z_omega, dual_index, harmonic, index_to_e_word,
                   monomials_up_to_weight, ohno_table, parse_amonomial,
                   parse_apoly, parse_index, satoh_residual, shuffle, sigma,
                   sigma_monomial, zeta_omega)
 from omzv import words
-from omzv.words import E, G, check_index, parse_hpoly
+from omzv.qseries import QParam, z_q
+from omzv.words import E, G, check_index
+
+
+def parse_hpoly(text):
+    """The HPoly printed as `text`: the package's parser, read with the
+    a/b letters."""
+    return words._parse(text, HPoly, words._ab_word, "".join)
+
 
 H = HbarLaurent.h
 
@@ -635,6 +643,22 @@ def test_satoh_rejects_negative_powers_of_h():
     g2 = APoly.monomial(parse_amonomial("G2"))
     with pytest.raises(ValueError, match="h\\^-1"):
         satoh_residual(APoly.monomial(parse_amonomial("E G2"), H(-1)), g2)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda p: Z_omega(p, OmegaParam(1.0)),
+    lambda p: z_q(p, QParam()),
+    lambda p: satoh_residual(APoly.monomial(parse_amonomial("G1")), p),
+], ids=["Z_omega", "z_q", "satoh_residual"])
+@pytest.mark.parametrize("text, message", [
+    ("G2 E", "monomial G2 E not admissible"),
+    ("h^-1*G2", "coefficient of G2 has h\\^-1 terms"),
+], ids=["inadmissible", "h^-1"])
+def test_maps_share_the_admissible_span(evaluate, text, message):
+    """Z_omega, z_q and satoh_residual refuse the same arguments, an
+    inadmissible monomial and an h^-1 coefficient, with one message."""
+    with pytest.raises(ValueError, match=message):
+        evaluate(parse_apoly(text))
 
 
 # -- rewriting --------------------------------------------------------------
