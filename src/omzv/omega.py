@@ -49,11 +49,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OmegaParam:
-    omega: float
+    omega: float    # a float: 1, 1.0, np.float64(1) name one memo key
 
     def __post_init__(self):
         if not (0.0 < self.omega < 2.0):
             raise ValueError("omega must lie in (0, 2)")
+        object.__setattr__(self, "omega", float(self.omega))
 
     @property
     def hbar_value(self):

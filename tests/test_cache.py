@@ -13,6 +13,7 @@ import threading
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import omzv
@@ -189,6 +190,18 @@ def test_store_is_read_and_written_once_per_fresh_value(tmp_path, store,
     assert len(store) == 2
     reloaded = cache.ValueCache(tmp_path / "values.jsonl")
     assert reloaded.entries.keys() == store.entries.keys()
+
+
+def test_omega_number_type_names_one_key(tmp_path, store):
+    """omega given as an int, a float or a numpy float is one value: the
+    second and third calls take the first result from the memo, and the
+    store holds one line, keyed by repr(1.0)."""
+    first = zeta_omega((2,), OmegaParam(1))
+    for w in (1.0, np.float64(1.0)):
+        assert zeta_omega((2,), OmegaParam(w)) is first
+    store.close()
+    lines = (tmp_path / "values.jsonl").read_text().splitlines()
+    assert [json.loads(line)["omega"] for line in lines] == [repr(1.0)]
 
 
 def test_store_keeps_the_first_value_of_a_key(tmp_path):

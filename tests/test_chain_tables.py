@@ -8,7 +8,9 @@ bit for bit.  Error estimates must match it to 1e-12 of the value: they
 take the coarse values, which the zero-stuffed rows round differently
 from the compact passes.  The measure kernel's difference table is made
 once per grid and shared by every integral on it, and the tilt plans
-are chosen at block ends; both keep every bit."""
+are chosen at block ends; both keep every bit.  Each stage of the
+reference is the pass's own stage (`quad._chain_stage`: a direct sum or
+a tilted convolution, chosen as in the pass) on its one row."""
 
 import dataclasses
 import math
@@ -45,7 +47,7 @@ def reference_chain_pass(stages, eps, h, ys):
         else:
             dgrid = (-eps) + 1j * ydiff
             dvals = st.diff(dgrid) if st.diff else measure_kernel(dgrid)
-            chi = h * quad._tilted_convolve(chi, dvals, n - 1, 2 * n - 1)
+            chi = h * quad._chain_stage(chi[None], quad._Operand(dvals))[0]
         if st.cum is not None:
             chi = chi * st.cum(line)
     return chi
@@ -579,7 +581,10 @@ def ternary_tilt_plan(hull_a, hull_b, lo, hi):
 def test_tilt_plan_matches_ternary_search(monkeypatch):
     """On the hulls of zeta chains at omega 0.3, 1 and 1.9, depths 2-6,
     choosing each tangent from its excesses at the block ends gives the
-    plan of the ternary search over whole blocks."""
+    plan of the ternary search over whole blocks.  Their grids are small
+    enough for direct sums, so every stage is sent down the tilted path
+    (no grid is direct at _DIRECT_MAX 0)."""
+    monkeypatch.setattr(quad, "_DIRECT_MAX", 0)
     recorded = []
     plan = quad._tilt_plan
     monkeypatch.setattr(quad, "_tilt_plan",

@@ -1,6 +1,8 @@
 """Value gate for the zeta chains: every admissible zeta index and every
-admissible A-monomial (reduced route) of weight <= 5, at omega in
-{0.3, 1, 1.9} and the default tolerance, agrees with the value in
+admissible A-monomial of weight <= 5, the monomials by both routes
+(reduced and direct), at omega in {0.3, 1, 1.9} and the default
+tolerance, and the left sides of the three Saalschutz points of the
+`saalschutz` suite at its tolerance, agree with the values in
 `data/chain_values.json` within the two error estimates.
 
 Regenerate the file with `PYTHONPATH=src python tests/test_chain_values.py`
@@ -12,8 +14,9 @@ import os
 
 import pytest
 
-from omzv import (OmegaParam, Z_omega_monomial, compositions,
-                  monomials_up_to_weight, zeta_omega)
+from omzv import (GammaContext, OmegaParam, Z_omega_monomial, compositions,
+                  monomials_up_to_weight, saalschutz_check, zeta_omega)
+from omzv.verify import _SUITE_CFG, saalschutz_points
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                     "chain_values.json")
@@ -22,7 +25,7 @@ MAX_WEIGHT = 5
 
 
 def generate(omega):
-    """{name: EvalResult} of every zeta value and monomial of the gate."""
+    """{name: EvalResult} of every value of the gate."""
     p = OmegaParam(omega)
     out = {}
     for w in range(2, MAX_WEIGHT + 1):
@@ -34,6 +37,11 @@ def generate(omega):
     for mono in monomials_up_to_weight(MAX_WEIGHT):
         if len(mono):
             out["mono " + str(mono)] = Z_omega_monomial(mono, p)
+            out["direct " + str(mono)] = Z_omega_monomial(mono, p,
+                                                          mode="direct")
+    ctx = GammaContext(p, cfg=_SUITE_CFG["saalschutz"])
+    for i, us in enumerate(saalschutz_points(ctx.omega_bar), 1):
+        out["saalschutz point %d" % i] = saalschutz_check(*us, ctx)[0]
     return out
 
 

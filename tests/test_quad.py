@@ -222,7 +222,11 @@ def test_chain_kernel_lemma_depth2(cfg, a1, a2):
                                       (0.3, (1, 1, 1, 1, 2, 2))])
 def test_fft_chain_matches_direct(monkeypatch, omega, k):
     """These chains span many decades; an untilted FFT misses the direct
-    value by more than its error estimate on each of them."""
+    value by more than its error estimate on each of them.  Their grids
+    are small enough for direct stages, so every stage is sent down the
+    tilted path (no grid is direct at _DIRECT_MAX 0), and the reference
+    replaces that path with the direct sum."""
+    monkeypatch.setattr(quad, "_DIRECT_MAX", 0)
     calls = []
 
     def direct_convolve(a, b, lo, hi):
@@ -255,6 +259,87 @@ def test_tilted_convolve_keeps_small_outputs(lo, hi):
     scale = np.convolve(np.abs(a), np.abs(b))[lo:hi]
     got = quad._tilted_convolve(a, b, lo, hi)
     assert np.max(np.abs(got - full) / scale) < 1e-12
+
+
+def _grid_sizes_around_direct_max():
+    """The largest chain grid (n - 1 a multiple of 4) of direct stages
+    and the next one, of tilted stages."""
+    below = quad._DIRECT_MAX - (quad._DIRECT_MAX - 1) % 4
+    return below, below + 4
+
+
+@pytest.mark.parametrize("n", [301, *_grid_sizes_around_direct_max()])
+def test_chain_stage_rounds_each_output_to_its_scale(monkeypatch, n):
+    """Each row's outputs at its nodes, against a np.clongdouble direct
+    sum, in units of u times the output's own scale sum_i |a_i b_{k-i}|:
+    within 8 u on direct grids, within the tilted convolution's 1e-12
+    relative bound above _DIRECT_MAX, also at outputs 20 decades below
+    the row's largest."""
+    tilted = []
+    convolve = quad._tilted_convolve
+    monkeypatch.setattr(quad, "_tilted_convolve", lambda *args: (
+        tilted.append(args[0].shape) or convolve(*args)))
+    y = np.linspace(-8.0, 8.0, n)
+    yd = np.linspace(-16.0, 16.0, 2 * n - 1)
+    a = np.exp(-6.0 * np.abs(y) + 1j * y) * np.cos(4.0 * y)
+    table = np.exp(-6.0 * np.abs(yd) + 2.0j * yd) / (1.0 + yd * yd)
+    rows = np.stack([a, a * np.exp(0.3j * y), a * np.exp(-0.5 * y)])
+    rows[1:, 1::2] = rows[2, 2::4] = 0.0
+    got = quad._chain_stage(rows, quad._Operand(table))
+    direct = n <= quad._DIRECT_MAX
+    assert tilted == ([] if direct else [(3, n)])
+    u = np.finfo(float).eps / 2
+    for row, out, m in zip(rows, got, quad.STEPS):
+        ref = np.convolve(table[::m].astype(np.clongdouble),
+                          row[::m].astype(np.clongdouble), "valid")
+        scale = np.convolve(np.abs(table[::m]).astype(np.longdouble),
+                            np.abs(row[::m]).astype(np.longdouble), "valid")
+        assert np.abs(ref).min() < 1e-20 * np.abs(ref).max()
+        err = np.abs(out[::m] - ref) / scale
+        assert err.max() <= (8.0 * u if direct else 1e-12)
+
+
+def test_direct_stage_of_a_real_row_keeps_the_imaginary_part():
+    """A real row (a real first-stage kernel) with a complex table gives
+    complex outputs on a direct grid, as on a tilted one."""
+    y = np.linspace(-4.0, 4.0, 101)
+    yd = np.linspace(-8.0, 8.0, 201)
+    row, table = np.exp(-y * y), np.exp(-np.abs(yd) + 1j * yd)
+    got = quad._chain_stage(row[None], quad._Operand(table))[0]
+    assert got.tobytes() == np.convolve(table, row, "valid").tobytes()
+
+
+def test_subnormal_products_take_the_tilted_path(monkeypatch):
+    """At omega 0.05 and rel_tol 1e-3 the one stage of zeta(1, 2) runs on
+    545 nodes, below _DIRECT_MAX, but a product of its row's and its
+    table's smallest nonzero entries is subnormal, which would slow a
+    direct sum several times: it takes `_tilted_convolve`.  Its value
+    agrees with the direct sum's (the range test lifted) within the
+    estimates."""
+    stages = []
+    convolve = quad._tilted_convolve
+
+    def spy(a, b, lo, hi):
+        mag = np.abs(a[0])
+        stages.append((a.shape, mag[mag > 0].min()
+                       * np.abs(b.vals[b.vals != 0]).min()))
+        return convolve(a, b, lo, hi)
+
+    monkeypatch.setattr(quad, "_tilted_convolve", spy)
+    p, cfg = OmegaParam(0.05), QuadConfig(rel_tol=1e-3, abs_tol=1e-6)
+    clear_value_cache()
+    res = zeta_omega((1, 2), p, cfg)
+    n = res.meta["nodes"]
+    assert n <= quad._DIRECT_MAX
+    assert stages == [((3, n), stages[0][1])]
+    assert stages[0][1] < np.finfo(float).tiny
+    monkeypatch.setattr(quad, "_TINY", 0.0)
+    clear_value_cache()
+    direct = zeta_omega((1, 2), p, cfg)
+    clear_value_cache()
+    assert len(stages) == 1
+    assert (abs(direct.value - res.value)
+            <= direct.err_estimate + res.err_estimate)
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 599), (299, 599), (150, 450)])
