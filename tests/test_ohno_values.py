@@ -45,9 +45,14 @@ def generate(omega):
         "ohno_series (2)": {
             "value": ohno_series((2,), SERIES_POINT, 2, p, CFG)},
     }
-    for k, l in (((1,), (1,)), ((2,), (1,))):
-        for name, op in (("origin", OhnoParams()), ("point 1", point)):
-            out["connected_integral %d;%d %s" % (k[0], l[0], name)] = {
+    cases = [(k, l, name, op) for k, l in (((1,), (1,)), ((2,), (1,)))
+             for name, op in (("origin", OhnoParams()), ("point 1", point))]
+    # depth-2 chains, on grids both sides of the direct-sum limit
+    cases += [(k, l, "point 1", point)
+              for k, l in (((1, 1), (1, 2)), ((1, 2), (2,)))]
+    for k, l, name, op in cases:
+        out["connected_integral %s;%s %s" % (
+            ",".join(map(str, k)), ",".join(map(str, l)), name)] = {
                 "value": connected_integral(k, l, op, ctx)}
     lhs, rhs = initial_relation((2,), point, ctx)
     out["initial_relation (2) point 1"] = {"lhs": lhs, "rhs": rhs}
