@@ -23,7 +23,7 @@ The Theta stage couples the two chain lines only through the sum
 T + U and the cross phase e^{-pi i w T U}.  On a shared uniform grid
 the sum part is a discrete convolution, and the cross phase splits
 into per-line chirps times a chirp on the sum grid, so each grid level
-costs one tilted FFT convolution instead of a dense double loop.  It
+costs one convolution (`quad._convolve`), not a dense double loop.  It
 finishes the shared chain pass (`quad._chain_integral`) once per grid.
 """
 
@@ -41,7 +41,7 @@ from .ncseries import z_decompose
 from .omega import contour_offset, zeta_omega
 from .quad import (TWO_PI, ChainStage, EvalResult, QuadConfig, QuadError,
                    STEPS, cexpm1, chain_line_integral, geometric_factor,
-                   _chain_integral, _tilted_convolve, _worst)
+                   _chain_integral, _convolve, _Operand, _worst)
 from .words import check_index
 
 __all__ = [
@@ -286,7 +286,8 @@ def _theta_value(ctx, pref, r, s, lam, mu, eps, dp, h, ys, rows):
     for chi_t, chi_u, m in zip(*rows, STEPS):
         a_vec = chi_t[::m] * exp_a[::m] * f_t[::m]
         b_vec = chi_u[::m] * exp_b[::m] * f_u[::m]
-        conv = _tilted_convolve(a_vec, b_vec, 0, 2 * len(a_vec) - 1)
+        conv = _convolve(a_vec[None], _Operand(b_vec), 0,
+                         2 * len(a_vec) - 1)[0]
         levels.append((a_vec, b_vec, conv * c[::m] * f_sum[::m]))
     values = [pref * (const * (1j ** (r + s)) * (m * h) * (m * h) * v.sum())
               for (_, _, v), m in zip(levels, STEPS)]

@@ -10,13 +10,10 @@ nested sums here), and a finisher turns their last rows into the
 value: `chain_line_integral` for one chain, the Theta coupling of the
 Ohno connector for two.  On a shared uniform imaginary grid each stage is
 one discrete convolution, so depth r costs r convolutions instead of an
-r-dimensional tensor.  On at most _DIRECT_MAX = 1200 nodes a stage is a
-direct sum (`_chain_stage`): 0.14-0.82 of a tilted stage's time (parity
-near 1,500 nodes), within 6 u of each output's own scale, not 170-490 u,
-unless products of nonzero entries can be subnormal (up to 6 times
-slower).  Other stages are tilted FFTs (`_tilted_convolve`), O(n log n).
-A single line is the depth-1 chain, and an integral over the real axis
-is the line Re t = -eps with x = Im t.
+r-dimensional tensor; `_convolve`, the one way into a convolution (the
+Theta coupling's too), chooses direct sums or a tilted FFT.  A single
+line is the depth-1 chain, and an integral over the real axis is the
+line Re t = -eps with x = Im t.
 
 One pass (`chain_rows`) evaluates each kernel once per integral on the
 fine grid, and the measure kernel, which does not depend on omega, once
@@ -265,7 +262,7 @@ def _fast_len(n):
 # output by at most e^_TILT_SLACK.
 _TILT_SLACK = 2.0
 _HULL_STRIDE = 8
-# Largest grid of direct chain stages, and the smallest normal float.
+# Largest grid of direct convolutions, and the smallest normal float.
 _DIRECT_MAX = 1200
 _TINY = np.finfo(float).tiny
 
@@ -393,11 +390,11 @@ def _tilted_fft(x, lx, t, size):
 
 
 class _Operand:
-    """A kernel table as the second operand of `_tilted_convolve`, read
-    only: its values, their log-magnitude and its maximum top, and its
-    upper hull.  A table convolved at several stages, or by every
-    integral on a grid (`_measure_operand`), takes its logarithm and
-    hull once; no convolution writes to it."""
+    """A kernel table as the second operand of `_convolve`, read only:
+    its values, their log-magnitude and its maximum top, and its upper
+    hull.  A table convolved at several stages, or by every integral on
+    a grid (`_measure_operand`), takes its logarithm and hull once; no
+    convolution writes to it."""
 
     def __init__(self, vals):
         self.vals = vals.view()
@@ -409,9 +406,8 @@ class _Operand:
 
 
 def _tilted_convolve(a, b, lo, hi):
-    """Entries lo..hi-1 of the full linear convolution of a, an array or
-    a stack of rows, with b (an array or an `_Operand`, which is only
-    read).
+    """Entries lo..hi-1 of the full linear convolution of each row of a
+    with the `_Operand` b, which is only read.
 
     Computed by FFT of the tilted inputs a_i e^{t i} and b_m e^{t m},
     each scaled to unit maximum, and untilted by e^{-t k} afterwards: a
@@ -438,20 +434,17 @@ def _tilted_convolve(a, b, lo, hi):
     row untilted by its own scale.  The first row's outputs are those
     of its one-row call, bit for bit.
     """
-    if not isinstance(b, _Operand):
-        b = _Operand(b)
-    shape = a.shape[:-1] + (hi - lo,)
+    shape = (len(a), hi - lo)
     with np.errstate(divide="ignore", invalid="ignore"):
         la = np.log(np.abs(a))
         top = la.max() + b.top
     if np.isnan(top) or top == np.inf:
         return np.full(shape, np.nan, dtype=complex)
-    la0 = la.reshape(-1, la.shape[-1])[0]
-    if la0.max() == -np.inf or b.top == -np.inf:
+    if la[0].max() == -np.inf or b.top == -np.inf:
         return np.zeros(shape, dtype=complex)
     n, nb = a.shape[-1], len(b.vals)
     out = np.empty(shape, dtype=complex)
-    plan = _tilt_plan(_upper_hull(la0), b.hull, lo, hi)
+    plan = _tilt_plan(_upper_hull(la[0]), b.hull, lo, hi)
     for t, start, stop in plan:
         m0, m1 = max(0, start - n + 1), min(nb, stop + 1)
         size = _fast_len(max(n, stop + 1 - m0, n + m1 - 1 - start))
@@ -465,21 +458,26 @@ def _tilted_convolve(a, b, lo, hi):
     return out
 
 
-def _chain_stage(chi, op):
-    """Outputs n-1..2n-2 of the convolution of each of the rows chi (n
-    nodes) with the `_Operand` op, row l at its every STEPS[l]-th node
-    with op's every STEPS[l]-th entry: direct sums on at most _DIRECT_MAX
-    nodes (zero off those nodes), unless products of nonzero entries of
-    op and the first row, which the others follow, can be subnormal."""
-    n = chi.shape[-1]
+def _convolve(rows, op, lo, hi):
+    """Outputs lo..hi-1 of the convolution of each level row (n nodes)
+    with the `_Operand` op, row l at its every STEPS[l]-th node with op's
+    every STEPS[l]-th entry: a chain stage's valid part n-1..2n-2, or all
+    of 0..2n-2 for the Theta coupling.  Up to _DIRECT_MAX = 1200 nodes
+    they are direct sums, each within a few u of its own scale (166-489 u
+    tilted), in 0.14-0.82 of the tilted time (parity near 1,500 nodes),
+    unless a product of nonzero entries of op and the first row can be
+    subnormal (< _TINY; 6 times slower direct).  Else `_tilted_convolve`."""
+    n = rows.shape[-1]
     if n > _DIRECT_MAX or (
-            np.abs(chi[0]).min(initial=np.inf, where=chi[0] != 0)
+            np.abs(rows[0]).min(initial=np.inf, where=rows[0] != 0)
             * np.exp(op.log.min(initial=np.inf, where=op.log > -np.inf))
             < _TINY):
-        return _tilted_convolve(chi, op, n - 1, 2 * n - 1)
-    out = np.zeros(chi.shape, dtype=complex)
-    for row, o, m in zip(chi, out, STEPS):
-        o[::m] = np.convolve(op.vals[::m], row[::m], "valid")
+        return _tilted_convolve(rows, op, lo, hi)
+    skip = n - 1 if lo >= n - 1 and hi <= len(op.vals) else 0
+    out = np.zeros((len(rows), hi - lo), dtype=complex)
+    for row, o, m in zip(rows, out, STEPS):
+        full = np.convolve(op.vals[::m], row[::m], "valid" if skip else "full")
+        o[::m] = full[(lo - skip) // m:(hi - 1 - skip) // m + 1]
     return out
 
 
@@ -553,14 +551,14 @@ def chain_rows(chains, eps, h, ys):
     each convolution off the even nodes and off every fourth node (what
     they hold there is never read).  n - 1 is a multiple of 4, so their
     outputs on those nodes take only the differences on them, the tables
-    of step 2h and 4h.  Each stage is one `_chain_stage` of all rows:
-    direct sums on at most 1200 nodes without subnormal products, else
-    one shared logarithm, hull and tilt plan.  They are multiplied by
-    the same cum values, as chi * cum in that operand order: a complex
-    product rounds differently with its operands swapped, and the fine
-    row rounds as the one-row chain does.  The coarse rows start at the
-    first convolution (before it they are subsamples of the fine row),
-    and a chain of depth 1 has the fine row for all three.
+    of step 2h and 4h.  Each stage is one `_convolve` of all rows (one
+    shared logarithm, hull and tilt plan when tilted), and they are
+    multiplied by the same cum values, as chi * cum in that operand
+    order: a complex product rounds differently with its operands
+    swapped, and the fine row rounds as the one-row chain does.  The
+    coarse rows start at the first convolution (before it they are
+    subsamples of the fine row), and a chain of depth 1 has the fine row
+    for all three.
 
     Returns per chain the three stage-r rows on the line Re T_r =
     -r*eps; row l at every m = STEPS[l]-th node is the chain of step m*h.
@@ -584,7 +582,7 @@ def chain_rows(chains, eps, h, ys):
             if a > 1:
                 chi = np.array([chi] * 3) if a == 2 else chi
                 chi[1:, 1::2] = chi[2, 2::4] = 0.0
-                chi = _chain_stage(chi, ops[st.diff]) * steps
+                chi = _convolve(chi, ops[st.diff], n - 1, 2 * n - 1) * steps
             if st.cum is not None:
                 chi = chi * st.cum(-a * eps + 1j * ys)
         out.append((chi, chi, chi) if chi.ndim == 1 else tuple(chi))

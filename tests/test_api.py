@@ -33,6 +33,21 @@ def code_references(paths):
     return names
 
 
+def test_only_quad_names_the_tilted_convolution():
+    """Every convolution goes through `quad._convolve`: no other module
+    of the package names `_tilted_convolve`, and in `quad` only
+    `_convolve` calls it."""
+    package = Path(omzv.__file__).parent
+    quad_py = package / "quad.py"
+    assert not [p.name for p in sorted(package.glob("*.py"))
+                if p != quad_py and "_tilted_convolve" in code_references([p])]
+    callers = {fn.name for fn in ast.walk(ast.parse(quad_py.read_text()))
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Name) and node.id == "_tilted_convolve"}
+    assert callers == {"_convolve"}
+
+
 def test_every_public_name_is_used_by_the_package_or_the_bench():
     """Each name in the __all__ of omzv or of one of its modules is read
     by the package or the bench; the re-exports in __init__.py are not

@@ -9,8 +9,8 @@ take the coarse values, which the zero-stuffed rows round differently
 from the compact passes.  The measure kernel's difference table is made
 once per grid and shared by every integral on it, and the tilt plans
 are chosen at block ends; both keep every bit.  Each stage of the
-reference is the pass's own stage (`quad._chain_stage`: a direct sum or
-a tilted convolution, chosen as in the pass) on its one row."""
+reference is the pass's own convolution (`quad._convolve`: a direct sum
+or a tilted convolution, chosen as in the pass) on its one row."""
 
 import dataclasses
 import math
@@ -47,7 +47,8 @@ def reference_chain_pass(stages, eps, h, ys):
         else:
             dgrid = (-eps) + 1j * ydiff
             dvals = st.diff(dgrid) if st.diff else measure_kernel(dgrid)
-            chi = h * quad._chain_stage(chi[None], quad._Operand(dvals))[0]
+            chi = h * quad._convolve(chi[None], quad._Operand(dvals),
+                                     n - 1, 2 * n - 1)[0]
         if st.cum is not None:
             chi = chi * st.cum(line)
     return chi
@@ -344,10 +345,11 @@ def test_reused_operand_matches_fresh():
     same_tilts = first * np.exp(0.3j * y)
     moved = np.exp(2.0 * y - 0.5j * y * y) * np.exp(-0.2 * y * y)
     op = quad._Operand(table)
-    quad._tilted_convolve(first, op, n - 1, 2 * n - 1)
+    quad._tilted_convolve(first[None], op, n - 1, 2 * n - 1)
     for a in (first, same_tilts, moved, first):
-        got = quad._tilted_convolve(a, op, n - 1, 2 * n - 1)
-        fresh = quad._tilted_convolve(a, table, n - 1, 2 * n - 1)
+        got = quad._tilted_convolve(a[None], op, n - 1, 2 * n - 1)
+        fresh = quad._tilted_convolve(a[None], quad._Operand(table),
+                                      n - 1, 2 * n - 1)
         assert got.tobytes() == fresh.tobytes()
 
 
@@ -372,7 +374,8 @@ def test_block_transforms_span_their_lags(monkeypatch):
         return fft(x, lx, t, size)
 
     monkeypatch.setattr(quad, "_tilted_fft", spy)
-    quad._tilted_convolve(first, quad._Operand(table), n - 1, 2 * n - 1)
+    quad._tilted_convolve(first[None], quad._Operand(table),
+                          n - 1, 2 * n - 1)
     [blocks] = plans
     assert len(blocks) > 1
     sizes = [quad._fast_len(n + stop - start) for _, start, stop in blocks]

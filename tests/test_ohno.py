@@ -11,13 +11,13 @@ import pytest
 
 from omzv import (EvalResult, GammaContext, OhnoParams, OhnoTable,
                   OmegaParam, QuadConfig, QuadError, compositions, d_norm,
-                  double_ohno_sum, dual_index, initial_relation,
+                  double_ohno_sum, dual_index, initial_relation, ohno,
                   ohno_generating, ohno_series, ohno_table, omega_Omega,
-                  saalschutz_check, transport_relation, zeta_omega)
+                  quad, saalschutz_check, transport_relation, zeta_omega)
 from omzv.ncseries import XSeries, tau
 from omzv.ohno import clear_connector_cache, connected_integral
 from omzv.omega import contour_offset
-from omzv.verify import saalschutz_points
+from omzv.verify import _OHNO_POINTS, saalschutz_points
 
 import expansion
 from expansion import connected_expansion
@@ -436,3 +436,57 @@ def test_table_diff_keeps_nan(cell):
                    for m, n in triangle})
     b[cell] = EvalResult(complex(math.nan, 0.0), 0.0)
     assert math.isnan(a.max_abs_diff(b))
+
+
+def test_small_theta_levels_are_direct_sums(monkeypatch, fast_cfg):
+    """The Theta coupling convolves each grid level through
+    `quad._convolve`, whole (outputs 0..2n-2).  On 1,989 nodes the fine
+    level is tilted, and the levels of step 2h and 4h (995 and 498
+    nodes, at most _DIRECT_MAX) are direct sums: each output lies within
+    a few u of its own scale sum_i |a_i b_{k-i}| against a np.clongdouble
+    full convolution."""
+    levels, tilted = [], []
+    convolve, tilted_convolve = quad._convolve, quad._tilted_convolve
+
+    def spy(rows, op, lo, hi):
+        out = convolve(rows, op, lo, hi)
+        levels.append((rows[0], op.vals, lo, hi, out[0]))
+        return out
+
+    monkeypatch.setattr(ohno, "_convolve", spy)
+    monkeypatch.setattr(quad, "_tilted_convolve", lambda a, *rest: (
+        tilted.append(a.shape) or tilted_convolve(a, *rest)))
+    ctx = GammaContext(OmegaParam(1.4), cfg=fast_cfg)
+    clear_connector_cache()
+    connected_integral((1, 2), (2,), OhnoParams(*_OHNO_POINTS[0]), ctx)
+    clear_connector_cache()
+    assert [len(a) for a, *_ in levels] == [1989, 995, 498]
+    assert [shape for shape in tilted if shape[0] == 1] == [(1, 1989)]
+    u = np.finfo(float).eps / 2
+    for a, b, lo, hi, out in levels[1:]:
+        assert (lo, hi) == (0, 2 * len(a) - 1)
+        ref = np.convolve(a.astype(np.clongdouble), b.astype(np.clongdouble))
+        scale = np.convolve(np.abs(a).astype(np.longdouble),
+                            np.abs(b).astype(np.longdouble))
+        assert np.abs(ref).min() < 1e-20 * np.abs(ref).max()
+        assert np.max(np.abs(out - ref) / scale) <= 8.0 * u
+
+
+@pytest.mark.parametrize("k, l, omega, bits", [
+    ((1,), (1,), 1.0, ["0x1.921fb54442d00p+1", "0x1.f9d135b1abbe6p-46",
+                       "0x1.13a6d1ed3b181p-30"]),
+    ((1, 2), (2,), 1.4, ["0x1.6035a231492cfp+6", "0x1.08f2cde8711dfp+7",
+                         "0x1.238cf23a1fb90p-30"])])
+def test_tilted_theta_stage_keeps_its_bits(monkeypatch, fast_cfg, k, l,
+                                           omega, bits):
+    """With every convolution tilted (_DIRECT_MAX 0), a connected
+    integral keeps the bits it had when the Theta stage called the
+    tilted convolution itself."""
+    monkeypatch.setattr(quad, "_DIRECT_MAX", 0)
+    op = OhnoParams() if k == (1,) else OhnoParams(*_OHNO_POINTS[0])
+    clear_connector_cache()
+    res = connected_integral(k, l, op, GammaContext(OmegaParam(omega),
+                                                    cfg=fast_cfg))
+    clear_connector_cache()
+    assert [res.value.real.hex(), res.value.imag.hex(),
+            res.err_estimate.hex()] == bits

@@ -257,7 +257,7 @@ def test_tilted_convolve_keeps_small_outputs(lo, hi):
     b = np.exp(2.0 * y - 0.5j * y * y)
     full = np.convolve(a, b)[lo:hi]
     scale = np.convolve(np.abs(a), np.abs(b))[lo:hi]
-    got = quad._tilted_convolve(a, b, lo, hi)
+    got = quad._tilted_convolve(a[None], quad._Operand(b), lo, hi)[0]
     assert np.max(np.abs(got - full) / scale) < 1e-12
 
 
@@ -285,7 +285,7 @@ def test_chain_stage_rounds_each_output_to_its_scale(monkeypatch, n):
     table = np.exp(-6.0 * np.abs(yd) + 2.0j * yd) / (1.0 + yd * yd)
     rows = np.stack([a, a * np.exp(0.3j * y), a * np.exp(-0.5 * y)])
     rows[1:, 1::2] = rows[2, 2::4] = 0.0
-    got = quad._chain_stage(rows, quad._Operand(table))
+    got = quad._convolve(rows, quad._Operand(table), n - 1, 2 * n - 1)
     direct = n <= quad._DIRECT_MAX
     assert tilted == ([] if direct else [(3, n)])
     u = np.finfo(float).eps / 2
@@ -305,7 +305,7 @@ def test_direct_stage_of_a_real_row_keeps_the_imaginary_part():
     y = np.linspace(-4.0, 4.0, 101)
     yd = np.linspace(-8.0, 8.0, 201)
     row, table = np.exp(-y * y), np.exp(-np.abs(yd) + 1j * yd)
-    got = quad._chain_stage(row[None], quad._Operand(table))[0]
+    got = quad._convolve(row[None], quad._Operand(table), 100, 201)[0]
     assert got.tobytes() == np.convolve(table, row, "valid").tobytes()
 
 
@@ -353,8 +353,10 @@ def test_zero_stuffed_row_is_the_coarse_convolution(lo, hi):
     b = np.exp(2.0 * y - 0.5j * y * y)
     rows = np.stack([a, a])
     rows[1, 1::2] = 0.0
-    got = quad._tilted_convolve(rows, b, lo, hi)
-    assert got[0].tobytes() == quad._tilted_convolve(a, b, lo, hi).tobytes()
+    op = quad._Operand(b)
+    got = quad._tilted_convolve(rows, op, lo, hi)
+    one = quad._tilted_convolve(a[None], op, lo, hi)[0]
+    assert got[0].tobytes() == one.tobytes()
     ks = np.arange(lo, hi)
     even = ks[ks % 2 == 0] // 2
     full = np.convolve(a[::2], b[::2])[even]
@@ -569,7 +571,7 @@ def test_all_zero_first_row_convolves_to_zeros():
     row gives zeros for every row."""
     rows = np.zeros((2, 8), dtype=complex)
     rows[1] = 1.0
-    got = quad._tilted_convolve(rows, np.ones(8), 2, 10)
+    got = quad._tilted_convolve(rows, quad._Operand(np.ones(8)), 2, 10)
     assert got.shape == (2, 8) and not got.any()
 
 
