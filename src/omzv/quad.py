@@ -259,7 +259,10 @@ def _fast_len(n):
 # f(t, k) = max_i(log|a_i| + t i) + max_m(log|b_m| + t m) - t k, while
 # the direct sum rounds it to about eps * max_i |a_i b_{k-i}|.  Each
 # output is taken from a tilt whose bound exceeds the best one at that
-# output by at most e^_TILT_SLACK.
+# output by at most e^_TILT_SLACK.  Tilts are multiples of 2^-20 and row
+# scales integers (`_tilted_fft`): with |t| < 2^11 (a log-magnitude moves
+# by at most 1,455 per node) and n < 2^19 nodes, each exponent t*i, e - s
+# and sa + sb - t*k is a multiple of 2^-20 below 2^33, exact in float64.
 _TILT_SLACK = 2.0
 _HULL_STRIDE = 8
 # Largest grid of direct convolutions, and the smallest normal float.
@@ -363,7 +366,8 @@ def _tilt_plan(hull_a, hull_b, lo, hi):
         stop = len(px) - 1 if len(over) == 0 else start + int(over[0]) - 1
         worst = np.maximum(at_start[:len(cand)], excess(cand, stop))
         e = cand[np.argmin(worst)]
-        plan.append((-float(slopes[e]), int(px[start]), int(px[stop])))
+        t = round(-float(slopes[e]) * 2 ** 20) / 2 ** 20
+        plan.append((t, int(px[start]), int(px[stop])))
         if stop == len(px) - 1:
             return plan
         start = stop
@@ -371,14 +375,14 @@ def _tilt_plan(hull_a, hull_b, lo, hi):
 
 def _tilted_fft(x, lx, t, size):
     """Length-size FFTs of the rows x_i e^{t i - s}, s = max(log|x_i| +
-    t i) per row (kept as a column), so that each tilted row has unit
-    maximum.  The factor is applied as two halves: for x_i != 0 the
+    t i) per row rounded up to an integer (kept as a column), so each
+    tilted row has its maximum in (1/e, 1].  The factor is applied as two halves: for x_i != 0 the
     exponent is at most -log|x_i| <= 745, whose half never overflows,
     and the clip keeps zeros at zero."""
     n = lx.shape[-1]
     e = np.arange(n, dtype=float)
     e *= t
-    s = np.max(e + lx, axis=-1, keepdims=True)
+    s = np.ceil(np.max(e + lx, axis=-1, keepdims=True))
     e = e - s
     np.minimum(e, 745.0, out=e)
     e *= 0.5

@@ -575,7 +575,9 @@ def ternary_tilt_plan(hull_a, hull_b, lo, hi):
             else:
                 e0 = m0
         e = min(range(e0, e1 + 1), key=lambda c: excess(c, block).max())
-        plan.append((-float(slopes[e]), int(px[start]), int(px[stop])))
+        # the tilts `quad._tilt_plan` uses: multiples of 2^-20
+        t = round(-float(slopes[e]) * 2 ** 20) / 2 ** 20
+        plan.append((t, int(px[start]), int(px[stop])))
         if stop == len(px) - 1:
             return plan
         start = stop

@@ -342,6 +342,49 @@ def test_subnormal_products_take_the_tilted_path(monkeypatch):
             <= direct.err_estimate + res.err_estimate)
 
 
+def test_tilt_exponents_are_exact(monkeypatch):
+    """On the tilt plan of a 2^17-node chain stage, every exponent of the
+    tilted FFT is exact in float64: t*i, e - s and sa + sb - t*k equal
+    their values in integer arithmetic, in units of 2^-20 (tilts are
+    multiples of 2^-20, row scales integers)."""
+    n = 2 ** 17
+    y = np.linspace(-40.0, 40.0, n)
+    yd = np.linspace(-80.0, 80.0, 2 * n - 1)
+    a = np.exp(-6.0 * np.abs(y) + 1j * y) * np.cos(4.0 * y)
+    table = np.exp(-3.0 * np.abs(yd) + 2.0j * yd) / (1.0 + yd * yd)
+    plans, scales = [], []
+    plan, fft = quad._tilt_plan, quad._tilted_fft
+    monkeypatch.setattr(quad, "_tilt_plan",
+                        lambda *args: plans.append(plan(*args)) or plans[-1])
+
+    def spy(x, lx, t, size):
+        f, s = fft(x, lx, t, size)
+        scales.append((lx.shape[-1], s.item()))
+        return f, s
+
+    monkeypatch.setattr(quad, "_tilted_fft", spy)
+    quad._tilted_convolve(a[None], quad._Operand(table), n - 1, 2 * n - 1)
+    [blocks] = plans
+    assert len(blocks) > 1 and len(scales) == 2 * len(blocks)
+    unit = 2 ** 20
+    rows = iter(scales)
+    for t, start, stop in blocks:
+        j = round(t * unit)
+        assert t * unit == j and abs(t) < 2 ** 11
+        ends = []
+        for m, s in (next(rows), next(rows)):
+            i = np.arange(m)
+            assert s == int(s)
+            assert np.array_equal(i * t * unit, (i * j).astype(float))
+            assert np.array_equal((i * t - s) * unit,
+                                  (i * j - int(s) * unit).astype(float))
+            ends.append(int(s))
+        k = np.arange(start - max(0, start - n + 1),
+                      stop + 1 - max(0, start - n + 1))
+        assert np.array_equal((float(sum(ends)) - t * k) * unit,
+                              (sum(ends) * unit - k * j).astype(float))
+
+
 @pytest.mark.parametrize("lo, hi", [(0, 599), (299, 599), (150, 450)])
 def test_zero_stuffed_row_is_the_coarse_convolution(lo, hi):
     """A second row holding a at the even nodes and zeros between gives,
