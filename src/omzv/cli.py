@@ -18,6 +18,7 @@ fails with its own error).
 import cmath
 import json
 import math
+import os
 import time
 
 import click
@@ -54,7 +55,16 @@ def _omega(ctx, param, value):
         raise click.BadParameter(str(exc))
 
 
+def _in_existing_dir(ctx, param, value):
+    """--out and --cache name a file in a directory that exists, checked
+    before anything is evaluated, not at the first write after it."""
+    if value and not os.path.isdir(os.path.dirname(os.path.abspath(value))):
+        raise click.BadParameter("the directory of %r does not exist" % value)
+    return value
+
+
 _OUT = click.option("--out", type=click.Path(dir_okay=False), default=None,
+                    callback=_in_existing_dir,
                     help="Write the JSON report here instead of stdout.")
 
 
@@ -70,6 +80,7 @@ def _evaluation_options(tol_help="Quadrature relative tolerance target."):
         _OUT,
         click.option("--cache", "cache_path",
                      type=click.Path(dir_okay=False), default=None,
+                     callback=_in_existing_dir,
                      help="Persistent value store (JSON lines)."),
     ]
 

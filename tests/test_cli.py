@@ -434,6 +434,34 @@ def test_cache_clear(runner, tmp_path):
     assert not store.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["eval", "zeta", "2", "--out"], ["eval", "zeta", "2", "--cache"],
+    ["verify", "duality", "--cache"], ["gamma", "0.2+0.3i", "--out"],
+    ["ohno", "2", "--out"], ["verify", "limit", "--out"]])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_file_in_a_missing_directory_is_exit_2(runner, tmp_path, monkeypatch,
+                                               args, via):
+    """--out and --cache in a directory that does not exist, given as a
+    flag or through --config, are usage errors raised before anything is
+    evaluated (no store is installed), not a traceback at the first
+    write after the evaluation."""
+    path = str(tmp_path / "missing" / "file.json")
+    started = []
+    monkeypatch.setattr(omzv.cli, "_install_cache", started.append)
+    monkeypatch.setattr("omzv.verify.run_suite",
+                        lambda *a, **k: started.append(a))
+    if via == "flag":
+        res = runner.invoke(cli, args + [path])
+    else:
+        cfgfile = tmp_path / "omzv.cfg"
+        # a config key is the option's parameter name
+        key = {"--out": "out", "--cache": "cache_path"}[args[-1]]
+        cfgfile.write_text("%s = %s\n" % (key, path))
+        res = runner.invoke(cli, ["--config", str(cfgfile)] + args[:-1])
+    assert res.exit_code == 2, res.output
+    assert "does not exist" in res.output and started == []
+
+
 def test_config_file_defaults(runner, tmp_path):
     cfgfile = tmp_path / "omzv.cfg"
     cfgfile.write_text("omega = 1.3\nmax-weight = 2\n")
