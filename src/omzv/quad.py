@@ -376,9 +376,9 @@ def _tilt_plan(hull_a, hull_b, lo, hi):
 def _tilted_fft(x, lx, t, size):
     """Length-size FFTs of the rows x_i e^{t i - s}, s = max(log|x_i| +
     t i) per row rounded up to an integer (kept as a column), so each
-    tilted row has its maximum in (1/e, 1].  The factor is applied as two halves: for x_i != 0 the
-    exponent is at most -log|x_i| <= 745, whose half never overflows,
-    and the clip keeps zeros at zero."""
+    tilted row has its maximum in (1/e, 1].  The factor is applied as
+    two halves: for x_i != 0 the exponent is at most -log|x_i| <= 745,
+    whose half never overflows, and the clip keeps zeros at zero."""
     n = lx.shape[-1]
     e = np.arange(n, dtype=float)
     e *= t
