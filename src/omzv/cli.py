@@ -3,10 +3,9 @@
 Verbs: eval (zeta / word values), verify (check suites), gamma (the
 hyperbolic gamma function at a point), ohno (coefficient tables),
 cache (persistent store management).  Every verb prints one JSON
-report; complex numbers are encoded as [re, im] pairs.  Options read
-environment variables with the OMZV_ prefix (OMZV_VERIFY_OMEGA and so
-on) and a --config file of flat key=value lines; command line flags
-win over both.
+report; complex numbers are encoded as [re, im] pairs.  Each option's
+default is read from OMZV_<VERB>_<FLAG>, dashes as underscores
+(OMZV_VERIFY_MAX_WEIGHT, OMZV_EVAL_CACHE); a flag wins over its variable.
 
 Exit codes: 0 success, 1 failed check, 2 parse or usage error,
 3 non-admissible argument (bad index, pole, deformation out of range)
@@ -78,8 +77,7 @@ def _evaluation_options(tol_help="Quadrature relative tolerance target."):
         click.option("--tol", type=float, default=None, callback=_tolerance,
                      help=tol_help),
         _OUT,
-        click.option("--cache", "cache_path",
-                     type=click.Path(dir_okay=False), default=None,
+        click.option("--cache", type=click.Path(dir_okay=False), default=None,
                      callback=_in_existing_dir,
                      help="Persistent value store (JSON lines)."),
     ]
@@ -145,13 +143,13 @@ def _install_cache(path):
     click.get_current_context().call_on_close(lambda: cache_mod.install(None))
 
 
-def _evaluate(cache_path, omega, tol, parse, compute):
+def _evaluate(cache, omega, tol, parse, compute):
     """The steps of a verb that evaluates one argument: install the store
     (`_install_cache`), parse the argument with parse() (a ValueError is
     a usage error, exit 2), and compute(arg, p, cfg); a ValueError or
     QuadError there is exit 3.  Returns the argument, the result and the
     report's config block."""
-    _install_cache(cache_path)
+    _install_cache(cache)
     try:
         arg = parse()
     except ValueError as exc:
@@ -165,44 +163,21 @@ def _evaluate(cache_path, omega, tol, parse, compute):
                       "fingerprint": cfg.fingerprint()}
 
 
-def _read_config(path):
-    values = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise click.UsageError(
-                    "%s:%d: expected key=value" % (path, lineno))
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="omzv")
-@click.option("--config", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Flat key=value defaults file; command "
-              "line flags take precedence.")
-@click.pass_context
-def cli(ctx, config):
+def cli():
     """omega-deformed multiple zeta values."""
-    if config:
-        defaults = _read_config(config)
-        ctx.default_map = {name: defaults for name in
-                           ("eval", "verify", "gamma", "ohno", "cache")}
 
 
 @cli.command("eval")
 @click.argument("kind", type=click.Choice(["zeta", "word"]))
 @click.argument("expr")
 @_evaluation_options()
-def cmd_eval(kind, expr, omega, tol, out, cache_path):
+def cmd_eval(kind, expr, omega, tol, out, cache):
     """Evaluate zeta_w of an index ("1,3,2") or Z_w of a word ("E G2")."""
     zeta = kind == "zeta"
     arg, res, config = _evaluate(
-        cache_path, omega, tol,
+        cache, omega, tol,
         lambda: (parse_index if zeta else parse_apoly)(expr),
         zeta_omega if zeta else Z_omega)
     parsed = ",".join(str(e) for e in arg) if zeta else str(arg)
@@ -222,22 +197,19 @@ def cmd_eval(kind, expr, omega, tol, out, cache_path):
 @click.option("--order", type=click.IntRange(min=0), default=2,
               show_default=True,
               help="Table order for the Ohno checks.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for generic-point selection.")
 @click.pass_context
-def cmd_verify(ctx, suite, omega, tol, max_weight, order, seed, out,
-               cache_path):
+def cmd_verify(ctx, suite, omega, tol, max_weight, order, out, cache):
     """Run one verification suite (or "all") and report each check."""
     from .verify import run_suite
-    _install_cache(cache_path)
+    _install_cache(cache)
     t0 = time.perf_counter()
     checks = run_suite(suite, omega=omega, max_weight=max_weight,
-                       order=order, seed=seed, tol=tol)
+                       order=order, tol=tol)
     failed = sum(1 for c in checks if not c["pass"])
     report = _base_report(
         "verify", suite=suite,
         config={"omega": omega, "tol": tol, "max_weight": max_weight,
-                "order": order, "seed": seed},
+                "order": order},
         checks=checks,
         summary={"total": len(checks), "passed": len(checks) - failed,
                  "failed": failed},
@@ -252,10 +224,10 @@ def cmd_verify(ctx, suite, omega, tol, max_weight, order, seed, out,
 @cli.command("gamma")
 @click.argument("z")
 @_evaluation_options()
-def cmd_gamma(z, omega, tol, out, cache_path):
+def cmd_gamma(z, omega, tol, out, cache):
     """Hyperbolic gamma function at a complex point such as "0.2+0.3i"."""
     zc, res, config = _evaluate(
-        cache_path, omega, tol, lambda: _complex_arg(z),
+        cache, omega, tol, lambda: _complex_arg(z),
         lambda zc, p, cfg: cache_mod.memoized(
             "logG %r" % zc, p.omega, cfg,
             lambda: EvalResult(log_G(zc, GammaContext(p, cfg=cfg)), 0.0)))
@@ -274,10 +246,10 @@ def cmd_gamma(z, omega, tol, out, cache_path):
 @click.option("--order", type=click.IntRange(min=0), default=2,
               show_default=True,
               help="Largest m+n in the table.")
-def cmd_ohno(index, omega, order, tol, out, cache_path):
+def cmd_ohno(index, omega, order, tol, out, cache):
     """Table of double Ohno sums O_{m,n}(k) for an admissible index."""
     k, table, config = _evaluate(
-        cache_path, omega, tol, lambda: parse_index(index),
+        cache, omega, tol, lambda: parse_index(index),
         lambda k, p, cfg: ohno_table(k, order, p, cfg))
     cells = [{"m": m, "n": n, "value": table[m, n].value,
               "err": table[m, n].err_estimate} for m, n in table.cells()]
@@ -288,20 +260,20 @@ def cmd_ohno(index, omega, order, tol, out, cache_path):
 
 @cli.command("cache")
 @click.argument("action", type=click.Choice(["stats", "clear"]))
-@click.option("--cache", "cache_path", type=click.Path(dir_okay=False),
-              required=True, help="Persistent value store (JSON lines).")
+@click.option("--cache", type=click.Path(dir_okay=False), required=True,
+              help="Persistent value store (JSON lines).")
 @_OUT
-def cmd_cache(action, cache_path, out):
+def cmd_cache(action, cache, out):
     """Inspect or empty the persistent value store."""
-    store = cache_mod.ValueCache(cache_path)
+    store = cache_mod.ValueCache(cache)
     if action == "clear":
         n = len(store)
         store.clear()
-        report = _base_report("cache", action="clear", path=cache_path,
+        report = _base_report("cache", action="clear", path=cache,
                               removed=n)
     else:
-        report = _base_report("cache", action="stats", path=cache_path,
-                              entries=len(store))
+        report = _base_report("cache", action="stats", path=cache,
+                              entries=len(store), dropped=store.dropped)
     _emit(report, out)
 
 

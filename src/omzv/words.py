@@ -469,7 +469,7 @@ class AMonomial(tuple):
 
     @property
     def weight(self):
-        return sum(k or 1 for k in self)
+        return sum(self) + self.count(0)
 
     def is_admissible(self):
         return not self or self[-1] != 0

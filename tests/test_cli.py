@@ -1,4 +1,5 @@
-"""Command line contract: JSON reports, exit codes, cache, config."""
+"""Command line contract: JSON reports, exit codes, cache, and option
+defaults read from OMZV_<VERB>_<FLAG> variables."""
 
 import json
 import math
@@ -357,6 +358,21 @@ def test_cache_survives_corruption(runner, tmp_path):
     assert strip_volatile(again)["value"] == strip_volatile(clean)["value"]
 
 
+def test_cache_stats_counts_dropped_lines(runner, tmp_path):
+    """`cache stats` reports the lines it dropped as corrupt next to the
+    entries it kept."""
+    store = tmp_path / "values.jsonl"
+    fresh_memos()
+    assert runner.invoke(
+        cli, ["eval", "zeta", "2", "--cache", str(store)]).exit_code == 0
+    store.write_text(store.read_text() + "not json\n")
+    with pytest.warns(UserWarning, match="dropped 1 corrupt entry"):
+        res = runner.invoke(cli, ["cache", "stats", "--cache", str(store)])
+    assert res.exit_code == 0
+    report = json.loads(res.output)
+    assert report["entries"] == 1 and report["dropped"] == 1
+
+
 def test_non_finite_store_entry_is_recomputed(runner, tmp_path):
     """An entry whose value and error are NaN, as stores written before
     finite-or-raise integrals can hold, is dropped as corrupt and the
@@ -438,13 +454,13 @@ def test_cache_clear(runner, tmp_path):
     ["eval", "zeta", "2", "--out"], ["eval", "zeta", "2", "--cache"],
     ["verify", "duality", "--cache"], ["gamma", "0.2+0.3i", "--out"],
     ["ohno", "2", "--out"], ["verify", "limit", "--out"]])
-@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("via", ["flag", "env"])
 def test_file_in_a_missing_directory_is_exit_2(runner, tmp_path, monkeypatch,
                                                args, via):
     """--out and --cache in a directory that does not exist, given as a
-    flag or through --config, are usage errors raised before anything is
-    evaluated (no store is installed), not a traceback at the first
-    write after the evaluation."""
+    flag or through OMZV_<VERB>_OUT / OMZV_<VERB>_CACHE, are usage errors
+    raised before anything is evaluated (no store is installed), not a
+    traceback at the first write after the evaluation."""
     path = str(tmp_path / "missing" / "file.json")
     started = []
     monkeypatch.setattr(omzv.cli, "_install_cache", started.append)
@@ -453,39 +469,47 @@ def test_file_in_a_missing_directory_is_exit_2(runner, tmp_path, monkeypatch,
     if via == "flag":
         res = runner.invoke(cli, args + [path])
     else:
-        cfgfile = tmp_path / "omzv.cfg"
-        # a config key is the option's parameter name
-        key = {"--out": "out", "--cache": "cache_path"}[args[-1]]
-        cfgfile.write_text("%s = %s\n" % (key, path))
-        res = runner.invoke(cli, ["--config", str(cfgfile)] + args[:-1])
+        var = "OMZV_%s_%s" % (args[0].upper(), args[-1][2:].upper())
+        res = runner.invoke(cli, args[:-1], env={var: path},
+                            auto_envvar_prefix="OMZV")
     assert res.exit_code == 2, res.output
     assert "does not exist" in res.output and started == []
 
 
-def test_config_file_defaults(runner, tmp_path):
-    cfgfile = tmp_path / "omzv.cfg"
-    cfgfile.write_text("omega = 1.3\nmax-weight = 2\n")
-    res = runner.invoke(cli, ["--config", str(cfgfile), "verify", "algebra"])
-    assert res.exit_code == 0
-    report = json.loads(res.output)
-    assert report["config"]["omega"] == 1.3
-    assert report["config"]["max_weight"] == 2
-    # explicit flags win over the file
-    res = runner.invoke(cli, ["--config", str(cfgfile), "verify", "algebra",
-                              "--omega", "0.9"])
-    assert json.loads(res.output)["config"]["omega"] == 0.9
-    res = runner.invoke(cli, ["--config", str(cfgfile), "verify", "algebra",
-                              "--omega", "bad"])
-    assert res.exit_code == 2
-    cfgfile.write_text("omega = 1.3\nmax-weight\n")
-    res = runner.invoke(cli, ["--config", str(cfgfile), "verify", "algebra"])
-    assert res.exit_code == 2
-    assert "expected key=value" in res.output
-
-
 def test_env_prefix(runner):
-    res = runner.invoke(cli, ["verify", "algebra"],
-                        env={"OMZV_VERIFY_OMEGA": "0.7"},
+    """OMZV_<VERB>_<FLAG>, dashes as underscores, sets an option's
+    default; a flag wins over it, and a bad value is a usage error."""
+    env = {"OMZV_VERIFY_OMEGA": "0.7", "OMZV_VERIFY_MAX_WEIGHT": "2"}
+    res = runner.invoke(cli, ["verify", "algebra"], env=env,
                         auto_envvar_prefix="OMZV")
     assert res.exit_code == 0
-    assert json.loads(res.output)["config"]["omega"] == 0.7
+    report = json.loads(res.output)
+    assert report["config"]["omega"] == 0.7
+    assert report["config"]["max_weight"] == 2
+    res = runner.invoke(cli, ["verify", "algebra", "--omega", "0.9"],
+                        env=env, auto_envvar_prefix="OMZV")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["config"]["omega"] == 0.9
+    res = runner.invoke(cli, ["verify", "algebra"],
+                        env={"OMZV_VERIFY_OMEGA": "bad"},
+                        auto_envvar_prefix="OMZV")
+    assert res.exit_code == 2
+
+
+def test_cache_variable_is_named_like_its_flag(runner, tmp_path):
+    """OMZV_EVAL_CACHE installs the store, as --cache does."""
+    store = tmp_path / "s.jsonl"
+    fresh_memos()
+    res = runner.invoke(cli, ["eval", "zeta", "2"],
+                        env={"OMZV_EVAL_CACHE": str(store)},
+                        auto_envvar_prefix="OMZV")
+    assert res.exit_code == 0, res.output
+    assert store.read_text().count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [["--config", "f", "eval", "zeta", "2"],
+                                  ["verify", "all", "--seed", "1"]])
+def test_removed_options_are_usage_errors(runner, args):
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 2
+    assert "No such option" in res.output

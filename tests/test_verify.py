@@ -2,13 +2,14 @@
 
 import json
 import math
+import random
 
 import pytest
 
 from click.testing import CliRunner
 
 from omzv import (AMonomial, APoly, EvalResult, HbarLaurent, OmegaParam,
-                  Z_omega, cache, verify)
+                  Z_omega, cache, monomials_up_to_weight, verify)
 from omzv.cli import _jsonable, cli
 from omzv.quad import _worst
 
@@ -183,3 +184,33 @@ def test_each_value_is_computed_once_per_run(monkeypatch):
     assert all(r["pass"] for r in records)
     assert len(computed) > 4
     assert len(computed) == len(set(computed))
+
+
+def _filtered_pairs(max_weight):
+    """`verify._pairs` as a filter over every pair, the reference for its
+    bisected ranges."""
+    mons = verify._monomials(max_weight)
+    return [(m1, m2) for i, m1 in enumerate(mons) for m2 in mons[i:]
+            if m1.weight + m2.weight <= max_weight + 1]
+
+
+@pytest.mark.parametrize("max_weight", range(1, 8))
+def test_pairs_match_the_filtered_enumeration(max_weight):
+    assert verify._pairs(max_weight) == _filtered_pairs(max_weight)
+
+
+def test_weight_counts_e_as_one():
+    assert all(m.weight == sum(k or 1 for k in m)
+               for m in monomials_up_to_weight(7))
+
+
+def test_transport_point_is_the_seed_0_draw():
+    """The transport suite's (lam, mu) is the point its seed-0 draw gave,
+    bit for bit."""
+    rng = random.Random(0)
+
+    def point():
+        rad = 0.006 + 0.006 * rng.random()
+        ang = 2.0 * math.pi * rng.random()
+        return rad * complex(math.cos(ang), math.sin(ang))
+    assert verify._TRANSPORT_POINT == (point(), point())
